@@ -81,25 +81,20 @@ from .fierz import (
     reconstruct_check,
 )
 from .classify import (
-    CLASS_NAMES_12,
-    CLASS_NAMES_90,
     AppendixVerdict,
     CensusReport,
     ClassReport,
-    Covariants12,
-    Covariants90,
+    Geometry,
     ReducedVerdict,
     appendix_check,
     census,
-    check_reduced_12,
-    check_reduced_90,
     class_report,
-    classify_12,
-    classify_90,
-    covariants_12,
-    covariants_90,
+    classify,
+    covariants,
+    geometry_of,
     majorana_project,
-    master_identity_90,
+    prepare,
+    reduced_verdict,
 )
 
 __version__ = "0.1.0"
@@ -171,22 +166,17 @@ __all__ = [
     "FierzVerdict",
     "IdentityResult",
     # classification
-    "Covariants12",
-    "Covariants90",
+    "Geometry",
     "ReducedVerdict",
     "ClassReport",
     "CensusReport",
     "AppendixVerdict",
-    "CLASS_NAMES_12",
-    "CLASS_NAMES_90",
+    "geometry_of",
     "majorana_project",
-    "covariants_12",
-    "covariants_90",
-    "check_reduced_12",
-    "check_reduced_90",
-    "master_identity_90",
-    "classify_12",
-    "classify_90",
+    "prepare",
+    "covariants",
+    "reduced_verdict",
+    "classify",
     "class_report",
     "census",
     "appendix_check",

@@ -321,18 +321,22 @@ def admissible_pairings(rep: Rep, structure: MainSubalgebra | None = None) -> li
     return out
 
 
-def standard_pairing(rep: Rep, structure: MainSubalgebra | None = None) -> Pairing:
-    """The pairing used for classification runs: table type and symmetry.
+def preferred_pairing(pairings: list[Pairing]) -> Pairing:
+    """The pairing used for classification runs among the admissible ones.
 
     When several pairings match the table row, the one with an orthogonal
     half-spinor split is preferred: only there do the even-rank bilinears
     survive on real spinors, which the covariant constructions rely on.
     """
-    filled = admissible_pairings(rep, structure)
-    for cand in filled:
+    for cand in pairings:
         if cand.isotropy == 1:
             return cand
-    return filled[0]
+    return pairings[0]
+
+
+def standard_pairing(rep: Rep, structure: MainSubalgebra | None = None) -> Pairing:
+    """The preferred admissible pairing of the representation."""
+    return preferred_pairing(admissible_pairings(rep, structure))
 
 
 # -- transpose law over blades ---------------------------------------------------------

@@ -22,8 +22,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .bilinear import Pairing, admissible_pairings
+from .bilinear import Pairing
 from .errors import (
     DimensionMismatch,
     NotASpinor,
@@ -34,7 +35,6 @@ from .exterior import (
     Form,
     Metric,
     Signature,
-    _norm,
     contracted_wedge,
     grade_project,
     rational_to_str,
@@ -42,81 +42,32 @@ from .exterior import (
 )
 from .fierz import IdentityResult, _bilinear_profile, _lowering_signs, _result
 from .graf import graf_product, hodge, lower_projection, truncated_product
-from .linalg import mat_mul, mat_vec, transpose
-from .matrixrep import (
-    CASE_ALMOST_COMPLEX,
-    MainSubalgebra,
-    Rep,
-    build_rep,
-    build_structure,
-)
+from .linalg import _norm, mat_mul, mat_vec, transpose
+from .matrixrep import CASE_ALMOST_COMPLEX, MainSubalgebra, Rep
 
 __all__ = [
-    "Covariants12",
-    "Covariants90",
+    "Geometry",
+    "GEOMETRIES",
     "ReducedVerdict",
     "ClassReport",
     "CensusReport",
     "AppendixVerdict",
-    "CLASS_NAMES_12",
-    "CLASS_NAMES_90",
+    "geometry_of",
     "majorana_project",
-    "covariants_12",
-    "check_reduced_12",
-    "classify_12",
-    "covariants_90",
-    "check_reduced_90",
-    "classify_90",
+    "prepare",
+    "covariants",
+    "reduced_verdict",
+    "classify",
     "class_report",
     "census",
     "appendix_check",
 ]
-
-SPINOR_SIGNATURE = Signature(1, 2)
-PINOR_SIGNATURE = Signature(9, 0)
-
-CLASS_NAMES_12 = {
-    1: "phi0 = 0, phi2 = 0",
-    2: "phi0 != 0, phi2 = 0",
-    3: "phi0 = 0, phi2 != 0",
-    4: "phi0 != 0, phi2 != 0",
-}
-
-CLASS_NAMES_90 = {
-    1: "psi0 = 0, psi1 != 0, psi4 != 0",
-    2: "psi0 != 0, psi1 = 0, psi4 != 0",
-    3: "psi0 != 0, psi1 != 0, psi4 = 0",
-    4: "psi0 = 0, psi1 = 0, psi4 != 0",
-    5: "psi0 = 0, psi1 != 0, psi4 = 0",
-    6: "psi0 != 0, psi1 = 0, psi4 = 0",
-    7: "psi0 = 0, psi1 = 0, psi4 = 0",
-    8: "psi0 != 0, psi1 != 0, psi4 != 0",
-}
-
-_CLASS_FROM_PATTERN_90 = {
-    (False, True, True): 1,
-    (True, False, True): 2,
-    (True, True, False): 3,
-    (False, False, True): 4,
-    (False, True, False): 5,
-    (True, False, False): 6,
-    (False, False, False): 7,
-    (True, True, True): 8,
-}
 
 
 def _as_signature(signature) -> Signature:
     if isinstance(signature, Signature):
         return signature
     return Signature(*signature)
-
-
-def _require_signature(rep: Rep, wanted: Signature, what: str) -> None:
-    if rep.signature != wanted:
-        raise UnsupportedSignature(
-            f"{what} is defined on signature ({wanted.p},{wanted.q}), "
-            f"got ({rep.signature.p},{rep.signature.q})"
-        )
 
 
 # -- real-spinor projection ------------------------------------------------------------
@@ -134,9 +85,6 @@ def majorana_project(rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
     return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
 
 
-# -- (1,2) covariants and classes -------------------------------------------------------
-
-
 def real_structure_isometric(pairing: Pairing, structure: MainSubalgebra) -> bool:
     """Whether the real structure preserves the pairing, B(Dx, Dy) = B(x, y).
 
@@ -151,45 +99,7 @@ def real_structure_isometric(pairing: Pairing, structure: MainSubalgebra) -> boo
     return mat_mul(mat_mul(transpose(d), pairing.gram), d) == pairing.gram
 
 
-@dataclass(frozen=True)
-class Covariants12:
-    """Scalar and rank-2 covariants of a real spinor on signature (1,2)."""
-
-    phi0: Form
-    phi2: Form
-
-    def to_json_obj(self) -> dict:
-        return {"phi0": self.phi0.to_json_obj(), "phi2": self.phi2.to_json_obj()}
-
-
-def covariants_12(
-    rep: Rep, structure: MainSubalgebra, pairing: Pairing, alpha
-) -> Covariants12:
-    """Covariants of a D-fixed spinor; verifies the odd-rank vanishing."""
-    _require_signature(rep, SPINOR_SIGNATURE, "this covariant set")
-    if structure.case != CASE_ALMOST_COMPLEX or structure.D is None:
-        raise StructureError("signature (1,2) carries the almost-complex case")
-    if not real_structure_isometric(pairing, structure):
-        raise StructureError(
-            "the pairing is anti-isometric under the real structure; the "
-            "scalar/rank-2 covariants vanish identically on real spinors "
-            "under it — use the orthogonal-split pairing"
-        )
-    vec = tuple(alpha)
-    if mat_vec(structure.D, vec) != vec:
-        raise NotASpinor("spinor is not fixed by the real structure; project it first")
-    prof = _bilinear_profile(rep, pairing, vec, vec)
-    signs = _lowering_signs(rep)
-    terms2 = {}
-    for mask, val in prof.items():
-        k = mask.bit_count()
-        if k % 2 == 1:
-            raise NotASpinor("an odd-rank bilinear is nonzero on a real spinor")
-        if k == 2:
-            terms2[mask] = _norm(val * signs[mask])
-    phi0 = Form.scalar(rep.signature, prof.get(0, 0))
-    phi2 = Form.from_mask_dict(rep.signature, terms2)
-    return Covariants12(phi0, phi2)
+# -- reduced verdicts ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -225,102 +135,72 @@ class ReducedVerdict:
         return obj
 
 
-def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
-    if not master.passed:
-        return ()
-    return tuple(r.identity for r in rows if not r.passed)
+# -- (1,2): real spinors, scalar and rank-2 covariants ------------------------------------
 
 
-def check_reduced_12(cov: Covariants12, b_alpha_alpha) -> ReducedVerdict:
-    """Exact verdict on the (1,2) reduced rows next to their master square.
+def _covariants_12(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: tuple):
+    """Covariants of a D-fixed spinor; verifies the odd-rank vanishing."""
+    if structure.case != CASE_ALMOST_COMPLEX or structure.D is None:
+        raise StructureError("signature (1,2) carries the almost-complex case")
+    if not real_structure_isometric(pairing, structure):
+        raise StructureError(
+            "the pairing is anti-isometric under the real structure; the "
+            "scalar/rank-2 covariants vanish identically on real spinors "
+            "under it — use the orthogonal-split pairing"
+        )
+    if mat_vec(structure.D, vec) != vec:
+        raise NotASpinor("spinor is not fixed by the real structure; project it first")
+    prof = _bilinear_profile(rep, pairing, vec, vec)
+    signs = _lowering_signs(rep)
+    terms2 = {}
+    for mask, val in prof.items():
+        k = mask.bit_count()
+        if k % 2 == 1:
+            raise NotASpinor("an odd-rank bilinear is nonzero on a real spinor")
+        if k == 2:
+            terms2[mask] = _norm(val * signs[mask])
+    return Form.scalar(rep.signature, prof.get(0, 0)), Form.from_mask_dict(rep.signature, terms2)
 
-    The master is the two-component square identity: with both covariant
-    components equal, the full product identity collapses to
-    (phi0 + phi2) * (phi0 + phi2) = 2 B (phi0 + phi2), whose grade parts
-    are exactly the two reduced rows.
+
+def _master_12(cov, b) -> IdentityResult:
+    """The two-component square identity.
+
+    With both covariant components equal, the full product identity
+    collapses to (phi0 + phi2) * (phi0 + phi2) = 2 B (phi0 + phi2), whose
+    grade parts are exactly the two reduced rows.
     """
-    met = Metric.standard(cov.phi0.signature)
-    b = b_alpha_alpha
-    total = cov.phi0 + cov.phi2
-    square = graf_product(total, total, met)
-    master = _result("two-component-square", square - total.scale(2 * b))
+    total = cov[0] + cov[1]
+    square = graf_product(total, total, Metric.standard(total.signature))
+    return _result("two-component-square", square - total.scale(2 * b))
+
+
+def _rows_12(cov, b):
+    phi0, phi2 = cov
+    met = Metric.standard(phi0.signature)
     rows = (
         _result(
             "rank2-double-contraction",
-            contracted_wedge(cov.phi2, cov.phi2, 2, met) + cov.phi0.scale(2 * b),
+            contracted_wedge(phi2, phi2, 2, met) + phi0.scale(2 * b),
         ),
-        _result(
-            "rank2-single-contraction",
-            contracted_wedge(cov.phi2, cov.phi2, 1, met),
-        ),
+        _result("rank2-single-contraction", contracted_wedge(phi2, phi2, 1, met)),
     )
-    return ReducedVerdict(master, rows, _flags(master, rows))
+    return rows, None
 
 
-def _pattern_index_12(cov: Covariants12) -> int:
-    z0 = cov.phi0.is_zero()
-    z2 = cov.phi2.is_zero()
-    if z0 and z2:
-        return 1
-    if not z0 and z2:
-        return 2
-    if z0:
-        return 3
-    return 4
+# -- (9,0): pinors, grade-{0,1,4} covariants -----------------------------------------------
 
 
-def classify_12(cov: Covariants12, b_alpha_alpha=None) -> int:
-    """Class index 1..4 from the zero pattern; refuses non-solutions.
-
-    For covariants computed from a spinor the scalar component already
-    equals B(alpha, alpha); a hand-injected pair may supply its own.
-    """
-    b = cov.phi0.scalar_part() if b_alpha_alpha is None else b_alpha_alpha
-    verdict = check_reduced_12(cov, b)
-    if not verdict.passed:
-        raise NotASpinor("covariants do not satisfy the reduced constraint system")
-    return _pattern_index_12(cov)
-
-
-# -- (9,0) covariants and classes -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Covariants90:
-    """Grade-{0,1,4} covariants of a pinor on signature (9,0)."""
-
-    psi0: Form
-    psi1: Form
-    psi4: Form
-
-    def combined(self) -> Form:
-        """Sum of the three grades; the truncated covariant is 1/32 of it."""
-        return self.psi0 + self.psi1 + self.psi4
-
-    def truncated_covariant(self) -> Form:
-        return self.combined().scale(Fraction(1, 32))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "psi0": self.psi0.to_json_obj(),
-            "psi1": self.psi1.to_json_obj(),
-            "psi4": self.psi4.to_json_obj(),
-        }
-
-
-def covariants_90(rep: Rep, pairing: Pairing, alpha) -> Covariants90:
+def _covariants_90(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: tuple):
     """Truncated covariants of a pinor; verifies rank vanishing and duality.
 
     Checks that the sign-law-forbidden ranks {2,3,6,7} vanish and that
     the upper-grade bilinears (ranks 5,8,9) are the volume images of the
     lower ones, so the grade-{0,1,4} truncation loses nothing.
     """
-    _require_signature(rep, PINOR_SIGNATURE, "this covariant set")
     if pairing.sigma != 1 or pairing.tau != 1:
         raise StructureError(
             "pinor covariants use the symmetric pairing of positive type"
         )
-    vec = tuple(alpha)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
     prof = _bilinear_profile(rep, pairing, vec, vec)
@@ -336,32 +216,29 @@ def covariants_90(rep: Rep, pairing: Pairing, alpha) -> Covariants90:
             raise NotASpinor(
                 "upper-grade bilinears are not the volume images of the lower ones"
             )
-    return Covariants90(
-        grade_project(full, 0), grade_project(full, 1), grade_project(full, 4)
-    )
+    return tuple(grade_project(full, k) for k in (0, 1, 4))
 
 
-def master_identity_90(cov: Covariants90, b_alpha_alpha) -> IdentityResult:
+def _master_90(cov, b) -> IdentityResult:
     """Truncated master identity in cleared form: S * S = 16 B S.
 
     The low-grade slice carries exactly half of the full covariant (the
     volume image carries the other half), so clearing the 1/32 weight
     from the slice leaves 16, not 32.  This is the form that genuine
-    spinor covariants satisfy exactly; it is the gate for classification.
+    spinor covariants satisfy exactly.
     """
-    met = Metric.standard(cov.psi0.signature)
-    s = cov.combined()
-    product = truncated_product(s, s, 1, met)
-    return _result("truncated-master", product - s.scale(16 * b_alpha_alpha))
+    s = cov[0] + cov[1] + cov[2]
+    product = truncated_product(s, s, 1, Metric.standard(s.signature))
+    return _result("truncated-master", product - s.scale(16 * b))
 
 
-def check_reduced_90(cov: Covariants90, b_alpha_alpha) -> ReducedVerdict:
-    """Exact verdict on the (9,0) truncated master and the five reduced rows.
+def _rows_90(cov, b):
+    """The five published reduced rows and the volume-image clearance.
 
     Rows are named by the grade they constrain.  The clearance entry
-    records that the volume image of the truncated covariant has no
-    low-grade part, which is what makes the master identity close on
-    the truncation.
+    records that the volume image of the truncated covariant (1/32 of the
+    sum of the three grades) has no low-grade part, which is what makes
+    the master identity close on the truncation.
 
     The rows carry the coefficients 31, 30 and 60 of a reduced system
     that clears a doubled master normalization (32 instead of 16).
@@ -371,20 +248,18 @@ def check_reduced_90(cov: Covariants90, b_alpha_alpha) -> ReducedVerdict:
     transcriptions of the reduced system rather than input failures.
     The two B-free rows hold exactly on genuine covariants.
     """
-    met = Metric.standard(cov.psi0.signature)
-    b = b_alpha_alpha
+    psi0, p1, p4 = cov
+    met = Metric.standard(psi0.signature)
     clearance = _result(
         "volume-image-clearance",
-        lower_projection(hodge(cov.truncated_covariant(), met)),
+        lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)), met)),
     )
-    master = master_identity_90(cov, b)
-    p1, p4 = cov.psi1, cov.psi4
     rows = (
         _result(
             "grade0-row",
             contracted_wedge(p1, p1, 1, met)
             + contracted_wedge(p4, p4, 4, met).scale(Fraction(1, 24))
-            - cov.psi0.scale(31 * b),
+            - psi0.scale(31 * b),
         ),
         _result("grade1-row", hodge(wedge(p4, p4), met) - p1.scale(30 * b)),
         _result(
@@ -399,26 +274,148 @@ def check_reduced_90(cov: Covariants90, b_alpha_alpha) -> ReducedVerdict:
             - p4.scale(60 * b),
         ),
     )
+    return rows, clearance
+
+
+# -- the geometry table ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """The data of the classification recipe on one signature.
+
+    The recipe is the same on every classified signature: prepare the
+    spinor, extract its covariant forms, check them against the reduced
+    identities, and read the class off which covariants vanish.  The
+    first component is the scalar, which equals B(alpha, alpha) on
+    covariants computed from a spinor.
+    """
+
+    signature: tuple[int, int]
+    # (name, grade) of each covariant form, in the order the extractor returns them
+    components: tuple[tuple[str, int], ...]
+    # real spinors: prepared by the Majorana projection, and classified
+    # only under pairings the real structure preserves
+    real: bool
+    extract: Callable[[Rep, MainSubalgebra, Pairing, tuple], tuple[Form, ...]]
+    master: Callable[[tuple[Form, ...], object], IdentityResult]
+    rows: Callable[[tuple[Form, ...], object], tuple]
+    # whether a failing reduced row refuses the spinor; otherwise failing
+    # rows are flagged reports and only the master identity refuses
+    gate_on_rows: bool
+    refusal: str
+    # nonzero-patterns of the components; class index = position + 1
+    patterns: tuple[tuple[bool, ...], ...]
+
+    def class_name(self, index: int) -> str:
+        """The zero pattern of class ``index`` spelled out, e.g. 'phi0 = 0, phi2 != 0'."""
+        pattern = self.patterns[index - 1]
+        return ", ".join(
+            f"{name} {'!=' if nz else '='} 0" for (name, _), nz in zip(self.components, pattern)
+        )
+
+
+GEOMETRIES: dict[tuple[int, int], Geometry] = {
+    geo.signature: geo
+    for geo in (
+        Geometry(
+            signature=(1, 2),
+            components=(("phi0", 0), ("phi2", 2)),
+            real=True,
+            extract=_covariants_12,
+            master=_master_12,
+            rows=_rows_12,
+            gate_on_rows=True,
+            refusal="covariants do not satisfy the reduced constraint system",
+            patterns=((False, False), (True, False), (False, True), (True, True)),
+        ),
+        Geometry(
+            signature=(9, 0),
+            components=(("psi0", 0), ("psi1", 1), ("psi4", 4)),
+            real=False,
+            extract=_covariants_90,
+            master=_master_90,
+            rows=_rows_90,
+            gate_on_rows=False,
+            refusal="covariants do not satisfy the truncated master identity",
+            patterns=(
+                (False, True, True),
+                (True, False, True),
+                (True, True, False),
+                (False, False, True),
+                (False, True, False),
+                (True, False, False),
+                (False, False, False),
+                (True, True, True),
+            ),
+        ),
+    )
+}
+
+
+def geometry_of(signature: Signature) -> Geometry:
+    """The classification data of a signature; refuses signatures off the table."""
+    geo = GEOMETRIES.get((signature.p, signature.q))
+    if geo is None:
+        covered = " and ".join(f"({p},{q})" for p, q in GEOMETRIES)
+        raise UnsupportedSignature(f"classification covers signatures {covered}")
+    return geo
+
+
+# -- the classification pipeline ------------------------------------------------------------
+
+
+def prepare(geometry: Geometry, rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
+    """The spinor the geometry classifies: the real part where spinors are real."""
+    if geometry.real:
+        return majorana_project(rep, structure, alpha)
+    return tuple(alpha)
+
+
+def covariants(
+    geometry: Geometry, rep: Rep, structure: MainSubalgebra, pairing: Pairing, spinor
+) -> tuple[Form, ...]:
+    """Covariant forms of a prepared spinor, in the geometry's component order."""
+    if (rep.signature.p, rep.signature.q) != geometry.signature:
+        p, q = geometry.signature
+        raise UnsupportedSignature(
+            f"this covariant set is defined on signature ({p},{q}), "
+            f"got ({rep.signature.p},{rep.signature.q})"
+        )
+    return geometry.extract(rep, structure, pairing, tuple(spinor))
+
+
+def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
+    if not master.passed:
+        return ()
+    return tuple(r.identity for r in rows if not r.passed)
+
+
+def reduced_verdict(geometry: Geometry, covs: tuple[Form, ...], b) -> ReducedVerdict:
+    """Exact verdict on the master identity and the reduced rows, with flags."""
+    master = geometry.master(covs, b)
+    rows, clearance = geometry.rows(covs, b)
     return ReducedVerdict(master, rows, _flags(master, rows), clearance)
 
 
-def classify_90(cov: Covariants90, b_alpha_alpha=None) -> int:
-    """Class index 1..8 from the zero pattern; gated on the master identity.
+def classify(
+    geometry: Geometry, covs: tuple[Form, ...], b=None, verdict: ReducedVerdict | None = None
+) -> int:
+    """Class index from the zero pattern of the covariants; refuses non-solutions.
 
-    For covariants computed from a spinor the scalar component already
-    equals B(alpha, alpha), so the gate needs no extra argument; a
-    hand-injected covariant triple may supply its own scalar instead.
+    ``b`` defaults to the scalar component, which is B(alpha, alpha) for
+    covariants computed from a spinor; a hand-injected set may supply its
+    own.  The gate reads ``verdict`` when the caller already holds it and
+    otherwise evaluates only what it needs.
     """
-    b = cov.psi0.scalar_part() if b_alpha_alpha is None else b_alpha_alpha
-    master = master_identity_90(cov, b)
-    if not master.passed:
-        raise NotASpinor("covariants do not satisfy the truncated master identity")
-    pattern = (
-        not cov.psi0.is_zero(),
-        not cov.psi1.is_zero(),
-        not cov.psi4.is_zero(),
-    )
-    return _CLASS_FROM_PATTERN_90[pattern]
+    b = covs[0].scalar_part() if b is None else b
+    if geometry.gate_on_rows:
+        gate = verdict if verdict is not None else reduced_verdict(geometry, covs, b)
+    else:
+        gate = verdict.master if verdict is not None else geometry.master(covs, b)
+    if not gate.passed:
+        raise NotASpinor(geometry.refusal)
+    return geometry.patterns.index(tuple(not f.is_zero() for f in covs)) + 1
 
 
 # -- classification reports -------------------------------------------------------------
@@ -434,7 +431,7 @@ class ClassReport:
     covariants: tuple[tuple[str, Form], ...]
     verdict: ReducedVerdict
     volume_sign: int
-    pairing_hash: str
+    pairing_hash: str | None
 
     def to_json_obj(self) -> dict:
         return {
@@ -452,40 +449,24 @@ class ClassReport:
 
 
 def class_report(
-    rep: Rep, structure: MainSubalgebra, pairing: Pairing, alpha
+    geometry: Geometry,
+    covs: tuple[Form, ...],
+    b=None,
+    volume_sign: int = 1,
+    pairing_hash: str | None = None,
 ) -> ClassReport:
-    """Classify one spinor and assemble the full report for it."""
-    if rep.signature == SPINOR_SIGNATURE:
-        vec = majorana_project(rep, structure, alpha)
-        cov = covariants_12(rep, structure, pairing, vec)
-        verdict = check_reduced_12(cov, cov.phi0.scalar_part())
-        if not verdict.passed:
-            raise NotASpinor("covariants do not satisfy the reduced constraint system")
-        index = _pattern_index_12(cov)
-        names = CLASS_NAMES_12
-        parts = (("phi0", cov.phi0), ("phi2", cov.phi2))
-    elif rep.signature == PINOR_SIGNATURE:
-        cov = covariants_90(rep, pairing, alpha)
-        verdict = check_reduced_90(cov, cov.psi0.scalar_part())
-        if not verdict.master.passed:
-            raise NotASpinor("covariants do not satisfy the truncated master identity")
-        index = _CLASS_FROM_PATTERN_90[
-            (not cov.psi0.is_zero(), not cov.psi1.is_zero(), not cov.psi4.is_zero())
-        ]
-        names = CLASS_NAMES_90
-        parts = (("psi0", cov.psi0), ("psi1", cov.psi1), ("psi4", cov.psi4))
-    else:
-        raise UnsupportedSignature(
-            "classification is implemented for signatures (1,2) and (9,0)"
-        )
+    """Classify one covariant set and assemble the full report for it."""
+    b = covs[0].scalar_part() if b is None else b
+    verdict = reduced_verdict(geometry, covs, b)
+    index = classify(geometry, covs, b, verdict)
     return ClassReport(
-        rep.signature,
+        covs[0].signature,
         index,
-        names[index],
-        parts,
+        geometry.class_name(index),
+        tuple((name, f) for (name, _), f in zip(geometry.components, covs)),
         verdict,
-        rep.volume_sign,
-        pairing.content_hash(),
+        volume_sign,
+        pairing_hash,
     )
 
 
@@ -523,13 +504,13 @@ class CensusReport:
     sections: tuple[CensusSection, ...]
 
     def to_json_obj(self) -> dict:
-        names = CLASS_NAMES_12 if self.signature == SPINOR_SIGNATURE else CLASS_NAMES_90
+        geo = geometry_of(self.signature)
         sections = []
         for sec in self.sections:
             reps = dict(sec.representatives)
             classes = {}
             for index, count in sec.counts:
-                entry = {"count": count, "pattern": names[index]}
+                entry = {"count": count, "pattern": geo.class_name(index)}
                 if index in reps:
                     entry["representative"] = [rational_to_str(x) for x in reps[index]]
                 classes[str(index)] = entry
@@ -560,47 +541,40 @@ class CensusReport:
 
 
 def census(
-    signature, samples: int, seed: int, box: int = 5, volume_sign: int = 1
+    rep: Rep,
+    structure: MainSubalgebra,
+    pairings: list[Pairing],
+    samples: int,
+    seed: int,
+    box: int = 5,
 ) -> CensusReport:
     """Sample, classify, and count spinors; deterministic under the seed.
 
-    Spinor entries are drawn uniformly from the integer box [-box, box].
-    On (1,2) every sample is projected onto real spinors first and the
-    classification is reported under each admissible pairing separately.
+    Spinor entries are drawn uniformly from the integer box [-box, box]
+    and prepared for the geometry (projected onto real spinors where
+    spinors are real); each sample is classified under every admissible
+    pairing separately.
     """
-    sig = _as_signature(signature)
     if samples < 0:
         raise ValueError("sample count must be non-negative")
-    if sig == SPINOR_SIGNATURE:
-        mode12 = True
-    elif sig == PINOR_SIGNATURE:
-        mode12 = False
-    else:
-        raise UnsupportedSignature("census supports signatures (1,2) and (9,0)")
-    rep = build_rep(sig, volume_sign)
-    structure = build_structure(rep)
-    pairings = admissible_pairings(rep, structure)
+    geo = geometry_of(rep.signature)
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
     compatible = [
-        real_structure_isometric(pairing, structure) if mode12 else True
-        for pairing in pairings
+        not geo.real or real_structure_isometric(pairing, structure) for pairing in pairings
     ]
     counts: list[dict[int, int]] = [{} for _ in pairings]
     found: list[dict[int, tuple]] = [{} for _ in pairings]
     ranks: list[set[int]] = [set() for _ in pairings]
     for _ in range(samples):
         raw = tuple(rng.randint(-box, box) for _ in range(dim))
-        vec = majorana_project(rep, structure, raw) if mode12 else raw
+        vec = prepare(geo, rep, structure, raw)
         for slot, pairing in enumerate(pairings):
             if not compatible[slot]:
                 prof = _bilinear_profile(rep, pairing, vec, vec)
                 ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
                 continue
-            if mode12:
-                index = classify_12(covariants_12(rep, structure, pairing, vec))
-            else:
-                index = classify_90(covariants_90(rep, pairing, vec))
+            index = classify(geo, covariants(geo, rep, structure, pairing, vec))
             counts[slot][index] = counts[slot].get(index, 0) + 1
             found[slot].setdefault(index, vec)
     sections = tuple(
@@ -616,10 +590,12 @@ def census(
         )
         for slot, pairing in enumerate(pairings)
     )
-    return CensusReport(sig, samples, seed, box, rep.volume_sign, sections)
+    return CensusReport(rep.signature, samples, seed, box, rep.volume_sign, sections)
 
 
 # -- closed-form product identity battery on (9,0) --------------------------------------
+
+APPENDIX_SIGNATURE = (9, 0)
 
 
 @dataclass(frozen=True)
@@ -718,7 +694,7 @@ def appendix_check(
     claimed grade memberships of the results.
     """
     sig = _as_signature(signature)
-    if sig != PINOR_SIGNATURE:
+    if (sig.p, sig.q) != APPENDIX_SIGNATURE:
         raise UnsupportedSignature("the identity battery is stated on signature (9,0)")
     met = Metric.standard(sig)
     rng = random.Random(seed)

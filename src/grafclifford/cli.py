@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
 
-from .bilinear import Pairing, admissible_pairings, b_eval, standard_pairing
+from .bilinear import Pairing, admissible_pairings, b_eval, preferred_pairing
 from .errors import (
     DimensionMismatch,
     FormParseError,
@@ -37,6 +36,7 @@ from .exterior import (
     Form,
     Metric,
     Signature,
+    max_dim,
     rational_from_str,
     rational_to_str,
 )
@@ -53,28 +53,21 @@ from .graf import (
 )
 from .matrixrep import CASE_ALMOST_COMPLEX, MainSubalgebra, build_rep, build_structure
 from .classify import (
-    CLASS_NAMES_12,
-    CLASS_NAMES_90,
-    Covariants12,
-    Covariants90,
+    APPENDIX_SIGNATURE,
+    GEOMETRIES,
     appendix_check,
     census,
-    check_reduced_12,
-    check_reduced_90,
     class_report,
-    classify_12,
-    classify_90,
-    covariants_12,
-    covariants_90,
+    covariants,
+    geometry_of,
     majorana_project,
+    prepare,
+    reduced_verdict,
 )
 
 TOOL_NAME = "grafclifford"
-DEFAULT_MAX_DIM = 12
 
-FIERZ_SIGNATURES = (Signature(1, 2), Signature(9, 0), Signature(0, 4))
-CENSUS_SIGNATURES = (Signature(1, 2), Signature(9, 0))
-APPENDIX_SIGNATURE = Signature(9, 0)
+FIERZ_SIGNATURES = ((1, 2), (9, 0), (0, 4))
 
 
 @dataclass(frozen=True)
@@ -82,26 +75,12 @@ class RunConfig:
     """Resolved invocation: everything a subcommand needs, no globals."""
 
     signature: Signature | None
-    metric: Metric | None
     volume_sign: int
     seed: int
     samples: int
     trials: int
     out: str | None
     fmt: str
-
-
-def _max_dim() -> int:
-    raw = os.environ.get("GRAF_MAX_DIM", "")
-    if not raw:
-        return DEFAULT_MAX_DIM
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UnsupportedSignature(f"GRAF_MAX_DIM must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise UnsupportedSignature("GRAF_MAX_DIM must be non-negative")
-    return value
 
 
 def _parse_signature(text: str) -> Signature:
@@ -114,7 +93,17 @@ def _parse_signature(text: str) -> Signature:
         raise argparse.ArgumentTypeError(f"signature parts must be integers: {text!r}") from exc
     if p < 0 or q < 0:
         raise argparse.ArgumentTypeError("signature parts must be non-negative")
-    return Signature(p, q)
+    try:
+        return Signature(p, q)
+    except UnsupportedSignature as exc:
+        raise argparse.ArgumentTypeError(f"invalid signature {text!r}: {exc}") from exc
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _provenance(
@@ -252,16 +241,15 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
 
 
 def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
-    cap = _max_dim()
     if cfg.signature is not None:
-        sigs = [_require_signature(cfg)]
+        sigs = [cfg.signature]
         trials = cfg.trials if cfg.trials else 25
     else:
-        bound = min(9, cap)
+        bound = min(9, max_dim())
         sigs = [Signature(p, n - p) for n in range(bound + 1) for p in range(n, -1, -1)]
         trials = cfg.trials if cfg.trials else 5
     report: dict = {
-        "provenance": _provenance(cfg.signature, cfg.metric, None, None, cfg.seed),
+        "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
         "trials_per_signature": trials,
         "signatures_checked": len(sigs),
         "volume_square_table": [],
@@ -277,11 +265,12 @@ def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
 # -- build-rep ---------------------------------------------------------------------------
 
 
-def _build_all(sig: Signature, volume_sign: int, metric: Metric | None):
-    rep = build_rep(sig, volume_sign, metric)
+def _build_all(sig: Signature, volume_sign: int):
+    """Representation, structure maps, admissible pairings and the preferred one."""
+    rep = build_rep(sig, volume_sign)
     structure = build_structure(rep)
     pairings = admissible_pairings(rep, structure)
-    return rep, structure, pairings
+    return rep, structure, pairings, preferred_pairing(pairings)
 
 
 def _structure_obj(structure: MainSubalgebra) -> dict:
@@ -306,8 +295,7 @@ def _pairing_obj(pairing: Pairing) -> dict:
 
 def cmd_build_rep(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    rep, structure, pairings = _build_all(sig, cfg.volume_sign, cfg.metric)
-    preferred = standard_pairing(rep, structure)
+    rep, structure, pairings, preferred = _build_all(sig, cfg.volume_sign)
     report = {
         "provenance": _provenance(
             sig, rep.metric, rep.volume_sign, preferred.content_hash(), cfg.seed
@@ -327,18 +315,13 @@ def _random_vec(rng: random.Random, dim: int, box: int = 5) -> tuple:
     return tuple(rng.randint(-box, box) for _ in range(dim))
 
 
-def _residual_obj(result) -> dict:
-    return result.to_json_obj()
-
-
 def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    if sig not in FIERZ_SIGNATURES:
+    if (sig.p, sig.q) not in FIERZ_SIGNATURES:
         raise UnsupportedSignature(
             "built-in quadratic-identity suites cover signatures (1,2), (9,0) and (0,4)"
         )
-    rep, structure, _ = _build_all(sig, cfg.volume_sign, cfg.metric)
-    pairing = standard_pairing(rep, structure)
+    rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
     rng = random.Random(cfg.seed)
     samples = cfg.samples if cfg.samples else 20
     dim = rep.abs.rep_dim
@@ -381,24 +364,20 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     master_fails = 0
     flagged_rows: dict[str, int] = {}
     flagged_example = None
-    if sig == Signature(1, 2) or sig == Signature(9, 0):
+    geo = GEOMETRIES.get((sig.p, sig.q))
+    if geo is not None:
         rng2 = random.Random(cfg.seed + 1)
         for _ in range(samples):
-            if sig == Signature(1, 2):
-                alpha = majorana_project(rep, structure, _random_vec(rng2, dim))
-                cov = covariants_12(rep, structure, pairing, alpha)
-                verdict = check_reduced_12(cov, b_eval(pairing, alpha, alpha))
-            else:
-                alpha = _random_vec(rng2, dim)
-                cov = covariants_90(rep, pairing, alpha)
-                verdict = check_reduced_90(cov, b_eval(pairing, alpha, alpha))
+            alpha = prepare(geo, rep, structure, _random_vec(rng2, dim))
+            covs = covariants(geo, rep, structure, pairing, alpha)
+            verdict = reduced_verdict(geo, covs, b_eval(pairing, alpha, alpha))
             if not verdict.master.passed:
                 master_fails += 1
             for name in verdict.flagged:
                 flagged_rows[name] = flagged_rows.get(name, 0) + 1
                 if flagged_example is None:
                     row = next(r for r in verdict.rows if r.identity == name)
-                    flagged_example = _residual_obj(row)
+                    flagged_example = row.to_json_obj()
         report["reduced"] = {
             "master_failures": master_fails,
             "flagged_row_counts": flagged_rows,
@@ -447,6 +426,7 @@ def _parse_scalar(obj, default):
 
 
 def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[int, dict]:
+    geo = geometry_of(sig)
     fields = payload["covariants"]
     if not isinstance(fields, dict):
         raise FormParseError("covariants must be an object of named forms")
@@ -459,31 +439,17 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
             raise FormParseError(f"covariant {name!r} must be homogeneous of grade {grade}")
         return form
 
-    if sig == Signature(9, 0):
-        cov = Covariants90(load_form("psi0", 0), load_form("psi1", 1), load_form("psi4", 4))
-        scalar = _parse_scalar(payload.get("scalar"), cov.psi0.scalar_part())
-        verdict = check_reduced_90(cov, scalar)
-        names = CLASS_NAMES_90
-        index = classify_90(cov, scalar)
-        parts = {"psi0": cov.psi0, "psi1": cov.psi1, "psi4": cov.psi4}
-    elif sig == Signature(1, 2):
-        cov = Covariants12(load_form("phi0", 0), load_form("phi2", 2))
-        scalar = _parse_scalar(payload.get("scalar"), cov.phi0.scalar_part())
-        verdict = check_reduced_12(cov, scalar)
-        names = CLASS_NAMES_12
-        index = classify_12(cov, scalar)
-        parts = {"phi0": cov.phi0, "phi2": cov.phi2}
-    else:
-        raise UnsupportedSignature("covariant injection covers signatures (1,2) and (9,0)")
-
+    covs = tuple(load_form(name, grade) for name, grade in geo.components)
+    scalar = _parse_scalar(payload.get("scalar"), covs[0].scalar_part())
+    result = class_report(geo, covs, scalar).to_json_obj()
     report = {
         "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
         "mode": "covariant-injection",
         "scalar": rational_to_str(scalar),
-        "class_index": index,
-        "class_pattern": names[index],
-        "covariants": {name: form.to_json_obj() for name, form in parts.items()},
-        "verdict": verdict.to_json_obj(),
+        "class_index": result["class_index"],
+        "class_pattern": result["class_pattern"],
+        "covariants": result["covariants"],
+        "verdict": result["verdict"],
         "passed": True,
     }
     return 0, report
@@ -499,13 +465,14 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
             "spinor file must be a JSON array of rationals or an object with 'covariants'"
         )
     vec = _parse_vector(payload)
-    rep, structure, _ = _build_all(sig, cfg.volume_sign, cfg.metric)
-    pairing = standard_pairing(rep, structure)
+    geo = geometry_of(sig)
+    rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch(
             f"spinor has {len(vec)} entries; the representation needs {rep.abs.rep_dim}"
         )
-    result = class_report(rep, structure, pairing, vec)
+    covs = covariants(geo, rep, structure, pairing, prepare(geo, rep, structure, vec))
+    result = class_report(geo, covs, None, rep.volume_sign, pairing.content_hash())
     report = {
         "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "mode": "spinor",
@@ -520,12 +487,9 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
 
 def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    if sig not in CENSUS_SIGNATURES:
-        raise UnsupportedSignature("census covers signatures (1,2) and (9,0)")
-    rep = build_rep(sig, cfg.volume_sign, cfg.metric)
-    structure = build_structure(rep)
-    pairing = standard_pairing(rep, structure)
-    result = census(sig, cfg.samples, cfg.seed, volume_sign=cfg.volume_sign)
+    geometry_of(sig)  # refuses an unclassified signature before the build
+    rep, structure, pairings, pairing = _build_all(sig, cfg.volume_sign)
+    result = census(rep, structure, pairings, cfg.samples, cfg.seed)
     report = {
         "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "census": result.to_json_obj(),
@@ -538,9 +502,7 @@ def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
-    sig = cfg.signature if cfg.signature is not None else APPENDIX_SIGNATURE
-    if sig != APPENDIX_SIGNATURE:
-        raise UnsupportedSignature("the product-expansion battery is defined on signature (9,0)")
+    sig = cfg.signature if cfg.signature is not None else Signature(*APPENDIX_SIGNATURE)
     verdict = appendix_check(sig, cfg.trials, cfg.seed)
     report = {
         "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
@@ -556,26 +518,28 @@ def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
 def _require_signature(cfg: RunConfig) -> Signature:
     if cfg.signature is None:
         raise UnsupportedSignature("this subcommand requires --signature p,q")
-    cap = _max_dim()
-    if cfg.signature.n > cap:
-        raise UnsupportedSignature(
-            f"dimension {cfg.signature.n} exceeds the GRAF_MAX_DIM cap of {cap}"
-        )
     return cfg.signature
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, samples_default: int, trials_default: int) -> None:
     sub.add_argument("--signature", type=_parse_signature, default=None, metavar="p,q")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=samples_default, metavar="N")
-    sub.add_argument("--trials", type=int, default=trials_default, metavar="N")
+    sub.add_argument("--samples", type=_count, default=samples_default, metavar="N")
+    sub.add_argument("--trials", type=_count, default=trials_default, metavar="N")
     sub.add_argument("--volume-sign", choices=("+", "-"), default="+")
     sub.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
     sub.add_argument("--out", default=None, metavar="PATH")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an invalid invocation on one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL_NAME,
         description="Exact arithmetic engine for Clifford algebra on exterior forms.",
     )
@@ -600,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         signature=args.signature,
-        metric=None,
         volume_sign=1 if args.volume_sign == "+" else -1,
         seed=args.seed,
         samples=args.samples,

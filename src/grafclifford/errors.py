@@ -9,7 +9,7 @@ class DimensionMismatch(GrafError):
     """Operands live over different signatures or incompatible sizes."""
 
 
-class UnsupportedSignature(GrafError):
+class UnsupportedSignature(GrafError, ValueError):
     """The requested signature is outside the supported range."""
 
 

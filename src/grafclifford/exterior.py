@@ -17,11 +17,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
-from .errors import DimensionMismatch, FormParseError
-
-Rational = Union[int, Fraction]
+from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
+from .linalg import Rational, _norm, congruence_diagonal
 
 DEFAULT_MAX_DIM = 12
 
@@ -34,21 +33,10 @@ def max_dim() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"GRAF_MAX_DIM must be an integer, got {raw!r}") from exc
+        raise UnsupportedSignature(f"GRAF_MAX_DIM must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"GRAF_MAX_DIM must be positive, got {value}")
+        raise UnsupportedSignature(f"GRAF_MAX_DIM must be positive, got {value}")
     return value
-
-
-def _norm(c: Rational) -> Rational:
-    """Collapse integral Fractions to int so hot paths stay on int ops."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
-        return c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 def rational_from_str(text: str) -> Rational:
@@ -79,7 +67,9 @@ class Signature:
         n = self.p + self.q
         cap = max_dim()
         if n > cap:
-            raise ValueError(f"dimension {n} exceeds cap {cap} (set GRAF_MAX_DIM to raise it)")
+            raise UnsupportedSignature(
+                f"dimension {n} exceeds cap {cap} (set GRAF_MAX_DIM to raise it)"
+            )
 
     @property
     def n(self) -> int:
@@ -340,7 +330,10 @@ class Form:
             else:
                 raise FormParseError(f"bad coefficient {coeff!r}")
             terms.append((blade.mask, coeff))
-        return cls(signature, terms)
+        try:
+            return cls(signature, terms)
+        except ValueError as exc:
+            raise FormParseError(str(exc)) from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -350,11 +343,11 @@ class Metric:
     """Symmetric invertible rational coefficient matrix for frame contractions.
 
     The default for a signature is the orthonormal diagonal
-    (+1 x p, -1 x q).  The inverse is computed eagerly so singular input
-    fails at construction time.
+    (+1 x p, -1 x q).  A given gram must have the inertia of the
+    signature, so singular input fails at construction time.
     """
 
-    __slots__ = ("signature", "gram", "inverse", "_diag")
+    __slots__ = ("signature", "gram", "_diag")
 
     def __init__(self, signature: Signature, gram=None):
         n = signature.n
@@ -373,13 +366,14 @@ class Metric:
                     if rows[i][j] != rows[j][i]:
                         raise ValueError("gram matrix must be symmetric")
         self.gram = rows
-        self.inverse = _invert(rows)
         if all(rows[i][j] == 0 for i in range(n) for j in range(n) if i != j):
             self._diag = tuple(rows[i][i] for i in range(n))
         else:
             self._diag = None
         if gram is not None:
-            pos, neg = _inertia(rows)
+            _, pivots = congruence_diagonal(rows)
+            pos = sum(1 for v in pivots if v > 0)
+            neg = sum(1 for v in pivots if v < 0)
             if (pos, neg) != (signature.p, signature.q):
                 raise ValueError(
                     f"gram matrix has inertia ({pos},{neg}), signature says ({signature.p},{signature.q})"
@@ -438,54 +432,6 @@ class Metric:
 
     def __repr__(self) -> str:
         return f"Metric({self.signature.p},{self.signature.q})"
-
-
-def _invert(rows: tuple[tuple[Rational, ...], ...]):
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
-    n = len(rows)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("gram matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(_norm(work[i][n + j]) for j in range(n)) for i in range(n))
-
-
-def _inertia(rows) -> tuple[int, int]:
-    """Signs of a symmetric matrix via congruence pivoting (Sylvester counts)."""
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-            if j is None:
-                continue
-            for r in range(n):
-                a[r][k] += a[r][j]
-            for c in range(n):
-                a[k][c] += a[j][c]
-        if a[k][k] > 0:
-            pos += 1
-        elif a[k][k] < 0:
-            neg += 1
-        else:
-            continue
-        for r in range(k + 1, n):
-            if a[r][k]:
-                factor = a[r][k] / a[k][k]
-                for c in range(k, n):
-                    a[r][c] -= factor * a[k][c]
-                for c in range(k, n):
-                    a[c][r] -= factor * a[c][k]
-    return pos, neg
 
 
 # -- permutation signs ---------------------------------------------------------

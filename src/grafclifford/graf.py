@@ -27,13 +27,13 @@ from .errors import DimensionMismatch
 from .exterior import (
     Form,
     Metric,
-    Rational,
     Signature,
     _factorial,
     contracted_wedge,
     grade_project,
     merge_sign,
 )
+from .linalg import Rational
 
 
 class TruncationRegimeWarning(UserWarning):
@@ -146,74 +146,12 @@ def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
     return _product_general(f, g, metric)
 
 
-def graf_product_reversed_check(f: Form, g: Form, metric: Metric | None = None) -> bool:
-    """Check the reversed-order expansion against the direct product.
-
-    For homogeneous f (grade m) and g (grade r) with m <= r, the product
-    g * f admits an expansion over contractions of (f, g) with a global
-    (-1)^(mr) and per-term sign (-1)^(k(m-k+1) + floor(k/2)).
-    """
-    f._check_same(g)
-    if not (f.is_homogeneous() and g.is_homogeneous()):
-        raise ValueError("reversed-order check requires homogeneous inputs")
-    metric = _resolve_metric(f, metric)
-    if f.is_zero() or g.is_zero():
-        return True
-    m = next(iter(f.grades()), 0)
-    r = next(iter(g.grades()), 0)
-    if m > r:
-        raise ValueError(f"reversed-order check requires left grade <= right grade, got {m} > {r}")
-    rhs = Form.zero(f.signature)
-    for k in range(m + 1):
-        term = contracted_wedge(f, g, k, metric)
-        if term.is_zero():
-            continue
-        sign = -1 if (k * (m - k + 1) + k // 2) & 1 else 1
-        rhs = rhs + term.scale(_frac(sign, _factorial(k)))
-    if (m * r) & 1:
-        rhs = -rhs
-    return graf_product(g, f, metric) == rhs
-
-
 # -- volume form and Hodge-type operators ----------------------------------------
 
 
 def volume_square_sign(p: int, q: int) -> int:
     """Square of the volume form under the product: +1 iff p-q = 0,1,4,5 mod 8."""
     return 1 if (p - q) % 8 in (0, 1, 4, 5) else -1
-
-
-@dataclass(frozen=True)
-class VolumeForm:
-    """Unit-square top form together with its product square (+1 or -1)."""
-
-    form: Form
-    vsquare: Rational
-
-    @classmethod
-    def for_metric(cls, metric: Metric) -> "VolumeForm":
-        from .linalg import rational_sqrt
-
-        sig = metric.signature
-        v = Form.blade(sig, (1 << sig.n) - 1)
-        prod = graf_product(v, v, metric)
-        sq = prod.scalar_part()
-        if prod != Form.scalar(sig, sq) or sq == 0:
-            raise ValueError("volume form does not square to a scalar under this metric")
-        if sq not in (1, -1):
-            # rescale the top blade to unit square when rationally possible
-            root = rational_sqrt(abs(sq))
-            if root is None:
-                raise ValueError("volume square admits no rational normalization")
-            v = v.scale(Fraction(1, 1) / root)
-            sq = 1 if sq > 0 else -1
-        return cls(v, sq)
-
-    @classmethod
-    def standard(cls, signature: Signature) -> "VolumeForm":
-        vf = cls.for_metric(Metric.standard(signature))
-        assert vf.vsquare == volume_square_sign(signature.p, signature.q)
-        return vf
 
 
 def volume_form(signature: Signature) -> Form:

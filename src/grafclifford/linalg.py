@@ -11,12 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
-from .exterior import Rational, _norm
-
+Rational = Union[int, Fraction]
 Matrix = tuple[tuple[Rational, ...], ...]
 Vector = tuple[Rational, ...]
+
+
+def _norm(c: Rational) -> Rational:
+    """Collapse integral Fractions to int so hot paths stay on int ops."""
+    if isinstance(c, Fraction):
+        if c.denominator == 1:
+            return c.numerator
+        return c
+    if isinstance(c, int):
+        return c
+    raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 def as_matrix(rows) -> Matrix:
@@ -57,24 +67,12 @@ def mat_vec(a: Matrix, v: Sequence[Rational]) -> Vector:
     return tuple(_norm(sum(x * y for x, y in zip(row, v))) for row in a)
 
 
-def vec_dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
-    return _norm(sum(x * y for x, y in zip(u, v)))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
 def mat_trace(a: Matrix) -> Rational:
     return _norm(sum(a[i][i] for i in range(len(a))))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
-
-
-def is_identity(a: Matrix) -> bool:
-    return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
 def is_scalar_matrix(a: Matrix) -> Rational | None:
@@ -360,28 +358,30 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def orthonormal_congruence(gram: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
-    """Find rational C and unit signs eps with gram = C^T diag(eps) C.
+def congruence_diagonal(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Rows E and entries d with E gram E^T = diag(d), by symmetric pivoting.
 
-    Uses symmetric pivoting; pivots whose absolute value is not a
-    rational square make the reduction fail (None), in which case the
-    caller refuses the metric.
+    A zero pivot k takes t times row and column j, for the first j with
+    a[k][j] != 0, which makes it t (2 a[k][j] + t a[j][j]).  t = 1 unless
+    that is zero, and then t = -1 gives -4 a[k][j] != 0.  A pivot stays
+    zero only when its whole row is zero, so the nonzero entries of d
+    count the rank of gram and their signs give its inertia.
     """
     n = len(gram)
     a = [[Fraction(v) for v in row] for row in gram]
-    # E collects the row operations: starts as identity, ends with E gram E^T diagonal.
     e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
             if j is None:
-                return None
+                continue
+            t = 1 if 2 * a[k][j] + a[j][j] != 0 else -1
             for c in range(n):
-                a[k][c] += a[j][c]
+                a[k][c] += t * a[j][c]
             for r in range(n):
-                a[r][k] += a[r][j]
+                a[r][k] += t * a[r][j]
             for c in range(n):
-                e[k][c] += e[j][c]
+                e[k][c] += t * e[j][c]
         piv = a[k][k]
         for r in range(k + 1, n):
             if a[r][k]:
@@ -392,10 +392,19 @@ def orthonormal_congruence(gram: Matrix) -> tuple[Matrix, tuple[int, ...]] | Non
                     a[c][r] -= f * a[c][k]
                 for c in range(n):
                     e[r][c] -= f * e[k][c]
+    return e, [a[k][k] for k in range(n)]
+
+
+def orthonormal_congruence(gram: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
+    """Find rational C and unit signs eps with gram = C^T diag(eps) C.
+
+    Pivots whose absolute value is not a rational square make the
+    reduction fail (None), in which case the caller refuses the metric.
+    """
+    e, pivots = congruence_diagonal(gram)
     signs = []
     scale = []
-    for k in range(n):
-        piv = a[k][k]
+    for piv in pivots:
         if piv == 0:
             return None
         root = rational_sqrt(abs(piv))
@@ -405,6 +414,7 @@ def orthonormal_congruence(gram: Matrix) -> tuple[Matrix, tuple[int, ...]] | Non
         scale.append(root)
     # E gram E^T = diag(s_k * scale_k^2); with F = diag(1/scale) E:
     # F gram F^T = diag(signs), i.e. gram = F^{-1} diag(signs) F^{-T}.
+    n = len(gram)
     f_rows = [[e[k][c] / scale[k] for c in range(n)] for k in range(n)]
     f_inv = mat_inverse(as_matrix(f_rows))
     c_mat = transpose(f_inv)

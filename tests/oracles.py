@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
-from grafclifford.exterior import Form, Metric, Signature
-from grafclifford.linalg import mat_vec
+from grafclifford.exterior import Form, Metric, Signature, contracted_wedge
+from grafclifford.graf import graf_product
+from grafclifford.linalg import mat_vec, rational_sqrt
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -155,6 +157,70 @@ def graf_product_oracle(f: Form, g: Form, metric: Metric) -> Form:
             if c:
                 acc[tup] = acc.get(tup, 0) + ca * cb * c
     return from_tuples(f.signature, acc)
+
+
+def graf_product_reversed_check(f: Form, g: Form, metric: Metric) -> bool:
+    """Check the reversed-order expansion against the direct product.
+
+    For homogeneous f (grade m) and g (grade r) with m <= r, the product
+    g * f admits an expansion over contractions of (f, g) with a global
+    (-1)^(mr) and per-term sign (-1)^(k(m-k+1) + floor(k/2)).
+    """
+    if not (f.is_homogeneous() and g.is_homogeneous()):
+        raise ValueError("reversed-order check requires homogeneous inputs")
+    if f.is_zero() or g.is_zero():
+        return True
+    m = next(iter(f.grades()), 0)
+    r = next(iter(g.grades()), 0)
+    if m > r:
+        raise ValueError(f"reversed-order check requires left grade <= right grade, got {m} > {r}")
+    rhs = Form.zero(f.signature)
+    for k in range(m + 1):
+        sign = -1 if (k * (m - k + 1) + k // 2) & 1 else 1
+        rhs = rhs + contracted_wedge(f, g, k, metric).scale(Fraction(sign, math.factorial(k)))
+    if (m * r) & 1:
+        rhs = -rhs
+    return graf_product(g, f, metric) == rhs
+
+
+@dataclass(frozen=True)
+class VolumeForm:
+    """Unit-square top form together with its product square (+1 or -1)."""
+
+    form: Form
+    vsquare: int
+
+    @classmethod
+    def for_metric(cls, metric: Metric) -> "VolumeForm":
+        sig = metric.signature
+        v = Form.blade(sig, (1 << sig.n) - 1)
+        prod = graf_product(v, v, metric)
+        sq = prod.scalar_part()
+        if prod != Form.scalar(sig, sq) or sq == 0:
+            raise ValueError("volume form does not square to a scalar under this metric")
+        if sq not in (1, -1):
+            # rescale the top blade to unit square when rationally possible
+            root = rational_sqrt(abs(sq))
+            if root is None:
+                raise ValueError("volume square admits no rational normalization")
+            v = v.scale(Fraction(1, 1) / root)
+            sq = 1 if sq > 0 else -1
+        return cls(v, sq)
+
+
+# -- dense matrix predicates -----------------------------------------------------------------
+
+
+def vec_dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def is_zero_matrix(a) -> bool:
+    return all(all(v == 0 for v in row) for row in a)
+
+
+def is_identity(a) -> bool:
+    return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
 # -- ordered-tuple covariant expansion -----------------------------------------------------

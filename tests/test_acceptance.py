@@ -8,20 +8,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from grafclifford.bilinear import b_eval, transpose_check
+from grafclifford.bilinear import admissible_pairings, b_eval, transpose_check
 from grafclifford.classify import (
-    CLASS_NAMES_12,
-    CLASS_NAMES_90,
-    Covariants90,
     appendix_check,
     census,
-    check_reduced_12,
-    check_reduced_90,
-    classify_12,
-    classify_90,
-    covariants_12,
-    covariants_90,
+    classify,
+    covariants,
+    geometry_of,
     majorana_project,
+    reduced_verdict,
 )
 from grafclifford.errors import NotASpinor
 from grafclifford.exterior import Form, Metric, Signature, contracted_wedge
@@ -173,6 +168,7 @@ def test_criterion_07_quadratic_identities_three_geometries(
 
 
 def test_criterion_08_real_spinor_covariants_on_1_2(rep12, st12, pr12):
+    geo = geometry_of(rep12.signature)
     rng = random.Random(108)
     quarter = Fraction(1, 4)
     seen = set()
@@ -182,67 +178,70 @@ def test_criterion_08_real_spinor_covariants_on_1_2(rep12, st12, pr12):
         assert all(mask.bit_count() % 2 == 0 for mask in prof)
         b = b_eval(pr12, vec, vec)
         assert b == 0
-        c12 = covariants_12(rep12, st12, pr12, vec)
-        assert c12.phi0.is_zero()
+        c12 = covariants(geo, rep12, st12, pr12, vec)
+        phi0, phi2 = c12
+        assert phi0.is_zero()
         pair = covariant(rep12, st12, pr12, vec, vec)
-        expected = (c12.phi0 + c12.phi2).scale(quarter)
+        expected = (phi0 + phi2).scale(quarter)
         assert pair.components[0] == expected
         assert pair.components[1] == expected
-        verdict = check_reduced_12(c12, b)
+        verdict = reduced_verdict(geo, c12, b)
         assert verdict.passed
         assert verdict.flagged == ()
-        index = classify_12(c12)
+        index = classify(geo, c12)
         assert index in {1, 3}
         seen.add(index)
     assert 3 in seen
 
 
-def test_criterion_09_pinor_covariants_and_flagged_rows_on_9_0(rep90, pr90):
+def test_criterion_09_pinor_covariants_and_flagged_rows_on_9_0(rep90, st90, pr90):
     rng = random.Random(109)
     sig = rep90.signature
+    geo = geometry_of(sig)
     for _ in range(100):
         vec = oracles.rand_vector(rng, rep90.d, box=3)
         prof = _bilinear_profile(rep90, pr90, vec, vec)
         assert all(mask.bit_count() not in (2, 3, 6, 7) for mask in prof)
-        cov = covariants_90(rep90, pr90, vec)
+        cov = covariants(geo, rep90, st90, pr90, vec)
+        psi0, psi1, psi4 = cov
         b = b_eval(pr90, vec, vec)
-        assert b == cov.psi0.scalar_part() == sum(a * a for a in vec)
-        verdict = check_reduced_90(cov, b)
+        assert b == psi0.scalar_part() == sum(a * a for a in vec)
+        verdict = reduced_verdict(geo, cov, b)
         assert verdict.master.passed
         assert verdict.clearance is not None and verdict.clearance.passed
         by_id = {r.identity: r for r in verdict.rows}
         assert by_id["grade2-row"].passed
         assert by_id["grade3-row"].passed
-        assert by_id["grade0-row"].residual == cov.psi0.scale(-16 * b)
-        assert by_id["grade1-row"].residual == cov.psi1.scale(-16 * b)
-        assert by_id["grade4-row"].residual == cov.psi4.scale(-32 * b)
+        assert by_id["grade0-row"].residual == psi0.scale(-16 * b)
+        assert by_id["grade1-row"].residual == psi1.scale(-16 * b)
+        assert by_id["grade4-row"].residual == psi4.scale(-32 * b)
         assert verdict.flagged == tuple(
             name
             for name, comp in (
-                ("grade0-row", cov.psi0),
-                ("grade1-row", cov.psi1),
-                ("grade4-row", cov.psi4),
+                ("grade0-row", psi0),
+                ("grade1-row", psi1),
+                ("grade4-row", psi4),
             )
             if not comp.is_zero()
         )
-        index = classify_90(cov)
-        assert CLASS_NAMES_90[index]
+        index = classify(geo, cov)
+        assert geo.class_name(index)
 
     one = Form.scalar(sig, 1)
     zero = Form.zero(sig)
     e1 = Form.from_mask_dict(sig, {1: 1})
-    inj3 = Covariants90(one, e1, zero)
-    verdict3 = check_reduced_90(inj3, Fraction(1, 8))
+    inj3 = (one, e1, zero)
+    verdict3 = reduced_verdict(geo, inj3, Fraction(1, 8))
     assert verdict3.master.passed
     assert verdict3.flagged == ("grade0-row", "grade1-row")
-    assert classify_90(inj3, Fraction(1, 8)) == 3
-    inj6 = Covariants90(one, zero, zero)
-    verdict6 = check_reduced_90(inj6, Fraction(1, 16))
+    assert classify(geo, inj3, Fraction(1, 8)) == 3
+    inj6 = (one, zero, zero)
+    verdict6 = reduced_verdict(geo, inj6, Fraction(1, 16))
     assert verdict6.master.passed
     assert verdict6.flagged == ("grade0-row",)
-    assert classify_90(inj6, Fraction(1, 16)) == 6
+    assert classify(geo, inj6, Fraction(1, 16)) == 6
     with pytest.raises(NotASpinor):
-        classify_90(Covariants90(one, zero, zero))
+        classify(geo, (one, zero, zero))
 
 
 def test_criterion_10_twelve_product_expansions():
@@ -254,16 +253,22 @@ def test_criterion_10_twelve_product_expansions():
     assert verdict.passed
 
 
-def test_criterion_11_census_determinism_and_class_coverage():
-    for sig in (Signature(1, 2), Signature(9, 0)):
-        first = census(sig, 1000, 7)
-        second = census(sig, 1000, 7)
+def test_criterion_11_census_determinism_and_class_coverage(
+    rep12, st12, pairings12, rep90, st90
+):
+    for rep, st, pairings in (
+        (rep12, st12, pairings12),
+        (rep90, st90, admissible_pairings(rep90, st90)),
+    ):
+        sig = rep.signature
+        first = census(rep, st, pairings, 1000, 7)
+        second = census(rep, st, pairings, 1000, 7)
         assert first.to_json() == second.to_json()
         obj = first.to_json_obj()
-        names = CLASS_NAMES_12 if sig == Signature(1, 2) else CLASS_NAMES_90
+        geo = geometry_of(sig)
         for section in obj["sections"]:
             for index, entry in section["classes"].items():
-                assert entry["pattern"] == names[int(index)]
+                assert entry["pattern"] == geo.class_name(int(index))
                 assert entry["count"] > 0
         if sig == Signature(9, 0):
             (section,) = first.sections

@@ -6,23 +6,18 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from grafclifford.bilinear import Pairing
+from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
-    CLASS_NAMES_12,
-    CLASS_NAMES_90,
-    Covariants12,
-    Covariants90,
     appendix_check,
     census,
-    check_reduced_12,
-    check_reduced_90,
     class_report,
-    classify_12,
-    classify_90,
-    covariants_12,
-    covariants_90,
+    classify,
+    covariants,
+    geometry_of,
     majorana_project,
+    prepare,
     real_structure_isometric,
+    reduced_verdict,
 )
 from grafclifford.errors import (
     DimensionMismatch,
@@ -32,9 +27,12 @@ from grafclifford.errors import (
 )
 from grafclifford.exterior import Form, Signature
 from grafclifford.linalg import identity, mat_vec
+from grafclifford.matrixrep import build_rep, build_structure
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
+GEO12 = geometry_of(SIG12)
+GEO90 = geometry_of(SIG90)
 
 APPENDIX_ROW_IDS = [
     "scalar-square-projector-replay",
@@ -81,9 +79,9 @@ def test_covariants_12_scalar_always_vanishes(rep12, st12, pr12):
     rng = random.Random(42)
     for _ in range(10):
         vec = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-        cov = covariants_12(rep12, st12, pr12, vec)
-        assert cov.phi0.is_zero()
-        assert cov.phi2.grades() <= {2}
+        phi0, phi2 = covariants(GEO12, rep12, st12, pr12, vec)
+        assert phi0.is_zero()
+        assert phi2.grades() <= {2}
 
 
 def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, st90, pr90):
@@ -95,13 +93,13 @@ def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, 
             break
     assert moved is not None
     with pytest.raises(NotASpinor):
-        covariants_12(rep12, st12, pr12, moved)
+        covariants(GEO12, rep12, st12, pr12, moved)
     anti = next(p for p in pairings12 if p.isotropy == -1)
     fixed = majorana_project(rep12, st12, (1, 0, 0, 0))
     with pytest.raises(StructureError):
-        covariants_12(rep12, st12, anti, fixed)
+        covariants(GEO12, rep12, st12, anti, fixed)
     with pytest.raises(UnsupportedSignature):
-        covariants_12(rep90, st90, pr90, (1,) + (0,) * 15)
+        covariants(GEO12, rep90, st90, pr90, (1,) + (0,) * 15)
 
 
 def test_reduced_rows_and_classes_12(rep12, st12, pr12):
@@ -109,8 +107,8 @@ def test_reduced_rows_and_classes_12(rep12, st12, pr12):
     seen = set()
     for _ in range(15):
         vec = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-        cov = covariants_12(rep12, st12, pr12, vec)
-        verdict = check_reduced_12(cov, cov.phi0.scalar_part())
+        cov = covariants(GEO12, rep12, st12, pr12, vec)
+        verdict = reduced_verdict(GEO12, cov, cov[0].scalar_part())
         assert verdict.master.identity == "two-component-square"
         assert [r.identity for r in verdict.rows] == [
             "rank2-double-contraction",
@@ -118,49 +116,50 @@ def test_reduced_rows_and_classes_12(rep12, st12, pr12):
         ]
         assert verdict.passed
         assert verdict.flagged == ()
-        index = classify_12(cov)
+        index = classify(GEO12, cov)
         assert index in {1, 3}
-        assert CLASS_NAMES_12[index]
+        assert GEO12.class_name(index)
         seen.add(index)
     assert 3 in seen
-    zero = covariants_12(rep12, st12, pr12, (0,) * rep12.d)
-    assert classify_12(zero) == 1
+    zero = covariants(GEO12, rep12, st12, pr12, (0,) * rep12.d)
+    assert classify(GEO12, zero) == 1
 
 
 def test_classify_12_rejects_non_solutions():
-    fake = Covariants12(Form.scalar(SIG12, 1), Form.zero(SIG12))
+    fake = (Form.scalar(SIG12, 1), Form.zero(SIG12))
     with pytest.raises(NotASpinor):
-        classify_12(fake)
+        classify(GEO12, fake)
 
 
 # -- (9,0) covariants and classes --------------------------------------------------------
 
 
-def test_covariants_90_basis_spinor(rep90, pr90):
+def test_covariants_90_basis_spinor(rep90, st90, pr90):
     vec = (1,) + (0,) * 15
-    cov = covariants_90(rep90, pr90, vec)
-    assert cov.psi0 == Form.scalar(SIG90, 1)
-    assert classify_90(cov) in {2, 3, 6, 8}
+    cov = covariants(GEO90, rep90, st90, pr90, vec)
+    assert cov[0] == Form.scalar(SIG90, 1)
+    assert classify(GEO90, cov) in {2, 3, 6, 8}
 
 
-def test_covariants_90_rejects_bad_inputs(rep90, rep12, pr12):
+def test_covariants_90_rejects_bad_inputs(rep90, st90, rep12, st12, pr12):
     wrong_type = Pairing(identity(rep90.d), sigma=1, tau=-1)
     with pytest.raises(StructureError):
-        covariants_90(rep90, wrong_type, (1,) + (0,) * 15)
+        covariants(GEO90, rep90, st90, wrong_type, (1,) + (0,) * 15)
     with pytest.raises(DimensionMismatch):
-        covariants_90(rep90, Pairing(identity(rep90.d), 1, 1), (1, 0))
+        covariants(GEO90, rep90, st90, Pairing(identity(rep90.d), 1, 1), (1, 0))
     with pytest.raises(UnsupportedSignature):
-        covariants_90(rep12, pr12, (1, 0, 0, 0))
+        covariants(GEO90, rep12, st12, pr12, (1, 0, 0, 0))
 
 
-def test_reduced_system_90_on_random_spinors(rep90, pr90):
+def test_reduced_system_90_on_random_spinors(rep90, st90, pr90):
     rng = random.Random(44)
     for _ in range(6):
         vec = oracles.rand_vector(rng, rep90.d, box=3)
-        cov = covariants_90(rep90, pr90, vec)
-        b = cov.psi0.scalar_part()
+        cov = covariants(GEO90, rep90, st90, pr90, vec)
+        psi0, psi1, psi4 = cov
+        b = psi0.scalar_part()
         assert b == sum(a * a for a in vec)
-        verdict = check_reduced_90(cov, b)
+        verdict = reduced_verdict(GEO90, cov, b)
         assert verdict.master.identity == "truncated-master"
         assert verdict.master.passed
         assert verdict.clearance is not None
@@ -169,31 +168,31 @@ def test_reduced_system_90_on_random_spinors(rep90, pr90):
         by_id = {r.identity: r for r in verdict.rows}
         assert by_id["grade2-row"].passed
         assert by_id["grade3-row"].passed
-        assert by_id["grade0-row"].residual == cov.psi0.scale(-16 * b)
-        assert by_id["grade1-row"].residual == cov.psi1.scale(-16 * b)
-        assert by_id["grade4-row"].residual == cov.psi4.scale(-32 * b)
+        assert by_id["grade0-row"].residual == psi0.scale(-16 * b)
+        assert by_id["grade1-row"].residual == psi1.scale(-16 * b)
+        assert by_id["grade4-row"].residual == psi4.scale(-32 * b)
         expected_flags = tuple(
             name
             for name, comp in (
-                ("grade0-row", cov.psi0),
-                ("grade1-row", cov.psi1),
-                ("grade4-row", cov.psi4),
+                ("grade0-row", psi0),
+                ("grade1-row", psi1),
+                ("grade4-row", psi4),
             )
             if not comp.is_zero()
         )
         assert verdict.flagged == expected_flags
-        index = classify_90(cov)
-        assert CLASS_NAMES_90[index]
+        index = classify(GEO90, cov)
+        assert GEO90.class_name(index)
         if b:
-            assert "psi0 != 0" in CLASS_NAMES_90[index]
+            assert "psi0 != 0" in GEO90.class_name(index)
 
 
-def test_reduced_system_90_on_the_zero_spinor(rep90, pr90):
-    cov = covariants_90(rep90, pr90, (0,) * rep90.d)
-    verdict = check_reduced_90(cov, 0)
+def test_reduced_system_90_on_the_zero_spinor(rep90, st90, pr90):
+    cov = covariants(GEO90, rep90, st90, pr90, (0,) * rep90.d)
+    verdict = reduced_verdict(GEO90, cov, 0)
     assert verdict.passed
     assert verdict.flagged == ()
-    assert classify_90(cov) == 7
+    assert classify(GEO90, cov) == 7
 
 
 def test_classify_90_hand_injected_covariants():
@@ -201,30 +200,36 @@ def test_classify_90_hand_injected_covariants():
     zero = Form.zero(SIG90)
     e1 = Form.from_mask_dict(SIG90, {1: 1})
 
-    inj3 = Covariants90(one, e1, zero)
-    verdict = check_reduced_90(inj3, Fraction(1, 8))
+    inj3 = (one, e1, zero)
+    verdict = reduced_verdict(GEO90, inj3, Fraction(1, 8))
     assert verdict.master.passed
     assert verdict.flagged == ("grade0-row", "grade1-row")
-    assert classify_90(inj3, Fraction(1, 8)) == 3
+    assert classify(GEO90, inj3, Fraction(1, 8)) == 3
 
-    inj6 = Covariants90(one, zero, zero)
-    verdict6 = check_reduced_90(inj6, Fraction(1, 16))
+    inj6 = (one, zero, zero)
+    verdict6 = reduced_verdict(GEO90, inj6, Fraction(1, 16))
     assert verdict6.master.passed
     assert verdict6.flagged == ("grade0-row",)
-    assert classify_90(inj6, Fraction(1, 16)) == 6
+    assert classify(GEO90, inj6, Fraction(1, 16)) == 6
 
     with pytest.raises(NotASpinor):
-        classify_90(Covariants90(one, zero, zero))
+        classify(GEO90, (one, zero, zero))
 
 
 # -- reports, census, identity battery ---------------------------------------------------
 
 
+def spinor_report(rep, st, pairing, alpha):
+    geo = geometry_of(rep.signature)
+    cov = covariants(geo, rep, st, pairing, prepare(geo, rep, st, alpha))
+    return class_report(geo, cov, None, rep.volume_sign, pairing.content_hash())
+
+
 def test_class_report_fields(rep12, st12, pr12, rep90, st90, pr90, rep04, st04, pr04):
-    report = class_report(rep12, st12, pr12, (3, -1, 2, 5))
+    report = spinor_report(rep12, st12, pr12, (3, -1, 2, 5))
     assert report.signature == SIG12
     assert report.class_index in {1, 3}
-    assert report.class_pattern == CLASS_NAMES_12[report.class_index]
+    assert report.class_pattern == GEO12.class_name(report.class_index)
     assert [name for name, _ in report.covariants] == ["phi0", "phi2"]
     assert report.pairing_hash == pr12.content_hash()
     obj = report.to_json_obj()
@@ -232,17 +237,17 @@ def test_class_report_fields(rep12, st12, pr12, rep90, st90, pr90, rep04, st04, 
     assert set(obj["covariants"]) == {"phi0", "phi2"}
 
     basis = (1,) + (0,) * 15
-    report90 = class_report(rep90, st90, pr90, basis)
+    report90 = spinor_report(rep90, st90, pr90, basis)
     assert report90.class_pattern.startswith("psi0 != 0")
     assert [name for name, _ in report90.covariants] == ["psi0", "psi1", "psi4"]
 
     with pytest.raises(UnsupportedSignature):
-        class_report(rep04, st04, pr04, (1, 0, 0, 0))
+        spinor_report(rep04, st04, pr04, (1, 0, 0, 0))
 
 
-def test_census_is_deterministic_and_structured():
-    first = census(SIG12, 25, 7)
-    second = census((1, 2), 25, 7)
+def test_census_is_deterministic_and_structured(rep12, st12, pairings12):
+    first = census(rep12, st12, pairings12, 25, 7)
+    second = census(rep12, st12, pairings12, 25, 7)
     assert first.to_json() == second.to_json()
     by_iso = {sec.isotropy: sec for sec in first.sections}
     assert set(by_iso) == {1, -1}
@@ -259,24 +264,27 @@ def test_census_is_deterministic_and_structured():
     assert incompatible["surviving_ranks"] == [1]
     compatible = next(s for s in obj["sections"] if s["real_structure_compatible"])
     assert compatible["classes"]["3"]["count"] == 25
-    assert compatible["classes"]["3"]["pattern"] == CLASS_NAMES_12[3]
+    assert compatible["classes"]["3"]["pattern"] == GEO12.class_name(3)
     assert "representative" in compatible["classes"]["3"]
 
 
-def test_census_on_the_pinor_signature():
-    report = census(SIG90, 6, 3)
+def test_census_on_the_pinor_signature(rep90, st90):
+    pairings90 = admissible_pairings(rep90, st90)
+    report = census(rep90, st90, pairings90, 6, 3)
     (section,) = report.sections
     assert section.compatible
     assert dict(section.counts) == {8: 6}
-    empty = census(SIG90, 0, 3)
+    empty = census(rep90, st90, pairings90, 0, 3)
     assert empty.sections[0].counts == ()
 
 
-def test_census_input_validation():
+def test_census_input_validation(rep12, st12, pairings12):
     with pytest.raises(ValueError):
-        census(SIG12, -1, 0)
+        census(rep12, st12, pairings12, -1, 0)
+    rep22 = build_rep(Signature(2, 2))
+    st22 = build_structure(rep22)
     with pytest.raises(UnsupportedSignature):
-        census((2, 2), 1, 0)
+        census(rep22, st22, admissible_pairings(rep22, st22), 1, 0)
 
 
 def test_product_identity_battery():

@@ -1,12 +1,19 @@
 """End-to-end command-line checks: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from grafclifford.classify import CLASS_NAMES_90
+from grafclifford.classify import geometry_of
 from grafclifford.cli import main
+from grafclifford.exterior import Signature
 from grafclifford.graf import volume_square_sign
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -108,7 +115,7 @@ def test_classify_pinor_basis_spinor(tmp_path, capsys):
     assert report["mode"] == "spinor"
     inner = report["report"]
     assert inner["class_pattern"].startswith("psi0 != 0")
-    assert inner["class_pattern"] == CLASS_NAMES_90[inner["class_index"]]
+    assert inner["class_pattern"] == geometry_of(Signature(9, 0)).class_name(inner["class_index"])
     assert inner["verdict"]["master"]["passed"] is True
 
 
@@ -133,7 +140,7 @@ def test_classify_covariant_injection(tmp_path, capsys):
     assert status == 0
     assert report["mode"] == "covariant-injection"
     assert report["class_index"] == 6
-    assert report["class_pattern"] == CLASS_NAMES_90[6]
+    assert report["class_pattern"] == geometry_of(Signature(9, 0)).class_name(6)
     assert report["scalar"] == "1/16"
     assert report["verdict"]["flagged"] == ["grade0-row"]
 
@@ -171,6 +178,14 @@ def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     assert main(["classify", str(short)]) == 2
     assert "signature" in capsys.readouterr().err
 
+    out_of_range = tmp_path / "out_of_range.json"
+    out_of_range.write_text(json.dumps({"covariants": {"psi0": [{"blade": [10], "coeff": "1"}]}}))
+    assert main(["classify", "--signature", "9,0", str(out_of_range)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds dimension 9" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
 
 def test_census_output_is_byte_identical(tmp_path):
     args = ["census", "--signature", "1,2", "--samples", "40", "--seed", "7"]
@@ -194,6 +209,13 @@ def test_census_zero_samples_and_bad_signature(capsys):
     assert report["census"]["samples"] == 0
     assert main(["census", "--signature", "2,2", "--samples", "1"]) == 2
     assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["census", "--signature", "9,0", "--samples", "-1"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "non-negative" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_appendix_check_cli(capsys):
@@ -237,3 +259,31 @@ def test_malformed_signature_argument():
     with pytest.raises(SystemExit) as excinfo:
         main(["census", "--signature", "3"])
     assert excinfo.value.code == 2
+
+
+def run_cli_process(args, cap):
+    """Run the CLI in a fresh interpreter, so the cap applies from import on."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), GRAF_MAX_DIM=cap)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_dimension_cap_refusals_in_a_fresh_process():
+    done = run_cli_process(["-c", "import grafclifford"], "5")
+    assert done.returncode == 0, done.stderr
+    cli = ["-m", "grafclifford.cli"]
+    for cap, argv in (
+        ("5", ["census", "--signature", "9,0", "--samples", "1"]),
+        ("5", ["appendix-check", "--trials", "1"]),
+        ("0", ["census", "--signature", "1,2", "--samples", "1"]),
+        ("0", ["check-algebra"]),
+        ("abc", ["build-rep", "--signature", "1,2"]),
+        ("abc", ["check-algebra"]),
+    ):
+        done = run_cli_process(cli + argv, cap)
+        assert done.returncode == 2, (cap, argv, done.stderr)
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert "GRAF_MAX_DIM" in done.stderr
+        assert done.stdout == ""

@@ -18,9 +18,7 @@ from grafclifford.exterior import (
 )
 from grafclifford.graf import (
     TruncationRegimeWarning,
-    VolumeForm,
     graf_product,
-    graf_product_reversed_check,
     hodge,
     in_truncation_regime,
     lower_projection,
@@ -131,9 +129,9 @@ def test_reversed_order_expansion_check():
         r = rng.randint(m, 3)
         f = oracles.rand_homogeneous(rng, SIG12, m)
         g = oracles.rand_homogeneous(rng, SIG12, r)
-        assert graf_product_reversed_check(f, g, met)
+        assert oracles.graf_product_reversed_check(f, g, met)
     with pytest.raises(ValueError):
-        graf_product_reversed_check(
+        oracles.graf_product_reversed_check(
             Form.blade(SIG12, (1, 2)), Form.blade(SIG12, (1,)), met
         )
 
@@ -165,11 +163,11 @@ def test_volume_central_in_odd_dimensions():
 
 def test_volume_normalization_for_scaled_metrics():
     sig = Signature(2, 0)
-    vf = VolumeForm.for_metric(Metric(sig, [[2, 0], [0, 2]]))
+    vf = oracles.VolumeForm.for_metric(Metric(sig, [[2, 0], [0, 2]]))
     met = Metric(sig, [[2, 0], [0, 2]])
     assert graf_product(vf.form, vf.form, met) == Form.unit(sig).scale(vf.vsquare)
     with pytest.raises(ValueError):
-        VolumeForm.for_metric(Metric(sig, [[2, 0], [0, 3]]))
+        oracles.VolumeForm.for_metric(Metric(sig, [[2, 0], [0, 3]]))
 
 
 def test_hodge_is_right_volume_product():

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from grafclifford.exterior import Metric, Signature
 from grafclifford.linalg import (
     SignedPerm,
     as_matrix,
     identity,
-    is_identity,
     is_scalar_matrix,
-    is_zero_matrix,
     mat_inverse,
     mat_mul,
     mat_scale,
@@ -24,9 +23,9 @@ from grafclifford.linalg import (
     solve_twisted_system,
     solve_twisted_system_dense,
     transpose,
-    vec_dot,
     zeros,
 )
+from oracles import is_identity, is_zero_matrix, vec_dot
 
 
 def rand_matrix(rng, n, box=4):
@@ -142,3 +141,16 @@ def test_orthonormal_congruence():
     )
     assert mat_mul(transpose(c), mat_mul(diag, c)) == gram
     assert orthonormal_congruence(as_matrix([[2, 0], [0, 1]])) is None
+
+
+def test_zero_pivot_gram_keeps_its_inertia_and_congruence():
+    # Adding row and column 1 to the zero pivot leaves it zero again
+    # (0 + 2*1 - 2); the pivot routine must subtract them instead.
+    gram = as_matrix([[0, 1], [1, -2]])
+    assert Metric(Signature(1, 1), gram).gram == gram
+    result = orthonormal_congruence(gram)
+    assert result is not None
+    c, signs = result
+    assert sorted(signs) == [-1, 1]
+    diag = as_matrix([[signs[i] if i == j else 0 for j in range(2)] for i in range(2)])
+    assert mat_mul(transpose(c), mat_mul(diag, c)) == gram
