@@ -19,20 +19,18 @@ from .errors import DimensionMismatch, StructureError
 from .exterior import Signature, rational_from_str, rational_to_str
 from .linalg import (
     Matrix,
+    SignedPerm,
     Vector,
     as_matrix,
     identity,
-    is_scalar_matrix,
     mat_add,
     mat_inverse,
-    mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
     nullspace,
     rref,
     solve_twisted_system,
-    solve_twisted_system_dense,
     transpose,
 )
 from .matrixrep import MainSubalgebra, Rep, build_structure
@@ -62,8 +60,8 @@ class Pairing:
             raise DimensionMismatch("pairing matrix size does not match the representation")
         if transpose(a) != mat_scale(a, self.sigma):
             raise StructureError("pairing symmetry sign is wrong")
-        for g in rep.generators:
-            if mat_mul(a, g) != mat_scale(mat_mul(transpose(g), a), self.tau):
+        for g in rep.perms:
+            if not _twisted_adjoint(a, g, self.tau):
                 raise StructureError("pairing type relation fails on a generator")
         mat_inverse(a)  # raises if singular
 
@@ -184,6 +182,11 @@ def _is_invertible(m: Matrix) -> bool:
     return True
 
 
+def _twisted_adjoint(a: Matrix, g: SignedPerm, tau: int) -> bool:
+    """A G = tau G^T A, by permuting and signing the entries of A."""
+    return g.right_act(a) == mat_scale(g.transpose().left_act(a), tau)
+
+
 def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
     """All invertible pairings of the given type, split by symmetry.
 
@@ -196,12 +199,7 @@ def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
     d = rep.d
     if rep.signature.n == 0:
         return [Pairing(identity(1), 1, tau)]
-    if rep.is_signed_perm:
-        cons = [(sp, sp.transpose(), tau) for sp in rep._sp]
-        basis = solve_twisted_system(d, cons)
-    else:
-        cons = [(g, transpose(g), tau) for g in rep.generators]
-        basis = solve_twisted_system_dense(d, cons)
+    basis = solve_twisted_system(d, [(g, g.transpose(), tau) for g in rep.perms])
     sym_parts: list[Matrix] = []
     anti_parts: list[Matrix] = []
     for m in basis:
@@ -239,15 +237,12 @@ def _eigenspace(m: Matrix, value: int) -> list[Vector]:
 def _half_spinor_split(rep: Rep, structure: MainSubalgebra):
     """The +-1 eigenspace split used for isotropy, when one exists."""
     cand = None
-    if structure.D is not None and is_scalar_matrix(mat_mul(structure.D, structure.D)) == 1:
+    if structure.d_square_sign == 1:
         cand = structure.D
     else:
-        vol = rep.volume_matrix()
-        if (
-            is_scalar_matrix(mat_mul(vol, vol)) == 1
-            and is_scalar_matrix(vol) is None
-        ):
-            cand = vol
+        vol = rep.volume_sp()
+        if vol.compose(vol).scalar_value() == 1 and vol.scalar_value() is None:
+            cand = vol.to_dense()
     if cand is None:
         return None
     plus = _eigenspace(cand, 1)
@@ -350,15 +345,11 @@ def blade_transpose_sign(tau: int, k: int) -> int:
 
 def transpose_check(pairing: Pairing, rep: Rep) -> bool:
     """Exhaustive blade transpose law over all 2^n basis blades."""
-    a = pairing.gram
-    for mask in range(1 << rep.signature.n):
-        m = rep.blade_matrix(mask)
-        k = mask.bit_count()
-        lhs = mat_mul(transpose(m), a)
-        rhs = mat_scale(mat_mul(a, m), blade_transpose_sign(pairing.tau, k))
-        if lhs != rhs:
-            return False
-    return True
+    a, tau = pairing.gram, pairing.tau
+    return all(
+        _twisted_adjoint(a, rep.blade_sp(mask), blade_transpose_sign(tau, mask.bit_count()))
+        for mask in range(1 << rep.signature.n)
+    )
 
 
 def vanishing_ranks(pairing: Pairing, n: int) -> set[int]:

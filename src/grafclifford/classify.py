@@ -162,7 +162,7 @@ def _covariants_12(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: t
     return Form.scalar(rep.signature, prof.get(0, 0)), Form.from_mask_dict(rep.signature, terms2)
 
 
-def _master_12(cov, b) -> IdentityResult:
+def _master_12(cov, b, volume_sign: int) -> IdentityResult:
     """The two-component square identity.
 
     With both covariant components equal, the full product identity
@@ -219,16 +219,18 @@ def _covariants_90(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: t
     return tuple(grade_project(full, k) for k in (0, 1, 4))
 
 
-def _master_90(cov, b) -> IdentityResult:
+def _master_90(cov, b, volume_sign: int) -> IdentityResult:
     """Truncated master identity in cleared form: S * S = 16 B S.
 
     The low-grade slice carries exactly half of the full covariant (the
     volume image carries the other half), so clearing the 1/32 weight
     from the slice leaves 16, not 32.  This is the form that genuine
-    spinor covariants satisfy exactly.
+    spinor covariants satisfy exactly.  The truncated product uses the
+    projector of the representation's volume sign, the ideal the
+    covariants live in.
     """
     s = cov[0] + cov[1] + cov[2]
-    product = truncated_product(s, s, 1, Metric.standard(s.signature))
+    product = truncated_product(s, s, volume_sign, Metric.standard(s.signature))
     return _result("truncated-master", product - s.scale(16 * b))
 
 
@@ -298,7 +300,8 @@ class Geometry:
     # only under pairings the real structure preserves
     real: bool
     extract: Callable[[Rep, MainSubalgebra, Pairing, tuple], tuple[Form, ...]]
-    master: Callable[[tuple[Form, ...], object], IdentityResult]
+    # (covariants, b, volume sign) -> the master identity's result
+    master: Callable[[tuple[Form, ...], object, int], IdentityResult]
     rows: Callable[[tuple[Form, ...], object], tuple]
     # whether a failing reduced row refuses the spinor; otherwise failing
     # rows are flagged reports and only the master identity refuses
@@ -391,28 +394,34 @@ def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
     return tuple(r.identity for r in rows if not r.passed)
 
 
-def reduced_verdict(geometry: Geometry, covs: tuple[Form, ...], b) -> ReducedVerdict:
+def reduced_verdict(
+    geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int = 1
+) -> ReducedVerdict:
     """Exact verdict on the master identity and the reduced rows, with flags."""
-    master = geometry.master(covs, b)
+    master = geometry.master(covs, b, volume_sign)
     rows, clearance = geometry.rows(covs, b)
     return ReducedVerdict(master, rows, _flags(master, rows), clearance)
 
 
 def classify(
-    geometry: Geometry, covs: tuple[Form, ...], b=None, verdict: ReducedVerdict | None = None
+    geometry: Geometry,
+    covs: tuple[Form, ...],
+    b=None,
+    verdict: ReducedVerdict | None = None,
+    volume_sign: int = 1,
 ) -> int:
     """Class index from the zero pattern of the covariants; refuses non-solutions.
 
     ``b`` defaults to the scalar component, which is B(alpha, alpha) for
     covariants computed from a spinor; a hand-injected set may supply its
     own.  The gate reads ``verdict`` when the caller already holds it and
-    otherwise evaluates only what it needs.
+    otherwise evaluates only what it needs, under ``volume_sign``.
     """
     b = covs[0].scalar_part() if b is None else b
     if geometry.gate_on_rows:
-        gate = verdict if verdict is not None else reduced_verdict(geometry, covs, b)
+        gate = verdict if verdict is not None else reduced_verdict(geometry, covs, b, volume_sign)
     else:
-        gate = verdict.master if verdict is not None else geometry.master(covs, b)
+        gate = verdict.master if verdict is not None else geometry.master(covs, b, volume_sign)
     if not gate.passed:
         raise NotASpinor(geometry.refusal)
     return geometry.patterns.index(tuple(not f.is_zero() for f in covs)) + 1
@@ -457,7 +466,7 @@ def class_report(
 ) -> ClassReport:
     """Classify one covariant set and assemble the full report for it."""
     b = covs[0].scalar_part() if b is None else b
-    verdict = reduced_verdict(geometry, covs, b)
+    verdict = reduced_verdict(geometry, covs, b, volume_sign)
     index = classify(geometry, covs, b, verdict)
     return ClassReport(
         covs[0].signature,
@@ -574,7 +583,8 @@ def census(
                 prof = _bilinear_profile(rep, pairing, vec, vec)
                 ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
                 continue
-            index = classify(geo, covariants(geo, rep, structure, pairing, vec))
+            covs = covariants(geo, rep, structure, pairing, vec)
+            index = classify(geo, covs, volume_sign=rep.volume_sign)
             counts[slot][index] = counts[slot].get(index, 0) + 1
             found[slot].setdefault(index, vec)
     sections = tuple(

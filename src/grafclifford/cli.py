@@ -370,7 +370,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
         for _ in range(samples):
             alpha = prepare(geo, rep, structure, _random_vec(rng2, dim))
             covs = covariants(geo, rep, structure, pairing, alpha)
-            verdict = reduced_verdict(geo, covs, b_eval(pairing, alpha, alpha))
+            verdict = reduced_verdict(geo, covs, b_eval(pairing, alpha, alpha), rep.volume_sign)
             if not verdict.master.passed:
                 master_fails += 1
             for name in verdict.flagged:
@@ -441,7 +441,7 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
 
     covs = tuple(load_form(name, grade) for name, grade in geo.components)
     scalar = _parse_scalar(payload.get("scalar"), covs[0].scalar_part())
-    result = class_report(geo, covs, scalar).to_json_obj()
+    result = class_report(geo, covs, scalar, cfg.volume_sign).to_json_obj()
     report = {
         "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
         "mode": "covariant-injection",

@@ -319,15 +319,19 @@ class Form:
         terms = []
         for entry in obj:
             try:
-                blade = Blade(tuple(int(i) for i in entry["blade"]))
+                indices = tuple(entry["blade"])
                 coeff = entry["coeff"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
+                raise FormParseError(f"bad form term {entry!r}") from exc
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
+                raise FormParseError(f"blade indices must be integers, got {entry['blade']!r}")
+            try:
+                blade = Blade(indices)
+            except ValueError as exc:
                 raise FormParseError(f"bad form term {entry!r}") from exc
             if isinstance(coeff, str):
                 coeff = rational_from_str(coeff)
-            elif isinstance(coeff, int):
-                coeff = coeff
-            else:
+            elif isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise FormParseError(f"bad coefficient {coeff!r}")
             terms.append((blade.mask, coeff))
         try:

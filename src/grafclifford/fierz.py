@@ -105,8 +105,6 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
 def _lowering_signs(rep: Rep) -> tuple[int, ...]:
     """Per-mask product of metric diagonal signs (index lowering weight)."""
     diag = rep.metric.diagonal
-    if diag is None or any(e * e != 1 for e in diag):
-        raise StructureError("covariant expansion requires an orthonormal frame")
     n = rep.signature.n
     out = [1] * (1 << n)
     for mask in range(1, 1 << n):

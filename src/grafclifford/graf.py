@@ -31,7 +31,6 @@ from .exterior import (
     _factorial,
     contracted_wedge,
     grade_project,
-    merge_sign,
 )
 from .linalg import Rational
 

@@ -1,10 +1,11 @@
 """Exact rational linear algebra for the representation layer.
 
 Matrices are immutable tuples of row tuples with int or Fraction
-entries.  Every generator this package constructs is a signed
-permutation matrix (one nonzero entry, +1 or -1, per row and column),
-which makes blade products, vector actions, and intertwiner systems
-cheap; dense fallbacks cover imported data that lacks the structure.
+entries.  Every generator is a signed permutation matrix (one nonzero
+entry, +1 or -1, per row and column), which makes the Clifford
+relations, blade products, vector actions, intertwiner systems and
+pairing checks cost O(d) or O(d^2) each; dense products remain for the
+structure maps and for the matrices reports render.
 """
 
 from __future__ import annotations
@@ -217,6 +218,15 @@ class SignedPerm:
             sign[self.col[i]] = self.sign[i]
         return SignedPerm(tuple(col), tuple(sign))
 
+    def left_act(self, a: Matrix) -> Matrix:
+        """Matrix product self @ a: row i is sign[i] times row col[i] of a."""
+        return tuple(tuple(s * v for v in a[c]) for s, c in zip(self.sign, self.col))
+
+    def right_act(self, a: Matrix) -> Matrix:
+        """Matrix product a @ self: column col[k] is sign[k] times column k of a."""
+        t = self.transpose()
+        return tuple(tuple(row[c] * s for s, c in zip(t.sign, t.col)) for row in a)
+
     def neg(self) -> "SignedPerm":
         return SignedPerm(self.col, tuple(-s for s in self.sign))
 
@@ -318,24 +328,6 @@ def solve_twisted_system(
     return basis
 
 
-def solve_twisted_system_dense(
-    d: int, constraints: list[tuple[Matrix, Matrix, int]]
-) -> list[Matrix]:
-    """Dense fallback: nullspace of the stacked linear system M S = eps T M."""
-    rows: list[list[Rational]] = []
-    for S, T, eps in constraints:
-        for a in range(d):
-            for b in range(d):
-                row = [0] * (d * d)
-                for k in range(d):
-                    row[a * d + k] += S[k][b]
-                    row[k * d + b] -= eps * T[a][k]
-                if any(row):
-                    rows.append(row)
-    vecs = nullspace(rows, d * d)
-    return [as_matrix([vec[i * d : (i + 1) * d] for i in range(d)]) for vec in vecs]
-
-
 # -- congruence reduction of symmetric matrices ------------------------------------
 
 
@@ -393,29 +385,3 @@ def congruence_diagonal(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
                 for c in range(n):
                     e[r][c] -= f * e[k][c]
     return e, [a[k][k] for k in range(n)]
-
-
-def orthonormal_congruence(gram: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
-    """Find rational C and unit signs eps with gram = C^T diag(eps) C.
-
-    Pivots whose absolute value is not a rational square make the
-    reduction fail (None), in which case the caller refuses the metric.
-    """
-    e, pivots = congruence_diagonal(gram)
-    signs = []
-    scale = []
-    for piv in pivots:
-        if piv == 0:
-            return None
-        root = rational_sqrt(abs(piv))
-        if root is None:
-            return None
-        signs.append(1 if piv > 0 else -1)
-        scale.append(root)
-    # E gram E^T = diag(s_k * scale_k^2); with F = diag(1/scale) E:
-    # F gram F^T = diag(signs), i.e. gram = F^{-1} diag(signs) F^{-T}.
-    n = len(gram)
-    f_rows = [[e[k][c] / scale[k] for c in range(n)] for k in range(n)]
-    f_inv = mat_inverse(as_matrix(f_rows))
-    c_mat = transpose(f_inv)
-    return c_mat, tuple(signs)

@@ -12,6 +12,12 @@ recursion from rank-one and rank-two seeds:
   the definite positive one two ranks higher;
 * a mixed-pair extension adds one plus and one minus direction at once.
 
+The ladder does not reach (0,10), (0,11), (0,12), (1,11) or (12,0);
+those are refused.  Representations live in the standard orthonormal
+frame of the signature (forms themselves take any metric), and every
+computation here runs on the signed permutations; dense matrices are
+rendered only for reports, structure maps and tests.
+
 Every constructed representation is verified on the spot: generator
 relations, real dimension, commutant dimension, and the scalar value of
 the volume element where one exists.
@@ -43,11 +49,9 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_trace,
-    mat_vec,
     rational_sqrt,
+    rref,
     solve_twisted_system,
-    solve_twisted_system_dense,
-    zeros,
 )
 
 CASE_NORMAL = "normal"
@@ -229,50 +233,40 @@ def _build_sp_generators(p: int, q: int) -> list[SignedPerm]:
 
 
 class Rep:
-    """Verified matrix representation of the form algebra for one signature."""
+    """Verified matrix representation of the form algebra for one signature.
 
-    __slots__ = ("signature", "metric", "volume_sign", "generators", "abs", "_sp", "_cache_sp", "_cache_dense")
+    The generators are signed permutations in the standard orthonormal
+    frame; ``generators`` renders them as dense matrices.
+    """
 
-    def __init__(
-        self,
-        signature: Signature,
-        metric: Metric,
-        volume_sign: int,
-        generators: tuple[Matrix, ...],
-        verified: bool = False,
-    ):
+    __slots__ = ("signature", "metric", "volume_sign", "perms", "abs", "_cache_sp")
+
+    def __init__(self, signature: Signature, volume_sign: int, perms: tuple[SignedPerm, ...]):
         self.signature = signature
-        self.metric = metric
+        self.metric = Metric.standard(signature)
         self.volume_sign = volume_sign
-        self.generators = tuple(as_matrix(g) for g in generators)
+        self.perms = tuple(perms)
         self.abs = abs_type(signature)
-        sp = [SignedPerm.from_dense(g) for g in self.generators]
-        self._sp = sp if all(s is not None for s in sp) else None
         self._cache_sp: dict[int, SignedPerm] = {}
-        self._cache_dense: dict[int, Matrix] = {}
-        if not verified:
-            verify_generators(self.generators, metric)
+        verify_generators(self.perms, signature)
+        if signature.n % 2 == 1:
+            sv = self.volume_sp().scalar_value()
+            if (sv is not None) != self.abs.is_double:
+                raise StructureError("the volume element is scalar exactly in the double algebras")
+            if sv is not None and sv != volume_sign:
+                raise StructureError("volume scalar does not match the declared volume sign")
 
     @property
     def d(self) -> int:
         return self.abs.rep_dim
 
     @property
-    def is_signed_perm(self) -> bool:
-        return self._sp is not None
+    def generators(self) -> tuple[Matrix, ...]:
+        return tuple(g.to_dense() for g in self.perms)
 
     # -- blade action ---------------------------------------------------------
 
-    @property
-    def _fast(self) -> list[SignedPerm] | None:
-        # the lowest-index peel below is only a blade product when distinct
-        # frame directions do not contract, i.e. for diagonal metrics
-        return self._sp if self._sp is not None and self.metric.is_diagonal else None
-
     def blade_sp(self, mask: int) -> SignedPerm:
-        sp = self._fast
-        if sp is None:
-            raise StructureError("no signed-permutation blade action for this representation")
         cached = self._cache_sp.get(mask)
         if cached is not None:
             return cached
@@ -280,45 +274,16 @@ class Rep:
             out = SignedPerm.identity(self.d)
         else:
             low = mask & (-mask)
-            rest = self.blade_sp(mask ^ low)
-            out = sp[low.bit_length() - 1].compose(rest)
+            out = self.perms[low.bit_length() - 1].compose(self.blade_sp(mask ^ low))
         self._cache_sp[mask] = out
         return out
 
     def blade_matrix(self, mask: int) -> Matrix:
         """Dense matrix of the canonical blade with the given index mask."""
-        if self._fast is not None:
-            return self.blade_sp(mask).to_dense()
-        cached = self._cache_dense.get(mask)
-        if cached is None:
-            if mask == 0:
-                cached = identity(self.d)
-            else:
-                low = mask & (-mask)
-                rest = mask ^ low
-                i = low.bit_length()
-                cached = mat_mul(self.generators[i - 1], self.blade_matrix(rest))
-                if not self.metric.is_diagonal:
-                    # peel is a product of one-forms; subtract contractions
-                    # of direction i against the remaining indices
-                    pos = 0
-                    r = rest
-                    while r:
-                        lb = r & (-r)
-                        r ^= lb
-                        pos += 1
-                        gib = self.metric.entry(i, lb.bit_length())
-                        if gib:
-                            term = self.blade_matrix(rest ^ lb)
-                            scale = gib if pos % 2 == 1 else -gib
-                            cached = mat_sub(cached, mat_scale(term, scale))
-            self._cache_dense[mask] = cached
-        return cached
+        return self.blade_sp(mask).to_dense()
 
     def apply_blade(self, mask: int, vec):
-        if self._fast is not None:
-            return self.blade_sp(mask).apply(vec)
-        return mat_vec(self.blade_matrix(mask), vec)
+        return self.blade_sp(mask).apply(vec)
 
     def lambda_form(self, f: Form) -> Matrix:
         """Image of a form under the representation morphism."""
@@ -327,22 +292,16 @@ class Rep:
         d = self.d
         rows = [[0] * d for _ in range(d)]
         for mask, c in f.mask_items():
-            if self._fast is not None:
-                sp = self.blade_sp(mask)
-                for i in range(d):
-                    rows[i][sp.col[i]] += c * sp.sign[i]
-            else:
-                m = self.blade_matrix(mask)
-                for i in range(d):
-                    row = m[i]
-                    out = rows[i]
-                    for j in range(d):
-                        if row[j]:
-                            out[j] += c * row[j]
+            sp = self.blade_sp(mask)
+            for i in range(d):
+                rows[i][sp.col[i]] += c * sp.sign[i]
         return as_matrix(rows)
 
+    def volume_sp(self) -> SignedPerm:
+        return self.blade_sp((1 << self.signature.n) - 1)
+
     def volume_matrix(self) -> Matrix:
-        return self.blade_matrix((1 << self.signature.n) - 1)
+        return self.volume_sp().to_dense()
 
     def to_json_obj(self) -> dict:
         return {
@@ -362,81 +321,57 @@ def lambda_form(rep: Rep, f: Form) -> Matrix:
     return rep.lambda_form(f)
 
 
-def verify_generators(generators: tuple[Matrix, ...], metric: Metric) -> None:
-    """Check the generator relations against the metric, raising on failure."""
-    n = metric.signature.n
-    if len(generators) != n:
-        raise StructureError(f"expected {n} generators, got {len(generators)}")
-    if n == 0:
-        return
-    d = len(generators[0])
-    for g in generators:
-        if len(g) != d or any(len(row) != d for row in g):
-            raise StructureError("generators must be square matrices of equal size")
-    for i in range(n):
-        gi = generators[i]
-        for j in range(i, n):
-            gj = generators[j]
-            anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
-            target = mat_scale(identity(d), 2 * metric.entry(i + 1, j + 1))
-            if anti != target:
+def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> None:
+    """Check the Clifford relations in the standard frame, raising on failure.
+
+    Generator i squares to +Id for i < p and to -Id after; distinct
+    generators anticommute.  Products of signed permutations are signed
+    permutations, so each relation costs O(d).
+    """
+    n = signature.n
+    if len(perms) != n:
+        raise StructureError(f"expected {n} generators, got {len(perms)}")
+    d = abs_type(signature).rep_dim
+    if any(g.dim != d for g in perms):
+        raise StructureError(f"generators must act on dimension {d}")
+    for i, gi in enumerate(perms):
+        if gi.compose(gi).scalar_value() != (1 if i < signature.p else -1):
+            raise StructureError(f"generator relation failed for indices ({i + 1},{i + 1})")
+        for j in range(i + 1, n):
+            gj = perms[j]
+            if gi.compose(gj) != gj.compose(gi).neg():
                 raise StructureError(f"generator relation failed for indices ({i + 1},{j + 1})")
 
 
 def commutant_basis(rep: Rep) -> list[Matrix]:
     """Basis of matrices commuting with every generator."""
-    if rep.signature.n == 0:
-        return [identity(rep.d)]
-    if rep.is_signed_perm:
-        cons = [(sp, sp, 1) for sp in rep._sp]
-        return solve_twisted_system(rep.d, cons)
-    cons = [(g, g, 1) for g in rep.generators]
-    return solve_twisted_system_dense(rep.d, cons)
+    return solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms])
 
 
-def build_rep(signature: Signature, volume_sign: int = 1, metric: Metric | None = None) -> Rep:
+def build_rep(signature: Signature, volume_sign: int = 1) -> Rep:
     """Construct and verify a representation for the signature.
 
-    For odd dimensions where the volume element acts as a scalar the
-    sign of that scalar is normalized to `volume_sign` by negating all
-    generators when needed.  Non-orthonormal metrics are handled by a
-    rational congruence onto an orthonormal frame when one exists.
+    The representation lives in the standard orthonormal frame.  For odd
+    dimensions where the volume element acts as a scalar the sign of that
+    scalar is normalized to `volume_sign` by negating all generators when
+    needed.  Signatures the seed ladder does not reach, (0,10), (0,11),
+    (0,12), (1,11) and (12,0), raise UnsupportedSignature.
     """
     if volume_sign not in (1, -1):
         raise ValueError("volume_sign must be +1 or -1")
-    metric = metric if metric is not None else Metric.standard(signature)
-    if metric.signature != signature:
-        raise DimensionMismatch("metric signature mismatch")
-    at = abs_type(signature)
-    if not metric.is_orthonormal:
-        return _build_rep_congruence(signature, volume_sign, metric)
-    sp_gens = _build_sp_generators(signature.p, signature.q)
-    if sp_gens and sp_gens[0].dim != at.rep_dim:
-        raise StructureError(
-            f"construction produced dimension {sp_gens[0].dim}, expected {at.rep_dim}"
-        )
-    if signature.n % 2 == 1:
-        sv = _volume_scalar_sp(sp_gens)
-        if at.is_double:
-            if sv is None:
-                raise StructureError("volume element is not scalar in a double algebra")
-            if sv != volume_sign:
-                sp_gens = [g.neg() for g in sp_gens]
-        elif sv is not None:
-            raise StructureError("volume element unexpectedly scalar")
-    rep = Rep(
-        signature,
-        metric,
-        volume_sign,
-        tuple(g.to_dense() for g in sp_gens),
-    )
+    p, q = signature.p, signature.q
+    try:
+        perms = _build_sp_generators(p, q)
+    except UnsupportedSignature:
+        raise UnsupportedSignature(f"no seed construction for signature ({p},{q})") from None
+    if signature.n % 2 == 1 and _volume_scalar_sp(perms) == -volume_sign:
+        perms = [g.neg() for g in perms]
+    rep = Rep(signature, volume_sign, tuple(perms))
     _verify_commutant_dim(rep)
     return rep
 
 
 def _volume_scalar_sp(gens: list[SignedPerm]) -> int | None:
-    if not gens:
-        return 1
     acc = gens[0]
     for g in gens[1:]:
         acc = acc.compose(g)
@@ -450,73 +385,24 @@ def _verify_commutant_dim(rep: Rep) -> None:
         raise StructureError(f"commutant dimension {got}, expected {want}")
 
 
-def _build_rep_congruence(signature: Signature, volume_sign: int, metric: Metric) -> Rep:
-    from .linalg import orthonormal_congruence
-
-    reduction = orthonormal_congruence(metric.gram)
-    if reduction is None:
-        raise UnsupportedSignature(
-            "metric admits no rational congruence onto an orthonormal frame"
-        )
-    c_mat, eps = reduction
-    p = sum(1 for s in eps if s == 1)
-    q = len(eps) - p
-    base = _build_sp_generators(p, q)
-    # reorder the sorted generators onto the sign pattern eps
-    pos_iter = iter(range(0, p))
-    neg_iter = iter(range(p, p + q))
-    ordered = []
-    for s in eps:
-        ordered.append(base[next(pos_iter)] if s == 1 else base[next(neg_iter)])
-    d = ordered[0].dim if ordered else abs_type(signature).rep_dim
-    dense = [g.to_dense() for g in ordered]
-    n = signature.n
-    gens = []
-    for i in range(n):
-        acc = zeros(d, d)
-        for a in range(n):
-            coeff = c_mat[a][i]
-            if coeff:
-                acc = mat_add(acc, mat_scale(dense[a], coeff))
-        gens.append(acc)
-    rep = Rep(signature, metric, volume_sign, tuple(gens))
-    if n % 2 == 1 and abs_type(signature).is_double:
-        # the top blade scalar carries the frame volume; only its sign is
-        # normalized, the magnitude is the congruence determinant
-        sv = is_scalar_matrix(rep.volume_matrix())
-        if sv is None or sv == 0:
-            raise StructureError("volume element is not scalar in a double algebra")
-        if (sv > 0 and volume_sign < 0) or (sv < 0 and volume_sign > 0):
-            # the volume blade is odd, so negating every generator flips it
-            rep = Rep(signature, metric, volume_sign, tuple(mat_neg(g) for g in gens))
-    _verify_commutant_dim(rep)
-    return rep
-
-
 def rep_from_json_obj(obj: dict) -> Rep:
+    """Rebuild a representation; refuses dense or non-standard-frame input."""
     try:
         p, q = (int(v) for v in obj["signature"])
         volume_sign = int(obj["volume_sign"])
-        gen_rows = obj["generators"]
+        dense = [
+            [[rational_from_str(v) if isinstance(v, str) else v for v in row] for row in g]
+            for g in obj["generators"]
+        ]
+        perms = [SignedPerm.from_dense(g) for g in dense]
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"bad representation JSON: {exc}") from exc
     signature = Signature(p, q)
-    metric = Metric.from_json_obj(obj.get("metric", {"p": p, "q": q}))
-    gens = tuple(
-        as_matrix(
-            [
-                [rational_from_str(v) if isinstance(v, str) else v for v in row]
-                for row in g
-            ]
-        )
-        for g in gen_rows
-    )
-    rep = Rep(signature, metric, volume_sign, gens)
-    if signature.n % 2 == 1 and rep.abs.is_double:
-        sv = is_scalar_matrix(rep.volume_matrix())
-        if sv != volume_sign:
-            raise StructureError("volume scalar does not match the declared volume sign")
-    return rep
+    if any(g is None for g in perms):
+        raise StructureError("representation generators must be signed permutations")
+    if Metric.from_json_obj(obj.get("metric", {"p": p, "q": q})) != Metric.standard(signature):
+        raise StructureError("representations use the standard orthonormal metric")
+    return Rep(signature, volume_sign, tuple(perms))
 
 
 def rep_from_json(text: str) -> Rep:
@@ -564,36 +450,6 @@ def d_square_target(signature: Signature) -> int:
     raise StructureError("D exists only in the almost-complex case")
 
 
-def _unit_scale_search(basis: list[Matrix], target: int, span: int = 3):
-    """Search small rational combinations X of basis with X^2 = target*Id."""
-    d = len(basis[0])
-    combos = []
-    if len(basis) == 1:
-        combos = [(1,)]
-    else:
-        combos = [
-            (x, y)
-            for x in range(-span, span + 1)
-            for y in range(-span, span + 1)
-            if x or y
-        ]
-    for coeffs in combos:
-        x = zeros(d, d)
-        for c, b in zip(coeffs, basis):
-            if c:
-                x = mat_add(x, mat_scale(b, c))
-        sq = is_scalar_matrix(mat_mul(x, x))
-        if sq is None or sq == 0:
-            continue
-        if (sq > 0) != (target > 0):
-            continue
-        root = rational_sqrt(abs(sq))
-        if root is None:
-            continue
-        return mat_scale(x, Fraction(1, 1) / root)
-    return None
-
-
 def build_structure(rep: Rep) -> MainSubalgebra:
     """Construct the case-specific commutant structure maps."""
     at = rep.abs
@@ -603,46 +459,38 @@ def build_structure(rep: Rep) -> MainSubalgebra:
     if at.case == CASE_NORMAL:
         return MainSubalgebra(CASE_NORMAL)
     if at.case == CASE_ALMOST_COMPLEX:
-        jmat = rep.volume_matrix()
-        if is_scalar_matrix(mat_mul(jmat, jmat)) != -1:
+        vol = rep.volume_sp()
+        if vol.compose(vol).scalar_value() != -1:
             raise StructureError("volume square is not -Id in the almost-complex case")
-        dmat = _solve_d(rep, jmat)
-        return MainSubalgebra(CASE_ALMOST_COMPLEX, J=jmat, D=dmat)
+        return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol.to_dense(), D=_solve_d(rep, vol))
     hs = _solve_quaternion_units(rep, basis)
     return MainSubalgebra(CASE_QUATERNIONIC, H=hs)
 
 
-def _solve_d(rep: Rep, jmat: Matrix) -> Matrix:
-    target = d_square_target(rep.signature)
-    if rep.is_signed_perm:
-        jsp = SignedPerm.from_dense(jmat)
-        cons = [(sp, sp.neg(), 1) for sp in rep._sp]
-        cons.append((jsp, jsp.neg(), 1))
-        basis = solve_twisted_system(rep.d, cons)
-    else:
-        cons = [(g, mat_neg(g), 1) for g in rep.generators]
-        cons.append((jmat, mat_neg(jmat), 1))
-        basis = solve_twisted_system_dense(rep.d, cons)
+def _solve_d(rep: Rep, vol: SignedPerm) -> Matrix:
+    """D = -(first intertwiner), which squares to the class target.
+
+    The sign fixes the Majorana convention the recorded reports use.
+    """
+    cons = [(g, g.neg(), 1) for g in rep.perms]
+    cons.append((vol, vol.neg(), 1))
+    basis = solve_twisted_system(rep.d, cons)
     if len(basis) != 2:
         raise StructureError(f"D intertwiner space has dimension {len(basis)}, expected 2")
-    dmat = _unit_scale_search(basis, target)
-    if dmat is None:
-        raise StructureError("no rational scaling achieves the required D square")
+    dmat = mat_neg(basis[0])
+    if is_scalar_matrix(mat_mul(dmat, dmat)) != d_square_target(rep.signature):
+        raise StructureError("the first intertwiner does not square to the required D square")
     return dmat
 
 
 def _pure_commutant_basis(basis: list[Matrix], d: int) -> list[Matrix]:
     """Trace-free part of the commutant, as an independent spanning set."""
-    from .linalg import rref
-
     rows = []
-    mats = []
     for b in basis:
         tr = mat_trace(b)
         pure = mat_sub(b, mat_scale(identity(d), Fraction(tr, d))) if tr else b
         if any(any(v for v in row) for row in pure):
             rows.append([pure[i][j] for i in range(d) for j in range(d)])
-            mats.append(pure)
     reduced, pivots = rref(rows)
     out = []
     for r in reduced[: len(pivots)]:
@@ -650,59 +498,27 @@ def _pure_commutant_basis(basis: list[Matrix], d: int) -> list[Matrix]:
     return out
 
 
-def _normalize_anticomplex(x: Matrix) -> Matrix | None:
-    """Scale x so its square is -Id, if a rational scale exists."""
+def _normalize_anticomplex(x: Matrix) -> Matrix:
+    """Scale x so its square is -Id; raises when no rational scale exists."""
     sq = is_scalar_matrix(mat_mul(x, x))
-    if sq is None or sq >= 0:
-        return None
-    root = rational_sqrt(-sq)
+    root = rational_sqrt(-sq) if sq is not None and sq < 0 else None
     if root is None:
-        return None
+        raise StructureError("a commutant element has no rational scale to a complex structure")
     return mat_scale(x, Fraction(1, 1) / root)
 
 
 def _solve_quaternion_units(rep: Rep, basis: list[Matrix]) -> tuple[Matrix, Matrix, Matrix]:
+    """H1 from the first pure commutant element, H2 from the second made orthogonal to H1."""
     d = rep.d
     pure = _pure_commutant_basis(basis, d)
     if len(pure) != 3:
         raise StructureError(f"pure commutant has dimension {len(pure)}, expected 3")
-    h1 = None
-    for cand in pure:
-        h1 = _normalize_anticomplex(cand)
-        if h1 is not None:
-            break
-    if h1 is None:
-        for x in range(-3, 4):
-            for y in range(-3, 4):
-                for z in range(-3, 4):
-                    if not (x or y or z):
-                        continue
-                    cand = mat_add(
-                        mat_add(mat_scale(pure[0], x), mat_scale(pure[1], y)),
-                        mat_scale(pure[2], z),
-                    )
-                    h1 = _normalize_anticomplex(cand)
-                    if h1 is not None:
-                        break
-                if h1 is not None:
-                    break
-            if h1 is not None:
-                break
-    if h1 is None:
-        raise StructureError("no rational scaling yields a commutant complex structure")
-    h2 = None
-    for cand in pure:
-        # remove the h1 component: {X, h1} = m Id fixes the coefficient
-        anti = mat_add(mat_mul(cand, h1), mat_mul(h1, cand))
-        m = is_scalar_matrix(anti)
-        if m is None:
-            raise StructureError("commutant anticommutator is not scalar")
-        ortho = mat_add(cand, mat_scale(h1, Fraction(m, 2)))
-        h2 = _normalize_anticomplex(ortho)
-        if h2 is not None:
-            break
-    if h2 is None:
-        raise StructureError("no second quaternion unit found in the commutant")
+    h1 = _normalize_anticomplex(pure[0])
+    # remove the h1 component: {X, h1} = m Id fixes the coefficient
+    m = is_scalar_matrix(mat_add(mat_mul(pure[1], h1), mat_mul(h1, pure[1])))
+    if m is None:
+        raise StructureError("commutant anticommutator is not scalar")
+    h2 = _normalize_anticomplex(mat_add(pure[1], mat_scale(h1, Fraction(m, 2))))
     h3 = mat_mul(h1, h2)
     _verify_quaternion_units(d, (h1, h2, h3))
     return (h1, h2, h3)

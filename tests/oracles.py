@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from grafclifford.exterior import Form, Metric, Signature, contracted_wedge
 from grafclifford.graf import graf_product
-from grafclifford.linalg import mat_vec, rational_sqrt
+from grafclifford.linalg import as_matrix, mat_vec, nullspace, rational_sqrt
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -217,6 +217,22 @@ def vec_dot(u, v):
 
 def is_zero_matrix(a) -> bool:
     return all(all(v == 0 for v in row) for row in a)
+
+
+def solve_twisted_system_dense(d: int, constraints) -> list:
+    """Basis of {M : M S = eps T M} for dense S, T, as the nullspace of the stacked system."""
+    rows = []
+    for S, T, eps in constraints:
+        for a in range(d):
+            for b in range(d):
+                row = [0] * (d * d)
+                for k in range(d):
+                    row[a * d + k] += S[k][b]
+                    row[k * d + b] -= eps * T[a][k]
+                if any(row):
+                    rows.append(row)
+    vecs = nullspace(rows, d * d)
+    return [as_matrix([vec[i * d : (i + 1) * d] for i in range(d)]) for vec in vecs]
 
 
 def is_identity(a) -> bool:

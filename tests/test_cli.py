@@ -119,6 +119,24 @@ def test_classify_pinor_basis_spinor(tmp_path, capsys):
     assert inner["verdict"]["master"]["passed"] is True
 
 
+def test_pinor_signature_under_the_negative_volume_sign(tmp_path, capsys):
+    # the master identity uses the projector of the representation's volume sign
+    status, report = run_json(
+        capsys, ["census", "--signature", "9,0", "--samples", "5", "--volume-sign", "-"]
+    )
+    assert status == 0 and report["passed"] is True
+    assert report["census"]["volume_sign"] == -1
+    assert sum(c["count"] for c in report["census"]["sections"][0]["classes"].values()) == 5
+    spinor = tmp_path / "spinor.json"
+    spinor.write_text(json.dumps([1] + [0] * 15))
+    status, report = run_json(
+        capsys, ["classify", "--signature", "9,0", "--volume-sign", "-", str(spinor)]
+    )
+    assert status == 0
+    assert report["provenance"]["volume_sign"] == -1
+    assert report["report"]["verdict"]["master"]["passed"] is True
+
+
 def test_classify_spinor_signature(tmp_path, capsys):
     spinor = tmp_path / "spinor.json"
     spinor.write_text(json.dumps([3, -1, 2, 5]))
@@ -185,6 +203,20 @@ def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     assert "exceeds dimension 9" in err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+    # JSON booleans and floats are neither coefficients nor blade indices
+    for term in (
+        {"blade": [], "coeff": True},
+        {"blade": [], "coeff": 1.0},
+        {"blade": [1.9], "coeff": "1"},
+        {"blade": [True], "coeff": "1"},
+    ):
+        bad_term = tmp_path / "bad_term.json"
+        bad_term.write_text(json.dumps({"covariants": {"psi1": [term]}}))
+        assert main(["classify", "--signature", "9,0", str(bad_term)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 def test_census_output_is_byte_identical(tmp_path):

@@ -14,7 +14,6 @@ from grafclifford.exterior import (
     Signature,
     grade_involution,
     reversal,
-    wedge,
 )
 from grafclifford.graf import (
     TruncationRegimeWarning,

@@ -1,14 +1,14 @@
 """Matrix representations: generators, blade operators, commutant structure."""
 
+import json
 import random
-from fractions import Fraction
 
 import pytest
 
 import oracles
-from grafclifford.errors import StructureError
-from grafclifford.exterior import Form, Metric, Signature
-from grafclifford.graf import graf_product, volume_square_sign
+from grafclifford.errors import StructureError, UnsupportedSignature
+from grafclifford.exterior import Form, Signature
+from grafclifford.graf import graf_product
 from grafclifford.linalg import (
     identity,
     is_scalar_matrix,
@@ -22,7 +22,6 @@ from grafclifford.matrixrep import (
     CASE_QUATERNIONIC,
     abs_type,
     build_rep,
-    build_structure,
     commutant_basis,
     d_square_target,
     lambda_form,
@@ -62,7 +61,7 @@ def test_case_follows_the_mod8_class():
 
 def test_generators_satisfy_the_clifford_relation(rep12, rep90, rep04):
     for rep in (rep12, rep90, rep04):
-        verify_generators(rep.generators, rep.metric)
+        verify_generators(rep.perms, rep.signature)
         gens = rep.generators
         met = rep.metric
         for i, gi in enumerate(gens):
@@ -70,6 +69,12 @@ def test_generators_satisfy_the_clifford_relation(rep12, rep90, rep04):
                 anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
                 expected = mat_scale(identity(rep.d), 2 * met.entry(i + 1, j + 1))
                 assert anti == expected
+    swapped = (rep04.perms[1], rep04.perms[0]) + rep04.perms[2:]
+    verify_generators(swapped, Signature(0, 4))
+    with pytest.raises(StructureError):
+        verify_generators((rep04.perms[0],) * 4, Signature(0, 4))
+    with pytest.raises(StructureError):
+        verify_generators(rep04.perms, Signature(2, 2))
 
 
 def test_blade_matrix_is_the_ordered_generator_product(rep12, rep04, rep90):
@@ -170,16 +175,35 @@ def test_rep_json_round_trip(rep12):
     assert rebuilt.generators == rep12.generators
     assert rebuilt.volume_sign == rep12.volume_sign
     assert rebuilt.metric == rep12.metric
+    # refused: a dense generator, a non-standard metric, a wrong volume sign
+    obj = rep12.to_json_obj()
+    doubled = dict(obj, generators=[[[2 * int(v) for v in row] for row in obj["generators"][0]]])
+    doubled["generators"] += obj["generators"][1:]
+    scaled = dict(obj, metric={"p": 1, "q": 2, "gram": [[1, 0, 0], [0, -4, 0], [0, 0, -1]]})
+    flipped = dict(build_rep(SIG90).to_json_obj(), volume_sign=-1)
+    for bad, reason in (
+        (doubled, "signed permutations"),
+        (scaled, "standard orthonormal metric"),
+        (flipped, "volume sign"),
+        ({"signature": [1, 2]}, "bad representation JSON"),
+    ):
+        with pytest.raises(StructureError, match=reason):
+            rep_from_json(json.dumps(bad))
 
 
-def test_build_rep_with_scaled_metric():
-    sig = Signature(2, 0)
-    met = Metric(sig, [[4, 0], [0, 1]])
-    rep = build_rep(sig, metric=met)
-    verify_generators(rep.generators, met)
-    for i, gi in enumerate(rep.generators):
-        sq = is_scalar_matrix(mat_mul(gi, gi))
-        assert sq == met.entry(i + 1, i + 1)
+def test_every_signature_inside_the_cap_builds_or_is_refused_by_name():
+    refused = set()
+    for n in range(13):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            try:
+                rep = build_rep(sig)
+            except UnsupportedSignature as exc:
+                assert f"({p},{n - p})" in str(exc)
+                refused.add((p, n - p))
+                continue
+            assert rep.d == abs_type(sig).rep_dim
+    assert refused == {(0, 10), (0, 11), (0, 12), (1, 11), (12, 0)}
 
 
 def test_volume_sign_validation():
