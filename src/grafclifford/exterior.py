@@ -10,7 +10,6 @@ wedge.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import re
@@ -20,7 +19,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
-from .linalg import Rational, _norm, congruence_diagonal
+from .linalg import (
+    Rational,
+    _norm,
+    common_denominator,
+    congruence_diagonal,
+    divide_numerators,
+)
 
 DEFAULT_MAX_DIM = 12
 
@@ -470,15 +475,17 @@ def interior_sign(mask: int, index: int) -> int:
 def wedge(f: Form, g: Form) -> Form:
     """Exterior product; blades sharing an index annihilate."""
     f._check_same(g)
+    ta, da = common_denominator(list(f.mask_items()))
+    tb, db = common_denominator(list(g.mask_items()))
     acc: dict[int, Rational] = {}
-    for ma, ca in f.mask_items():
-        for mb, cb in g.mask_items():
+    for ma, ca in ta:
+        for mb, cb in tb:
             if ma & mb:
                 continue
             v = ca * cb * merge_sign(ma, mb)
             key = ma | mb
             acc[key] = acc.get(key, 0) + v
-    return Form.from_mask_dict(f.signature, acc)
+    return Form.from_mask_dict(f.signature, divide_numerators(acc, da * db))
 
 
 def interior(i: int, f: Form) -> Form:
@@ -529,22 +536,6 @@ def _contract_subset_sign(mask: int, subset: int) -> int:
     return sign
 
 
-def _subsets_of_size(mask: int, k: int) -> Iterator[int]:
-    bits = []
-    m = mask
-    while m:
-        low = m & (-m)
-        bits.append(low)
-        m ^= low
-    if k > len(bits):
-        return
-    for combo in itertools.combinations(bits, k):
-        sub = 0
-        for b in combo:
-            sub |= b
-        yield sub
-
-
 def _factorial(k: int) -> int:
     out = 1
     for i in range(2, k + 1):
@@ -552,27 +543,24 @@ def _factorial(k: int) -> int:
     return out
 
 
-def _cw_blades_diagonal(ma: int, mb: int, k: int, diag) -> Iterator[tuple[int, Rational]]:
-    """Blade-level k-fold contraction for a diagonal metric.
+def _cw_blades_diagonal(ma: int, mb: int, diag) -> tuple[int, Rational]:
+    """Blade-level contraction of the whole shared index set, diagonal metric.
 
-    Every ordering of the k contracted index pairs contributes the same
-    signed term, which yields a k! multiplicity over subsets of the
-    shared index set.
+    Only the full overlap survives: contracting a smaller subset S of
+    A & B leaves (A - S) & (B - S) nonempty, and the wedge kills it.  Every
+    ordering of the k = |A & B| contracted index pairs contributes the
+    same signed term, a k! multiplicity.
     """
     common = ma & mb
-    fact = _factorial(k)
-    for sub in _subsets_of_size(common, k):
-        ra, rb = ma ^ sub, mb ^ sub
-        if ra & rb:
-            continue
-        metric = 1
-        s = sub
-        while s:
-            low = s & (-s)
-            metric = metric * diag[low.bit_length() - 1]
-            s ^= low
-        sign = _contract_subset_sign(ma, sub) * _contract_subset_sign(mb, sub)
-        yield ra | rb, fact * metric * sign * merge_sign(ra, rb)
+    ra, rb = ma ^ common, mb ^ common
+    metric = 1
+    s = common
+    while s:
+        low = s & (-s)
+        metric = metric * diag[low.bit_length() - 1]
+        s ^= low
+    sign = _contract_subset_sign(ma, common) * _contract_subset_sign(mb, common)
+    return ra | rb, _factorial(common.bit_count()) * metric * sign * merge_sign(ra, rb)
 
 
 def _cw_blades_general(ma: int, mb: int, k: int, gram) -> dict[int, Rational]:
@@ -624,28 +612,29 @@ def contracted_wedge(f: Form, g: Form, k: int, metric: Metric | None = None) -> 
         raise DimensionMismatch("metric signature does not match the forms")
     if k == 0:
         return wedge(f, g)
+    ta, da = common_denominator(list(f.mask_items()))
+    tb, db = common_denominator(list(g.mask_items()))
     acc: dict[int, Rational] = {}
     diag = metric.diagonal
     if diag is not None:
-        for ma, ca in f.mask_items():
+        for ma, ca in ta:
             if ma.bit_count() < k:
                 continue
-            for mb, cb in g.mask_items():
-                if mb.bit_count() < k or (ma & mb).bit_count() < k:
+            for mb, cb in tb:
+                if (ma & mb).bit_count() != k:
                     continue
-                cc = ca * cb
-                for mask, val in _cw_blades_diagonal(ma, mb, k, diag):
-                    v = acc.get(mask, 0) + cc * val
-                    if v:
-                        acc[mask] = v
-                    elif mask in acc:
-                        del acc[mask]
+                mask, val = _cw_blades_diagonal(ma, mb, diag)
+                v = acc.get(mask, 0) + ca * cb * val
+                if v:
+                    acc[mask] = v
+                elif mask in acc:
+                    del acc[mask]
     else:
         gram = metric.gram
-        for ma, ca in f.mask_items():
+        for ma, ca in ta:
             if ma.bit_count() < k:
                 continue
-            for mb, cb in g.mask_items():
+            for mb, cb in tb:
                 if mb.bit_count() < k:
                     continue
                 cc = ca * cb
@@ -655,4 +644,4 @@ def contracted_wedge(f: Form, g: Form, k: int, metric: Metric | None = None) -> 
                         acc[mask] = v
                     elif mask in acc:
                         del acc[mask]
-    return Form.from_mask_dict(f.signature, acc)
+    return Form.from_mask_dict(f.signature, divide_numerators(acc, da * db))

@@ -15,11 +15,20 @@ used here evaluates that single term from permutation parity and the
 shared metric factors; the generic graded expansion above is kept for
 non-diagonal metrics and mirrored by an independent recursion in the
 test suite.
+
+Rational inputs (covariants carry k_const / 2^n) are cleared to integer
+numerators over one common denominator per factor before the blade-pair
+loop, which then runs on ints; each output coefficient is divided once
+at the end and normalized, so an integral one is still an int.  The
+result is the same exact rational as term-by-term Fraction arithmetic,
+so every rendered report is unchanged.  The kernel table keeps the
+most recently used metrics only (``_KERNEL_CAP``).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +41,7 @@ from .exterior import (
     contracted_wedge,
     grade_project,
 )
-from .linalg import Rational
+from .linalg import Rational, common_denominator, divide_numerators
 
 
 class TruncationRegimeWarning(UserWarning):
@@ -84,7 +93,10 @@ class _DiagKernel:
         return row
 
 
-_KERNELS: dict[tuple[int, tuple], _DiagKernel] = {}
+# Least-recently-used kernels past this many metrics are dropped; a row
+# holds 2^n factors, so an unbounded table grows with every metric seen.
+_KERNEL_CAP = 8
+_KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
 
 
 def _kernel_for(metric: Metric) -> _DiagKernel:
@@ -92,10 +104,16 @@ def _kernel_for(metric: Metric) -> _DiagKernel:
     kern = _KERNELS.get(key)
     if kern is None:
         kern = _KERNELS[key] = _DiagKernel(metric.signature.n, metric.diagonal)
+        if len(_KERNELS) > _KERNEL_CAP:
+            _KERNELS.popitem(last=False)
+    else:
+        _KERNELS.move_to_end(key)
     return kern
 
 
 def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
+    ta, da = common_denominator(ta)
+    tb, db = common_denominator(tb)
     acc: dict[int, Rational] = {}
     row_of = kern.row
     for ma, ca in ta:
@@ -103,7 +121,7 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
         for mb, cb in tb:
             key = ma ^ mb
             acc[key] = acc.get(key, 0) + ca * cb * row[mb]
-    return {m: c for m, c in acc.items() if c}
+    return divide_numerators({m: c for m, c in acc.items() if c}, da * db)
 
 
 def _graf_sign(k: int, m: int) -> int:

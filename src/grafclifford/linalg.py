@@ -10,6 +10,7 @@ structure maps and for the matrices reports render.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -28,6 +29,29 @@ def _norm(c: Rational) -> Rational:
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
+
+
+def common_denominator(pairs: list) -> tuple[list, int]:
+    """Integer numerators over one common denominator for (key, coefficient) pairs.
+
+    Returns (pairs', den): den is the lcm of the coefficient denominators and
+    each coefficient c becomes the int c * den.  An all-int list comes back
+    unchanged with den 1, so integer-only callers pay one scan.
+    """
+    den = 1
+    for _, c in pairs:
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    if den == 1:
+        return pairs, 1
+    return [(key, c.numerator * (den // c.denominator)) for key, c in pairs], den
+
+
+def divide_numerators(acc: dict, den: int) -> dict:
+    """Divide accumulated numerators by their common denominator, once per entry."""
+    if den == 1:
+        return acc
+    return {key: _norm(Fraction(v, den)) for key, v in acc.items()}
 
 
 def as_matrix(rows) -> Matrix:

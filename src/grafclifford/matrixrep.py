@@ -41,6 +41,7 @@ from .linalg import (
     Matrix,
     SignedPerm,
     as_matrix,
+    common_denominator,
     identity,
     is_scalar_matrix,
     mat_add,
@@ -239,7 +240,7 @@ class Rep:
     frame; ``generators`` renders them as dense matrices.
     """
 
-    __slots__ = ("signature", "metric", "volume_sign", "perms", "abs", "_cache_sp")
+    __slots__ = ("signature", "metric", "volume_sign", "perms", "abs", "_cache_sp", "_commutant")
 
     def __init__(self, signature: Signature, volume_sign: int, perms: tuple[SignedPerm, ...]):
         self.signature = signature
@@ -248,6 +249,7 @@ class Rep:
         self.perms = tuple(perms)
         self.abs = abs_type(signature)
         self._cache_sp: dict[int, SignedPerm] = {}
+        self._commutant: tuple[Matrix, ...] | None = None
         verify_generators(self.perms, signature)
         if signature.n % 2 == 1:
             sv = self.volume_sp().scalar_value()
@@ -290,12 +292,15 @@ class Rep:
         if f.signature != self.signature:
             raise DimensionMismatch("form signature does not match the representation")
         d = self.d
+        terms, den = common_denominator(list(f.mask_items()))
         rows = [[0] * d for _ in range(d)]
-        for mask, c in f.mask_items():
+        for mask, c in terms:
             sp = self.blade_sp(mask)
             for i in range(d):
                 rows[i][sp.col[i]] += c * sp.sign[i]
-        return as_matrix(rows)
+        if den == 1:
+            return as_matrix(rows)
+        return as_matrix([Fraction(v, den) for v in row] for row in rows)
 
     def volume_sp(self) -> SignedPerm:
         return self.blade_sp((1 << self.signature.n) - 1)
@@ -344,8 +349,10 @@ def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> No
 
 
 def commutant_basis(rep: Rep) -> list[Matrix]:
-    """Basis of matrices commuting with every generator."""
-    return solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms])
+    """Basis of matrices commuting with every generator, solved once per rep."""
+    if rep._commutant is None:
+        rep._commutant = tuple(solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms]))
+    return list(rep._commutant)
 
 
 def build_rep(signature: Signature, volume_sign: int = 1) -> Rep:

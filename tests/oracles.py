@@ -301,18 +301,32 @@ def ordered_tuple_covariant(
 # -- seeded random inputs ------------------------------------------------------------------
 
 
-def rand_form(rng: random.Random, sig: Signature, terms: int = 5, box: int = 4) -> Form:
+# Denominators of rational test coefficients (1/2, -5/6, 7/32, ...): mixed,
+# so a form's common denominator is an lcm above most single ones.
+RATIONAL_DENOMINATORS = (1, 2, 3, 6, 7, 32)
+
+
+def _rand_coeff(rng: random.Random, box: int, rational: bool):
+    if not rational:
+        return rng.randint(-box, box)
+    return Fraction(rng.randint(-2 * box, 2 * box), rng.choice(RATIONAL_DENOMINATORS))
+
+
+def rand_form(
+    rng: random.Random, sig: Signature, terms: int = 5, box: int = 4, rational: bool = False
+) -> Form:
+    """Random form; `rational` draws mixed-denominator Fraction coefficients."""
     size = 1 << sig.n
     chosen = rng.sample(range(size), min(terms, size))
-    return Form.from_mask_dict(sig, {m: rng.randint(-box, box) for m in chosen})
+    return Form.from_mask_dict(sig, {m: _rand_coeff(rng, box, rational) for m in chosen})
 
 
 def rand_homogeneous(
-    rng: random.Random, sig: Signature, k: int, terms: int = 3, box: int = 3
+    rng: random.Random, sig: Signature, k: int, terms: int = 3, box: int = 3, rational: bool = False
 ) -> Form:
     masks = [m for m in range(1 << sig.n) if m.bit_count() == k]
     chosen = rng.sample(masks, min(terms, len(masks)))
-    return Form.from_mask_dict(sig, {m: rng.randint(-box, box) for m in chosen})
+    return Form.from_mask_dict(sig, {m: _rand_coeff(rng, box, rational) for m in chosen})
 
 
 def rand_vector(rng: random.Random, dim: int, box: int = 5) -> tuple:

@@ -306,3 +306,20 @@ def test_criterion_12_expansions_match_independent_oracles(rep12, st12, pr12):
         assert contracted_wedge(f, g, k, met) == oracles.contracted_wedge_oracle(
             f, g, k, met
         )
+    # rational coefficients; on diagonal metrics some blade pairs share more
+    # indices than they contract, the pairs the kernel must drop
+    wider_overlap = 0
+    for t in range(60):
+        met = metrics[t % len(metrics)]
+        sig = met.signature
+        f = oracles.rand_form(rng, sig, terms=4, rational=True)
+        g = oracles.rand_form(rng, sig, terms=4, rational=True)
+        k = rng.randint(0, sig.n)
+        if met.is_diagonal:
+            wider_overlap += sum(
+                (ma & mb).bit_count() > k for ma, _ in f.mask_items() for mb, _ in g.mask_items()
+            )
+        assert contracted_wedge(f, g, k, met) == oracles.contracted_wedge_oracle(
+            f, g, k, met
+        )
+    assert wider_overlap > 0

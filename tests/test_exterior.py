@@ -111,6 +111,10 @@ def test_wedge_matches_inversion_count_oracle():
         f = oracles.rand_form(rng, sig)
         g = oracles.rand_form(rng, sig)
         assert wedge(f, g) == oracles.wedge_oracle(f, g)
+    for _ in range(50):
+        f = oracles.rand_form(rng, sig, rational=True)
+        g = oracles.rand_homogeneous(rng, sig, rng.randint(0, 3), rational=True)
+        assert wedge(f, g) == oracles.wedge_oracle(f, g)
 
 
 # -- interior contraction --------------------------------------------------------------------

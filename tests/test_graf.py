@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from grafclifford import graf
 from grafclifford.exterior import (
     Form,
     Metric,
@@ -27,6 +28,7 @@ from grafclifford.graf import (
     volume_form,
     volume_square_sign,
 )
+from grafclifford.linalg import common_denominator
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
@@ -71,6 +73,10 @@ def test_product_associative_and_distributive(f, g, h):
     assert graf_product(f + g, h) == graf_product(f, h) + graf_product(g, h)
 
 
+def _all_int(f: Form) -> bool:
+    return all(type(c) is int for _, c in f.mask_items())
+
+
 def test_product_matches_sequential_generator_oracle():
     rng = random.Random(11)
     for sig in (SIG12, Signature(2, 2), Signature(4, 1), SIG90):
@@ -78,7 +84,27 @@ def test_product_matches_sequential_generator_oracle():
         for _ in range(12):
             f = oracles.rand_form(rng, sig)
             g = oracles.rand_form(rng, sig)
+            prod = graf_product(f, g, met)
+            assert prod == oracles.graf_product_oracle(f, g, met)
+            assert _all_int(prod)
+        for _ in range(12):
+            f = oracles.rand_form(rng, sig, rational=True)
+            g = oracles.rand_form(rng, sig, rational=True)
             assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
+
+
+def test_kernel_keeps_integer_inputs_on_ints():
+    rng = random.Random(21)
+    kern = graf._kernel_for(Metric.standard(SIG90))
+    f = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
+    g = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
+    pairs, den = common_denominator(f)
+    assert pairs is f and den == 1
+    assert all(type(c) is int for c in graf._product_terms_diag(f, g, kern).values())
+    # an integral rational result is still stored as an int
+    half = Form.scalar(SIG90, Fraction(1, 2))
+    assert _all_int(graf_product(half, Form.scalar(SIG90, 4)))
+    assert graf_product(half, Form.scalar(SIG90, 4)) == Form.scalar(SIG90, 2)
 
 
 def test_product_with_non_unit_diagonal_metric():
@@ -89,8 +115,39 @@ def test_product_with_non_unit_diagonal_metric():
         f = oracles.rand_form(rng, sig)
         g = oracles.rand_form(rng, sig)
         assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
+    for _ in range(15):
+        f = oracles.rand_form(rng, sig, rational=True)
+        g = oracles.rand_form(rng, sig, rational=True)
+        assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
     e1 = Form.blade(sig, (1,))
     assert graf_product(e1, e1, met) == Form.scalar(sig, 2)
+    rational_met = Metric(sig, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]])
+    for rational in (False, True):
+        for _ in range(15):
+            f = oracles.rand_form(rng, sig, rational=rational)
+            g = oracles.rand_form(rng, sig, rational=rational)
+            assert graf_product(f, g, rational_met) == oracles.graf_product_oracle(
+                f, g, rational_met
+            )
+    assert graf_product(e1, e1, rational_met) == Form.scalar(sig, Fraction(1, 2))
+
+
+def test_kernel_cache_is_bounded():
+    sig = Signature(2, 1)
+    rng = random.Random(22)
+    base = Metric.standard(sig)
+    kept = graf._kernel_for(base)
+    for c in range(2, graf._KERNEL_CAP + 6):
+        met = Metric(sig, [[c, 0, 0], [0, -3, 0], [0, 0, Fraction(1, c)]])
+        for m in (met, base):
+            f = oracles.rand_form(rng, sig, rational=True)
+            g = oracles.rand_form(rng, sig)
+            assert graf_product(f, g, m) == oracles.graf_product_oracle(f, g, m)
+        assert len(graf._KERNELS) <= graf._KERNEL_CAP
+    # the metric used on every round is never the least recent, so it stays
+    assert graf._KERNELS[(sig.n, base.diagonal)] is kept
+    first = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, Fraction(1, 2)]])
+    assert (sig.n, first.diagonal) not in graf._KERNELS
 
 
 def test_product_with_general_metric_is_associative_and_clifford():

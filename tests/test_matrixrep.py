@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from grafclifford import matrixrep
 from grafclifford.errors import StructureError, UnsupportedSignature
 from grafclifford.exterior import Form, Signature
 from grafclifford.graf import graf_product
@@ -15,6 +16,7 @@ from grafclifford.linalg import (
     mat_add,
     mat_mul,
     mat_scale,
+    zeros,
 )
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
@@ -22,6 +24,7 @@ from grafclifford.matrixrep import (
     CASE_QUATERNIONIC,
     abs_type,
     build_rep,
+    build_structure,
     commutant_basis,
     d_square_target,
     lambda_form,
@@ -108,6 +111,19 @@ def test_lambda_form_is_linear_and_respects_blades(rep12):
             assert lambda_form(rep12, single) == mat_scale(rep12.blade_matrix(mask), coeff)
 
 
+def test_lambda_form_of_rational_forms_is_the_blade_sum(rep12, rep04):
+    rng = random.Random(28)
+    for rep in (rep12, rep04):
+        for _ in range(8):
+            f = oracles.rand_form(rng, rep.signature, rational=True)
+            expected = zeros(rep.d, rep.d)
+            for mask, coeff in f.mask_items():
+                expected = mat_add(expected, mat_scale(rep.blade_matrix(mask), coeff))
+            assert lambda_form(rep, f) == expected
+    g = oracles.rand_form(rng, SIG04)
+    assert all(type(v) is int for row in lambda_form(rep04, g) for v in row)
+
+
 def test_lambda_form_is_a_product_homomorphism(rep12, rep90, rep04):
     rng = random.Random(27)
     for rep in (rep12, rep90, rep04):
@@ -136,6 +152,22 @@ def test_commutant_dimensions(rep12, rep90, rep04):
         for m in commutant_basis(rep):
             for g in rep.generators:
                 assert mat_mul(m, g) == mat_mul(g, m)
+
+
+def test_commutant_is_solved_once_per_representation(monkeypatch):
+    calls = []
+    solve = matrixrep.solve_twisted_system
+
+    def counted(d, constraints):
+        calls.append(d)
+        return solve(d, constraints)
+
+    monkeypatch.setattr(matrixrep, "solve_twisted_system", counted)
+    rep = build_rep(SIG04)
+    structure = build_structure(rep)
+    assert calls == [rep.d]
+    assert structure.case == CASE_QUATERNIONIC
+    assert len(commutant_basis(rep)) == 4 and calls == [rep.d]
 
 
 def test_structure_fields_by_case(rep12, st12, rep90, st90, rep04, st04):
