@@ -183,6 +183,21 @@ class Form:
     def from_mask_dict(cls, signature: Signature, terms: Mapping[int, Rational]) -> "Form":
         return cls(signature, terms)
 
+    @classmethod
+    def _adopt(cls, signature: Signature, terms: dict[int, Rational]) -> "Form":
+        """Take ownership of ``terms`` without checking it.
+
+        Only for dicts derived from already-validated forms: every mask in
+        range, every coefficient nonzero and normalized by ``_norm``.
+        Input paths (``Form(...)``, ``from_mask_dict``, ``from_text``,
+        ``from_json_obj``) keep every check.
+        """
+        out = cls.__new__(cls)
+        out.signature = signature
+        out._terms = terms
+        out._hash = None
+        return out
+
     # -- inspection -----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Blade, Rational]]:
@@ -232,11 +247,7 @@ class Form:
                 data[mask] = _norm(v)
             elif mask in data:
                 del data[mask]
-        out = Form.__new__(Form)
-        out.signature = self.signature
-        out._terms = data
-        out._hash = None
-        return out
+        return Form._adopt(self.signature, data)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -244,21 +255,13 @@ class Form:
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        out = Form.__new__(Form)
-        out.signature = self.signature
-        out._terms = {m: -c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return Form._adopt(self.signature, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c: Rational) -> "Form":
         c = _norm(c)
         if not c:
             return Form.zero(self.signature)
-        out = Form.__new__(Form)
-        out.signature = self.signature
-        out._terms = {m: _norm(v * c) for m, v in self._terms.items()}
-        out._hash = None
-        return out
+        return Form._adopt(self.signature, {m: _norm(v * c) for m, v in self._terms.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -502,14 +505,12 @@ def interior(i: int, f: Form) -> Form:
 
 
 def grade_project(f: Form, k: int) -> Form:
-    return Form.from_mask_dict(
-        f.signature, {m: c for m, c in f.mask_items() if m.bit_count() == k}
-    )
+    return Form._adopt(f.signature, {m: c for m, c in f.mask_items() if m.bit_count() == k})
 
 
 def grade_involution(f: Form) -> Form:
     """Multiply each grade-k component by (-1)^k."""
-    return Form.from_mask_dict(
+    return Form._adopt(
         f.signature, {m: (-c if m.bit_count() & 1 else c) for m, c in f.mask_items()}
     )
 

@@ -34,6 +34,8 @@ from .linalg import (
     Matrix,
     Vector,
     as_matrix,
+    common_denominator,
+    divide_numerators,
     mat_add,
     mat_mul,
     mat_scale,
@@ -88,18 +90,35 @@ def fundamental_identity_holds(
 
 
 def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> dict[int, object]:
-    """Coefficients B(alpha, blade(w)) for every canonical blade mask."""
-    zt = mat_vec(transpose(pairing.gram), tuple(alpha))
+    """Coefficients B(alpha, blade(w)) for every canonical blade mask.
+
+    With z = G^T alpha and the blade a signed permutation (row i holds
+    sign[i] at column col[i]), the coefficient is
+    sum_i sign[i] z[i] w[col[i]].  alpha, z and w are cleared to integer
+    numerators first (Majorana-projected spinors have half-integer
+    entries), so the products z[i] w[j] are formed once per call on ints
+    and each nonzero coefficient is divided once at the end; an integral
+    one comes back as an int.
+    """
+    an, aden = common_denominator(list(enumerate(alpha)))
+    zt = mat_vec(transpose(pairing.gram), [c for _, c in an])
+    zt, zden = common_denominator(list(enumerate(zt)))
+    wn, wden = common_denominator(list(enumerate(w)))
+    wn = [c for _, c in wn]
+    rows = [(i, [z * c for c in wn]) for i, z in zt if z]
     out = {}
     for mask in range(1 << rep.signature.n):
-        u = rep.apply_blade(mask, tuple(w))
+        sp = rep.blade_sp(mask)
+        col, sign = sp.col, sp.sign
         val = 0
-        for zi, ui in zip(zt, u):
-            if zi and ui:
-                val += zi * ui
+        for i, zw in rows:
+            if sign[i] > 0:
+                val += zw[col[i]]
+            else:
+                val -= zw[col[i]]
         if val:
             out[mask] = val
-    return out
+    return divide_numerators(out, aden * zden * wden)
 
 
 def _lowering_signs(rep: Rep) -> tuple[int, ...]:

@@ -23,6 +23,14 @@ at the end and normalized, so an integral one is still an int.  The
 result is the same exact rational as term-by-term Fraction arithmetic,
 so every rendered report is unchanged.  The kernel table keeps the
 most recently used metrics only (``_KERNEL_CAP``).
+
+A square f * f (the same Form object passed twice, as the master
+identities do) visits each unordered blade pair once
+(``_product_terms_square``): both ordered products of the pair are read
+from the same kernel rows and added as exact integers, so the result is
+the ordered double loop's.  Kernel output is adopted by ``Form`` without
+re-validation: its masks are XORs of in-range masks and
+``divide_numerators`` has already normalized its coefficients.
 """
 
 from __future__ import annotations
@@ -124,6 +132,27 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
     return divide_numerators({m: c for m, c in acc.items() if c}, da * db)
 
 
+def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
+    """f * f from each unordered blade pair once.
+
+    e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under a diagonal
+    metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the bracket is 0
+    for an anticommuting pair and 2 row_a[b] for a commuting one.
+    """
+    ta, den = common_denominator(ta)
+    row_of = kern.row
+    terms = [(ma, ca, row_of(ma)) for ma, ca in ta]
+    acc: dict[int, Rational] = {}
+    for i, (ma, ca, row) in enumerate(terms):
+        acc[0] = acc.get(0, 0) + ca * ca * row[ma]
+        for mb, cb, row_b in terms[i + 1 :]:
+            s = row[mb] + row_b[ma]
+            if s:
+                key = ma ^ mb
+                acc[key] = acc.get(key, 0) + ca * cb * s
+    return divide_numerators({m: c for m, c in acc.items() if c}, den * den)
+
+
 def _graf_sign(k: int, m: int) -> int:
     return -1 if (k * (m - k) + k // 2) & 1 else 1
 
@@ -156,10 +185,12 @@ def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
     f._check_same(g)
     metric = _resolve_metric(f, metric)
     if metric.is_diagonal:
-        terms = _product_terms_diag(
-            list(f.mask_items()), list(g.mask_items()), _kernel_for(metric)
-        )
-        return Form.from_mask_dict(f.signature, terms)
+        kern = _kernel_for(metric)
+        if f is g:
+            terms = _product_terms_square(list(f.mask_items()), kern)
+        else:
+            terms = _product_terms_diag(list(f.mask_items()), list(g.mask_items()), kern)
+        return Form._adopt(f.signature, terms)
     return _product_general(f, g, metric)
 
 
@@ -208,9 +239,7 @@ def truncate(f: Form) -> TruncationSplit:
     half = f.signature.n // 2
     lower = {m: c for m, c in f.mask_items() if m.bit_count() <= half}
     upper = {m: c for m, c in f.mask_items() if m.bit_count() > half}
-    return TruncationSplit(
-        Form.from_mask_dict(f.signature, lower), Form.from_mask_dict(f.signature, upper)
-    )
+    return TruncationSplit(Form._adopt(f.signature, lower), Form._adopt(f.signature, upper))
 
 
 def lower_projection(f: Form) -> Form:

@@ -21,7 +21,15 @@ Vector = tuple[Rational, ...]
 
 
 def _norm(c: Rational) -> Rational:
-    """Collapse integral Fractions to int so hot paths stay on int ops."""
+    """Collapse integral Fractions to int so hot paths stay on int ops.
+
+    The exact ``int`` test comes first: ``Fraction`` derives from the ABC
+    ``numbers.Rational``, so every ``isinstance(c, Fraction)`` goes through
+    ``ABCMeta.__instancecheck__``.  Bools, floats and strings still take
+    the ``isinstance`` branches below.
+    """
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator

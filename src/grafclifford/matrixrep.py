@@ -237,7 +237,10 @@ class Rep:
     """Verified matrix representation of the form algebra for one signature.
 
     The generators are signed permutations in the standard orthonormal
-    frame; ``generators`` renders them as dense matrices.
+    frame; ``generators`` renders them as dense matrices.  ``blade_sp``
+    caches one signed permutation per canonical blade on the instance,
+    so the cache holds at most 2^n entries of d column indices and d
+    signs; the covariant profile visits every blade and fills it.
     """
 
     __slots__ = ("signature", "metric", "volume_sign", "perms", "abs", "_cache_sp", "_commutant")
@@ -283,9 +286,6 @@ class Rep:
     def blade_matrix(self, mask: int) -> Matrix:
         """Dense matrix of the canonical blade with the given index mask."""
         return self.blade_sp(mask).to_dense()
-
-    def apply_blade(self, mask: int, vec):
-        return self.blade_sp(mask).apply(vec)
 
     def lambda_form(self, f: Form) -> Matrix:
         """Image of a form under the representation morphism."""

@@ -255,6 +255,16 @@ def _pairing_value(pairing, x, y):
     return sum(a * b for a, b in zip(x, gy))
 
 
+def bilinear_profile(rep: Rep, pairing, alpha, w) -> dict:
+    """B(alpha, blade(w)) for every canonical blade mask, from dense blade matrices."""
+    out = {}
+    for mask in range(1 << rep.signature.n):
+        val = _pairing_value(pairing, alpha, mat_vec(rep.blade_matrix(mask), tuple(w)))
+        if val:
+            out[mask] = val
+    return out
+
+
 def _tuple_component(rep: Rep, pairing, alpha, w, scale, parity_weight: int) -> Form:
     n = rep.signature.n
     diag = rep.metric.diagonal

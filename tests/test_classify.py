@@ -278,6 +278,17 @@ def test_census_on_the_pinor_signature(rep90, st90):
     assert empty.sections[0].counts == ()
 
 
+def test_census_blade_cache_is_bounded_by_the_blade_count():
+    rep = build_rep(Signature(9, 0))
+    st = build_structure(rep)
+    census(rep, st, admissible_pairings(rep, st), 20, 5)
+    size = 1 << rep.signature.n
+    # the profile visits every canonical blade, and each is cached once
+    assert set(rep._cache_sp) == set(range(size))
+    census(rep, st, admissible_pairings(rep, st), 20, 6)
+    assert len(rep._cache_sp) <= size
+
+
 def test_census_input_validation(rep12, st12, pairings12):
     with pytest.raises(ValueError):
         census(rep12, st12, pairings12, -1, 0)

@@ -63,6 +63,26 @@ def test_form_text_and_json_round_trip():
         Form.from_text(SIG22, "5**e{1}")
 
 
+def test_public_constructors_still_validate():
+    """Only kernel output skips validation; every input path keeps its checks."""
+    with pytest.raises(ValueError, match="exceeds dimension"):
+        Form(SIG12, {0b1000: 1})
+    with pytest.raises(ValueError, match="exceeds dimension"):
+        Form.from_mask_dict(SIG12, {0b1000: 1})
+    with pytest.raises(ValueError, match="exceeds dimension"):
+        Form.from_text(SIG12, "1*e{4}")
+    with pytest.raises(FormParseError):
+        Form.from_json_obj(SIG12, [{"blade": [4], "coeff": "1"}])
+    with pytest.raises(TypeError):
+        Form(SIG12, {(1,): 0.5})
+    with pytest.raises(TypeError):
+        Form.from_mask_dict(SIG12, {1: 0.5})
+    with pytest.raises(FormParseError):
+        Form.from_text(SIG12, "0.5*e{1}")
+    with pytest.raises(FormParseError):
+        Form.from_json_obj(SIG12, [{"blade": [1], "coeff": 0.5}])
+
+
 def test_form_vector_space_basics():
     f = Form(SIG12, {(1,): 2, (2, 3): -1})
     g = Form(SIG12, {(1,): -2, (): 7})

@@ -13,6 +13,7 @@ from grafclifford.fierz import (
     Covariant,
     FierzVerdict,
     IdentityResult,
+    _bilinear_profile,
     check_fierz,
     covariant,
     endo_E,
@@ -79,6 +80,39 @@ def test_components_reassemble_the_endomorphism(
                 cov.case, (cov.components[0].scale(2),) + cov.components[1:]
             )
             assert not reconstruct_check(rep, st, pairing, tampered, alpha, beta)
+
+
+def test_bilinear_profile_matches_the_dense_blade_oracle(
+    rep12, st12, pairings12, rep90, pr90, rep04, pr04
+):
+    rng = random.Random(37)
+    cases = [(rep90, pr90), (rep04, pr04)] + [(rep12, pairing) for pairing in pairings12]
+    for rep, pairing in cases:
+        assert all(type(v) is int for row in pairing.gram for v in row)
+        zero = (0,) * rep.d
+        assert _bilinear_profile(rep, pairing, zero, zero) == {}
+        assert oracles.bilinear_profile(rep, pairing, zero, zero) == {}
+        for _ in range(3):
+            alpha = oracles.rand_vector(rng, rep.d)
+            w = oracles.rand_vector(rng, rep.d)
+            for a, b in ((alpha, alpha), (alpha, w)):
+                prof = _bilinear_profile(rep, pairing, a, b)
+                assert prof == oracles.bilinear_profile(rep, pairing, a, b)
+                assert all(type(v) is int for v in prof.values())
+            thirds = tuple(Fraction(c, 3) for c in w)
+            assert _bilinear_profile(rep, pairing, alpha, thirds) == oracles.bilinear_profile(
+                rep, pairing, alpha, thirds
+            )
+    # real (1,2) spinors are Majorana projections, with half-integer entries
+    for pairing in pairings12:
+        for _ in range(4):
+            a = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            b = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            assert any(type(c) is Fraction for c in a + b)
+            for x, y in ((a, a), (a, b)):
+                assert _bilinear_profile(rep12, pairing, x, y) == oracles.bilinear_profile(
+                    rep12, pairing, x, y
+                )
 
 
 def test_covariant_matches_ordered_tuple_expansion(rep12, st12, pr12):

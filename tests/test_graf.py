@@ -93,6 +93,29 @@ def test_product_matches_sequential_generator_oracle():
             assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
 
 
+def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
+    """graf_product(f, f) takes the unordered-pair path; f times an equal copy does not."""
+    rng = random.Random(23)
+    sig21 = Signature(2, 1)
+    cases = [(sig, Metric.standard(sig)) for sig in (SIG12, Signature(2, 2), SIG90)]
+    cases.append(
+        (sig21, Metric(sig21, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]]))
+    )
+    for sig, met in cases:
+        squares = [Form.zero(sig), Form.scalar(sig, -3), Form.scalar(sig, Fraction(2, 3))]
+        squares += [Form.blade(sig, m, c) for m in range(1 << sig.n) for c in (2, Fraction(-5, 6))]
+        squares += [oracles.rand_form(rng, sig, terms=12) for _ in range(6)]
+        squares += [oracles.rand_form(rng, sig, terms=12, rational=True) for _ in range(6)]
+        for f in squares:
+            copy = Form.from_mask_dict(sig, f.mask_dict())
+            assert copy is not f
+            square = graf_product(f, f, met)
+            assert square == graf_product(f, copy, met)
+            assert square == oracles.graf_product_oracle(f, f, met)
+            if _all_int(f) and all(type(c) is int for c in met.diagonal):
+                assert _all_int(square)
+
+
 def test_kernel_keeps_integer_inputs_on_ints():
     rng = random.Random(21)
     kern = graf._kernel_for(Metric.standard(SIG90))

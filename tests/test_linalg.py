@@ -8,6 +8,7 @@ import pytest
 from grafclifford.exterior import Metric, Signature
 from grafclifford.linalg import (
     SignedPerm,
+    _norm,
     as_matrix,
     congruence_diagonal,
     identity,
@@ -29,6 +30,18 @@ from oracles import is_identity, is_zero_matrix, solve_twisted_system_dense, vec
 
 def rand_matrix(rng, n, box=4):
     return as_matrix([[rng.randint(-box, box) for _ in range(n)] for _ in range(n)])
+
+
+def test_norm_contract():
+    big = 10**30
+    assert _norm(big) is big
+    two = _norm(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    half = _norm(Fraction(1, 2))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    for bad in (0.5, 2.0, "1", "1/2"):
+        with pytest.raises(TypeError):
+            _norm(bad)
 
 
 def test_matrix_basics():
