@@ -4,7 +4,10 @@ A pairing is a real invertible matrix A defining B(x, y) = x^T A y such
 that every generator is tau-adjoint to itself: A G_i = tau G_i^T A.  The
 symmetry sign sigma comes from A^T = sigma A.  Solutions are found by
 solving the linear intertwining system exactly, never assumed; the
-published symmetry and type tables then act as cross-checks.
+published symmetry and type tables then act as cross-checks.  Every
+solution is a signed permutation, so A is held as one: the pairing
+checks, the isotropy test and B itself cost O(d), and the gram is
+rendered dense only for reports.
 """
 
 from __future__ import annotations
@@ -13,27 +16,11 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import DimensionMismatch, StructureError
-from .exterior import Signature, rational_from_str, rational_to_str
-from .linalg import (
-    Matrix,
-    SignedPerm,
-    Vector,
-    as_matrix,
-    identity,
-    mat_add,
-    mat_inverse,
-    mat_scale,
-    mat_sub,
-    mat_vec,
-    nullspace,
-    rref,
-    solve_twisted_system,
-    transpose,
-)
-from .matrixrep import MainSubalgebra, Rep, build_structure
+from .exterior import Signature, rational_to_str
+from .linalg import SignedPerm, Vector, solve_twisted_system
+from .matrixrep import MainSubalgebra, Rep, build_structure, signed_perm_components
 
 
 class TableMismatchWarning(UserWarning):
@@ -42,32 +29,32 @@ class TableMismatchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Pairing:
-    """Invertible gram matrix with its symmetry, type, and isotropy data.
+    """Gram signed permutation with its symmetry, type, and isotropy data.
 
+    A signed permutation is invertible, so no check of that is needed.
     isotropy is +1 when the half-spinor components are orthogonal under
     B, -1 when each component is totally isotropic, and None when no
     splitting exists for the signature.
     """
 
-    gram: Matrix
+    gram: SignedPerm
     sigma: int
     tau: int
     isotropy: int | None = None
 
     def verify(self, rep: Rep) -> None:
         a = self.gram
-        if len(a) != rep.d:
+        if a.dim != rep.d:
             raise DimensionMismatch("pairing matrix size does not match the representation")
-        if transpose(a) != mat_scale(a, self.sigma):
+        if _symmetry(a) != self.sigma:
             raise StructureError("pairing symmetry sign is wrong")
         for g in rep.perms:
             if not _twisted_adjoint(a, g, self.tau):
                 raise StructureError("pairing type relation fails on a generator")
-        mat_inverse(a)  # raises if singular
 
     def to_json_obj(self) -> dict:
         return {
-            "gram": [[rational_to_str(v) for v in row] for row in self.gram],
+            "gram": [[rational_to_str(v) for v in row] for row in self.gram.to_dense()],
             "sigma": self.sigma,
             "tau": self.tau,
             "isotropy": self.isotropy,
@@ -78,23 +65,6 @@ class Pairing:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
-
-def pairing_from_json_obj(obj: dict) -> Pairing:
-    try:
-        gram = as_matrix(
-            [[rational_from_str(v) if isinstance(v, str) else v for v in row] for row in obj["gram"]]
-        )
-        sigma = int(obj["sigma"])
-        tau = int(obj["tau"])
-        iso = obj.get("isotropy")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"bad pairing JSON: {exc}") from exc
-    return Pairing(gram, sigma, tau, None if iso is None else int(iso))
-
-
-def pairing_from_json(text: str) -> Pairing:
-    return pairing_from_json_obj(json.loads(text))
 
 
 # -- published sign tables -----------------------------------------------------------
@@ -145,46 +115,19 @@ def check_tables(pairing: Pairing, signature: Signature) -> bool:
 # -- solving ---------------------------------------------------------------------------
 
 
-def _first_nonzero_normalize(m: Matrix) -> Matrix:
-    for row in m:
-        for v in row:
-            if v:
-                if v == 1:
-                    return m
-                return mat_scale(m, Fraction(1, 1) / v)
-    return m
+def _symmetry(a: SignedPerm) -> int | None:
+    """+1 when A^T = A, -1 when A^T = -A, else None."""
+    at = a.transpose()
+    if at == a:
+        return 1
+    if at == a.neg():
+        return -1
+    return None
 
 
-def _symmetry_parts(m: Matrix):
-    mt = transpose(m)
-    half = Fraction(1, 2)
-    sym = mat_scale(mat_add(m, mt), half)
-    anti = mat_scale(mat_sub(m, mt), half)
-    return sym, anti
-
-
-def _independent(mats: list[Matrix], d: int) -> list[Matrix]:
-    if not mats:
-        return []
-    rows = [[m[i][j] for i in range(d) for j in range(d)] for m in mats]
-    reduced, pivots = rref(rows)
-    return [
-        as_matrix([[reduced[r][i * d + j] for j in range(d)] for i in range(d)])
-        for r in range(len(pivots))
-    ]
-
-
-def _is_invertible(m: Matrix) -> bool:
-    try:
-        mat_inverse(m)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
-def _twisted_adjoint(a: Matrix, g: SignedPerm, tau: int) -> bool:
-    """A G = tau G^T A, by permuting and signing the entries of A."""
-    return g.right_act(a) == mat_scale(g.transpose().left_act(a), tau)
+def _twisted_adjoint(a: SignedPerm, g: SignedPerm, tau: int) -> bool:
+    """A G = tau G^T A."""
+    return a.compose(g) == g.transpose().compose(a).times(tau)
 
 
 def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
@@ -192,93 +135,84 @@ def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
 
     Returns one normalized representative per independent symmetric or
     antisymmetric solution of {A G_i = tau G_i^T A}; empty when the type
-    admits no invertible solution.
+    admits no solution.  Each solved component is a signed permutation
+    and is symmetric or antisymmetric (else StructureError).  The order
+    and signs are those of row reduction over each symmetry class: the
+    components have disjoint supports, so their pivots are the row-0
+    entries; they come sorted by that column and signed so it is +1,
+    symmetric ones first.
     """
     if tau not in (1, -1):
         raise ValueError("tau must be +1 or -1")
-    d = rep.d
     if rep.signature.n == 0:
-        return [Pairing(identity(1), 1, tau)]
-    basis = solve_twisted_system(d, [(g, g.transpose(), tau) for g in rep.perms])
-    sym_parts: list[Matrix] = []
-    anti_parts: list[Matrix] = []
-    for m in basis:
-        sym, anti = _symmetry_parts(m)
-        if any(any(v for v in row) for row in sym):
-            sym_parts.append(sym)
-        if any(any(v for v in row) for row in anti):
-            anti_parts.append(anti)
-    out: list[Pairing] = []
-    for sigma, parts in ((1, sym_parts), (-1, anti_parts)):
-        for m in _independent(parts, d):
-            cand = _first_nonzero_normalize(m)
-            if _is_invertible(cand):
-                out.append(Pairing(cand, sigma, tau))
-    return out
+        return [Pairing(SignedPerm.identity(1), 1, tau)]
+    basis = solve_twisted_system(rep.d, [(g, g.transpose(), tau) for g in rep.perms])
+    parts: dict[int, list[SignedPerm]] = {1: [], -1: []}
+    for m in signed_perm_components(basis):
+        sigma = _symmetry(m)
+        if sigma is None:
+            raise StructureError("a pairing component is neither symmetric nor antisymmetric")
+        parts[sigma].append(m.times(m.sign[0]))
+    return [
+        Pairing(m, sigma, tau)
+        for sigma in (1, -1)
+        for m in sorted(parts[sigma], key=lambda m: m.col[0])
+    ]
 
 
 def b_eval(pairing: Pairing, alpha: Vector, beta: Vector):
     """Evaluate B(alpha, beta) = alpha^T A beta."""
-    if len(alpha) != len(pairing.gram) or len(beta) != len(pairing.gram):
+    if len(alpha) != pairing.gram.dim or len(beta) != pairing.gram.dim:
         raise DimensionMismatch("vectors do not match the pairing size")
-    av = mat_vec(pairing.gram, tuple(beta))
+    av = pairing.gram.apply(beta)
     return sum(x * y for x, y in zip(alpha, av))
 
 
 # -- metadata: symmetry recomputation, isotropy, table cross-check ---------------------
 
 
-def _eigenspace(m: Matrix, value: int) -> list[Vector]:
-    d = len(m)
-    shifted = [[m[i][j] - (value if i == j else 0) for j in range(d)] for i in range(d)]
-    return nullspace(shifted, d)
+def _splitting_involution(rep: Rep, structure: MainSubalgebra) -> SignedPerm | None:
+    """The involution S whose +-1 eigenspaces split the spinors, when one exists.
 
-
-def _half_spinor_split(rep: Rep, structure: MainSubalgebra):
-    """The +-1 eigenspace split used for isotropy, when one exists."""
-    cand = None
+    S is D when D^2 = +Id, else the volume element when it squares to +Id
+    without being scalar.
+    """
     if structure.d_square_sign == 1:
-        cand = structure.D
-    else:
-        vol = rep.volume_sp()
-        if vol.compose(vol).scalar_value() == 1 and vol.scalar_value() is None:
-            cand = vol.to_dense()
-    if cand is None:
-        return None
-    plus = _eigenspace(cand, 1)
-    minus = _eigenspace(cand, -1)
-    if len(plus) + len(minus) != rep.d:
-        raise StructureError("eigenspace split does not span the representation")
-    return plus, minus
+        return structure.D
+    vol = rep.volume_sp()
+    if vol.compose(vol).scalar_value() == 1 and vol.scalar_value() is None:
+        return vol
+    return None
 
 
 def isotropy_sign(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> int | None:
-    split = _half_spinor_split(rep, structure)
-    if split is None:
+    """+1 when B is orthogonal on the split, -1 when each half is totally isotropic.
+
+    S is a signed permutation of square +Id, so S = S^T = S^-1, and
+    P+- = (1 +- S)/2 project onto the halves.  The cross blocks
+    4 P+^T A P- = A - AS + SA - SAS and 4 P-^T A P+ = A + AS - SA - SAS
+    sum to 2(A - SAS); the diagonal blocks 4 P+^T A P+ = A + AS + SA + SAS
+    and 4 P-^T A P- = A - AS - SA + SAS sum to 2(A + SAS).  So the split
+    is orthogonal only if S^T A S = A and isotropic only if S^T A S = -A;
+    conversely SAS = +-A gives AS = +-SA, which kills the cross or the
+    diagonal blocks.  A is invertible, so at most one holds.
+    """
+    s = _splitting_involution(rep, structure)
+    if s is None:
         return None
-    plus, minus = split
-    cross = all(b_eval(pairing, u, v) == 0 for u in plus for v in minus) and all(
-        b_eval(pairing, u, v) == 0 for u in minus for v in plus
-    )
-    diag = all(b_eval(pairing, u, v) == 0 for u in plus for v in plus) and all(
-        b_eval(pairing, u, v) == 0 for u in minus for v in minus
-    )
-    if cross and not diag:
+    a = pairing.gram
+    moved = s.transpose().compose(a).compose(s)
+    if moved == a:
         return 1
-    if diag and not cross:
+    if moved == a.neg():
         return -1
     raise StructureError("pairing is neither orthogonal nor isotropic on the split")
 
 
 def pairing_metadata(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> Pairing:
     """Recompute sigma, fill isotropy, and warn on any table mismatch."""
-    a = pairing.gram
-    at = transpose(a)
-    if at == a:
-        sigma = 1
-    elif at == mat_scale(a, -1):
-        sigma = -1
-    else:
+    sigma = _symmetry(pairing.gram)
+    if sigma is None:
         raise StructureError("pairing matrix has no definite symmetry")
     iso = isotropy_sign(pairing, rep, structure)
     out = replace(pairing, sigma=sigma, isotropy=iso)

@@ -42,7 +42,7 @@ from .exterior import (
 )
 from .fierz import IdentityResult, _bilinear_profile, _lowering_signs, _result
 from .graf import graf_product, hodge, lower_projection, truncated_product
-from .linalg import _norm, mat_mul, mat_vec, transpose
+from .linalg import _norm
 from .matrixrep import CASE_ALMOST_COMPLEX, MainSubalgebra, Rep
 
 __all__ = [
@@ -81,7 +81,7 @@ def majorana_project(rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
     half = Fraction(1, 2)
-    dv = mat_vec(structure.D, vec)
+    dv = structure.D.apply(vec)
     return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
 
 
@@ -96,7 +96,7 @@ def real_structure_isometric(pairing: Pairing, structure: MainSubalgebra) -> boo
     if structure.D is None:
         raise StructureError("no real structure available for this case")
     d = structure.D
-    return mat_mul(mat_mul(transpose(d), pairing.gram), d) == pairing.gram
+    return d.transpose().compose(pairing.gram).compose(d) == pairing.gram
 
 
 # -- reduced verdicts ---------------------------------------------------------------------
@@ -148,7 +148,7 @@ def _covariants_12(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: t
             "scalar/rank-2 covariants vanish identically on real spinors "
             "under it — use the orthogonal-split pairing"
         )
-    if mat_vec(structure.D, vec) != vec:
+    if structure.D.apply(vec) != vec:
         raise NotASpinor("spinor is not fixed by the real structure; project it first")
     prof = _bilinear_profile(rep, pairing, vec, vec)
     signs = _lowering_signs(rep)
@@ -203,20 +203,20 @@ def _covariants_90(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: t
         )
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
-    prof = _bilinear_profile(rep, pairing, vec, vec)
-    for mask, val in prof.items():
-        if mask.bit_count() in (2, 3, 6, 7) and val:
-            raise NotASpinor("a sign-law-forbidden rank bilinear is nonzero")
-    full = Form.from_mask_dict(rep.signature, prof)
+    full = Form.from_mask_dict(rep.signature, _bilinear_profile(rep, pairing, vec, vec))
+    by_grade: dict[int, dict] = {k: {} for k in range(rep.signature.n + 1)}
+    for mask, val in full.mask_items():
+        by_grade[mask.bit_count()][mask] = val
+    if any(by_grade[k] for k in (2, 3, 6, 7)):
+        raise NotASpinor("a sign-law-forbidden rank bilinear is nonzero")
+    parts = {k: Form._adopt(rep.signature, terms) for k, terms in by_grade.items()}
     met = rep.metric
     for k in (0, 1, 4):
-        low = grade_project(full, k)
-        high = grade_project(full, rep.signature.n - k)
-        if hodge(low, met).scale(rep.volume_sign) != high:
+        if hodge(parts[k], met).scale(rep.volume_sign) != parts[rep.signature.n - k]:
             raise NotASpinor(
                 "upper-grade bilinears are not the volume images of the lower ones"
             )
-    return tuple(grade_project(full, k) for k in (0, 1, 4))
+    return parts[0], parts[1], parts[4]
 
 
 def _master_90(cov, b, volume_sign: int) -> IdentityResult:

@@ -39,9 +39,6 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_scale,
-    mat_vec,
-    transpose,
-    zeros,
 )
 from .matrixrep import (
     CASE_ALMOST_COMPLEX,
@@ -71,10 +68,10 @@ class Covariant:
 
 def endo_E(pairing: Pairing, alpha: Vector, beta: Vector) -> Matrix:
     """Rank-one endomorphism sending gamma to B(gamma, beta) alpha."""
-    d = len(pairing.gram)
+    d = pairing.gram.dim
     if len(alpha) != d or len(beta) != d:
         raise DimensionMismatch("spinor length does not match the pairing")
-    abeta = mat_vec(pairing.gram, tuple(beta))
+    abeta = pairing.gram.apply(beta)
     return as_matrix([[alpha[i] * abeta[j] for j in range(d)] for i in range(d)])
 
 
@@ -101,7 +98,7 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
     one comes back as an int.
     """
     an, aden = common_denominator(list(enumerate(alpha)))
-    zt = mat_vec(transpose(pairing.gram), [c for _, c in an])
+    zt = pairing.gram.transpose().apply([c for _, c in an])
     zt, zden = common_denominator(list(enumerate(zt)))
     wn, wden = common_denominator(list(enumerate(w)))
     wn = [c for _, c in wn]
@@ -163,14 +160,14 @@ def covariant(
     if structure.case == CASE_ALMOST_COMPLEX:
         dsign = d_square_target(rep.signature)
         prof0 = _bilinear_profile(rep, pairing, alpha, beta)
-        dbeta = mat_vec(structure.D, tuple(beta))
+        dbeta = structure.D.apply(beta)
         prof1 = _bilinear_profile(rep, pairing, alpha, dbeta)
         comp0 = _assemble(rep, prof0, pref, -1)
         comp1 = _assemble(rep, prof1, pref * dsign, 1)
         return Covariant(CASE_ALMOST_COMPLEX, (comp0, comp1))
     comps = []
     for hi in (None,) + tuple(structure.H):
-        w = beta if hi is None else mat_vec(hi, tuple(beta))
+        w = beta if hi is None else hi.apply(beta)
         prof = _bilinear_profile(rep, pairing, alpha, w)
         comps.append(_assemble(rep, prof, pref, tau))
     return Covariant(CASE_QUATERNIONIC, tuple(comps))
@@ -188,16 +185,10 @@ def reconstruct_check(
     target = endo_E(pairing, alpha, beta)
     if cov.case == CASE_NORMAL:
         return rep.lambda_form(cov.components[0]) == target
-    if cov.case == CASE_ALMOST_COMPLEX:
-        built = mat_add(
-            rep.lambda_form(cov.components[0]),
-            mat_mul(structure.D, rep.lambda_form(cov.components[1])),
-        )
-        return built == target
-    built = zeros(rep.d, rep.d)
-    for hi, comp in zip((None,) + tuple(structure.H), cov.components):
-        lam = rep.lambda_form(comp)
-        built = mat_add(built, lam if hi is None else mat_mul(hi, lam))
+    units = (structure.D,) if cov.case == CASE_ALMOST_COMPLEX else structure.H
+    built = rep.lambda_form(cov.components[0])
+    for unit, comp in zip(units, cov.components[1:]):
+        built = mat_add(built, unit.left_act(rep.lambda_form(comp)))
     return built == target
 
 

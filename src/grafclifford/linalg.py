@@ -1,11 +1,12 @@
 """Exact rational linear algebra for the representation layer.
 
 Matrices are immutable tuples of row tuples with int or Fraction
-entries.  Every generator is a signed permutation matrix (one nonzero
-entry, +1 or -1, per row and column), which makes the Clifford
-relations, blade products, vector actions, intertwiner systems and
-pairing checks cost O(d) or O(d^2) each; dense products remain for the
-structure maps and for the matrices reports render.
+entries.  Every generator, structure map and pairing gram is a signed
+permutation matrix (one nonzero entry, +1 or -1, per row and column),
+which makes the Clifford relations, blade products, vector actions,
+intertwiner systems and pairing checks cost O(d) or O(d^2) each.  Dense
+matrices remain for the images of forms, the rank-one endomorphisms of
+the Fierz checks and the matrices reports render.
 """
 
 from __future__ import annotations
@@ -66,23 +67,8 @@ def as_matrix(rows) -> Matrix:
     return tuple(tuple(_norm(v) for v in row) for row in rows)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(m)) for _ in range(n))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(_norm(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(_norm(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def mat_scale(a: Matrix, c: Rational) -> Matrix:
@@ -94,93 +80,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(_norm(sum(x * y for x, y in zip(row, col))) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Matrix, v: Sequence[Rational]) -> Vector:
-    return tuple(_norm(sum(x * y for x, y in zip(row, v))) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_trace(a: Matrix) -> Rational:
-    return _norm(sum(a[i][i] for i in range(len(a))))
-
-
-def is_scalar_matrix(a: Matrix) -> Rational | None:
-    """Return c if a == c*Id, else None."""
-    n = len(a)
-    c = a[0][0]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != (c if i == j else 0):
-                return None
-    return c
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    work = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return as_matrix(row[n:] for row in work)
-
-
-# -- reduced row echelon and nullspace -------------------------------------------
-
-
-def rref(rows: list[list[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place style reduced row echelon form; returns (matrix, pivot columns)."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def nullspace(rows: list[list[Rational]], ncols: int) -> list[Vector]:
-    """Basis of the right nullspace of the given constraint rows."""
-    if not rows:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(tuple(_norm(v) for v in vec))
-    return basis
 
 
 # -- signed permutation matrices --------------------------------------------------
@@ -254,13 +153,12 @@ class SignedPerm:
         """Matrix product self @ a: row i is sign[i] times row col[i] of a."""
         return tuple(tuple(s * v for v in a[c]) for s, c in zip(self.sign, self.col))
 
-    def right_act(self, a: Matrix) -> Matrix:
-        """Matrix product a @ self: column col[k] is sign[k] times column k of a."""
-        t = self.transpose()
-        return tuple(tuple(row[c] * s for s, c in zip(t.sign, t.col)) for row in a)
-
     def neg(self) -> "SignedPerm":
         return SignedPerm(self.col, tuple(-s for s in self.sign))
+
+    def times(self, s: int) -> "SignedPerm":
+        """The product with the sign s, +1 or -1."""
+        return self if s == 1 else self.neg()
 
     def scalar_value(self) -> int | None:
         """Return c if this equals c*Id with c = +1/-1, else None."""
@@ -361,25 +259,6 @@ def solve_twisted_system(
 
 
 # -- congruence reduction of symmetric matrices ------------------------------------
-
-
-def rational_sqrt(x: Rational) -> Rational | None:
-    """Exact square root of a nonnegative rational, or None."""
-    f = Fraction(x)
-    if f < 0:
-        return None
-    num = _isqrt_exact(f.numerator)
-    den = _isqrt_exact(f.denominator)
-    if num is None or den is None:
-        return None
-    return _norm(Fraction(num, den))
-
-
-def _isqrt_exact(n: int) -> int | None:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 def congruence_diagonal(gram) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -15,8 +15,9 @@ recursion from rank-one and rank-two seeds:
 The ladder does not reach (0,10), (0,11), (0,12), (1,11) or (12,0);
 those are refused.  Representations live in the standard orthonormal
 frame of the signature (forms themselves take any metric), and every
-computation here runs on the signed permutations; dense matrices are
-rendered only for reports, structure maps and tests.
+computation here runs on the signed permutations, the structure maps J,
+D and H included; dense matrices are rendered only for the images of
+forms, for reports and for tests.
 
 Every constructed representation is verified on the spot: generator
 relations, real dimension, commutant dimension, and the scalar value of
@@ -37,23 +38,7 @@ from .exterior import (
     rational_from_str,
     rational_to_str,
 )
-from .linalg import (
-    Matrix,
-    SignedPerm,
-    as_matrix,
-    common_denominator,
-    identity,
-    is_scalar_matrix,
-    mat_add,
-    mat_mul,
-    mat_neg,
-    mat_scale,
-    mat_sub,
-    mat_trace,
-    rational_sqrt,
-    rref,
-    solve_twisted_system,
-)
+from .linalg import Matrix, SignedPerm, as_matrix, common_denominator, solve_twisted_system
 
 CASE_NORMAL = "normal"
 CASE_ALMOST_COMPLEX = "almost_complex"
@@ -252,7 +237,7 @@ class Rep:
         self.perms = tuple(perms)
         self.abs = abs_type(signature)
         self._cache_sp: dict[int, SignedPerm] = {}
-        self._commutant: tuple[Matrix, ...] | None = None
+        self._commutant: tuple[SignedPerm, ...] | None = None
         verify_generators(self.perms, signature)
         if signature.n % 2 == 1:
             sv = self.volume_sp().scalar_value()
@@ -348,10 +333,27 @@ def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> No
                 raise StructureError(f"generator relation failed for indices ({i + 1},{j + 1})")
 
 
-def commutant_basis(rep: Rep) -> list[Matrix]:
+def signed_perm_components(basis: list[Matrix]) -> list[SignedPerm]:
+    """The components of a ``solve_twisted_system`` basis as signed permutations.
+
+    Every component of the commutant, intertwiner and pairing systems
+    of a representation is a signed permutation; one that is not raises
+    StructureError.
+    """
+    out = []
+    for m in basis:
+        sp = SignedPerm.from_dense(m)
+        if sp is None:
+            raise StructureError("a solved component is not a signed permutation")
+        out.append(sp)
+    return out
+
+
+def commutant_basis(rep: Rep) -> list[SignedPerm]:
     """Basis of matrices commuting with every generator, solved once per rep."""
     if rep._commutant is None:
-        rep._commutant = tuple(solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms]))
+        basis = solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms])
+        rep._commutant = tuple(signed_perm_components(basis))
     return list(rep._commutant)
 
 
@@ -428,19 +430,20 @@ class MainSubalgebra:
     (square -Id) and D is a real-linear map anticommuting with J and
     with every generator, normalized so D^2 = +-Id per the mod-8 class.
     quaternionic: H is a triple of commuting-with-everything complex
-    structures multiplying like quaternion units.
+    structures multiplying like quaternion units.  Every map is a
+    signed permutation; ``to_dense`` renders one.
     """
 
     case: str
-    J: Matrix | None = None
-    D: Matrix | None = None
-    H: tuple[Matrix, Matrix, Matrix] | None = None
+    J: SignedPerm | None = None
+    D: SignedPerm | None = None
+    H: tuple[SignedPerm, SignedPerm, SignedPerm] | None = None
 
     @property
     def d_square_sign(self) -> int | None:
         if self.D is None:
             return None
-        return 1 if is_scalar_matrix(mat_mul(self.D, self.D)) == 1 else -1
+        return 1 if self.D.compose(self.D).scalar_value() == 1 else -1
 
 
 def d_square_target(signature: Signature) -> int:
@@ -469,69 +472,49 @@ def build_structure(rep: Rep) -> MainSubalgebra:
         vol = rep.volume_sp()
         if vol.compose(vol).scalar_value() != -1:
             raise StructureError("volume square is not -Id in the almost-complex case")
-        return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol.to_dense(), D=_solve_d(rep, vol))
-    hs = _solve_quaternion_units(rep, basis)
-    return MainSubalgebra(CASE_QUATERNIONIC, H=hs)
+        return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol, D=_solve_d(rep, vol))
+    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(basis))
 
 
-def _solve_d(rep: Rep, vol: SignedPerm) -> Matrix:
+def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:
     """D = -(first intertwiner), which squares to the class target.
 
     The sign fixes the Majorana convention the recorded reports use.
     """
     cons = [(g, g.neg(), 1) for g in rep.perms]
     cons.append((vol, vol.neg(), 1))
-    basis = solve_twisted_system(rep.d, cons)
+    basis = signed_perm_components(solve_twisted_system(rep.d, cons))
     if len(basis) != 2:
         raise StructureError(f"D intertwiner space has dimension {len(basis)}, expected 2")
-    dmat = mat_neg(basis[0])
-    if is_scalar_matrix(mat_mul(dmat, dmat)) != d_square_target(rep.signature):
+    d = basis[0].neg()
+    if d.compose(d).scalar_value() != d_square_target(rep.signature):
         raise StructureError("the first intertwiner does not square to the required D square")
-    return dmat
+    return d
 
 
-def _pure_commutant_basis(basis: list[Matrix], d: int) -> list[Matrix]:
-    """Trace-free part of the commutant, as an independent spanning set."""
-    rows = []
-    for b in basis:
-        tr = mat_trace(b)
-        pure = mat_sub(b, mat_scale(identity(d), Fraction(tr, d))) if tr else b
-        if any(any(v for v in row) for row in pure):
-            rows.append([pure[i][j] for i in range(d) for j in range(d)])
-    reduced, pivots = rref(rows)
-    out = []
-    for r in reduced[: len(pivots)]:
-        out.append(as_matrix([[r[i * d + j] for j in range(d)] for i in range(d)]))
-    return out
+def _quaternion_units(basis: list[SignedPerm]) -> tuple[SignedPerm, SignedPerm, SignedPerm]:
+    """H1 and H2 from the non-scalar commutant components, H3 = H1 H2.
 
-
-def _normalize_anticomplex(x: Matrix) -> Matrix:
-    """Scale x so its square is -Id; raises when no rational scale exists."""
-    sq = is_scalar_matrix(mat_mul(x, x))
-    root = rational_sqrt(-sq) if sq is not None and sq < 0 else None
-    if root is None:
-        raise StructureError("a commutant element has no rational scale to a complex structure")
-    return mat_scale(x, Fraction(1, 1) / root)
-
-
-def _solve_quaternion_units(rep: Rep, basis: list[Matrix]) -> tuple[Matrix, Matrix, Matrix]:
-    """H1 from the first pure commutant element, H2 from the second made orthogonal to H1."""
-    d = rep.d
-    pure = _pure_commutant_basis(basis, d)
+    These are the units the row reduction of the trace-free commutant
+    gives.  The components have disjoint supports, so the reduced rows
+    are the components themselves: ordered by the column of their
+    row-0 entry, which is the flattened pivot, and signed so that entry
+    is +1.  A unit of square -Id needs no rational rescaling, and two
+    anticommuting units need no Gram-Schmidt step; the relations are
+    checked on the result.
+    """
+    pure = sorted(
+        (b.times(b.sign[0]) for b in basis if b.scalar_value() is None), key=lambda b: b.col[0]
+    )
     if len(pure) != 3:
         raise StructureError(f"pure commutant has dimension {len(pure)}, expected 3")
-    h1 = _normalize_anticomplex(pure[0])
-    # remove the h1 component: {X, h1} = m Id fixes the coefficient
-    m = is_scalar_matrix(mat_add(mat_mul(pure[1], h1), mat_mul(h1, pure[1])))
-    if m is None:
-        raise StructureError("commutant anticommutator is not scalar")
-    h2 = _normalize_anticomplex(mat_add(pure[1], mat_scale(h1, Fraction(m, 2))))
-    h3 = mat_mul(h1, h2)
-    _verify_quaternion_units(d, (h1, h2, h3))
-    return (h1, h2, h3)
+    h1, h2 = pure[0], pure[1]
+    hs = (h1, h2, h1.compose(h2))
+    _verify_quaternion_units(hs)
+    return hs
 
 
-def _verify_quaternion_units(d: int, hs: tuple[Matrix, Matrix, Matrix]) -> None:
+def _verify_quaternion_units(hs: tuple[SignedPerm, SignedPerm, SignedPerm]) -> None:
     eps = {
         (0, 1): (1, 2),
         (1, 0): (-1, 2),
@@ -540,14 +523,13 @@ def _verify_quaternion_units(d: int, hs: tuple[Matrix, Matrix, Matrix]) -> None:
         (2, 0): (1, 1),
         (0, 2): (-1, 1),
     }
-    ident = identity(d)
     for j in range(3):
         for k in range(3):
-            prod = mat_mul(hs[j], hs[k])
+            prod = hs[j].compose(hs[k])
             if j == k:
-                want = mat_neg(ident)
+                ok = prod.scalar_value() == -1
             else:
                 s, l = eps[(j, k)]
-                want = mat_scale(hs[l], s)
-            if prod != want:
+                ok = prod == hs[l].times(s)
+            if not ok:
                 raise StructureError(f"quaternion unit relation failed at ({j + 1},{k + 1})")

@@ -13,19 +13,30 @@ always exact; no tolerances appear anywhere.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grafclifford.exterior import Form, Metric, Signature, contracted_wedge
+from grafclifford.bilinear import Pairing, table_sigma, table_tau
+from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, rational_from_str
 from grafclifford.graf import graf_product
-from grafclifford.linalg import as_matrix, mat_vec, nullspace, rational_sqrt
+from grafclifford.linalg import (
+    SignedPerm,
+    _norm,
+    as_matrix,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    solve_twisted_system,
+)
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
     MainSubalgebra,
     Rep,
+    abs_type,
     d_square_target,
 )
 
@@ -208,7 +219,41 @@ class VolumeForm:
         return cls(v, sq)
 
 
-# -- dense matrix predicates -----------------------------------------------------------------
+# -- dense linear algebra ------------------------------------------------------------------
+#
+# The library keeps only the dense products its reports and Fierz checks
+# need; these are the dense references for everything else.
+
+
+def identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def zeros(n: int, m: int):
+    return tuple(tuple(0 for _ in range(m)) for _ in range(n))
+
+
+def transpose(a):
+    return tuple(zip(*a))
+
+
+def mat_vec(a, v) -> tuple:
+    return tuple(_norm(sum(x * y for x, y in zip(row, v))) for row in a)
+
+
+def mat_trace(a):
+    return _norm(sum(a[i][i] for i in range(len(a))))
+
+
+def is_scalar_matrix(a):
+    """Return c if a == c*Id, else None."""
+    n = len(a)
+    c = a[0][0]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != (c if i == j else 0):
+                return None
+    return c
 
 
 def vec_dot(u, v):
@@ -217,6 +262,62 @@ def vec_dot(u, v):
 
 def is_zero_matrix(a) -> bool:
     return all(all(v == 0 for v in row) for row in a)
+
+
+def is_identity(a) -> bool:
+    return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
+
+
+def rref(rows):
+    """Reduced row echelon form over Fractions; returns (matrix, pivot columns)."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def nullspace(rows, ncols: int) -> list[tuple]:
+    """Basis of the right nullspace of the given constraint rows."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    mat, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(tuple(_norm(v) for v in vec))
+    return basis
+
+
+def rational_sqrt(x):
+    """Exact square root of a nonnegative rational, or None."""
+    f = Fraction(x)
+    if f < 0:
+        return None
+    num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if num * num != f.numerator or den * den != f.denominator:
+        return None
+    return _norm(Fraction(num, den))
 
 
 def solve_twisted_system_dense(d: int, constraints) -> list:
@@ -235,8 +336,144 @@ def solve_twisted_system_dense(d: int, constraints) -> list:
     return [as_matrix([vec[i * d : (i + 1) * d] for i in range(d)]) for vec in vecs]
 
 
-def is_identity(a) -> bool:
-    return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
+# -- dense structure maps and pairings -----------------------------------------------------
+#
+# The library derives J, D, H and the pairing grams as signed permutations
+# by sorting and signing solved components.  These are the row-reduction
+# derivations of the same maps, on the same solved components rendered dense:
+# trace-free parts, rref, rational normalization and Gram-Schmidt for H;
+# symmetric and antisymmetric parts, rref, first-entry normalization and
+# an invertibility test for the pairings; eigenspace nullspaces and a
+# B-evaluation loop for the isotropy.
+
+
+def _span_rref(mats, d: int) -> list:
+    """The reduced-row-echelon basis of the span of d x d matrices, as matrices."""
+    if not mats:
+        return []
+    reduced, pivots = rref([[m[i][j] for i in range(d) for j in range(d)] for m in mats])
+    return [
+        as_matrix([[reduced[r][i * d + j] for j in range(d)] for i in range(d)])
+        for r in range(len(pivots))
+    ]
+
+
+def _normalize_anticomplex(x):
+    sq = is_scalar_matrix(mat_mul(x, x))
+    root = rational_sqrt(-sq) if sq is not None and sq < 0 else None
+    if root is None:
+        raise ValueError("no rational scale makes this a complex structure")
+    return mat_scale(x, Fraction(1, 1) / root)
+
+
+def structure_oracle(rep: Rep) -> tuple:
+    """(J, D, H) as dense matrices, each None where the case has no such map."""
+    case = abs_type(rep.signature).case
+    d = rep.d
+    if case == CASE_NORMAL:
+        return None, None, None
+    if case == CASE_ALMOST_COMPLEX:
+        vol = rep.volume_sp()
+        cons = [(g, g.neg(), 1) for g in rep.perms] + [(vol, vol.neg(), 1)]
+        dmat = mat_scale(solve_twisted_system(d, cons)[0], -1)
+        if is_scalar_matrix(mat_mul(dmat, dmat)) != d_square_target(rep.signature):
+            raise ValueError("D does not square to the class target")
+        return rep.volume_matrix(), dmat, None
+    pure = []
+    for b in solve_twisted_system(d, [(g, g, 1) for g in rep.perms]):
+        tr = mat_trace(b)
+        part = mat_add(b, mat_scale(identity(d), Fraction(-tr, d))) if tr else b
+        if not is_zero_matrix(part):
+            pure.append(part)
+    pure = _span_rref(pure, d)
+    h1 = _normalize_anticomplex(pure[0])
+    # Gram-Schmidt against h1: {X, h1} = m Id fixes the coefficient
+    m = is_scalar_matrix(mat_add(mat_mul(pure[1], h1), mat_mul(h1, pure[1])))
+    h2 = _normalize_anticomplex(mat_add(pure[1], mat_scale(h1, Fraction(m, 2))))
+    return None, None, (h1, h2, mat_mul(h1, h2))
+
+
+def _first_nonzero_normalize(m):
+    v = next(v for row in m for v in row if v)
+    return m if v == 1 else mat_scale(m, Fraction(1, 1) / v)
+
+
+def solve_pairing_oracle(rep: Rep, tau: int) -> list[tuple]:
+    """(gram, sigma) of every invertible normalized pairing of type tau."""
+    d = rep.d
+    if rep.signature.n == 0:
+        return [(identity(1), 1)]
+    sym, anti = [], []
+    for m in solve_twisted_system(d, [(g, g.transpose(), tau) for g in rep.perms]):
+        mt = transpose(m)
+        half_sum = mat_scale(mat_add(m, mt), Fraction(1, 2))
+        half_diff = mat_scale(mat_add(m, mat_scale(mt, -1)), Fraction(1, 2))
+        if not is_zero_matrix(half_sum):
+            sym.append(half_sum)
+        if not is_zero_matrix(half_diff):
+            anti.append(half_diff)
+    out = []
+    for sigma, parts in ((1, sym), (-1, anti)):
+        for m in _span_rref(parts, d):
+            cand = _first_nonzero_normalize(m)
+            if len(rref([list(row) for row in cand])[1]) == d:
+                out.append((cand, sigma))
+    return out
+
+
+def isotropy_oracle(gram, rep: Rep, dmat) -> int | None:
+    """Isotropy of the gram on the eigenspace split of D (D^2 = +Id) or the volume."""
+    split = None
+    if dmat is not None and is_scalar_matrix(mat_mul(dmat, dmat)) == 1:
+        split = dmat
+    else:
+        vol = rep.volume_matrix()
+        if is_scalar_matrix(mat_mul(vol, vol)) == 1 and is_scalar_matrix(vol) is None:
+            split = vol
+    if split is None:
+        return None
+    d = rep.d
+    halves = [
+        nullspace([[split[i][j] - (ev if i == j else 0) for j in range(d)] for i in range(d)], d)
+        for ev in (1, -1)
+    ]
+    assert len(halves[0]) + len(halves[1]) == d
+
+    def vanishes(xs, ys):
+        return all(vec_dot(x, mat_vec(gram, y)) == 0 for x in xs for y in ys)
+
+    cross = vanishes(halves[0], halves[1]) and vanishes(halves[1], halves[0])
+    diag = vanishes(halves[0], halves[0]) and vanishes(halves[1], halves[1])
+    if cross and not diag:
+        return 1
+    if diag and not cross:
+        return -1
+    raise ValueError("pairing is neither orthogonal nor isotropic on the split")
+
+
+def admissible_pairings_oracle(rep: Rep) -> list[tuple]:
+    """(gram, sigma, tau, isotropy) of the pairings on the published table row."""
+    tau = table_tau(rep.signature)
+    want = table_sigma(rep.signature)
+    _, dmat, _ = structure_oracle(rep)
+    return [
+        (gram, sigma, tau, isotropy_oracle(gram, rep, dmat))
+        for gram, sigma in solve_pairing_oracle(rep, tau)
+        if want is None or sigma == want
+    ]
+
+
+def pairing_from_json(text: str) -> Pairing:
+    """Rebuild a pairing from its JSON report form."""
+    obj = json.loads(text)
+    dense = as_matrix(
+        [[rational_from_str(v) if isinstance(v, str) else v for v in row] for row in obj["gram"]]
+    )
+    gram = SignedPerm.from_dense(dense)
+    if gram is None:
+        raise ValueError("pairing gram is not a signed permutation")
+    iso = obj.get("isotropy")
+    return Pairing(gram, int(obj["sigma"]), int(obj["tau"]), None if iso is None else int(iso))
 
 
 # -- ordered-tuple covariant expansion -----------------------------------------------------
@@ -251,7 +488,7 @@ def _apply_index_tuple(rep: Rep, vec, tup):
 
 
 def _pairing_value(pairing, x, y):
-    gy = mat_vec(pairing.gram, tuple(y))
+    gy = mat_vec(pairing.gram.to_dense(), tuple(y))
     return sum(a * b for a, b in zip(x, gy))
 
 
@@ -300,7 +537,7 @@ def ordered_tuple_covariant(
         return (_tuple_component(rep, pairing, alpha, beta, pref, pairing.tau),)
     if structure.case == CASE_ALMOST_COMPLEX:
         dsign = d_square_target(rep.signature)
-        dbeta = mat_vec(structure.D, tuple(beta))
+        dbeta = mat_vec(structure.D.to_dense(), tuple(beta))
         return (
             _tuple_component(rep, pairing, alpha, beta, pref, -1),
             _tuple_component(rep, pairing, alpha, dbeta, pref * dsign, 1),

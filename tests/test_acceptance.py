@@ -35,7 +35,7 @@ from grafclifford.graf import (
     volume_form,
     volume_square_sign,
 )
-from grafclifford.linalg import identity, mat_add, mat_mul, mat_scale
+from grafclifford.linalg import mat_add, mat_mul, mat_scale
 from grafclifford.matrixrep import lambda_form
 
 ALL_SIGNATURES = [
@@ -109,7 +109,7 @@ def test_criterion_04_representations_and_commutants(rep12, rep90, rep04):
         for i, gi in enumerate(rep.generators):
             for j, gj in enumerate(rep.generators):
                 anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
-                assert anti == mat_scale(identity(rep.d), 2 * met.entry(i + 1, j + 1))
+                assert anti == mat_scale(oracles.identity(rep.d), 2 * met.entry(i + 1, j + 1))
         for _ in range(100):
             f = oracles.rand_form(rng, sig, terms=5)
             g = oracles.rand_form(rng, sig, terms=5)

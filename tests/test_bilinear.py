@@ -13,7 +13,6 @@ from grafclifford.bilinear import (
     b_eval,
     blade_transpose_sign,
     check_tables,
-    pairing_from_json,
     solve_pairing,
     standard_pairing,
     table_sigma,
@@ -22,8 +21,16 @@ from grafclifford.bilinear import (
     vanishing_ranks,
 )
 from grafclifford.errors import DimensionMismatch, StructureError
+from grafclifford.exterior import Signature
 from grafclifford.fierz import _bilinear_profile
-from grafclifford.linalg import identity, mat_mul, mat_scale, transpose
+from grafclifford.linalg import SignedPerm, mat_mul, mat_scale
+from grafclifford.matrixrep import (
+    CASE_ALMOST_COMPLEX,
+    CASE_NORMAL,
+    CASE_QUATERNIONIC,
+    build_rep,
+    build_structure,
+)
 
 
 def test_solved_pairings_verify_and_carry_correct_signs(rep12, st12, rep90, st90, rep04, st04):
@@ -34,7 +41,8 @@ def test_solved_pairings_verify_and_carry_correct_signs(rep12, st12, rep90, st90
         assert pairings
         for pairing in pairings:
             pairing.verify(rep)
-            assert transpose(pairing.gram) == mat_scale(pairing.gram, pairing.sigma)
+            gram = pairing.gram.to_dense()
+            assert oracles.transpose(gram) == mat_scale(gram, pairing.sigma)
             assert check_tables(pairing, rep.signature)
 
 
@@ -58,7 +66,7 @@ def test_two_pairings_on_the_spinor_signature(rep12, pairings12):
 
 
 def test_pinor_pairing_is_the_identity_gram(rep90, pr90):
-    assert pr90.gram == identity(rep90.d)
+    assert pr90.gram.to_dense() == oracles.identity(rep90.d)
     assert pr90.isotropy is None
     assert b_eval(pr90, (1,) + (0,) * 15, (1,) + (0,) * 15) == 1
 
@@ -82,12 +90,12 @@ def test_transpose_law_exhaustive_over_blades(rep12, pairings12, rep90, pr90, re
 
 
 def test_blade_transpose_sign_consistency(rep12, pr12):
-    a = pr12.gram
+    a = pr12.gram.to_dense()
     for mask in range(1 << 3):
         m = rep12.blade_matrix(mask)
         k = mask.bit_count()
         sign = blade_transpose_sign(pr12.tau, k)
-        assert mat_mul(transpose(m), a) == mat_scale(mat_mul(a, m), sign)
+        assert mat_mul(oracles.transpose(m), a) == mat_scale(mat_mul(a, m), sign)
 
 
 def test_vanishing_ranks_match_observed_profiles(rep12, st12, pr12, rep90, pr90):
@@ -107,7 +115,7 @@ def test_wrong_type_pairings_for_the_pinor_signature(rep90):
 
 
 def test_pairing_json_and_hash_round_trip(pr12):
-    clone = pairing_from_json(pr12.to_json())
+    clone = oracles.pairing_from_json(pr12.to_json())
     assert clone.gram == pr12.gram
     assert (clone.sigma, clone.tau, clone.isotropy) == (pr12.sigma, pr12.tau, pr12.isotropy)
     assert clone.content_hash() == pr12.content_hash()
@@ -116,6 +124,45 @@ def test_pairing_json_and_hash_round_trip(pr12):
 
 def test_pairing_verify_rejects_wrong_matrices(rep12, pr12):
     with pytest.raises(StructureError):
-        Pairing(identity(rep12.d), sigma=-1, tau=-1).verify(rep12)
+        Pairing(SignedPerm.identity(rep12.d), sigma=-1, tau=-1).verify(rep12)
     with pytest.raises(DimensionMismatch):
-        Pairing(identity(2), sigma=1, tau=1).verify(rep12)
+        Pairing(SignedPerm.identity(2), sigma=1, tau=1).verify(rep12)
+
+
+# (p, q), volume signs, case, D^2 sign, isotropy of each admissible pairing
+DENSE_DERIVATION_CASES = (
+    ((3, 0), (1, -1), CASE_ALMOST_COMPLEX, -1, [None, None]),
+    ((1, 2), (1, -1), CASE_ALMOST_COMPLEX, 1, [1, -1]),
+    ((1, 1), (1,), CASE_NORMAL, None, [-1]),
+    ((2, 2), (1,), CASE_NORMAL, None, [1]),
+    ((2, 0), (1,), CASE_NORMAL, None, [None]),
+    ((0, 2), (1,), CASE_QUATERNIONIC, None, [None]),
+    ((0, 4), (1,), CASE_QUATERNIONIC, None, [1]),
+    ((1, 5), (1,), CASE_QUATERNIONIC, None, [-1]),
+    ((0, 3), (1, -1), CASE_QUATERNIONIC, None, [None]),
+)
+
+
+def _dense(sp):
+    return None if sp is None else sp.to_dense()
+
+
+def test_structure_maps_and_pairings_equal_the_dense_derivations():
+    for (p, q), volume_signs, case, dsq, isotropies in DENSE_DERIVATION_CASES:
+        for volume_sign in volume_signs:
+            rep = build_rep(Signature(p, q), volume_sign)
+            st = build_structure(rep)
+            assert (st.case, st.d_square_sign) == (case, dsq), (p, q, volume_sign)
+            h = None if st.H is None else tuple(x.to_dense() for x in st.H)
+            assert (_dense(st.J), _dense(st.D), h) == oracles.structure_oracle(rep)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TableMismatchWarning)
+                pairings = admissible_pairings(rep, st)
+            assert [pr.isotropy for pr in pairings] == isotropies, (p, q, volume_sign)
+            assert [
+                (pr.gram.to_dense(), pr.sigma, pr.tau, pr.isotropy) for pr in pairings
+            ] == oracles.admissible_pairings_oracle(rep)
+            for tau in (1, -1):
+                assert [
+                    (pr.gram.to_dense(), pr.sigma) for pr in solve_pairing(rep, tau)
+                ] == oracles.solve_pairing_oracle(rep, tau)

@@ -1,18 +1,23 @@
-"""Static check: no module-level import goes unused.
+"""Static checks: no module-level import goes unused, no definition goes uncalled.
 
-No linter is a dependency of this project, so this stdlib ``ast`` pass
-stands in for one.  A name bound by a module-level ``import`` must be
+No linter is a dependency of this project, so these stdlib ``ast`` passes
+stand in for one.  A name bound by a module-level ``import`` must be
 read somewhere in the module; re-exports from the package
-``__init__.py`` are exempt, as is ``from __future__ import ...``.
+``__init__.py`` are exempt, as is ``from __future__ import ...``.  A
+module-level function or class of the library must be referenced by
+the library outside its own body; an export from ``__init__.py``
+counts, and the script entry point ``cli.main`` is exempt.  Library code
+that only the tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src" / "grafclifford").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SRC = sorted((ROOT / "src" / "grafclifford").glob("*.py"))
+CHECKED = SRC + sorted((ROOT / "tests").glob("*.py"))
+# (module, name) pairs called from outside the library: [project.scripts]
+ENTRY_POINTS = {("cli", "main")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,9 +34,55 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
+def _names_read(node: ast.AST) -> set[str]:
+    """Names a statement reads, as a name, an attribute or an imported name."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no other top-level statement reads."""
+    defs = []
+    reads: list[tuple[ast.AST, set[str]]] = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            reads.append((node, _names_read(node)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((module, node))
+    return [
+        f"{module}.{node.name}"
+        for module, node in defs
+        if (module, node.name) not in ENTRY_POINTS
+        and not any(node.name in names for other, names in reads if other is not node)
+    ]
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
+
+
+def test_the_dead_code_checker_sees_unreferenced_definitions():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "def exported():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Unused:\n    pass\n"
+            "def method_caller(x):\n    return x.used_as_attribute()\n"
+            "def used_as_attribute():\n    pass\n"
+        ),
+        "cli": "def main():\n    pass\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused", "a.method_caller"]
 
 
 def test_no_unused_module_level_imports():
@@ -43,3 +94,7 @@ def test_no_unused_module_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_every_library_definition_is_referenced_in_the_library():
+    assert unreferenced_definitions({path.stem: path.read_text() for path in SRC}) == []

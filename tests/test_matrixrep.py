@@ -2,22 +2,17 @@
 
 import json
 import random
+import warnings
 
 import pytest
 
 import oracles
 from grafclifford import matrixrep
+from grafclifford.bilinear import TableMismatchWarning, admissible_pairings
 from grafclifford.errors import StructureError, UnsupportedSignature
 from grafclifford.exterior import Form, Signature
 from grafclifford.graf import graf_product
-from grafclifford.linalg import (
-    identity,
-    is_scalar_matrix,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    zeros,
-)
+from grafclifford.linalg import mat_add, mat_mul, mat_scale
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -70,7 +65,7 @@ def test_generators_satisfy_the_clifford_relation(rep12, rep90, rep04):
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
-                expected = mat_scale(identity(rep.d), 2 * met.entry(i + 1, j + 1))
+                expected = mat_scale(oracles.identity(rep.d), 2 * met.entry(i + 1, j + 1))
                 assert anti == expected
     swapped = (rep04.perms[1], rep04.perms[0]) + rep04.perms[2:]
     verify_generators(swapped, Signature(0, 4))
@@ -85,14 +80,14 @@ def test_blade_matrix_is_the_ordered_generator_product(rep12, rep04, rep90):
     for rep in (rep12, rep04):
         masks = range(1 << rep.signature.n)
         for mask in masks:
-            expected = identity(rep.d)
+            expected = oracles.identity(rep.d)
             for i in range(rep.signature.n):
                 if mask >> i & 1:
                     expected = mat_mul(expected, rep.generators[i])
             assert rep.blade_matrix(mask) == expected
     for _ in range(25):
         mask = rng.randrange(1 << 9)
-        expected = identity(rep90.d)
+        expected = oracles.identity(rep90.d)
         for i in range(9):
             if mask >> i & 1:
                 expected = mat_mul(expected, rep90.generators[i])
@@ -116,7 +111,7 @@ def test_lambda_form_of_rational_forms_is_the_blade_sum(rep12, rep04):
     for rep in (rep12, rep04):
         for _ in range(8):
             f = oracles.rand_form(rng, rep.signature, rational=True)
-            expected = zeros(rep.d, rep.d)
+            expected = oracles.zeros(rep.d, rep.d)
             for mask, coeff in f.mask_items():
                 expected = mat_add(expected, mat_scale(rep.blade_matrix(mask), coeff))
             assert lambda_form(rep, f) == expected
@@ -137,11 +132,11 @@ def test_lambda_form_is_a_product_homomorphism(rep12, rep90, rep04):
 
 
 def test_volume_action_and_volume_sign(rep12, rep90):
-    assert rep90.volume_matrix() == identity(rep90.d)
+    assert rep90.volume_matrix() == oracles.identity(rep90.d)
     rep90_neg = build_rep(SIG90, volume_sign=-1)
-    assert rep90_neg.volume_matrix() == mat_scale(identity(rep90_neg.d), -1)
+    assert rep90_neg.volume_matrix() == mat_scale(oracles.identity(rep90_neg.d), -1)
     j = rep12.volume_matrix()
-    assert is_scalar_matrix(mat_mul(j, j)) == -1
+    assert oracles.is_scalar_matrix(mat_mul(j, j)) == -1
 
 
 def test_commutant_dimensions(rep12, rep90, rep04):
@@ -150,6 +145,7 @@ def test_commutant_dimensions(rep12, rep90, rep04):
     assert len(commutant_basis(rep04)) == 4
     for rep in (rep12, rep90, rep04):
         for m in commutant_basis(rep):
+            m = m.to_dense()
             for g in rep.generators:
                 assert mat_mul(m, g) == mat_mul(g, m)
 
@@ -170,24 +166,40 @@ def test_commutant_is_solved_once_per_representation(monkeypatch):
     assert len(commutant_basis(rep)) == 4 and calls == [rep.d]
 
 
+def test_a_solved_component_that_is_not_a_signed_permutation_is_refused(monkeypatch):
+    solve = matrixrep.solve_twisted_system
+
+    def doubled_first(d, constraints):
+        basis = solve(d, constraints)
+        return [mat_scale(basis[0], 2)] + basis[1:]
+
+    rep = build_rep(SIG12)
+    monkeypatch.setattr(matrixrep, "solve_twisted_system", doubled_first)
+    with pytest.raises(StructureError, match="not a signed permutation"):
+        build_structure(rep)
+    with pytest.raises(StructureError, match="not a signed permutation"):
+        build_rep(SIG04)
+
+
 def test_structure_fields_by_case(rep12, st12, rep90, st90, rep04, st04):
     assert st90.case == CASE_NORMAL
     assert st90.J is None and st90.D is None and st90.H is None
     assert st90.d_square_sign is None
 
     assert st12.case == CASE_ALMOST_COMPLEX
-    assert st12.J == rep12.volume_matrix()
-    assert is_scalar_matrix(mat_mul(st12.J, st12.J)) == -1
-    assert is_scalar_matrix(mat_mul(st12.D, st12.D)) == d_square_target(SIG12) == 1
+    j, d = st12.J.to_dense(), st12.D.to_dense()
+    assert j == rep12.volume_matrix()
+    assert oracles.is_scalar_matrix(mat_mul(j, j)) == -1
+    assert oracles.is_scalar_matrix(mat_mul(d, d)) == d_square_target(SIG12) == 1
     assert st12.d_square_sign == 1
-    assert mat_mul(st12.D, st12.J) == mat_scale(mat_mul(st12.J, st12.D), -1)
+    assert mat_mul(d, j) == mat_scale(mat_mul(j, d), -1)
     for g in rep12.generators:
-        assert mat_mul(st12.D, g) == mat_scale(mat_mul(g, st12.D), -1)
+        assert mat_mul(d, g) == mat_scale(mat_mul(g, d), -1)
 
     assert st04.case == CASE_QUATERNIONIC
-    h1, h2, h3 = st04.H
+    h1, h2, h3 = (h.to_dense() for h in st04.H)
     for h in (h1, h2, h3):
-        assert is_scalar_matrix(mat_mul(h, h)) == -1
+        assert oracles.is_scalar_matrix(mat_mul(h, h)) == -1
         for g in rep04.generators:
             assert mat_mul(h, g) == mat_mul(g, h)
     assert mat_mul(h1, h2) in (h3, mat_scale(h3, -1))
@@ -235,6 +247,13 @@ def test_every_signature_inside_the_cap_builds_or_is_refused_by_name():
                 refused.add((p, n - p))
                 continue
             assert rep.d == abs_type(sig).rep_dim
+            # every structure map and pairing gram is solved as a signed
+            # permutation, and the pairings match the published tables
+            structure = build_structure(rep)
+            assert structure.case == rep.abs.case
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TableMismatchWarning)
+                assert admissible_pairings(rep, structure)
     assert refused == {(0, 10), (0, 11), (0, 12), (1, 11), (12, 0)}
 
 
