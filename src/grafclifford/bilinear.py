@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, StructureError
-from .exterior import Signature, rational_to_str
+from .exterior import Signature
 from .linalg import SignedPerm, Vector, solve_twisted_system
 from .matrixrep import MainSubalgebra, Rep, build_structure, signed_perm_components
 
@@ -54,7 +54,7 @@ class Pairing:
 
     def to_json_obj(self) -> dict:
         return {
-            "gram": [[rational_to_str(v) for v in row] for row in self.gram.to_dense()],
+            "gram": self.gram.report_rows(),
             "sigma": self.sigma,
             "tau": self.tau,
             "isotropy": self.isotropy,

@@ -289,7 +289,7 @@ def _pairing_obj(pairing: Pairing) -> dict:
         "sigma": pairing.sigma,
         "tau": pairing.tau,
         "isotropy": pairing.isotropy,
-        "gram": [[rational_to_str(v) for v in row] for row in pairing.gram.to_dense()],
+        "gram": pairing.gram.report_rows(),
     }
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
 from .linalg import (
@@ -53,6 +53,8 @@ def rational_from_str(text: str) -> Rational:
 
 
 def rational_to_str(c: Rational) -> str:
+    if type(c) is int:
+        return str(c)
     f = Fraction(c)
     if f.denominator == 1:
         return str(f.numerator)

@@ -14,12 +14,17 @@ contraction leaves a repeated index in the wedge).  The diagonal kernel
 used here evaluates that single term from permutation parity and the
 shared metric factors; the generic graded expansion above is kept for
 non-diagonal metrics and mirrored by an independent recursion in the
-test suite.
+test suite.  A kernel row (the factors of one left blade against every
+right blade) is built by doubling: the reorder sign and the metric
+factor are multiplicative over the bits of the right blade, so adding
+index y copies the first 2^y entries times that bit's factor, as one
+list operation per bit.
 
 Rational inputs (covariants carry k_const / 2^n) are cleared to integer
 numerators over one common denominator per factor before the blade-pair
 loop, which then runs on ints; each output coefficient is divided once
-at the end and normalized, so an integral one is still an int.  The
+at the end and normalized, so an integral one is still an int, under a
+rational metric diagonal too (its rows hold Fractions).  The
 result is the same exact rational as term-by-term Fraction arithmetic,
 so every rendered report is unchanged.  The kernel table keeps the
 most recently used metrics only (``_KERNEL_CAP``).
@@ -49,7 +54,7 @@ from .exterior import (
     contracted_wedge,
     grade_project,
 )
-from .linalg import Rational, common_denominator, divide_numerators
+from .linalg import Rational, _norm, common_denominator, divide_numerators
 
 
 class TruncationRegimeWarning(UserWarning):
@@ -67,38 +72,52 @@ def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
 
 
 class _DiagKernel:
-    """Per-metric table of blade-pair product factors, built lazily by row."""
+    """Per-metric table of blade-pair product factors, built lazily by row.
 
-    __slots__ = ("n", "diag", "_rows")
+    ``integral`` says whether every diagonal entry is an int; otherwise
+    the rows hold Fractions and ``finish`` normalizes what they produce.
+    """
+
+    __slots__ = ("n", "diag", "integral", "_rows")
 
     def __init__(self, n: int, diag: tuple[Rational, ...]):
         self.n = n
         self.diag = diag
+        self.integral = all(type(g) is int for g in diag)
         self._rows: dict[int, list] = {}
 
     def row(self, ma: int):
         cached = self._rows.get(ma)
         if cached is not None:
             return cached
-        n = self.n
-        size = 1 << n
-        # Multiplicative build over the bits of mb: adding index y to mb
-        # multiplies by the parity of a-indices above y, and by g^yy when
-        # y is shared.
-        factors = []
-        for y in range(n):
-            above = ma >> (y + 1)
-            s = -1 if above.bit_count() & 1 else 1
-            if ma & (1 << y):
+        # Doubling over the bits of mb: adding index y to mb multiplies by
+        # the parity of a-indices above y, and by g^yy when y is shared, so
+        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that factor.
+        row = [1]
+        for y in range(self.n):
+            s = -1 if (ma >> (y + 1)).bit_count() & 1 else 1
+            if ma >> y & 1:
                 s = s * self.diag[y]
-            factors.append(s)
-        row = [0] * size
-        row[0] = 1
-        for mb in range(1, size):
-            low = mb & (-mb)
-            row[mb] = row[mb ^ low] * factors[low.bit_length() - 1]
+            if s == 1:
+                row += row
+            elif s == -1:
+                row += [-x for x in row]
+            else:
+                row += [x * s for x in row]
         self._rows[ma] = row
         return row
+
+    def finish(self, acc: dict, den: int) -> dict[int, Rational]:
+        """The nonzero accumulated entries over den, normalized.
+
+        Integer rows leave integer numerators, which ``divide_numerators``
+        normalizes; rows of a rational metric can leave an integral
+        Fraction even when den is 1, so those entries are normalized here.
+        """
+        acc = {m: c for m, c in acc.items() if c}
+        if den == 1 and not self.integral:
+            return {m: _norm(c) for m, c in acc.items()}
+        return divide_numerators(acc, den)
 
 
 # Least-recently-used kernels past this many metrics are dropped; a row
@@ -129,7 +148,7 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
         for mb, cb in tb:
             key = ma ^ mb
             acc[key] = acc.get(key, 0) + ca * cb * row[mb]
-    return divide_numerators({m: c for m, c in acc.items() if c}, da * db)
+    return kern.finish(acc, da * db)
 
 
 def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
@@ -150,7 +169,7 @@ def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
             if s:
                 key = ma ^ mb
                 acc[key] = acc.get(key, 0) + ca * cb * s
-    return divide_numerators({m: c for m, c in acc.items() if c}, den * den)
+    return kern.finish(acc, den * den)
 
 
 def _graf_sign(k: int, m: int) -> int:

@@ -5,8 +5,9 @@ entries.  Every generator, structure map and pairing gram is a signed
 permutation matrix (one nonzero entry, +1 or -1, per row and column),
 which makes the Clifford relations, blade products, vector actions,
 intertwiner systems and pairing checks cost O(d) or O(d^2) each.  Dense
-matrices remain for the images of forms, the rank-one endomorphisms of
-the Fierz checks and the matrices reports render.
+matrices remain for the images of forms and the rank-one endomorphisms
+of the Fierz checks; reports render a signed permutation's rows as
+strings straight from it (``SignedPerm.report_rows``).
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ class SignedPerm:
             tuple(self.sign[i] if j == self.col[i] else 0 for j in range(n)) for i in range(n)
         )
 
+    def report_rows(self) -> list[list[str]]:
+        """The dense rows as report strings, "0", "1" and "-1"."""
+        n = self.dim
+        rows = []
+        for c, s in zip(self.col, self.sign):
+            row = ["0"] * n
+            row[c] = "1" if s == 1 else "-1"
+            rows.append(row)
+        return rows
+
     def apply(self, v: Sequence[Rational]) -> Vector:
         return tuple(s * v[c] for s, c in zip(self.sign, self.col))
 
@@ -187,18 +198,30 @@ class _SignedUnionFind:
         self.dead = [False] * n
 
     def find(self, u: int) -> tuple[int, int]:
-        """Return (root, s) with val[u] = s * val[root], compressing the path."""
-        path = []
-        while self.parent[u] != u:
+        """Return (root, s) with val[u] = s * val[root], compressing the path.
+
+        A root or a child of a root (most calls, as ranks stay small)
+        returns without allocating; a longer path is walked and flattened.
+        """
+        parent = self.parent
+        p = parent[u]
+        if p == u:
+            return u, 1
+        if parent[p] == p:
+            return p, self.sign[u]
+        path = [u]
+        u = p
+        while parent[u] != u:
             path.append(u)
-            u = self.parent[u]
+            u = parent[u]
         # walk from the node nearest the root outward, accumulating signs
+        sign = self.sign
         cum = 1
         for node in reversed(path):
-            cum = cum * self.sign[node]
-            self.parent[node] = u
-            self.sign[node] = cum
-        return (u, cum) if path else (u, 1)
+            cum = cum * sign[node]
+            parent[node] = u
+            sign[node] = cum
+        return u, cum
 
     def union(self, u: int, v: int, s: int) -> None:
         """Record val[u] = s * val[v]."""

@@ -17,7 +17,8 @@ those are refused.  Representations live in the standard orthonormal
 frame of the signature (forms themselves take any metric), and every
 computation here runs on the signed permutations, the structure maps J,
 D and H included; dense matrices are rendered only for the images of
-forms, for reports and for tests.
+forms and for tests, and reports print the rows of each generator
+straight from its signed permutation.
 
 Every constructed representation is verified on the spot: generator
 relations, real dimension, commutant dimension, and the scalar value of
@@ -31,13 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, StructureError, UnsupportedSignature
-from .exterior import (
-    Form,
-    Metric,
-    Signature,
-    rational_from_str,
-    rational_to_str,
-)
+from .exterior import Form, Metric, Signature, rational_from_str
 from .linalg import Matrix, SignedPerm, as_matrix, common_denominator, solve_twisted_system
 
 CASE_NORMAL = "normal"
@@ -298,9 +293,7 @@ class Rep:
             "signature": [self.signature.p, self.signature.q],
             "volume_sign": self.volume_sign,
             "metric": self.metric.to_json_obj(),
-            "generators": [
-                [[rational_to_str(v) for v in row] for row in g] for g in self.generators
-            ],
+            "generators": [g.report_rows() for g in self.perms],
         }
 
     def to_json(self) -> str:

@@ -336,6 +336,87 @@ def solve_twisted_system_dense(d: int, constraints) -> list:
     return [as_matrix([vec[i * d : (i + 1) * d] for i in range(d)]) for vec in vecs]
 
 
+# -- reference union-find solver ---------------------------------------------------------
+#
+# The signed union-find solver written plainly, with one path walk per
+# ``find``.  The library solver must return the same components in the
+# same order with the same signs, because D is read off the first
+# component and the pairings are sorted and signed from the components.
+
+
+class SignedUnionFindReference:
+    """Union-find over matrix entries with a relative sign to the root."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.rank = [0] * n
+        self.dead = [False] * n
+
+    def find(self, u: int) -> tuple[int, int]:
+        """Return (root, s) with val[u] = s * val[root], compressing the path."""
+        path = []
+        while self.parent[u] != u:
+            path.append(u)
+            u = self.parent[u]
+        # walk from the node nearest the root outward, accumulating signs
+        cum = 1
+        for node in reversed(path):
+            cum = cum * self.sign[node]
+            self.parent[node] = u
+            self.sign[node] = cum
+        return (u, cum) if path else (u, 1)
+
+    def union(self, u: int, v: int, s: int) -> None:
+        """Record val[u] = s * val[v]."""
+        ru, su = self.find(u)
+        rv, sv = self.find(v)
+        if ru == rv:
+            if su != s * sv:
+                self.dead[ru] = True
+            return
+        # val[ru] = su*s*sv * val[rv]  (signs are their own inverses)
+        rel = su * s * sv
+        if self.rank[ru] > self.rank[rv]:
+            ru, rv = rv, ru
+        self.parent[ru] = rv
+        self.sign[ru] = rel
+        self.dead[rv] = self.dead[rv] or self.dead[ru]
+        if self.rank[ru] == self.rank[rv]:
+            self.rank[rv] += 1
+
+
+def solve_twisted_system_reference(d: int, constraints) -> list:
+    """Basis of {M : M S = eps T M} for signed-permutation S, T, in the library's order."""
+    uf = SignedUnionFindReference(d * d)
+    for S, T, eps in constraints:
+        if eps not in (1, -1):
+            raise ValueError("twist sign must be +1 or -1")
+        for a in range(d):
+            ta = T.col[a]
+            st_a = T.sign[a]
+            for b in range(d):
+                # (M S)[a][col_S[b]] = sign_S[b] M[a][b]
+                # (T M)[a][col_S[b]] = sign_T[a] M[col_T[a]][col_S[b]]
+                # => M[a][b] = eps sign_T[a] sign_S[b] M[col_T[a]][col_S[b]]
+                u = a * d + b
+                v = ta * d + S.col[b]
+                uf.union(u, v, eps * st_a * S.sign[b])
+    comps: dict[int, list[tuple[int, int]]] = {}
+    for u in range(d * d):
+        root, s = uf.find(u)
+        if uf.dead[root]:
+            continue
+        comps.setdefault(root, []).append((u, s))
+    basis = []
+    for root in sorted(comps):
+        rows = [[0] * d for _ in range(d)]
+        for u, s in comps[root]:
+            rows[u // d][u % d] = s
+        basis.append(as_matrix(rows))
+    return basis
+
+
 # -- dense structure maps and pairings -----------------------------------------------------
 #
 # The library derives J, D, H and the pairing grams as signed permutations

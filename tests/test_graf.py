@@ -149,10 +149,57 @@ def test_product_with_non_unit_diagonal_metric():
         for _ in range(15):
             f = oracles.rand_form(rng, sig, rational=rational)
             g = oracles.rand_form(rng, sig, rational=rational)
+            for m in (met, rational_met):
+                for fg in (graf_product(f, g, m), graf_product(f, f, m)):
+                    assert _normalized(fg)
             assert graf_product(f, g, rational_met) == oracles.graf_product_oracle(
                 f, g, rational_met
             )
     assert graf_product(e1, e1, rational_met) == Form.scalar(sig, Fraction(1, 2))
+    # integral results under a rational metric are stored as ints
+    two = graf_product(e1.scale(2), e1, rational_met)
+    assert two.mask_dict() == {0: 1} and _normalized(two)
+    dual = hodge(Form.blade(sig, (2, 3), 14), rational_met)
+    assert dual.mask_dict() == {1: 30} and _normalized(dual)
+
+
+def _normalized(f: Form) -> bool:
+    """Every integral coefficient is an int."""
+    return all(type(c) is int or c.denominator != 1 for _, c in f.mask_items())
+
+
+def _pair_sign_factor(ma: int, mb: int, diag: tuple):
+    """(-1)^#{a in A, b in B, a > b} times the product of g^yy over A & B."""
+    swaps = sum((ma >> (b + 1)).bit_count() for b in range(len(diag)) if mb >> b & 1)
+    out = -1 if swaps % 2 else 1
+    for y, g in enumerate(diag):
+        if ma >> y & 1 and mb >> y & 1:
+            out = out * g
+    return out
+
+
+def test_kernel_row_matches_the_pair_sign_definition():
+    rational = (Fraction(1, 2), -3, Fraction(5, 7), 2, Fraction(-1, 4), 1)
+    checked = 0
+    for n in range(7):
+        diagonals = [
+            (1,) * n,
+            tuple(1 if i % 3 else -1 for i in range(n)),
+            (2, -3, 5, -1, 1, 7)[:n],
+            rational[:n],
+        ]
+        for diag in diagonals:
+            kern = graf._DiagKernel(n, diag)
+            for ma in range(1 << n):
+                row = kern.row(ma)
+                assert len(row) == 1 << n
+                for mb, entry in enumerate(row):
+                    want = _pair_sign_factor(ma, mb, diag)
+                    assert entry == want and type(entry) is type(want)
+                    checked += 1
+            if all(type(g) is int for g in diag):
+                assert all(type(v) is int for row in kern._rows.values() for v in row)
+    assert checked == 4 * sum(4**n for n in range(7))
 
 
 def test_kernel_cache_is_bounded():

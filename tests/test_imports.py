@@ -1,4 +1,4 @@
-"""Static checks: no module-level import goes unused, no definition goes uncalled.
+"""Static checks: no unused import, no uncalled definition, no typing ABC in isinstance.
 
 No linter is a dependency of this project, so these stdlib ``ast`` passes
 stand in for one.  A name bound by a module-level ``import`` must be
@@ -7,7 +7,10 @@ read somewhere in the module; re-exports from the package
 module-level function or class of the library must be referenced by
 the library outside its own body; an export from ``__init__.py``
 counts, and the script entry point ``cli.main`` is exempt.  Library code
-that only the tests call belongs in ``tests/oracles.py``.
+that only the tests call belongs in ``tests/oracles.py``.  No
+``isinstance`` call of the library takes a name imported from ``typing``:
+the ``typing`` aliases check through a slower path than the
+``collections.abc`` classes they stand for.
 """
 
 import ast
@@ -64,6 +67,37 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def typing_isinstance_calls(source: str) -> list[str]:
+    """``isinstance`` calls whose class argument reads a name imported from ``typing``."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases = [alias for alias in node.names if alias.name == "typing"]
+            modules.update(alias.asname or "typing" for alias in aliases)
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        for sub in ast.walk(node.args[1]):
+            if isinstance(sub, ast.Name) and sub.id in names:
+                found.append(f"{sub.id} (line {node.lineno})")
+            elif (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in modules
+            ):
+                found.append(f"{sub.value.id}.{sub.attr} (line {node.lineno})")
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -83,6 +117,37 @@ def test_the_dead_code_checker_sees_unreferenced_definitions():
         "cli": "def main():\n    pass\n",
     }
     assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused", "a.method_caller"]
+
+
+def test_the_isinstance_checker_sees_typing_names():
+    source = (
+        "import typing\n"
+        "import typing as t\n"
+        "from typing import Mapping, Sequence as Seq, Callable\n"
+        "from collections.abc import Iterable\n"
+        "def f(x: Callable):\n"
+        "    isinstance(x, Mapping)\n"
+        "    isinstance(x, (int, Seq))\n"
+        "    isinstance(x, typing.Iterable)\n"
+        "    isinstance(x, t.Sized)\n"
+        "    isinstance(x, Iterable)\n"
+        "    isinstance(x, dict)\n"
+    )
+    assert typing_isinstance_calls(source) == [
+        "Mapping (line 6)",
+        "Seq (line 7)",
+        "typing.Iterable (line 8)",
+        "t.Sized (line 9)",
+    ]
+
+
+def test_no_isinstance_takes_a_typing_name():
+    found = {}
+    for path in SRC:
+        hits = typing_isinstance_calls(path.read_text())
+        if hits:
+            found[str(path.relative_to(ROOT))] = hits
+    assert found == {}
 
 
 def test_no_unused_module_level_imports():

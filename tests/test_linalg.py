@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from grafclifford.exterior import Metric, Signature
+from grafclifford.exterior import Metric, Signature, rational_to_str
 from grafclifford.linalg import (
     SignedPerm,
     _norm,
@@ -15,6 +15,7 @@ from grafclifford.linalg import (
     mat_scale,
     solve_twisted_system,
 )
+from grafclifford.matrixrep import CASE_ALMOST_COMPLEX, build_rep
 from oracles import (
     identity,
     is_identity,
@@ -26,6 +27,7 @@ from oracles import (
     rational_sqrt,
     rref,
     solve_twisted_system_dense,
+    solve_twisted_system_reference,
     transpose,
     vec_dot,
     zeros,
@@ -101,6 +103,52 @@ def test_signed_perm_round_trip_and_composition():
     assert SignedPerm.from_dense(as_matrix([[1, 1], [0, 1]])) is None
     assert SignedPerm.identity(3).scalar_value() == 1
     assert SignedPerm.identity(3).neg().scalar_value() == -1
+
+
+def rand_signed_perm(rng, n):
+    cols = list(range(n))
+    rng.shuffle(cols)
+    return SignedPerm(tuple(cols), tuple(rng.choice((1, -1)) for _ in range(n)))
+
+
+def test_report_rows_render_the_dense_matrix():
+    rng = random.Random(25)
+    perms = [SignedPerm.identity(5), SignedPerm.identity(1), SignedPerm.identity(1).neg()]
+    perms += [rand_signed_perm(rng, rng.randint(1, 9)) for _ in range(30)]
+    for sp in perms:
+        want = [[rational_to_str(v) for v in row] for row in sp.to_dense()]
+        assert sp.report_rows() == want
+    cases = [(0, "0"), (7, "7"), (-12, "-12"), (10**30, str(10**30)), (True, "1"), (False, "0")]
+    cases += [(Fraction(4, 2), "2"), (Fraction(-1, 3), "-1/3"), (Fraction(6, -4), "-3/2")]
+    for value, text in cases:
+        assert rational_to_str(value) == text
+
+
+def test_solver_components_keep_the_reference_order_and_signs():
+    rng = random.Random(26)
+    for _ in range(200):
+        d = rng.randint(1, 8)
+        cons = [
+            (rand_signed_perm(rng, d), rand_signed_perm(rng, d), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        assert solve_twisted_system(d, cons) == solve_twisted_system_reference(d, cons)
+    systems = 0
+    for n in range(9):
+        for p in range(n + 1):
+            for volume_sign in (1, -1) if n % 2 else (1,):
+                rep = build_rep(Signature(p, n - p), volume_sign)
+                gens = rep.perms
+                cons_list = [[(g, g, 1) for g in gens]]
+                cons_list += [[(g, g.transpose(), tau) for g in gens] for tau in (1, -1)]
+                if rep.abs.case == CASE_ALMOST_COMPLEX:
+                    vol = rep.volume_sp()
+                    cons_list.append([(g, g.neg(), 1) for g in gens] + [(vol, vol.neg(), 1)])
+                for cons in cons_list:
+                    got = solve_twisted_system(rep.d, cons)
+                    assert got == solve_twisted_system_reference(rep.d, cons)
+                    systems += 1
+    assert systems > 150
 
 
 def _span_signature(mats, d):
