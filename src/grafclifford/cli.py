@@ -78,7 +78,7 @@ class RunConfig:
     volume_sign: int
     seed: int
     samples: int
-    trials: int
+    trials: int | None
     out: str | None
     fmt: str
 
@@ -243,11 +243,11 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
 def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.signature is not None:
         sigs = [cfg.signature]
-        trials = cfg.trials if cfg.trials else 25
+        trials = 25 if cfg.trials is None else cfg.trials
     else:
         bound = min(9, max_dim())
         sigs = [Signature(p, n - p) for n in range(bound + 1) for p in range(n, -1, -1)]
-        trials = cfg.trials if cfg.trials else 5
+        trials = 5 if cfg.trials is None else cfg.trials
     report: dict = {
         "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
         "trials_per_signature": trials,
@@ -323,7 +323,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
         )
     rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
     rng = random.Random(cfg.seed)
-    samples = cfg.samples if cfg.samples else 20
+    samples = cfg.samples
     dim = rep.abs.rep_dim
 
     def draw() -> tuple:
@@ -521,7 +521,9 @@ def _require_signature(cfg: RunConfig) -> Signature:
     return cfg.signature
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, samples_default: int, trials_default: int) -> None:
+def _add_common_flags(
+    sub: argparse.ArgumentParser, samples_default: int, trials_default: int | None
+) -> None:
     sub.add_argument("--signature", type=_parse_signature, default=None, metavar="p,q")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=_count, default=samples_default, metavar="N")
@@ -546,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     specs = (
-        ("check-algebra", "replay the product-level property suite", 0, 0),
+        ("check-algebra", "replay the product-level property suite", 0, None),
         ("build-rep", "construct and verify a matrix representation", 0, 0),
         ("verify-fierz", "run the quadratic identity suite on seeded spinors", 20, 0),
         ("classify", "classify one spinor or covariant set from a JSON file", 0, 0),
@@ -594,16 +596,17 @@ def main(argv=None) -> int:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
     except (NotASpinor, StructureError) as exc:
-        _emit(
-            {
-                "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
-                "error": str(exc),
-                "passed": False,
-            },
-            cfg,
-        )
-        return 1
-    _emit(report, cfg)
+        status, report = 1, {
+            "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
+            "error": str(exc),
+            "passed": False,
+        }
+    try:
+        _emit(report, cfg)
+    except OSError as exc:
+        target = repr(cfg.out) if cfg.out else "stdout"
+        print(f"{TOOL_NAME}: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return status
 
 

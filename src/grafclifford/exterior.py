@@ -6,6 +6,26 @@ arithmetic is exact: coefficients are Python ints or Fractions, never
 floats.  Blades are carried as index bitmasks, signs come from
 permutation parity, and the metric enters only through the contracted
 wedge.
+
+Under a diagonal metric every blade-pair factor comes from one table,
+that metric's kernel (``_kernel_for``).  Row ``row_a`` holds, for every
+right blade b, the parity sign of sorting the concatenation a b times
+the diagonal entries g^yy of the shared indices y in a & b: the factor
+in the Clifford product e_a e_b = row_a[b] e_(a^b) (``graf``).  A pair
+with k = |a & b| has one nonzero contraction order,
+
+    cw_k(e_a, e_b) = k! (-1)^(k(m-k) + floor(k/2)) row_a[b] e_(a^b),  m = |a|,
+
+since a smaller order leaves a repeated index in the wedge and a larger
+one finds no index pair with a nonzero metric entry.  So the wedge
+(k = 0: on disjoint blades an entry is the pure reorder sign, whatever
+the metric) and the contracted wedge read the same rows as the product.
+A row is built by doubling: the reorder sign and the metric factor are
+multiplicative over the bits of the right blade, so adding index y
+copies the first 2^y entries times that bit's factor, as one list
+operation per bit.  The table keeps the most recently used metrics only
+(``_KERNEL_CAP``).  A non-diagonal metric contracts through a
+one-pair-at-a-time recursion instead.
 """
 
 from __future__ import annotations
@@ -13,10 +33,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
 from .linalg import (
@@ -451,46 +473,113 @@ class Metric:
 # -- permutation signs ---------------------------------------------------------
 
 
-def merge_sign(mask_a: int, mask_b: int) -> int:
-    """Parity sign for sorting the concatenation of two ascending blades.
-
-    Counts pairs (a in A, b in B) with a > b; the blades need not be
-    disjoint (shared indices are handled by the caller).
-    """
-    sign = 1
-    b = mask_b
-    while b:
-        low = b & (-b)
-        above = mask_a & ~((low << 1) - 1)
-        if above.bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
-
-
 def interior_sign(mask: int, index: int) -> int:
     """Sign for removing `index` from an ascending blade: (-1)^(position-1)."""
     below = mask & ((1 << (index - 1)) - 1)
     return -1 if below.bit_count() & 1 else 1
 
 
+# -- blade-pair kernel ----------------------------------------------------------
+
+
+class _DiagKernel:
+    """Per-metric table of blade-pair product factors, built lazily by row.
+
+    ``integral`` says whether every diagonal entry is an int; otherwise
+    the rows hold Fractions and ``finish`` normalizes what they produce.
+    """
+
+    __slots__ = ("n", "diag", "integral", "_rows")
+
+    def __init__(self, n: int, diag: tuple[Rational, ...]):
+        self.n = n
+        self.diag = diag
+        self.integral = all(type(g) is int for g in diag)
+        self._rows: dict[int, list] = {}
+
+    def row(self, ma: int):
+        cached = self._rows.get(ma)
+        if cached is not None:
+            return cached
+        # Doubling over the bits of mb: adding index y to mb multiplies by
+        # the parity of a-indices above y, and by g^yy when y is shared, so
+        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that factor.
+        row = [1]
+        for y in range(self.n):
+            s = -1 if (ma >> (y + 1)).bit_count() & 1 else 1
+            if ma >> y & 1:
+                s = s * self.diag[y]
+            if s == 1:
+                row += row
+            elif s == -1:
+                row += [-x for x in row]
+            else:
+                row += [x * s for x in row]
+        self._rows[ma] = row
+        return row
+
+    def finish(self, acc: dict, den: int) -> dict[int, Rational]:
+        """The nonzero accumulated entries over den, normalized.
+
+        Integer rows leave integer numerators, which ``divide_numerators``
+        normalizes; rows of a rational metric can leave an integral
+        Fraction even when den is 1, so those entries are normalized here.
+        """
+        acc = {m: c for m, c in acc.items() if c}
+        if den == 1 and not self.integral:
+            return {m: _norm(c) for m, c in acc.items()}
+        return divide_numerators(acc, den)
+
+
+# Least-recently-used kernels past this many metrics are dropped; a row
+# holds 2^n factors, so an unbounded table grows with every metric seen.
+_KERNEL_CAP = 8
+_KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
+
+
+def _kernel_for(metric: Metric) -> _DiagKernel:
+    key = (metric.signature.n, metric.diagonal)
+    kern = _KERNELS.get(key)
+    if kern is None:
+        kern = _KERNELS[key] = _DiagKernel(metric.signature.n, metric.diagonal)
+        if len(_KERNELS) > _KERNEL_CAP:
+            _KERNELS.popitem(last=False)
+    else:
+        _KERNELS.move_to_end(key)
+    return kern
+
+
+def _graf_sign(k: int, m: int) -> int:
+    """(-1)^(k(m-k) + floor(k/2)), the sign of cw_k on a grade-m left factor."""
+    return -1 if (k * (m - k) + k // 2) & 1 else 1
+
+
 # -- exterior operations -------------------------------------------------------
+
+
+def _contract_diag(f: Form, g: Form, k: int, kern: _DiagKernel) -> Form:
+    """cw_k(f, g) from the kernel rows: k! (-1)^(k(m-k)+k//2) row_a[b] per pair."""
+    ta, da = common_denominator(list(f.mask_items()))
+    tb, db = common_denominator(list(g.mask_items()))
+    acc: dict[int, Rational] = {}
+    scale = factorial(k)
+    for ma, ca in ta:
+        m = ma.bit_count()
+        if m < k:
+            continue
+        row = kern.row(ma)
+        c = ca * scale * _graf_sign(k, m)
+        for mb, cb in tb:
+            if (ma & mb).bit_count() == k:
+                key = ma ^ mb
+                acc[key] = acc.get(key, 0) + c * cb * row[mb]
+    return Form._adopt(f.signature, kern.finish(acc, da * db))
 
 
 def wedge(f: Form, g: Form) -> Form:
     """Exterior product; blades sharing an index annihilate."""
     f._check_same(g)
-    ta, da = common_denominator(list(f.mask_items()))
-    tb, db = common_denominator(list(g.mask_items()))
-    acc: dict[int, Rational] = {}
-    for ma, ca in ta:
-        for mb, cb in tb:
-            if ma & mb:
-                continue
-            v = ca * cb * merge_sign(ma, mb)
-            key = ma | mb
-            acc[key] = acc.get(key, 0) + v
-    return Form.from_mask_dict(f.signature, divide_numerators(acc, da * db))
+    return _contract_diag(f, g, 0, _kernel_for(Metric.standard(f.signature)))
 
 
 def interior(i: int, f: Form) -> Form:
@@ -526,72 +615,33 @@ def reversal(f: Form) -> Form:
     return Form.from_mask_dict(f.signature, out)
 
 
-def _contract_subset_sign(mask: int, subset: int) -> int:
-    """Sign from contracting all of `subset` out of `mask`, largest index first."""
-    sign = 1
-    s = subset
-    while s:
-        low = s & (-s)
-        below = mask & (low - 1)
-        if below.bit_count() & 1:
-            sign = -sign
-        s ^= low
-    return sign
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _cw_blades_diagonal(ma: int, mb: int, diag) -> tuple[int, Rational]:
-    """Blade-level contraction of the whole shared index set, diagonal metric.
-
-    Only the full overlap survives: contracting a smaller subset S of
-    A & B leaves (A - S) & (B - S) nonempty, and the wedge kills it.  Every
-    ordering of the k = |A & B| contracted index pairs contributes the
-    same signed term, a k! multiplicity.
-    """
-    common = ma & mb
-    ra, rb = ma ^ common, mb ^ common
-    metric = 1
-    s = common
-    while s:
-        low = s & (-s)
-        metric = metric * diag[low.bit_length() - 1]
-        s ^= low
-    sign = _contract_subset_sign(ma, common) * _contract_subset_sign(mb, common)
-    return ra | rb, _factorial(common.bit_count()) * metric * sign * merge_sign(ra, rb)
-
-
-def _cw_blades_general(ma: int, mb: int, k: int, gram) -> dict[int, Rational]:
+def _cw_blades_general(ma: int, mb: int, k: int, gram, signs: _DiagKernel) -> dict[int, Rational]:
     """Blade-level k-fold contraction for an arbitrary symmetric metric.
 
     Recurses one contraction at a time over pairs (i in A, j in B) with a
-    nonzero metric entry; the base case is the plain wedge.
+    nonzero metric entry; the base case is the plain wedge, whose sign is
+    read from the standard kernel ``signs``.
     """
     if k == 0:
         if ma & mb:
             return {}
-        return {ma | mb: merge_sign(ma, mb)}
+        return {ma | mb: signs.row(ma)[mb]}
     acc: dict[int, Rational] = {}
     a = ma
     while a:
         la = a & (-a)
         a ^= la
-        i = la.bit_length() - 1
+        i = la.bit_length()
         b = mb
         while b:
             lb = b & (-b)
             b ^= lb
-            j = lb.bit_length() - 1
-            gij = gram[i][j]
+            j = lb.bit_length()
+            gij = gram[i - 1][j - 1]
             if not gij:
                 continue
-            sign = _contract_subset_sign(ma, la) * _contract_subset_sign(mb, lb)
-            for mask, val in _cw_blades_general(ma ^ la, mb ^ lb, k - 1, gram).items():
+            sign = interior_sign(ma, i) * interior_sign(mb, j)
+            for mask, val in _cw_blades_general(ma ^ la, mb ^ lb, k - 1, gram, signs).items():
                 v = acc.get(mask, 0) + gij * sign * val
                 if v:
                     acc[mask] = v
@@ -615,36 +665,24 @@ def contracted_wedge(f: Form, g: Form, k: int, metric: Metric | None = None) -> 
         raise DimensionMismatch("metric signature does not match the forms")
     if k == 0:
         return wedge(f, g)
+    if metric.is_diagonal:
+        return _contract_diag(f, g, k, _kernel_for(metric))
     ta, da = common_denominator(list(f.mask_items()))
     tb, db = common_denominator(list(g.mask_items()))
     acc: dict[int, Rational] = {}
-    diag = metric.diagonal
-    if diag is not None:
-        for ma, ca in ta:
-            if ma.bit_count() < k:
+    gram = metric.gram
+    signs = _kernel_for(Metric.standard(f.signature))
+    for ma, ca in ta:
+        if ma.bit_count() < k:
+            continue
+        for mb, cb in tb:
+            if mb.bit_count() < k:
                 continue
-            for mb, cb in tb:
-                if (ma & mb).bit_count() != k:
-                    continue
-                mask, val = _cw_blades_diagonal(ma, mb, diag)
-                v = acc.get(mask, 0) + ca * cb * val
+            cc = ca * cb
+            for mask, val in _cw_blades_general(ma, mb, k, gram, signs).items():
+                v = acc.get(mask, 0) + cc * val
                 if v:
                     acc[mask] = v
                 elif mask in acc:
                     del acc[mask]
-    else:
-        gram = metric.gram
-        for ma, ca in ta:
-            if ma.bit_count() < k:
-                continue
-            for mb, cb in tb:
-                if mb.bit_count() < k:
-                    continue
-                cc = ca * cb
-                for mask, val in _cw_blades_general(ma, mb, k, gram).items():
-                    v = acc.get(mask, 0) + cc * val
-                    if v:
-                        acc[mask] = v
-                    elif mask in acc:
-                        del acc[mask]
     return Form.from_mask_dict(f.signature, divide_numerators(acc, da * db))

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
-from .exterior import Form, grade_involution
+from .exterior import Form, grade_involution, grade_project
 from .graf import graf_product
 from .linalg import (
     Matrix,
@@ -202,8 +202,6 @@ class IdentityResult:
     residual: Form
 
     def residual_by_grade(self) -> dict[int, Form]:
-        from .exterior import grade_project
-
         return {
             k: grade_project(self.residual, k)
             for k in sorted(self.residual.grades())

@@ -9,16 +9,11 @@ for a grade-m left component, extended bilinearly.  On covectors this
 reproduces the Clifford relation e^i * e^j + e^j * e^i = 2 g^ij.
 
 For diagonal metrics the k-sum collapses per blade pair: only the term
-contracting the full shared index set survives (every smaller
-contraction leaves a repeated index in the wedge).  The diagonal kernel
-used here evaluates that single term from permutation parity and the
-shared metric factors; the generic graded expansion above is kept for
-non-diagonal metrics and mirrored by an independent recursion in the
-test suite.  A kernel row (the factors of one left blade against every
-right blade) is built by doubling: the reorder sign and the metric
-factor are multiplicative over the bits of the right blade, so adding
-index y copies the first 2^y entries times that bit's factor, as one
-list operation per bit.
+contracting the full shared index set survives, and the product reads it
+as e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``, the
+same rows the wedge and the contracted wedge read.  The generic graded
+expansion above is kept for non-diagonal metrics and mirrored by an
+independent recursion in the test suite.
 
 Rational inputs (covariants carry k_const / 2^n) are cleared to integer
 numerators over one common denominator per factor before the blade-pair
@@ -26,8 +21,7 @@ loop, which then runs on ints; each output coefficient is divided once
 at the end and normalized, so an integral one is still an int, under a
 rational metric diagonal too (its rows hold Fractions).  The
 result is the same exact rational as term-by-term Fraction arithmetic,
-so every rendered report is unchanged.  The kernel table keeps the
-most recently used metrics only (``_KERNEL_CAP``).
+so every rendered report is unchanged.
 
 A square f * f (the same Form object passed twice, as the master
 identities do) visits each unordered blade pair once
@@ -41,20 +35,22 @@ re-validation: its masks are XORs of in-range masks and
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import DimensionMismatch
 from .exterior import (
     Form,
     Metric,
     Signature,
-    _factorial,
+    _DiagKernel,
+    _graf_sign,
+    _kernel_for,
     contracted_wedge,
     grade_project,
 )
-from .linalg import Rational, _norm, common_denominator, divide_numerators
+from .linalg import Rational, common_denominator
 
 
 class TruncationRegimeWarning(UserWarning):
@@ -68,74 +64,7 @@ def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
     return m
 
 
-# -- diagonal fast kernel --------------------------------------------------------
-
-
-class _DiagKernel:
-    """Per-metric table of blade-pair product factors, built lazily by row.
-
-    ``integral`` says whether every diagonal entry is an int; otherwise
-    the rows hold Fractions and ``finish`` normalizes what they produce.
-    """
-
-    __slots__ = ("n", "diag", "integral", "_rows")
-
-    def __init__(self, n: int, diag: tuple[Rational, ...]):
-        self.n = n
-        self.diag = diag
-        self.integral = all(type(g) is int for g in diag)
-        self._rows: dict[int, list] = {}
-
-    def row(self, ma: int):
-        cached = self._rows.get(ma)
-        if cached is not None:
-            return cached
-        # Doubling over the bits of mb: adding index y to mb multiplies by
-        # the parity of a-indices above y, and by g^yy when y is shared, so
-        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that factor.
-        row = [1]
-        for y in range(self.n):
-            s = -1 if (ma >> (y + 1)).bit_count() & 1 else 1
-            if ma >> y & 1:
-                s = s * self.diag[y]
-            if s == 1:
-                row += row
-            elif s == -1:
-                row += [-x for x in row]
-            else:
-                row += [x * s for x in row]
-        self._rows[ma] = row
-        return row
-
-    def finish(self, acc: dict, den: int) -> dict[int, Rational]:
-        """The nonzero accumulated entries over den, normalized.
-
-        Integer rows leave integer numerators, which ``divide_numerators``
-        normalizes; rows of a rational metric can leave an integral
-        Fraction even when den is 1, so those entries are normalized here.
-        """
-        acc = {m: c for m, c in acc.items() if c}
-        if den == 1 and not self.integral:
-            return {m: _norm(c) for m, c in acc.items()}
-        return divide_numerators(acc, den)
-
-
-# Least-recently-used kernels past this many metrics are dropped; a row
-# holds 2^n factors, so an unbounded table grows with every metric seen.
-_KERNEL_CAP = 8
-_KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
-
-
-def _kernel_for(metric: Metric) -> _DiagKernel:
-    key = (metric.signature.n, metric.diagonal)
-    kern = _KERNELS.get(key)
-    if kern is None:
-        kern = _KERNELS[key] = _DiagKernel(metric.signature.n, metric.diagonal)
-        if len(_KERNELS) > _KERNEL_CAP:
-            _KERNELS.popitem(last=False)
-    else:
-        _KERNELS.move_to_end(key)
-    return kern
+# -- diagonal product -------------------------------------------------------------
 
 
 def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
@@ -172,10 +101,6 @@ def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
     return kern.finish(acc, den * den)
 
 
-def _graf_sign(k: int, m: int) -> int:
-    return -1 if (k * (m - k) + k // 2) & 1 else 1
-
-
 def _product_general(f: Form, g: Form, metric: Metric) -> Form:
     """Graded expansion used for non-diagonal metrics."""
     out = Form.zero(f.signature)
@@ -185,15 +110,8 @@ def _product_general(f: Form, g: Form, metric: Metric) -> Form:
             term = contracted_wedge(fm, g, k, metric)
             if term.is_zero():
                 continue
-            out = out + term.scale(_frac(_graf_sign(k, m), _factorial(k)))
+            out = out + term.scale(Fraction(_graf_sign(k, m), factorial(k)))
     return out
-
-
-def _frac(num: int, den: int):
-
-    if den == 1:
-        return num
-    return Fraction(num, den)
 
 
 def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:

@@ -217,7 +217,7 @@ class Rep:
     """Verified matrix representation of the form algebra for one signature.
 
     The generators are signed permutations in the standard orthonormal
-    frame; ``generators`` renders them as dense matrices.  ``blade_sp``
+    frame; reports render them with ``SignedPerm.report_rows``.  ``blade_sp``
     caches one signed permutation per canonical blade on the instance,
     so the cache holds at most 2^n entries of d column indices and d
     signs; the covariant profile visits every blade and fills it.
@@ -245,10 +245,6 @@ class Rep:
     def d(self) -> int:
         return self.abs.rep_dim
 
-    @property
-    def generators(self) -> tuple[Matrix, ...]:
-        return tuple(g.to_dense() for g in self.perms)
-
     # -- blade action ---------------------------------------------------------
 
     def blade_sp(self, mask: int) -> SignedPerm:
@@ -262,10 +258,6 @@ class Rep:
             out = self.perms[low.bit_length() - 1].compose(self.blade_sp(mask ^ low))
         self._cache_sp[mask] = out
         return out
-
-    def blade_matrix(self, mask: int) -> Matrix:
-        """Dense matrix of the canonical blade with the given index mask."""
-        return self.blade_sp(mask).to_dense()
 
     def lambda_form(self, f: Form) -> Matrix:
         """Image of a form under the representation morphism."""
@@ -284,9 +276,6 @@ class Rep:
 
     def volume_sp(self) -> SignedPerm:
         return self.blade_sp((1 << self.signature.n) - 1)
-
-    def volume_matrix(self) -> Matrix:
-        return self.volume_sp().to_dense()
 
     def to_json_obj(self) -> dict:
         return {

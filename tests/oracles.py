@@ -268,6 +268,21 @@ def is_identity(a) -> bool:
     return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
+def generators(rep: Rep) -> tuple:
+    """Dense matrices of the representation's generators."""
+    return tuple(g.to_dense() for g in rep.perms)
+
+
+def blade_matrix(rep: Rep, mask: int):
+    """Dense matrix of the canonical blade with the given index mask."""
+    return rep.blade_sp(mask).to_dense()
+
+
+def volume_matrix(rep: Rep):
+    """Dense matrix of the volume blade."""
+    return blade_matrix(rep, (1 << rep.signature.n) - 1)
+
+
 def rref(rows):
     """Reduced row echelon form over Fractions; returns (matrix, pivot columns)."""
     mat = [[Fraction(v) for v in row] for row in rows]
@@ -459,7 +474,7 @@ def structure_oracle(rep: Rep) -> tuple:
         dmat = mat_scale(solve_twisted_system(d, cons)[0], -1)
         if is_scalar_matrix(mat_mul(dmat, dmat)) != d_square_target(rep.signature):
             raise ValueError("D does not square to the class target")
-        return rep.volume_matrix(), dmat, None
+        return volume_matrix(rep), dmat, None
     pure = []
     for b in solve_twisted_system(d, [(g, g, 1) for g in rep.perms]):
         tr = mat_trace(b)
@@ -508,7 +523,7 @@ def isotropy_oracle(gram, rep: Rep, dmat) -> int | None:
     if dmat is not None and is_scalar_matrix(mat_mul(dmat, dmat)) == 1:
         split = dmat
     else:
-        vol = rep.volume_matrix()
+        vol = volume_matrix(rep)
         if is_scalar_matrix(mat_mul(vol, vol)) == 1 and is_scalar_matrix(vol) is None:
             split = vol
     if split is None:
@@ -564,7 +579,7 @@ def _apply_index_tuple(rep: Rep, vec, tup):
     """Apply the ordered generator word for `tup`, rightmost factor first."""
     out = tuple(vec)
     for i in reversed(tup):
-        out = mat_vec(rep.generators[i - 1], out)
+        out = mat_vec(generators(rep)[i - 1], out)
     return out
 
 
@@ -577,7 +592,7 @@ def bilinear_profile(rep: Rep, pairing, alpha, w) -> dict:
     """B(alpha, blade(w)) for every canonical blade mask, from dense blade matrices."""
     out = {}
     for mask in range(1 << rep.signature.n):
-        val = _pairing_value(pairing, alpha, mat_vec(rep.blade_matrix(mask), tuple(w)))
+        val = _pairing_value(pairing, alpha, mat_vec(blade_matrix(rep, mask), tuple(w)))
         if val:
             out[mask] = val
     return out

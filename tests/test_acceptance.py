@@ -106,8 +106,8 @@ def test_criterion_04_representations_and_commutants(rep12, rep90, rep04):
         sig = rep.signature
         met = rep.metric
         assert rep.abs.commutant_dim == expected_commutant[(sig.p, sig.q)]
-        for i, gi in enumerate(rep.generators):
-            for j, gj in enumerate(rep.generators):
+        for i, gi in enumerate(oracles.generators(rep)):
+            for j, gj in enumerate(oracles.generators(rep)):
                 anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
                 assert anti == mat_scale(oracles.identity(rep.d), 2 * met.entry(i + 1, j + 1))
         for _ in range(100):

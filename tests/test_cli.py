@@ -250,6 +250,39 @@ def test_census_zero_samples_and_bad_signature(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_explicit_zero_counts_are_honoured(capsys):
+    status, report = run_json(
+        capsys, ["verify-fierz", "--signature", "1,2", "--samples", "0"]
+    )
+    assert status == 0
+    assert report["samples"] == 0
+    assert report["passed"] is True
+    status, report = run_json(
+        capsys, ["check-algebra", "--signature", "1,1", "--trials", "0"]
+    )
+    assert status == 0
+    assert report["trials_per_signature"] == 0
+    assert report["passed"] is True
+    # the defaults still apply when the flags are absent
+    _, report = run_json(capsys, ["check-algebra", "--signature", "1,1"])
+    assert report["trials_per_signature"] == 25
+    _, report = run_json(capsys, ["verify-fierz", "--signature", "1,2", "--seed", "3"])
+    assert report["samples"] == 20
+
+
+def test_unwritable_out_path_is_an_invalid_invocation(capsys, tmp_path):
+    for argv in (
+        ["check-algebra", "--signature", "1,1", "--out", str(tmp_path / "missing" / "x.json")],
+        ["census", "--signature", "1,2", "--samples", "1", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("grafclifford: error: cannot write ")
+
+
 def test_appendix_check_cli(capsys):
     status, report = run_json(capsys, ["appendix-check", "--trials", "3", "--seed", "11"])
     assert status == 0

@@ -231,6 +231,15 @@ def test_contracted_wedge_matches_recursion_oracle_standard_metric():
                 )
 
 
+def _adoptable(f: Form) -> bool:
+    """What ``Form._adopt`` takes on trust: masks in range, no zero, integral as int."""
+    full = (1 << f.signature.n) - 1
+    return all(
+        not mask & ~full and c != 0 and (type(c) is int or c.denominator != 1)
+        for mask, c in f.mask_items()
+    )
+
+
 def test_contracted_wedge_matches_recursion_oracle_general_metric():
     rng = random.Random(9)
     sig = Signature(2, 1)
@@ -244,6 +253,27 @@ def test_contracted_wedge_matches_recursion_oracle_general_metric():
                 assert contracted_wedge(f, g, k, met) == oracles.contracted_wedge_oracle(
                     f, g, k, met
                 )
+    # the shared kernel's contraction path: integer and rational inputs, every k
+    rational_diag = Metric(sig, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]])
+    for met in (Metric.standard(sig), diag, rational_diag, full):
+        for rational in (False, True):
+            for _ in range(15):
+                f = oracles.rand_form(rng, sig, rational=rational)
+                g = oracles.rand_form(rng, sig, rational=rational)
+                for k in range(sig.n + 1):
+                    got = contracted_wedge(f, g, k, met)
+                    assert got == oracles.contracted_wedge_oracle(f, g, k, met)
+                    assert _adoptable(got)
+                assert _adoptable(wedge(f, g))
+    # an integral coefficient under a rational metric is stored as an int
+    e1 = Form.blade(sig, (1,))
+    two = contracted_wedge(e1.scale(2), e1, 1, rational_diag)
+    assert two.mask_dict() == {0: 1} and _adoptable(two)
+    e23 = Form.blade(sig, (2, 3), 14)
+    dual = contracted_wedge(e23, Form.blade(sig, (1, 2, 3)), 2, rational_diag)
+    assert dual.mask_dict() == {1: -60} and _adoptable(dual)
+    # blades that share an index cancel to the zero form, with nothing stored
+    assert wedge(e1, e1.scale(Fraction(1, 3))).mask_dict() == {}
 
 
 def test_contracted_wedge_rejects_mismatched_metric():

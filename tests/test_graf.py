@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from grafclifford import graf
+from grafclifford import exterior, graf
 from grafclifford.exterior import (
     Form,
     Metric,
@@ -118,7 +118,7 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
 
 def test_kernel_keeps_integer_inputs_on_ints():
     rng = random.Random(21)
-    kern = graf._kernel_for(Metric.standard(SIG90))
+    kern = exterior._kernel_for(Metric.standard(SIG90))
     f = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
     g = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
     pairs, den = common_denominator(f)
@@ -189,7 +189,7 @@ def test_kernel_row_matches_the_pair_sign_definition():
             rational[:n],
         ]
         for diag in diagonals:
-            kern = graf._DiagKernel(n, diag)
+            kern = exterior._DiagKernel(n, diag)
             for ma in range(1 << n):
                 row = kern.row(ma)
                 assert len(row) == 1 << n
@@ -206,18 +206,18 @@ def test_kernel_cache_is_bounded():
     sig = Signature(2, 1)
     rng = random.Random(22)
     base = Metric.standard(sig)
-    kept = graf._kernel_for(base)
-    for c in range(2, graf._KERNEL_CAP + 6):
+    kept = exterior._kernel_for(base)
+    for c in range(2, exterior._KERNEL_CAP + 6):
         met = Metric(sig, [[c, 0, 0], [0, -3, 0], [0, 0, Fraction(1, c)]])
         for m in (met, base):
             f = oracles.rand_form(rng, sig, rational=True)
             g = oracles.rand_form(rng, sig)
             assert graf_product(f, g, m) == oracles.graf_product_oracle(f, g, m)
-        assert len(graf._KERNELS) <= graf._KERNEL_CAP
+        assert len(exterior._KERNELS) <= exterior._KERNEL_CAP
     # the metric used on every round is never the least recent, so it stays
-    assert graf._KERNELS[(sig.n, base.diagonal)] is kept
+    assert exterior._KERNELS[(sig.n, base.diagonal)] is kept
     first = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, Fraction(1, 2)]])
-    assert (sig.n, first.diagonal) not in graf._KERNELS
+    assert (sig.n, first.diagonal) not in exterior._KERNELS
 
 
 def test_product_with_general_metric_is_associative_and_clifford():

@@ -10,7 +10,9 @@ counts, and the script entry point ``cli.main`` is exempt.  Library code
 that only the tests call belongs in ``tests/oracles.py``.  No
 ``isinstance`` call of the library takes a name imported from ``typing``:
 the ``typing`` aliases check through a slower path than the
-``collections.abc`` classes they stand for.
+``collections.abc`` classes they stand for.  Every import of a library
+module by another, at module or function level, names a lower layer
+(``LAYERS``), so the modules form a stack with no cycle.
 """
 
 import ast
@@ -21,6 +23,22 @@ SRC = sorted((ROOT / "src" / "grafclifford").glob("*.py"))
 CHECKED = SRC + sorted((ROOT / "tests").glob("*.py"))
 # (module, name) pairs called from outside the library: [project.scripts]
 ENTRY_POINTS = {("cli", "main")}
+# Layer of each library module: a module imports only from lower layers.
+LAYERS = {
+    "errors": 0,
+    "linalg": 0,
+    "exterior": 1,
+    "graf": 2,
+    "matrixrep": 3,
+    "bilinear": 4,
+    "fierz": 5,
+    "classify": 6,
+    "cli": 7,
+    "__init__": 8,
+}
+# (importing module, imported module) pairs exempt from the order: the
+# report provenance reads the package version at call time.
+LAYER_EXCEPTIONS = {("cli", "__init__")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -98,6 +116,32 @@ def typing_isinstance_calls(source: str) -> list[str]:
     return found
 
 
+def _library_import(node: ast.AST) -> str | None:
+    """The library module an import statement names, or None for any other import."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            return node.module or "__init__"
+        if node.level == 0 and node.module and node.module.split(".")[0] == "grafclifford":
+            return node.module.partition(".")[2] or "__init__"
+    return None
+
+
+def layering_violations(sources: dict[str, str]) -> list[str]:
+    """Imports between library modules, at any depth, that do not name a lower layer."""
+    found = []
+    for module, source in sources.items():
+        if module not in LAYERS:
+            found.append(f"{module} has no layer")
+            continue
+        for node in ast.walk(ast.parse(source)):
+            target = _library_import(node)
+            if target is None or (module, target) in LAYER_EXCEPTIONS:
+                continue
+            if target not in LAYERS or LAYERS[target] >= LAYERS[module]:
+                found.append(f"{module} -> {target} (line {node.lineno})")
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -117,6 +161,27 @@ def test_the_dead_code_checker_sees_unreferenced_definitions():
         "cli": "def main():\n    pass\n",
     }
     assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused", "a.method_caller"]
+
+
+def test_the_layering_checker_sees_upward_and_sideways_imports():
+    sources = {
+        "exterior": (
+            "from .errors import A\nfrom .linalg import B\n"
+            "def f():\n    from .graf import C\n    return C\n"
+        ),
+        "linalg": "from .errors import D\n",
+        "graf": "import json\nfrom grafclifford.matrixrep import E\nfrom .exterior import F\n",
+        "fierz": "from .shiny import G\n",
+        "cli": "from . import __version__\nfrom .classify import H\n",
+        "extra": "from .errors import I\n",
+    }
+    assert layering_violations(sources) == [
+        "exterior -> graf (line 4)",
+        "linalg -> errors (line 1)",
+        "graf -> matrixrep (line 2)",
+        "fierz -> shiny (line 1)",
+        "extra has no layer",
+    ]
 
 
 def test_the_isinstance_checker_sees_typing_names():
@@ -159,6 +224,10 @@ def test_no_unused_module_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_library_imports_follow_the_layer_order():
+    assert layering_violations({path.stem: path.read_text() for path in SRC}) == []
 
 
 def test_every_library_definition_is_referenced_in_the_library():
