@@ -203,9 +203,8 @@ def _covariants_90(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: t
         )
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
-    full = Form.from_mask_dict(rep.signature, _bilinear_profile(rep, pairing, vec, vec))
     by_grade: dict[int, dict] = {k: {} for k in range(rep.signature.n + 1)}
-    for mask, val in full.mask_items():
+    for mask, val in _bilinear_profile(rep, pairing, vec, vec).items():
         by_grade[mask.bit_count()][mask] = val
     if any(by_grade[k] for k in (2, 3, 6, 7)):
         raise NotASpinor("a sign-law-forbidden rank bilinear is nonzero")

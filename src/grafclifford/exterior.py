@@ -26,6 +26,11 @@ copies the first 2^y entries times that bit's factor, as one list
 operation per bit.  The table keeps the most recently used metrics only
 (``_KERNEL_CAP``).  A non-diagonal metric contracts through a
 one-pair-at-a-time recursion instead.
+
+A kernel also holds the volume column nu[m] = row_m[full], built by the
+same doubling without the rows, and, for the squares f * f of ``graf``,
+pair tables by grade set: for every output mask, the index pairs of the
+masks of those grades and their weights, read from the rows once.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+from operator import itemgetter
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
 from .linalg import (
@@ -482,6 +488,25 @@ def interior_sign(mask: int, index: int) -> int:
 # -- blade-pair kernel ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _SquareTable:
+    """The blade pairs of f * f for forms supported on one grade set G.
+
+    ``index`` numbers M_G, the masks of grades in G.  Pair p multiplies
+    entry ``left[p]`` of the weighted copies of the padded numerators
+    (copy k is ``weights[k]`` times them) by entry ``right[p]``.  The
+    pairs are grouped by output key, in the order of ``keys``; ``marks``
+    flags the running sum before the first pair and after each group.
+    """
+
+    index: dict[int, int]
+    weights: tuple[Rational, ...]
+    left: itemgetter
+    right: itemgetter
+    keys: tuple[int, ...]
+    marks: tuple[bool, ...]
+
+
 class _DiagKernel:
     """Per-metric table of blade-pair product factors, built lazily by row.
 
@@ -489,13 +514,15 @@ class _DiagKernel:
     the rows hold Fractions and ``finish`` normalizes what they produce.
     """
 
-    __slots__ = ("n", "diag", "integral", "_rows")
+    __slots__ = ("n", "diag", "integral", "_rows", "_volume", "_squares")
 
     def __init__(self, n: int, diag: tuple[Rational, ...]):
         self.n = n
         self.diag = diag
         self.integral = all(type(g) is int for g in diag)
         self._rows: dict[int, list] = {}
+        self._volume: list | None = None
+        self._squares: OrderedDict[frozenset, _SquareTable | None] = OrderedDict()
 
     def row(self, ma: int):
         cached = self._rows.get(ma)
@@ -518,6 +545,87 @@ class _DiagKernel:
         self._rows[ma] = row
         return row
 
+    def volume_column(self) -> list:
+        """nu[m] = row_m[full]: e_m e_full = nu[m] e_(m ^ full).
+
+        Sorting m before the full blade moves each index of m past the
+        indices below it, so nu[m] is (-1)^(sum of the 0-based positions
+        in m) times the diagonal entries of m.  Built by doubling over the
+        bits of m, without the rows of the masks themselves.
+        """
+        col = self._volume
+        if col is None:
+            col = [1]
+            for y in range(self.n):
+                s = -self.diag[y] if y & 1 else self.diag[y]
+                col += [x * s for x in col]
+            self._volume = col
+        return col
+
+    def square_table(self, grades: frozenset[int], terms: int) -> _SquareTable | None:
+        """The pair table of a square with ``terms`` terms on ``grades``, or None.
+
+        A table pays when M_G is small (2 to ``_SQUARE_TABLE_MASKS``
+        masks; two keep the gathers tuple-valued) and the square fills at
+        least half of it; otherwise the caller visits the form's own
+        unordered pairs.  A grade set whose pairs carry so many distinct
+        weights that the weighted copies would outnumber the pairs also
+        gets None, remembered like a table.
+        """
+        size = sum(comb(self.n, k) for k in grades)
+        if not 2 <= size <= _SQUARE_TABLE_MASKS or 2 * terms < size:
+            return None
+        tables = self._squares
+        if grades in tables:
+            tables.move_to_end(grades)
+            return tables[grades]
+        table = tables[grades] = self._build_square_table(grades)
+        if len(tables) > _SQUARE_TABLE_CAP:
+            tables.popitem(last=False)
+        return table
+
+    def _build_square_table(self, grades: frozenset[int]) -> _SquareTable | None:
+        # e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b), and e_a e_a =
+        # row_a[a]; pairs whose weight is 0 (anticommuting ones) are dropped.
+        masks = [m for m in range(1 << self.n) if m.bit_count() in grades]
+        size = len(masks)
+        rows = [self.row(m) for m in masks]
+        by_key: dict[int, tuple[list, list, list]] = {}
+        for i, (a, row_a) in enumerate(zip(masks, rows)):
+            col_a = [row[a] for row in rows]
+            for j in range(i, size):
+                b = masks[j]
+                w = row_a[a] if i == j else row_a[b] + col_a[j]
+                if w:
+                    pairs = by_key.get(a ^ b)
+                    if pairs is None:
+                        pairs = by_key[a ^ b] = ([], [], [])
+                    pairs[0].append(i)
+                    pairs[1].append(j)
+                    pairs[2].append(w)
+        weights = sorted({w for _, _, ws in by_key.values() for w in ws})
+        count = sum(len(ws) for _, _, ws in by_key.values())
+        if len(weights) * size > count:
+            return None
+        offset = {w: k * size for k, w in enumerate(weights)}
+        # one int object per index value, shared by every pair that uses it
+        flat = list(range(len(weights) * size))
+        left: list[int] = []
+        right: list[int] = []
+        marks = [True]
+        for lefts, rights, ws in by_key.values():
+            left += [flat[offset[w] + i] for i, w in zip(lefts, ws)]
+            right += rights
+            marks += [False] * (len(ws) - 1) + [True]
+        return _SquareTable(
+            {m: i for i, m in enumerate(masks)},
+            tuple(weights),
+            itemgetter(*left),
+            itemgetter(*right),
+            tuple(by_key),
+            tuple(marks),
+        )
+
     def finish(self, acc: dict, den: int) -> dict[int, Rational]:
         """The nonzero accumulated entries over den, normalized.
 
@@ -534,6 +642,11 @@ class _DiagKernel:
 # Least-recently-used kernels past this many metrics are dropped; a row
 # holds 2^n factors, so an unbounded table grows with every metric seen.
 _KERNEL_CAP = 8
+# A square table over M_G holds up to |M_G|(|M_G| + 1)/2 pairs (8.4 million
+# for every grade at n = 12), so larger grade sets keep the pair loop; each
+# kernel keeps its most recently used grade sets only.
+_SQUARE_TABLE_MASKS = 256
+_SQUARE_TABLE_CAP = 4
 _KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import sub
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
@@ -93,28 +95,24 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
     sign[i] at column col[i]), the coefficient is
     sum_i sign[i] z[i] w[col[i]].  alpha, z and w are cleared to integer
     numerators first (Majorana-projected spinors have half-integer
-    entries), so the products z[i] w[j] are formed once per call on ints
-    and each nonzero coefficient is divided once at the end; an integral
-    one comes back as an int.
+    entries), so the products z[i] w[j] are formed once per call on ints,
+    and the representation's profile table gathers each blade's signed
+    products into one run of d values; a running sum differenced at the
+    run boundaries gives every coefficient.  Each nonzero coefficient is
+    divided once at the end; an integral one comes back as an int.
     """
+    d = rep.d
+    if len(alpha) != d or len(w) != d:
+        raise DimensionMismatch("spinor length does not match the representation")
     an, aden = common_denominator(list(enumerate(alpha)))
     zt = pairing.gram.transpose().apply([c for _, c in an])
     zt, zden = common_denominator(list(enumerate(zt)))
     wn, wden = common_denominator(list(enumerate(w)))
     wn = [c for _, c in wn]
-    rows = [(i, [z * c for c in wn]) for i, z in zt if z]
-    out = {}
-    for mask in range(1 << rep.signature.n):
-        sp = rep.blade_sp(mask)
-        col, sign = sp.col, sp.sign
-        val = 0
-        for i, zw in rows:
-            if sign[i] > 0:
-                val += zw[col[i]]
-            else:
-                val -= zw[col[i]]
-        if val:
-            out[mask] = val
+    zw = [z * c for _, z in zt for c in wn]
+    zw += [-v for v in zw]
+    ends = list(islice(accumulate(rep.profile_gather()(zw), initial=0), 0, None, d))
+    out = {mask: v for mask, v in enumerate(map(sub, ends[1:], ends)) if v}
     return divide_numerators(out, aden * zden * wden)
 
 

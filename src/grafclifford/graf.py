@@ -27,9 +27,22 @@ A square f * f (the same Form object passed twice, as the master
 identities do) visits each unordered blade pair once
 (``_product_terms_square``): both ordered products of the pair are read
 from the same kernel rows and added as exact integers, so the result is
-the ordered double loop's.  Kernel output is adopted by ``Form`` without
-re-validation: its masks are XORs of in-range masks and
-``divide_numerators`` has already normalized its coefficients.
+the ordered double loop's.  When the form fills at least half of the
+masks of its grade set G, and there are at most 256 of them, the pairs
+come from the kernel's table for G instead: the numerators are padded
+with zeros onto those masks, and every output coefficient is a sum over
+the table's pairs, formed by C-level gathers, products and a running
+sum.  The (9,0) pinor squares, on G = {0, 1, 4} (136 masks, 4,996
+nonzero pairs), take the table; sparse or wide forms keep the loop.
+Kernel output is adopted by ``Form`` without re-validation: its masks
+are XORs of in-range masks and ``divide_numerators`` has already
+normalized its coefficients.
+
+Under a diagonal metric the volume product is a signed relabelling,
+e_m vol = nu[m] e_(m ^ full), read from the kernel's volume column; so
+``hodge`` builds no product, and the truncated product folds each term
+of f * g above floor(n/2) onto its lower-grade image instead of forming
+f * g + s (f * g) vol and projecting.
 """
 
 from __future__ import annotations
@@ -37,7 +50,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from math import factorial
+from operator import mul, sub
 
 from .errors import DimensionMismatch
 from .exterior import (
@@ -50,7 +65,7 @@ from .exterior import (
     contracted_wedge,
     grade_project,
 )
-from .linalg import Rational, common_denominator
+from .linalg import Rational, _norm, common_denominator
 
 
 class TruncationRegimeWarning(UserWarning):
@@ -85,9 +100,24 @@ def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
 
     e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under a diagonal
     metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the bracket is 0
-    for an anticommuting pair and 2 row_a[b] for a commuting one.
+    for an anticommuting pair and 2 row_a[b] for a commuting one.  When
+    the kernel holds a table for the form's grade set, the pairs are
+    read from it over the zero-padded numerators, as gathers, products
+    and a running sum in C; otherwise the form's own pairs are visited.
     """
     ta, den = common_denominator(ta)
+    table = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta))
+    if table is not None:
+        index = table.index
+        x = [0] * len(index)
+        for ma, ca in ta:
+            x[index[ma]] = ca
+        weighted: list = []
+        for w in table.weights:
+            weighted += x if w == 1 else [w * c for c in x]
+        run = accumulate(map(mul, table.left(weighted), table.right(x)), initial=0)
+        ends = list(compress(run, table.marks))
+        return kern.finish(dict(zip(table.keys, map(sub, ends[1:], ends))), den * den)
     row_of = kern.row
     terms = [(ma, ca, row_of(ma)) for ma, ca in ta]
     acc: dict[int, Rational] = {}
@@ -144,8 +174,16 @@ def volume_form(signature: Signature) -> Form:
 
 
 def hodge(f: Form, metric: Metric | None = None) -> Form:
-    """Right product with the volume form."""
+    """Right product with the volume form.
+
+    Under a diagonal metric e_m vol = nu[m] e_(m ^ full), with nu the
+    kernel's volume column, so the product is a signed relabelling.
+    """
     metric = _resolve_metric(f, metric)
+    if metric.is_diagonal:
+        nu = _kernel_for(metric).volume_column()
+        full = (1 << f.signature.n) - 1
+        return Form._adopt(f.signature, {m ^ full: _norm(c * nu[m]) for m, c in f.mask_items()})
     return graf_product(f, volume_form(f.signature), metric)
 
 
@@ -196,15 +234,29 @@ def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = N
     truncation is no longer an isomorphism onto an ideal.
     """
     f._check_same(g)
+    if sign not in (1, -1):
+        raise ValueError("projector sign must be +1 or -1")
     metric = _resolve_metric(f, metric)
-    if in_truncation_regime(f.signature) and metric.is_orthonormal:
+    sig = f.signature
+    if in_truncation_regime(sig) and metric.is_orthonormal:
         # v is central with unit square here, so P_s commutes with the
-        # product and one product call suffices: 2 P_L(P_s(f*g)).
-        fg = graf_product(f, g, metric)
-        return lower_projection(fg + hodge(fg, metric).scale(sign))
-    if not in_truncation_regime(f.signature):
+        # product and one product call suffices: 2 P_L(P_s(f*g)) =
+        # P_L(fg + sign fg v).  A term above floor(n/2) folds onto
+        # m ^ full with factor sign nu[m]; one at or below it has its
+        # volume image above and keeps its place.
+        nu = _kernel_for(metric).volume_column()
+        full = (1 << sig.n) - 1
+        half = sig.n // 2
+        acc: dict[int, Rational] = {}
+        for m, c in graf_product(f, g, metric).mask_items():
+            if m.bit_count() > half:
+                c = c * sign * nu[m]
+                m ^= full
+            acc[m] = acc.get(m, 0) + c
+        return Form._adopt(sig, {m: _norm(c) for m, c in acc.items() if c})
+    if not in_truncation_regime(sig):
         warnings.warn(
-            f"signature ({f.signature.p},{f.signature.q}) is outside the truncation "
+            f"signature ({sig.p},{sig.q}) is outside the truncation "
             "isomorphism regime (odd n with volume square +1)",
             TruncationRegimeWarning,
             stacklevel=2,

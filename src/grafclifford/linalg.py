@@ -126,12 +126,6 @@ class SignedPerm:
             return None
         return cls(tuple(col), tuple(sign))
 
-    def to_dense(self) -> Matrix:
-        n = self.dim
-        return tuple(
-            tuple(self.sign[i] if j == self.col[i] else 0 for j in range(n)) for i in range(n)
-        )
-
     def report_rows(self) -> list[list[str]]:
         """The dense rows as report strings, "0", "1" and "-1"."""
         n = self.dim

@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import Callable
 
 from .errors import DimensionMismatch, StructureError, UnsupportedSignature
 from .exterior import Form, Metric, Signature, rational_from_str
@@ -220,10 +222,20 @@ class Rep:
     frame; reports render them with ``SignedPerm.report_rows``.  ``blade_sp``
     caches one signed permutation per canonical blade on the instance,
     so the cache holds at most 2^n entries of d column indices and d
-    signs; the covariant profile visits every blade and fills it.
+    signs; the covariant profile table (``profile_gather``) visits every
+    blade and fills it.
     """
 
-    __slots__ = ("signature", "metric", "volume_sign", "perms", "abs", "_cache_sp", "_commutant")
+    __slots__ = (
+        "signature",
+        "metric",
+        "volume_sign",
+        "perms",
+        "abs",
+        "_cache_sp",
+        "_commutant",
+        "_profile",
+    )
 
     def __init__(self, signature: Signature, volume_sign: int, perms: tuple[SignedPerm, ...]):
         self.signature = signature
@@ -233,6 +245,7 @@ class Rep:
         self.abs = abs_type(signature)
         self._cache_sp: dict[int, SignedPerm] = {}
         self._commutant: tuple[SignedPerm, ...] | None = None
+        self._profile: Callable[[list], tuple] | None = None
         verify_generators(self.perms, signature)
         if signature.n % 2 == 1:
             sv = self.volume_sp().scalar_value()
@@ -258,6 +271,31 @@ class Rep:
             out = self.perms[low.bit_length() - 1].compose(self.blade_sp(mask ^ low))
         self._cache_sp[mask] = out
         return out
+
+    def profile_gather(self) -> Callable[[list], tuple]:
+        """Every blade's signed permutation as flat indices into z (x) w, -(z (x) w).
+
+        Blade by blade in mask order, row i of ``blade_sp(mask)`` (sign s
+        at column c) is index i*d + c of the outer product z (x) w of two
+        length-d vectors, plus d*d when s is -1, to land in the negated
+        copy that follows it.  So the gather of the concatenation holds
+        2^n runs of d values, and each run sums to sum_i s_i z_i w_(c_i).
+        """
+        if self._profile is None:
+            d = self.d
+            # one int object per index value, shared by every blade that uses it
+            flat = list(range(2 * d * d))
+            indices = []
+            for mask in range(1 << self.signature.n):
+                sp = self.blade_sp(mask)
+                indices += [
+                    flat[i * d + c if s > 0 else d * d + i * d + c]
+                    for i, (c, s) in enumerate(zip(sp.col, sp.sign))
+                ]
+            gather = itemgetter(*indices)
+            # on (0,0) there is one index, and itemgetter then returns the item itself
+            self._profile = gather if len(indices) > 1 else lambda v: (gather(v),)
+        return self._profile
 
     def lambda_form(self, f: Form) -> Matrix:
         """Image of a form under the representation morphism."""
@@ -413,7 +451,7 @@ class MainSubalgebra:
     with every generator, normalized so D^2 = +-Id per the mod-8 class.
     quaternionic: H is a triple of commuting-with-everything complex
     structures multiplying like quaternion units.  Every map is a
-    signed permutation; ``to_dense`` renders one.
+    signed permutation; reports render one with ``report_rows``.
     """
 
     case: str

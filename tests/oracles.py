@@ -268,14 +268,20 @@ def is_identity(a) -> bool:
     return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
+def to_dense(sp: SignedPerm):
+    """The dense matrix of a signed permutation."""
+    n = sp.dim
+    return tuple(tuple(sp.sign[i] if j == sp.col[i] else 0 for j in range(n)) for i in range(n))
+
+
 def generators(rep: Rep) -> tuple:
     """Dense matrices of the representation's generators."""
-    return tuple(g.to_dense() for g in rep.perms)
+    return tuple(to_dense(g) for g in rep.perms)
 
 
 def blade_matrix(rep: Rep, mask: int):
     """Dense matrix of the canonical blade with the given index mask."""
-    return rep.blade_sp(mask).to_dense()
+    return to_dense(rep.blade_sp(mask))
 
 
 def volume_matrix(rep: Rep):
@@ -584,7 +590,7 @@ def _apply_index_tuple(rep: Rep, vec, tup):
 
 
 def _pairing_value(pairing, x, y):
-    gy = mat_vec(pairing.gram.to_dense(), tuple(y))
+    gy = mat_vec(to_dense(pairing.gram), tuple(y))
     return sum(a * b for a, b in zip(x, gy))
 
 
@@ -633,7 +639,7 @@ def ordered_tuple_covariant(
         return (_tuple_component(rep, pairing, alpha, beta, pref, pairing.tau),)
     if structure.case == CASE_ALMOST_COMPLEX:
         dsign = d_square_target(rep.signature)
-        dbeta = mat_vec(structure.D.to_dense(), tuple(beta))
+        dbeta = mat_vec(to_dense(structure.D), tuple(beta))
         return (
             _tuple_component(rep, pairing, alpha, beta, pref, -1),
             _tuple_component(rep, pairing, alpha, dbeta, pref * dsign, 1),

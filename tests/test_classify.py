@@ -58,7 +58,7 @@ def test_majorana_projection_properties(rep12, st12, st90):
     for _ in range(5):
         raw = oracles.rand_vector(rng, rep12.d)
         proj = majorana_project(rep12, st12, raw)
-        assert oracles.mat_vec(st12.D.to_dense(), proj) == proj
+        assert oracles.mat_vec(oracles.to_dense(st12.D), proj) == proj
         assert majorana_project(rep12, st12, proj) == proj
     with pytest.raises(DimensionMismatch):
         majorana_project(rep12, st12, (1, 0))
@@ -88,7 +88,7 @@ def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, 
     moved = None
     for i in range(rep12.d):
         basis = tuple(1 if j == i else 0 for j in range(rep12.d))
-        if oracles.mat_vec(st12.D.to_dense(), basis) != basis:
+        if oracles.mat_vec(oracles.to_dense(st12.D), basis) != basis:
             moved = basis
             break
     assert moved is not None
@@ -283,10 +283,15 @@ def test_census_blade_cache_is_bounded_by_the_blade_count():
     st = build_structure(rep)
     census(rep, st, admissible_pairings(rep, st), 20, 5)
     size = 1 << rep.signature.n
-    # the profile visits every canonical blade, and each is cached once
+    # the profile table visits every canonical blade, and each is cached once
     assert set(rep._cache_sp) == set(range(size))
+    table = rep.profile_gather()
+    # one run of d flat indices per blade, into z (x) w and its negation
+    flat = range(2 * rep.d * rep.d)
+    assert len(table(flat)) == size * rep.d
     census(rep, st, admissible_pairings(rep, st), 20, 6)
     assert len(rep._cache_sp) <= size
+    assert rep.profile_gather() is table
 
 
 def test_census_input_validation(rep12, st12, pairings12):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from grafclifford.bilinear import b_eval
+from grafclifford.bilinear import admissible_pairings, b_eval
 from grafclifford.errors import DimensionMismatch, StructureError
-from grafclifford.exterior import Form
+from grafclifford.exterior import Form, Signature
 from grafclifford.fierz import (
     Covariant,
     FierzVerdict,
@@ -21,6 +21,7 @@ from grafclifford.fierz import (
     reconstruct_check,
 )
 from grafclifford.classify import majorana_project
+from grafclifford.matrixrep import build_rep, build_structure
 
 
 def _unit(d, i):
@@ -87,9 +88,12 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     rng = random.Random(37)
     cases = [(rep90, pr90), (rep04, pr04)] + [(rep12, pairing) for pairing in pairings12]
     for rep, pairing in cases:
-        assert all(type(v) is int for row in pairing.gram.to_dense() for v in row)
+        assert all(type(v) is int for row in oracles.to_dense(pairing.gram) for v in row)
         zero = (0,) * rep.d
         assert _bilinear_profile(rep, pairing, zero, zero) == {}
+        for a, b in ((zero[:-1], zero), (zero, zero + (0,))):
+            with pytest.raises(DimensionMismatch):
+                _bilinear_profile(rep, pairing, a, b)
         assert oracles.bilinear_profile(rep, pairing, zero, zero) == {}
         for _ in range(3):
             alpha = oracles.rand_vector(rng, rep.d)
@@ -111,6 +115,14 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
             for x, y in ((a, a), (a, b)):
                 assert _bilinear_profile(rep12, pairing, x, y) == oracles.bilinear_profile(
                     rep12, pairing, x, y
+                )
+    # the smallest representations; on (0,0) the table holds a single index
+    for sig in (Signature(0, 0), Signature(1, 0)):
+        rep = build_rep(sig)
+        for pairing in admissible_pairings(rep, build_structure(rep)):
+            for a, b in (((3,) * rep.d, (-2,) * rep.d), ((Fraction(1, 2),) * rep.d, (5,) * rep.d)):
+                assert _bilinear_profile(rep, pairing, a, b) == oracles.bilinear_profile(
+                    rep, pairing, a, b
                 )
 
 

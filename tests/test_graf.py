@@ -1,5 +1,6 @@
 """Clifford product on forms: relations, volume, Hodge, truncation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -93,8 +94,21 @@ def test_product_matches_sequential_generator_oracle():
             assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
 
 
+def _grade_set_form(rng, sig, grades, keep=1.0, rational=False):
+    """A form on every mask of the given grades, each kept with probability ``keep``."""
+    masks = [m for m in range(1 << sig.n) if m.bit_count() in grades]
+    terms = {m: oracles._rand_coeff(rng, 4, rational) or 1 for m in masks if rng.random() < keep}
+    return Form.from_mask_dict(sig, terms)
+
+
 def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
-    """graf_product(f, f) takes the unordered-pair path; f times an equal copy does not."""
+    """graf_product(f, f) takes the unordered-pair path; f times an equal copy does not.
+
+    On (9,0) the pinor grade set {0, 1, 4} fills a square table when most
+    of its 136 masks are present and falls back to the pair loop when the
+    form is sparse, spans a grade set past the table ceiling, or lives
+    under a diagonal with too many distinct pair weights.
+    """
     rng = random.Random(23)
     sig21 = Signature(2, 1)
     cases = [(sig, Metric.standard(sig)) for sig in (SIG12, Signature(2, 2), SIG90)]
@@ -106,14 +120,63 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
         squares += [Form.blade(sig, m, c) for m in range(1 << sig.n) for c in (2, Fraction(-5, 6))]
         squares += [oracles.rand_form(rng, sig, terms=12) for _ in range(6)]
         squares += [oracles.rand_form(rng, sig, terms=12, rational=True) for _ in range(6)]
-        for f in squares:
-            copy = Form.from_mask_dict(sig, f.mask_dict())
-            assert copy is not f
-            square = graf_product(f, f, met)
-            assert square == graf_product(f, copy, met)
+        _check_squares(squares, met)
+
+    pinor = frozenset({0, 1, 4})
+    halves = Metric(SIG90, [[Fraction(1 + i % 2, 2) if i == j else 0 for j in range(9)] for i in range(9)])
+    distinct = Metric(SIG90, [[Fraction(i + 2, 2 * i + 1) if i == j else 0 for j in range(9)] for i in range(9)])
+    for met, tabled in ((Metric.standard(SIG90), True), (halves, True), (distinct, False)):
+        kern = exterior._kernel_for(met)
+        full = _grade_set_form(rng, SIG90, pinor)
+        zeroed = _grade_set_form(rng, SIG90, pinor, keep=0.6, rational=True)
+        sparse = _grade_set_form(rng, SIG90, pinor, keep=0.2)
+        for f in (full, zeroed):
+            assert (kern.square_table(pinor, f.num_terms()) is not None) is tabled
+        assert kern.square_table(pinor, sparse.num_terms()) is None
+        # the sequential oracle on the table path; the pair loop is checked above
+        _check_squares([zeroed] if met is halves else [full, zeroed], met, oracle=tabled)
+        _check_squares([sparse], met, oracle=False)
+    # 336 masks on grades {3, 4, 5}: past the ceiling even when full
+    wide = _grade_set_form(rng, SIG90, {3, 4, 5})
+    assert wide.num_terms() > exterior._SQUARE_TABLE_MASKS
+    assert exterior._kernel_for(Metric.standard(SIG90)).square_table(
+        frozenset({3, 4, 5}), wide.num_terms()
+    ) is None
+    _check_squares([wide], Metric.standard(SIG90), oracle=False)
+
+
+def _check_squares(squares, met, oracle=True):
+    sig = met.signature
+    for f in squares:
+        copy = Form.from_mask_dict(sig, f.mask_dict())
+        assert copy is not f
+        square = graf_product(f, f, met)
+        assert square == graf_product(f, copy, met)
+        if oracle:
             assert square == oracles.graf_product_oracle(f, f, met)
-            if _all_int(f) and all(type(c) is int for c in met.diagonal):
-                assert _all_int(square)
+        assert _normalized(square)
+        if _all_int(f) and all(type(c) is int for c in met.diagonal):
+            assert _all_int(square)
+
+
+def test_square_tables_are_bounded_per_kernel():
+    sig = Signature(5, 0)
+    met = Metric.standard(sig)
+    rng = random.Random(24)
+    kern = exterior._kernel_for(met)
+    kern._squares.clear()
+    kept = frozenset({0, 1})
+    grade_sets = [frozenset(s) for s in ({1}, {2}, {0, 2}, {1, 2}, {2, 3}, {3}, {1, 3}, {0, 4})]
+    assert len(grade_sets) > exterior._SQUARE_TABLE_CAP
+    for grades in grade_sets:
+        for gs in (grades, kept):
+            f = _grade_set_form(rng, sig, gs)
+            assert graf_product(f, f, met) == oracles.graf_product_oracle(f, f, met)
+            assert gs in kern._squares
+        assert len(kern._squares) <= exterior._SQUARE_TABLE_CAP
+    # the grade set squared on every round is never the least recent, so it stays
+    assert kept in kern._squares
+    assert grade_sets[0] not in kern._squares
 
 
 def test_kernel_keeps_integer_inputs_on_ints():
@@ -296,17 +359,49 @@ def test_volume_normalization_for_scaled_metrics():
         oracles.VolumeForm.for_metric(Metric(sig, [[2, 0], [0, 3]]))
 
 
+def _graded_expansion(f: Form, g: Form, met: Metric) -> Form:
+    """sum_k (1/k!) (-1)^(k(m-k) + floor(k/2)) cw_k(f_m, g) through the contraction oracle."""
+    out = Form.zero(f.signature)
+    for m in sorted(f.grades()):
+        fm = Form.from_mask_dict(f.signature, {b: c for b, c in f.mask_items() if b.bit_count() == m})
+        for k in range(m + 1):
+            sign = -1 if (k * (m - k) + k // 2) & 1 else 1
+            term = oracles.contracted_wedge_oracle(fm, g, k, met)
+            out = out + term.scale(Fraction(sign, math.factorial(k)))
+    return out
+
+
 def test_hodge_is_right_volume_product():
+    """Under a diagonal metric hodge relabels m -> m ^ full with the volume factor nu[m]."""
     rng = random.Random(17)
-    for sig in (SIG12, Signature(2, 2), Signature(5, 0)):
-        met = Metric.standard(sig)
+    sig21 = Signature(2, 1)
+    cases = [(sig, Metric.standard(sig)) for sig in (SIG12, Signature(2, 2), Signature(5, 0), SIG90)]
+    cases += [
+        (sig21, Metric(sig21, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])),
+        (sig21, Metric(sig21, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])),
+        (sig21, Metric(sig21, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]])),
+        (sig21, Metric(sig21, [[2, 1, 0], [1, -3, 2], [0, 2, 5]])),
+    ]
+    for sig, met in cases:
         v = volume_form(sig)
-        sign = volume_square_sign(sig.p, sig.q)
-        for _ in range(10):
-            f = oracles.rand_form(rng, sig)
-            assert hodge(f, met) == graf_product(f, v, met)
-            assert hodge(hodge(f, met), met) == f.scale(sign)
+        for rational in (False, True):
+            for _ in range(5):
+                f = oracles.rand_form(rng, sig, terms=8, rational=rational)
+                star = hodge(f, met)
+                if met.is_diagonal:
+                    assert star == graf_product(f, v, met)
+                    assert star == oracles.graf_product_oracle(f, v, met)
+                else:
+                    assert star == _graded_expansion(f, v, met)
+                assert _normalized(star)
+                if met.is_orthonormal:
+                    sign = volume_square_sign(sig.p, sig.q)
+                    assert hodge(star, met) == f.scale(sign)
     assert hodge(Form.unit(SIG12)) == volume_form(SIG12)
+    # integral coefficients under a rational diagonal are stored as ints
+    rational = cases[-2][1]
+    dual = hodge(Form.blade(sig21, (1, 3), 14), rational)
+    assert dual.mask_dict() == {2: 5} and type(dual.coeff(2)) is int
 
 
 # -- projectors and truncation ------------------------------------------------------------------
@@ -357,17 +452,39 @@ def test_truncation_split_and_reconstruction():
 
 
 def test_truncated_product_fast_path_matches_literal_definition():
+    """The volume fold equals 2 P_L(P_s(f) P_s(g)) with the projectors spelled out."""
     rng = random.Random(20)
+    for sig, rounds in ((Signature(2, 1), 10), (Signature(5, 0), 4), (Signature(3, 2), 4), (SIG90, 2)):
+        met = Metric.standard(sig)
+        lower = [m for m in range(1 << sig.n) if m.bit_count() <= sig.n // 2]
+        for _ in range(rounds):
+            full = [oracles.rand_form(rng, sig, terms=10, rational=r) for r in (False, True)]
+            low = [
+                Form.from_mask_dict(sig, {m: rng.randint(-4, 4) for m in rng.sample(lower, 4)})
+                for _ in range(2)
+            ]
+            for f, g in ((full[0], full[1]), (low[0], low[1]), (low[0], full[0]), (full[1], full[1])):
+                for s in (1, -1):
+                    literal = lower_projection(
+                        graf_product(projector_pm(f, s, met), projector_pm(g, s, met), met)
+                    ).scale(2)
+                    product = truncated_product(f, g, s, met)
+                    assert product == literal
+                    assert _normalized(product)
+
+
+def test_truncated_product_refuses_a_bad_projector_sign():
     sig = Signature(2, 1)
-    met = Metric.standard(sig)
-    for _ in range(15):
-        f = oracles.rand_form(rng, sig)
-        g = oracles.rand_form(rng, sig)
-        for s in (1, -1):
-            literal = lower_projection(
-                graf_product(projector_pm(f, s, met), projector_pm(g, s, met), met)
-            ).scale(2)
-            assert truncated_product(f, g, s, met) == literal
+    f = Form.blade(sig, (1,), 2)
+    scaled = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])
+    # the orthonormal fast path, the projector path and the path outside the regime
+    for s in (0, 2, -2):
+        with pytest.raises(ValueError, match="projector sign"):
+            truncated_product(f, f, s, Metric.standard(sig))
+        with pytest.raises(ValueError, match="projector sign"):
+            truncated_product(f, f, s, scaled)
+        with pytest.raises(ValueError, match="projector sign"):
+            truncated_product(Form.blade(SIG12, (1,)), Form.blade(SIG12, (1,)), s)
 
 
 def test_truncated_product_warns_outside_regime():

@@ -28,6 +28,7 @@ from oracles import (
     rref,
     solve_twisted_system_dense,
     solve_twisted_system_reference,
+    to_dense,
     transpose,
     vec_dot,
     zeros,
@@ -88,18 +89,18 @@ def test_signed_perm_round_trip_and_composition():
         cols = list(range(n))
         rng.shuffle(cols)
         sp = SignedPerm(tuple(cols), tuple(rng.choice((1, -1)) for _ in range(n)))
-        dense = sp.to_dense()
+        dense = to_dense(sp)
         assert SignedPerm.from_dense(dense) == sp
-        assert sp.transpose().to_dense() == transpose(dense)
+        assert to_dense(sp.transpose()) == transpose(dense)
         vec = tuple(rng.randint(-4, 4) for _ in range(n))
         assert sp.apply(vec) == mat_vec(dense, vec)
         cols2 = list(range(n))
         rng.shuffle(cols2)
         sp2 = SignedPerm(tuple(cols2), tuple(rng.choice((1, -1)) for _ in range(n)))
-        assert sp.compose(sp2).to_dense() == mat_mul(dense, sp2.to_dense())
+        assert to_dense(sp.compose(sp2)) == mat_mul(dense, to_dense(sp2))
         m = rand_matrix(rng, n)
         assert sp.left_act(m) == mat_mul(dense, m)
-        assert sp.times(1) == sp and sp.times(-1).to_dense() == mat_scale(dense, -1)
+        assert sp.times(1) == sp and to_dense(sp.times(-1)) == mat_scale(dense, -1)
     assert SignedPerm.from_dense(as_matrix([[1, 1], [0, 1]])) is None
     assert SignedPerm.identity(3).scalar_value() == 1
     assert SignedPerm.identity(3).neg().scalar_value() == -1
@@ -116,7 +117,7 @@ def test_report_rows_render_the_dense_matrix():
     perms = [SignedPerm.identity(5), SignedPerm.identity(1), SignedPerm.identity(1).neg()]
     perms += [rand_signed_perm(rng, rng.randint(1, 9)) for _ in range(30)]
     for sp in perms:
-        want = [[rational_to_str(v) for v in row] for row in sp.to_dense()]
+        want = [[rational_to_str(v) for v in row] for row in to_dense(sp)]
         assert sp.report_rows() == want
     cases = [(0, "0"), (7, "7"), (-12, "-12"), (10**30, str(10**30)), (True, "1"), (False, "0")]
     cases += [(Fraction(4, 2), "2"), (Fraction(-1, 3), "-1/3"), (Fraction(6, -4), "-3/2")]
@@ -169,9 +170,9 @@ def test_twisted_solver_agrees_with_dense_fallback():
         t = SignedPerm(tuple(cols), tuple(rng.choice((1, -1)) for _ in range(n)))
         eps = rng.choice((1, -1))
         fast = solve_twisted_system(n, [(s, t, eps)])
-        dense = solve_twisted_system_dense(n, [(s.to_dense(), t.to_dense(), eps)])
+        dense = solve_twisted_system_dense(n, [(to_dense(s), to_dense(t), eps)])
         for m in fast:
-            assert mat_mul(m, s.to_dense()) == mat_scale(mat_mul(t.to_dense(), m), eps)
+            assert mat_mul(m, to_dense(s)) == mat_scale(mat_mul(to_dense(t), m), eps)
         assert _span_signature(fast, n) == _span_signature(dense, n)
 
 

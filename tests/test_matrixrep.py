@@ -145,7 +145,7 @@ def test_commutant_dimensions(rep12, rep90, rep04):
     assert len(commutant_basis(rep04)) == 4
     for rep in (rep12, rep90, rep04):
         for m in commutant_basis(rep):
-            m = m.to_dense()
+            m = oracles.to_dense(m)
             for g in oracles.generators(rep):
                 assert mat_mul(m, g) == mat_mul(g, m)
 
@@ -187,7 +187,7 @@ def test_structure_fields_by_case(rep12, st12, rep90, st90, rep04, st04):
     assert st90.d_square_sign is None
 
     assert st12.case == CASE_ALMOST_COMPLEX
-    j, d = st12.J.to_dense(), st12.D.to_dense()
+    j, d = oracles.to_dense(st12.J), oracles.to_dense(st12.D)
     assert j == oracles.volume_matrix(rep12)
     assert oracles.is_scalar_matrix(mat_mul(j, j)) == -1
     assert oracles.is_scalar_matrix(mat_mul(d, d)) == d_square_target(SIG12) == 1
@@ -197,7 +197,7 @@ def test_structure_fields_by_case(rep12, st12, rep90, st90, rep04, st04):
         assert mat_mul(d, g) == mat_scale(mat_mul(g, d), -1)
 
     assert st04.case == CASE_QUATERNIONIC
-    h1, h2, h3 = (h.to_dense() for h in st04.H)
+    h1, h2, h3 = (oracles.to_dense(h) for h in st04.H)
     for h in (h1, h2, h3):
         assert oracles.is_scalar_matrix(mat_mul(h, h)) == -1
         for g in oracles.generators(rep04):
