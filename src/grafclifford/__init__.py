@@ -74,11 +74,13 @@ from .fierz import (
     Covariant,
     FierzVerdict,
     IdentityResult,
+    UnitTable,
     check_fierz,
     covariant,
     endo_E,
     fundamental_identity_holds,
     reconstruct_check,
+    unit_table,
 )
 from .classify import (
     AppendixVerdict,
@@ -157,6 +159,8 @@ __all__ = [
     "transpose_check",
     "vanishing_ranks",
     # Fierz machinery
+    "UnitTable",
+    "unit_table",
     "Covariant",
     "covariant",
     "endo_E",

@@ -3,11 +3,12 @@
 Six subcommands drive the library end to end: ``check-algebra`` replays
 the product-level property suite over one or all supported signatures,
 ``build-rep`` constructs and verifies a matrix representation together
-with its admissible pairings, ``verify-fierz`` runs the case-appropriate
-quadratic identity suite on seeded random spinors, ``classify`` reports
-the class of a single spinor (or of a hand-injected covariant set),
-``census`` buckets seeded random spinors by covariant zero pattern, and
-``appendix-check`` replays the twelve closed-form product expansions.
+with its admissible pairings, ``verify-fierz`` checks the geometric
+Fierz identities, one per commutant unit, on seeded random spinors of
+any buildable signature, ``classify`` reports the class of a single
+spinor (or of a hand-injected covariant set), ``census`` buckets
+seeded random spinors by covariant zero pattern, and ``appendix-check``
+replays the twelve closed-form product expansions.
 
 Every report embeds the tool version, signature, metric, volume sign,
 pairing hash and seed; identical configurations produce byte-identical
@@ -51,7 +52,7 @@ from .graf import (
     volume_form,
     volume_square_sign,
 )
-from .matrixrep import CASE_ALMOST_COMPLEX, MainSubalgebra, build_rep, build_structure
+from .matrixrep import MainSubalgebra, build_rep, build_structure
 from .classify import (
     APPENDIX_SIGNATURE,
     GEOMETRIES,
@@ -60,14 +61,11 @@ from .classify import (
     class_report,
     covariants,
     geometry_of,
-    majorana_project,
     prepare,
     reduced_verdict,
 )
 
 TOOL_NAME = "grafclifford"
-
-FIERZ_SIGNATURES = ((1, 2), (9, 0), (0, 4))
 
 
 @dataclass(frozen=True)
@@ -317,32 +315,24 @@ def _random_vec(rng: random.Random, dim: int, box: int = 5) -> tuple:
 
 def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    if (sig.p, sig.q) not in FIERZ_SIGNATURES:
-        raise UnsupportedSignature(
-            "built-in quadratic-identity suites cover signatures (1,2), (9,0) and (0,4)"
-        )
     rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
     rng = random.Random(cfg.seed)
     samples = cfg.samples
     dim = rep.abs.rep_dim
 
-    def draw() -> tuple:
-        vec = _random_vec(rng, dim)
-        if structure.case == CASE_ALMOST_COMPLEX:
-            return majorana_project(rep, structure, vec)
-        return vec
-
     fundamental_fails = reconstruction_fails = fierz_fails = 0
     first_fierz_failure = None
     for _ in range(samples):
-        a1, b1, a2, b2 = draw(), draw(), draw(), draw()
+        a1, b1, a2, b2 = (_random_vec(rng, dim) for _ in range(4))
         if not fundamental_identity_holds(pairing, a1, b1, a2, b2):
             fundamental_fails += 1
-        for alpha, beta in ((a1, b1), (a2, b2)):
-            cov = covariant(rep, structure, pairing, alpha, beta)
+        cov11 = covariant(rep, structure, pairing, a1, b1)
+        cov22 = covariant(rep, structure, pairing, a2, b2)
+        for cov, alpha, beta in ((cov11, a1, b1), (cov22, a2, b2)):
             if not reconstruct_check(rep, structure, pairing, cov, alpha, beta):
                 reconstruction_fails += 1
-        verdict = check_fierz(rep, structure, pairing, a1, b1, a2, b2)
+        cov12 = covariant(rep, structure, pairing, a1, b2)
+        verdict = check_fierz(cov11, cov22, cov12, b_eval(pairing, a2, b1))
         if not verdict.passed:
             fierz_fails += 1
             if first_fierz_failure is None:

@@ -1,39 +1,72 @@
 """Form-valued bilinear covariants and the geometric Fierz identities.
 
-The rank-one endomorphism built from two spinors expands over blade
-operators with coefficients B(alpha, blade(beta)).  Collecting those
-coefficients as exterior forms gives the covariants; the algebra of the
-rank-one endomorphisms then forces quadratic identities among them,
-checked here with exact arithmetic and no tolerances.
+The rank-one endomorphism E(alpha, beta), gamma -> B(gamma, beta) alpha,
+expands over the operators u lambda(e_m), where e_m runs over the
+canonical blades and u over the commutant units U = (1,) + units: no
+unit in the normal case, (D,) in the almost-complex case and
+(H1, H2, H3) in the quaternionic case (``MainSubalgebra.units``).  The
+coefficients, collected as one exterior form per unit, are the
+covariants.  The composition law E11 E22 = B(alpha2, beta1) E12 then
+forces quadratic identities among them, checked here with exact
+arithmetic and no tolerances.  One engine serves every case; three
+constants per unit drive it, each read off the signed permutations and
+checked (StructureError otherwise):
+
+* the twist c_u = +-1, with u g = c_u g u for every generator g.  So
+  lambda(x) u = u lambda(sigma_u x), where sigma_u is the identity when
+  c_u = +1 and the grade involution when c_u = -1;
+* the weight eps_u = +-1, with u^T A u = eps_u A for the pairing's
+  gram A (eps_D is not D^2 in general: on the preferred pairing of
+  (1,6), D^2 = -Id and eps_D = +1);
+* the products U[u] U[v] = s U[w], s = +-1.
+
+Covariants.  The operators u lambda(e_m) are trace-orthogonal, so the
+coefficient of u lambda(e_m) in E is a multiple of
+tr(lambda(e_m)^-1 u^-1 E) = B(lambda(e_m)^-1 u^-1 alpha, beta).  The
+pairing's law g^T A = tau A g gives lambda(e_m^-1)^T A = s_m tau^k A
+lambda(e_m) for a k-blade, where s_m, the product of the metric signs
+over the blade's indices, is the index-lowering sign (invisible in a
+positive-definite frame).  With (u^-1)^T A = eps_u A u and
+u lambda(e_m) = c_u^k lambda(e_m) u this is
+
+    eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
+
+The multiple is k_const / 2^n, which is 1/d, halved in the double
+algebras where e_m and e_m vol act alike.  ``reconstruct_check``
+verifies sum_u u lambda(f_u) = E exactly.
+
+Fierz identities.  Write a_u, b_u and f_u for the components of E11,
+E22 and E12.  Moving U[v] left past lambda(a_u) turns a_u into
+sigma_v(a_u), so E11 E22 = sum_{u,v} U[u] U[v] lambda(sigma_v(a_u) b_v),
+and for every w
+
+    sum_{U[u] U[v] = s U[w]} s sigma_v(a_u) b_v = B(alpha2, beta1) f_w.
+
+These are 1, 2 or 4 identities from 1, 4 or 16 products.  They hold as
+equalities of forms: lambda is injective, except in the double algebras,
+where every covariant lies in the ideal that lambda maps faithfully.
 
 Index sums run over canonical ascending blades.  The printed expansions
 sum over ordered index tuples with a 1/k! factor instead; the two agree
 because each index set has exactly k! orderings, and the tuple form is
 kept in the test suite as an independent oracle.
-
-Each expansion coefficient is the bilinear against the metric-lowered
-blade: in an orthonormal frame this contributes the product of the
-metric signs over the blade's indices.  The factor is invisible in
-positive-definite frames but required for the components to reassemble
-the endomorphism exactly, which is machine-checked here; likewise the
-weight on the D-inserted component is the case sign alone, with no
-extra alternating factor.  Both conventions are fixed by solving the
-reassembly equation exactly, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import sub
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
-from .exterior import Form, grade_involution, grade_project
+from .exterior import Form, Metric, grade_involution, grade_project
 from .graf import graf_product
 from .linalg import (
     Matrix,
+    SignedPerm,
     Vector,
     as_matrix,
     common_denominator,
@@ -42,30 +75,79 @@ from .linalg import (
     mat_mul,
     mat_scale,
 )
-from .matrixrep import (
-    CASE_ALMOST_COMPLEX,
-    CASE_NORMAL,
-    CASE_QUATERNIONIC,
-    MainSubalgebra,
-    Rep,
-    d_square_target,
-)
+from .matrixrep import CASE_ALMOST_COMPLEX, CASE_NORMAL, CASE_QUATERNIONIC, MainSubalgebra, Rep
+
+# The identity for unit w, in the order of U.
+IDENTITY_NAMES = {
+    CASE_NORMAL: ("normal",),
+    CASE_ALMOST_COMPLEX: ("almost_complex_i", "almost_complex_ii"),
+    CASE_QUATERNIONIC: ("quaternionic_scalar",)
+    + tuple(f"quaternionic_vector_{i}" for i in (1, 2, 3)),
+}
+
+
+def _ratio(x: SignedPerm, y: SignedPerm) -> int | None:
+    """The sign s with x = s y, or None; y^-1 = y^T for a signed permutation."""
+    return x.compose(y.transpose()).scalar_value()
+
+
+@dataclass(frozen=True)
+class UnitTable:
+    """The commutant units U = (1,) + units and their constants, by index.
+
+    twists[u] = c_u and weights[u] = eps_u as in the module docstring;
+    products[u][v] = (s, w) with U[u] U[v] = s U[w].
+    """
+
+    case: str
+    units: tuple[SignedPerm, ...]
+    twists: tuple[int, ...]
+    weights: tuple[int, ...]
+    products: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@lru_cache(maxsize=8)
+def unit_table(rep: Rep, structure: MainSubalgebra, pairing: Pairing) -> UnitTable:
+    """Twists, weights and products of the commutant units, cached across covariant calls."""
+    if structure.case != rep.abs.case:
+        raise StructureError("structure case does not match the representation")
+    units = (SignedPerm.identity(rep.d),) + structure.units
+    gram = pairing.gram
+    twists, weights = [], []
+    for u in units:
+        signs = {_ratio(u.compose(g), g.compose(u)) for g in rep.perms} or {1}
+        if len(signs) != 1 or None in signs:
+            raise StructureError("a commutant unit neither commutes nor anticommutes with the generators")
+        eps = _ratio(u.transpose().compose(gram).compose(u), gram)
+        if eps is None:
+            raise StructureError("a commutant unit is not an (anti-)isometry of the pairing")
+        twists.append(signs.pop())
+        weights.append(eps)
+    products = []
+    for u in units:
+        row = []
+        for v in units:
+            uv = u.compose(v)
+            hit = next(((s, w) for w, x in enumerate(units) if (s := _ratio(uv, x))), None)
+            if hit is None:
+                raise StructureError("the commutant units are not closed under products")
+            row.append(hit)
+        products.append(tuple(row))
+    return UnitTable(structure.case, units, tuple(twists), tuple(weights), tuple(products))
 
 
 @dataclass(frozen=True)
 class Covariant:
-    """Form components of the spinor-pair endomorphism, by case.
+    """Form components of the spinor-pair endomorphism, one per commutant unit.
 
-    normal: a single form; almost_complex: (component 0, component 1
-    carrying the D insertion); quaternionic: components 0..3 carrying
-    the H_i insertions.
+    normal: a single form; almost_complex: component 0 and the component
+    carrying the D insertion; quaternionic: components 0..3 carrying the
+    H_i insertions.  ``table`` holds the units and constants they were
+    built with.
     """
 
-    case: str
     components: tuple[Form, ...]
-
-    def __iter__(self):
-        return iter(self.components)
+    table: UnitTable
 
 
 def endo_E(pairing: Pairing, alpha: Vector, beta: Vector) -> Matrix:
@@ -127,18 +209,6 @@ def _lowering_signs(rep: Rep) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _assemble(rep: Rep, profile: dict, prefactor, tau_weight: int) -> Form:
-    """Blade profile to a form: grade k weighted by tau^k times lowering sign."""
-    signs = _lowering_signs(rep)
-    terms = {}
-    for mask, val in profile.items():
-        c = prefactor * val * signs[mask]
-        if tau_weight == -1 and mask.bit_count() % 2 == 1:
-            c = -c
-        terms[mask] = c
-    return Form.from_mask_dict(rep.signature, terms)
-
-
 def covariant(
     rep: Rep,
     structure: MainSubalgebra,
@@ -146,29 +216,20 @@ def covariant(
     alpha: Vector,
     beta: Vector,
 ) -> Covariant:
-    """Covariant form components for a spinor pair, by structure case."""
-    at = rep.abs
-    if structure.case != at.case:
-        raise StructureError("structure case does not match the representation")
-    pref = Fraction(at.k_const, 1 << rep.signature.n)
-    tau = pairing.tau
-    if structure.case == CASE_NORMAL:
-        prof = _bilinear_profile(rep, pairing, alpha, beta)
-        return Covariant(CASE_NORMAL, (_assemble(rep, prof, pref, tau),))
-    if structure.case == CASE_ALMOST_COMPLEX:
-        dsign = d_square_target(rep.signature)
-        prof0 = _bilinear_profile(rep, pairing, alpha, beta)
-        dbeta = structure.D.apply(beta)
-        prof1 = _bilinear_profile(rep, pairing, alpha, dbeta)
-        comp0 = _assemble(rep, prof0, pref, -1)
-        comp1 = _assemble(rep, prof1, pref * dsign, 1)
-        return Covariant(CASE_ALMOST_COMPLEX, (comp0, comp1))
+    """Covariant form components for a spinor pair, one per commutant unit.
+
+    Blade m of component u is pref eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
+    """
+    table = unit_table(rep, structure, pairing)
+    pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
+    signs = _lowering_signs(rep)
     comps = []
-    for hi in (None,) + tuple(structure.H):
-        w = beta if hi is None else hi.apply(beta)
-        prof = _bilinear_profile(rep, pairing, alpha, w)
-        comps.append(_assemble(rep, prof, pref, tau))
-    return Covariant(CASE_QUATERNIONIC, tuple(comps))
+    for u, c, eps in zip(table.units, table.twists, table.weights):
+        weight, parity = pref * eps, pairing.tau * c
+        prof = _bilinear_profile(rep, pairing, alpha, u.apply(beta))
+        terms = {m: weight * (v * signs[m] * parity ** m.bit_count()) for m, v in prof.items()}
+        comps.append(Form.from_mask_dict(rep.signature, terms))
+    return Covariant(tuple(comps), table)
 
 
 def reconstruct_check(
@@ -180,14 +241,13 @@ def reconstruct_check(
     beta: Vector,
 ) -> bool:
     """The component forms reassemble the spinor-pair endomorphism."""
-    target = endo_E(pairing, alpha, beta)
-    if cov.case == CASE_NORMAL:
-        return rep.lambda_form(cov.components[0]) == target
-    units = (structure.D,) if cov.case == CASE_ALMOST_COMPLEX else structure.H
+    units = structure.units
+    if len(cov.components) != 1 + len(units):
+        raise StructureError("covariant components do not match the commutant units")
     built = rep.lambda_form(cov.components[0])
     for unit, comp in zip(units, cov.components[1:]):
         built = mat_add(built, unit.left_act(rep.lambda_form(comp)))
-    return built == target
+    return built == endo_E(pairing, alpha, beta)
 
 
 # -- identity checking ---------------------------------------------------------------
@@ -236,71 +296,22 @@ def _result(identity: str, residual: Form) -> IdentityResult:
     return IdentityResult(identity, residual.is_zero(), residual)
 
 
-EPSILON3 = {
-    (1, 2): (1, 3),
-    (2, 1): (-1, 3),
-    (2, 3): (1, 1),
-    (3, 2): (-1, 1),
-    (3, 1): (1, 2),
-    (1, 3): (-1, 2),
-}
+def check_fierz(cov11: Covariant, cov22: Covariant, cov12: Covariant, factor) -> FierzVerdict:
+    """Exact verdict on E11 E22 = factor E12, one identity per commutant unit.
 
-
-def check_fierz(
-    rep: Rep,
-    structure: MainSubalgebra,
-    pairing: Pairing,
-    alpha1: Vector,
-    beta1: Vector,
-    alpha2: Vector,
-    beta2: Vector,
-) -> FierzVerdict:
-    """Exact verdict for the case-appropriate quadratic identities."""
-    met = rep.metric
-    cov11 = covariant(rep, structure, pairing, alpha1, beta1)
-    cov22 = covariant(rep, structure, pairing, alpha2, beta2)
-    cov12 = covariant(rep, structure, pairing, alpha1, beta2)
-    factor = b_eval(pairing, alpha2, beta1)
-    if structure.case == CASE_NORMAL:
-        res = graf_product(cov11.components[0], cov22.components[0], met) - cov12.components[
-            0
-        ].scale(factor)
-        return FierzVerdict(CASE_NORMAL, (_result("normal", res),))
-    if structure.case == CASE_ALMOST_COMPLEX:
-        dsign = d_square_target(rep.signature)
-        e0_11, e1_11 = cov11.components
-        e0_22, e1_22 = cov22.components
-        e0_12, e1_12 = cov12.components
-        res1 = (
-            graf_product(e0_11, e0_22, met)
-            + grade_involution(graf_product(e1_11, e1_22, met)).scale(dsign)
-            - e0_12.scale(factor)
-        )
-        res2 = (
-            grade_involution(graf_product(e0_11, e1_22, met))
-            + graf_product(e1_11, e0_22, met)
-            - e1_12.scale(factor)
-        )
-        return FierzVerdict(
-            CASE_ALMOST_COMPLEX,
-            (_result("almost_complex_i", res1), _result("almost_complex_ii", res2)),
-        )
-    comps11 = cov11.components
-    comps22 = cov22.components
-    comps12 = cov12.components
-    res0 = graf_product(comps11[0], comps22[0], met)
-    for i in (1, 2, 3):
-        res0 = res0 - graf_product(comps11[i], comps22[i], met)
-    res0 = res0 - comps12[0].scale(factor)
-    results = [_result("quaternionic_scalar", res0)]
-    for i in (1, 2, 3):
-        res = graf_product(comps11[0], comps22[i], met) + graf_product(
-            comps11[i], comps22[0], met
-        )
-        for (j, k), (sgn, ii) in EPSILON3.items():
-            if ii == i:
-                term = graf_product(comps11[j], comps22[k], met)
-                res = res + term.scale(sgn)
-        res = res - comps12[i].scale(factor)
-        results.append(_result(f"quaternionic_vector_{i}", res))
-    return FierzVerdict(CASE_QUATERNIONIC, tuple(results))
+    cov11, cov22 and cov12 are the covariants of (alpha1, beta1),
+    (alpha2, beta2) and (alpha1, beta2), and factor is B(alpha2, beta1).
+    """
+    table = cov11.table
+    if cov22.table != table or cov12.table != table:
+        raise StructureError("the covariants come from different structures or pairings")
+    a, b = cov11.components, cov22.components
+    met = Metric.standard(a[0].signature)
+    residuals = [c.scale(-factor) for c in cov12.components]
+    for u, row in enumerate(table.products):
+        for v, (s, w) in enumerate(row):
+            au = a[u] if table.twists[v] == 1 else grade_involution(a[u])
+            term = graf_product(au, b[v], met)
+            residuals[w] = residuals[w] + term if s == 1 else residuals[w] - term
+    names = IDENTITY_NAMES[table.case]
+    return FierzVerdict(table.case, tuple(map(_result, names, residuals)))

@@ -460,6 +460,13 @@ class MainSubalgebra:
     H: tuple[SignedPerm, SignedPerm, SignedPerm] | None = None
 
     @property
+    def units(self) -> tuple[SignedPerm, ...]:
+        """The commutant units past the identity: (), (D,) or (H1, H2, H3)."""
+        if self.H is not None:
+            return self.H
+        return () if self.D is None else (self.D,)
+
+    @property
     def d_square_sign(self) -> int | None:
         if self.D is None:
             return None
@@ -520,8 +527,9 @@ def _quaternion_units(basis: list[SignedPerm]) -> tuple[SignedPerm, SignedPerm, 
     are the components themselves: ordered by the column of their
     row-0 entry, which is the flattened pivot, and signed so that entry
     is +1.  A unit of square -Id needs no rational rescaling, and two
-    anticommuting units need no Gram-Schmidt step; the relations are
-    checked on the result.
+    anticommuting units need no Gram-Schmidt step.  H1^2 = H2^2 = -Id
+    and H1 H2 = -H2 H1 are checked; with H3 = H1 H2 they imply every
+    other quaternion relation.
     """
     pure = sorted(
         (b.times(b.sign[0]) for b in basis if b.scalar_value() is None), key=lambda b: b.col[0]
@@ -529,27 +537,8 @@ def _quaternion_units(basis: list[SignedPerm]) -> tuple[SignedPerm, SignedPerm, 
     if len(pure) != 3:
         raise StructureError(f"pure commutant has dimension {len(pure)}, expected 3")
     h1, h2 = pure[0], pure[1]
-    hs = (h1, h2, h1.compose(h2))
-    _verify_quaternion_units(hs)
-    return hs
-
-
-def _verify_quaternion_units(hs: tuple[SignedPerm, SignedPerm, SignedPerm]) -> None:
-    eps = {
-        (0, 1): (1, 2),
-        (1, 0): (-1, 2),
-        (1, 2): (1, 0),
-        (2, 1): (-1, 0),
-        (2, 0): (1, 1),
-        (0, 2): (-1, 1),
-    }
-    for j in range(3):
-        for k in range(3):
-            prod = hs[j].compose(hs[k])
-            if j == k:
-                ok = prod.scalar_value() == -1
-            else:
-                s, l = eps[(j, k)]
-                ok = prod == hs[l].times(s)
-            if not ok:
-                raise StructureError(f"quaternion unit relation failed at ({j + 1},{k + 1})")
+    if {h1.compose(h1).scalar_value(), h2.compose(h2).scalar_value()} != {-1}:
+        raise StructureError("a quaternion unit does not square to -Id")
+    if h1.compose(h2) != h2.compose(h1).neg():
+        raise StructureError("the quaternion units H1 and H2 do not anticommute")
+    return h1, h2, h1.compose(h2)

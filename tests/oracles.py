@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grafclifford.bilinear import Pairing, table_sigma, table_tau
+from grafclifford.bilinear import Pairing, b_eval, table_sigma, table_tau
 from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, rational_from_str
+from grafclifford.fierz import check_fierz, covariant
 from grafclifford.graf import graf_product
 from grafclifford.linalg import (
     SignedPerm,
@@ -632,19 +633,30 @@ def ordered_tuple_covariant(
 
     Mirrors the library's ascending-blade construction for the normal
     and almost-complex cases; the two must agree because every index set
-    has exactly k! orderings.
+    has exactly k! orderings.  The D-component weight is the sign eps in
+    D^T A D = eps A, computed here from the dense matrices.
     """
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
     if structure.case == CASE_NORMAL:
         return (_tuple_component(rep, pairing, alpha, beta, pref, pairing.tau),)
     if structure.case == CASE_ALMOST_COMPLEX:
-        dsign = d_square_target(rep.signature)
-        dbeta = mat_vec(to_dense(structure.D), tuple(beta))
+        dmat, gram = to_dense(structure.D), to_dense(pairing.gram)
+        dad = mat_mul(mat_mul(transpose(dmat), gram), dmat)
+        eps = next(x * g for xrow, grow in zip(dad, gram) for x, g in zip(xrow, grow) if g)
+        assert dad == mat_scale(gram, eps)
+        dbeta = mat_vec(dmat, tuple(beta))
         return (
             _tuple_component(rep, pairing, alpha, beta, pref, -1),
-            _tuple_component(rep, pairing, alpha, dbeta, pref * dsign, 1),
+            _tuple_component(rep, pairing, alpha, dbeta, pref * eps, 1),
         )
     raise ValueError("tuple expansion oracle covers the normal and almost-complex cases")
+
+
+def fierz_on_spinors(rep: Rep, structure: MainSubalgebra, pairing, alpha1, beta1, alpha2, beta2):
+    """``check_fierz`` on the covariants of (alpha1, beta1), (alpha2, beta2) and (alpha1, beta2)."""
+    pairs = ((alpha1, beta1), (alpha2, beta2), (alpha1, beta2))
+    covs = [covariant(rep, structure, pairing, a, b) for a, b in pairs]
+    return check_fierz(*covs, b_eval(pairing, alpha2, beta1))
 
 
 # -- seeded random inputs ------------------------------------------------------------------

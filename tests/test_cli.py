@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from grafclifford.classify import geometry_of
+from grafclifford import cli
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
 from grafclifford.graf import volume_square_sign
@@ -103,6 +104,40 @@ def test_verify_fierz_quaternionic_signature(capsys):
     assert report["case"] == "quaternionic"
     assert "reduced" not in report
     assert report["passed"] is True
+
+
+def test_verify_fierz_on_signatures_beyond_the_classified_three(capsys):
+    # the identities hold on every signature; (3,0) and (1,6) are almost
+    # complex, (0,0) is the one-dimensional normal case
+    for sig, sign in (("3,0", "+"), ("3,0", "-"), ("1,6", "+"), ("0,0", "+")):
+        status, report = run_json(
+            capsys, ["verify-fierz", "--signature", sig, "--samples", "2", "--volume-sign", sign]
+        )
+        assert status == 0, (sig, sign)
+        assert report["oracles"] == {
+            "fundamental_identity_failures": 0,
+            "reconstruction_failures": 0,
+            "fierz_failures": 0,
+        }
+        assert "reduced" not in report
+        assert report["passed"] is True
+
+
+def test_verify_fierz_expands_each_covariant_once(capsys, monkeypatch):
+    # per sample: (a1, b1) and (a2, b2) serve the reassembly and the
+    # identities, (a1, b2) the identities alone
+    calls = []
+    real = cli.covariant
+
+    def counted(*args):
+        calls.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "covariant", counted)
+    status, _ = run_json(capsys, ["verify-fierz", "--signature", "9,0", "--samples", "3"])
+    assert status == 0
+    assert len(calls) == 9
+    assert len(set(calls)) == 9
 
 
 def test_classify_pinor_basis_spinor(tmp_path, capsys):

@@ -1,16 +1,16 @@
 """Rank-one endomorphisms, covariant expansion, and the quadratic identities."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from grafclifford.bilinear import admissible_pairings, b_eval
-from grafclifford.errors import DimensionMismatch, StructureError
-from grafclifford.exterior import Form, Signature
+from grafclifford.bilinear import Pairing, admissible_pairings, b_eval
+from grafclifford.errors import DimensionMismatch, StructureError, UnsupportedSignature
+from grafclifford.exterior import Form, Signature, grade_involution
 from grafclifford.fierz import (
-    Covariant,
     FierzVerdict,
     IdentityResult,
     _bilinear_profile,
@@ -19,8 +19,11 @@ from grafclifford.fierz import (
     endo_E,
     fundamental_identity_holds,
     reconstruct_check,
+    unit_table,
 )
 from grafclifford.classify import majorana_project
+from grafclifford.graf import graf_product
+from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep, build_structure
 
 
@@ -76,10 +79,10 @@ def test_components_reassemble_the_endomorphism(
             beta = oracles.rand_vector(rng, rep.d)
             cov = covariant(rep, st, pairing, alpha, beta)
             assert reconstruct_check(rep, st, pairing, cov, alpha, beta)
-            tampered = Covariant(
-                cov.case, (cov.components[0].scale(2),) + cov.components[1:]
-            )
+            tampered = replace(cov, components=(cov.components[0].scale(2),) + cov.components[1:])
             assert not reconstruct_check(rep, st, pairing, tampered, alpha, beta)
+            with pytest.raises(StructureError):
+                reconstruct_check(rep, st, pairing, replace(cov, components=()), alpha, beta)
 
 
 def test_bilinear_profile_matches_the_dense_blade_oracle(
@@ -126,21 +129,28 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
                 )
 
 
-def test_covariant_matches_ordered_tuple_expansion(rep12, st12, pr12):
+def test_covariant_matches_ordered_tuple_expansion(rep12, st12, pairings12):
+    # both admissible pairings: the D-component weight is eps in D^T A D = eps A
+    rep30 = build_rep(Signature(3, 0))
+    st30 = build_structure(rep30)
+    pairings30 = admissible_pairings(rep30, st30)
+    cases = [(rep12, st12, p) for p in pairings12] + [(rep30, st30, p) for p in pairings30]
+    assert len(cases) == 4
     rng = random.Random(35)
-    for _ in range(4):
-        alpha = oracles.rand_vector(rng, rep12.d)
-        beta = oracles.rand_vector(rng, rep12.d)
-        cov = covariant(rep12, st12, pr12, alpha, beta)
-        oracle = oracles.ordered_tuple_covariant(rep12, st12, pr12, alpha, beta)
-        assert tuple(cov) == tuple(oracle)
+    for rep, st, pairing in cases:
+        for _ in range(2):
+            alpha = oracles.rand_vector(rng, rep.d)
+            beta = oracles.rand_vector(rng, rep.d)
+            cov = covariant(rep, st, pairing, alpha, beta)
+            oracle = oracles.ordered_tuple_covariant(rep, st, pairing, alpha, beta)
+            assert cov.components == tuple(oracle)
 
 
 def test_quadratic_identities_normal_case(rep90, st90, pr90):
     rng = random.Random(36)
     for _ in range(2):
         quad = [oracles.rand_vector(rng, rep90.d, box=3) for _ in range(4)]
-        verdict = check_fierz(rep90, st90, pr90, *quad)
+        verdict = oracles.fierz_on_spinors(rep90, st90, pr90, *quad)
         assert verdict.case == "normal"
         assert [r.identity for r in verdict.results] == ["normal"]
         assert verdict.passed
@@ -148,25 +158,25 @@ def test_quadratic_identities_normal_case(rep90, st90, pr90):
 
 def test_quadratic_identities_almost_complex_case(rep12, st12, pr12):
     rng = random.Random(37)
-    for _ in range(5):
-        quad = [
-            majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-            for _ in range(4)
-        ]
-        verdict = check_fierz(rep12, st12, pr12, *quad)
-        assert verdict.case == "almost_complex"
-        assert [r.identity for r in verdict.results] == [
-            "almost_complex_i",
-            "almost_complex_ii",
-        ]
-        assert verdict.passed
+    for project in (True, False):
+        for _ in range(3):
+            quad = [oracles.rand_vector(rng, rep12.d) for _ in range(4)]
+            if project:
+                quad = [majorana_project(rep12, st12, v) for v in quad]
+            verdict = oracles.fierz_on_spinors(rep12, st12, pr12, *quad)
+            assert verdict.case == "almost_complex"
+            assert [r.identity for r in verdict.results] == [
+                "almost_complex_i",
+                "almost_complex_ii",
+            ]
+            assert verdict.passed
 
 
 def test_quadratic_identities_quaternionic_case(rep04, st04, pr04):
     rng = random.Random(38)
     for _ in range(4):
         quad = [oracles.rand_vector(rng, rep04.d) for _ in range(4)]
-        verdict = check_fierz(rep04, st04, pr04, *quad)
+        verdict = oracles.fierz_on_spinors(rep04, st04, pr04, *quad)
         assert verdict.case == "quaternionic"
         assert [r.identity for r in verdict.results] == [
             "quaternionic_scalar",
@@ -175,6 +185,96 @@ def test_quadratic_identities_quaternionic_case(rep04, st04, pr04):
             "quaternionic_vector_3",
         ]
         assert verdict.passed
+
+
+def _buildable(max_n: int):
+    """(rep, structure) for every buildable signature up to max_n, both volume signs for odd n."""
+    for n in range(max_n + 1):
+        for p in range(n, -1, -1):
+            for volume_sign in (1, -1) if n % 2 else (1,):
+                try:
+                    rep = build_rep(Signature(p, n - p), volume_sign)
+                except UnsupportedSignature:
+                    continue
+                yield rep, build_structure(rep)
+
+
+def test_every_pairing_up_to_dimension_eight_on_unprojected_spinors():
+    # every buildable signature with n <= 8, both volume signs and every
+    # admissible pairing: the fundamental identity, the reassembly and the
+    # Fierz identities all hold exactly on integer spinors of all of S
+    rng = random.Random(39)
+    cases = 0
+    for rep, st in _buildable(8):
+        for pairing in admissible_pairings(rep, st):
+            cases += 1
+            a1, b1, a2, b2 = (oracles.rand_vector(rng, rep.d, box=3) for _ in range(4))
+            where = (rep.signature.p, rep.signature.q, rep.volume_sign, pairing.content_hash())
+            assert fundamental_identity_holds(pairing, a1, b1, a2, b2), where
+            covs = [covariant(rep, st, pairing, a, b) for a, b in ((a1, b1), (a2, b2), (a1, b2))]
+            assert reconstruct_check(rep, st, pairing, covs[0], a1, b1), where
+            assert reconstruct_check(rep, st, pairing, covs[1], a2, b2), where
+            verdict = check_fierz(*covs, b_eval(pairing, a2, b1))
+            assert verdict.passed, (where, verdict.to_json_obj())
+            assert len(verdict.results) == len(covs[0].components) == 1 + len(st.units)
+    assert cases == 77
+
+
+def test_unit_table_constants_from_the_structure_maps():
+    for rep, st in _buildable(9):
+        pairing = admissible_pairings(rep, st)[0]
+        table = unit_table(rep, st, pairing)
+        assert table.units[1:] == st.units
+        assert table.units[0].scalar_value() == 1
+        # D anticommutes with every generator, so its twist is the grade
+        # involution; the H_i commute with every generator
+        assert table.twists == (1,) + (-1,) * (st.D is not None) + (1,) * (3 * (st.H is not None))
+        assert table.weights[0] == 1
+        for u, row in enumerate(table.products):
+            for v, (s, w) in enumerate(row):
+                assert table.units[u].compose(table.units[v]) == table.units[w].times(s)
+        if st.D is not None:
+            assert table.products[1][1] == (st.d_square_sign, 0)
+        if st.H is not None:
+            assert [row[0] for row in table.products] == [(1, 0), (1, 1), (1, 2), (1, 3)]
+            assert table.products[1][2] == (1, 3) and table.products[2][1] == (-1, 3)
+            assert all(table.products[i][i] == (-1, 0) for i in (1, 2, 3))
+
+
+def test_unit_table_refuses_maps_that_break_the_relations(rep12, st12, pr12, rep04, st04, pr04):
+    # the first generator commutes with itself and anticommutes with the others
+    with pytest.raises(StructureError, match="commutes"):
+        unit_table(rep12, replace(st12, D=rep12.perms[0]), pr12)
+    h1, h2, _ = st04.H
+    with pytest.raises(StructureError, match="closed"):
+        unit_table(rep04, replace(st04, H=(h1, h2, h1)), pr04)
+    shift = SignedPerm(tuple((i + 1) % rep04.d for i in range(rep04.d)), (1,) * rep04.d)
+    with pytest.raises(StructureError, match="isometr"):
+        unit_table(rep04, st04, Pairing(shift, 1, 1))
+
+
+def test_check_fierz_refuses_covariants_of_different_pairings(rep12, st12, pairings12):
+    alpha, beta = (1, 0, 2, -1), (0, 3, 1, 1)
+    first, second = (covariant(rep12, st12, p, alpha, beta) for p in pairings12)
+    with pytest.raises(StructureError):
+        check_fierz(first, first, second, b_eval(pairings12[0], alpha, beta))
+
+
+def test_almost_complex_identities_by_hand(rep12, st12, pr12):
+    # with sigma(x) = D^-1 x D, the grade involution here, the two
+    # identities read a c + s_D sigma(b) e = B psi0 and sigma(a) e + b c =
+    # B psi1 on all of S; the grade involution of the whole products b e
+    # and a e agrees with them only when e is even (projected spinors)
+    rng = random.Random(40)
+    a1, b1, a2, b2 = (oracles.rand_vector(rng, rep12.d) for _ in range(4))
+    a, b = covariant(rep12, st12, pr12, a1, b1).components
+    c, e = covariant(rep12, st12, pr12, a2, b2).components
+    psi0, psi1 = covariant(rep12, st12, pr12, a1, b2).components
+    factor = b_eval(pr12, a2, b1)
+    met, s_d = rep12.metric, st12.d_square_sign
+    assert graf_product(a, c, met) + graf_product(grade_involution(b), e, met).scale(s_d) == psi0.scale(factor)
+    assert graf_product(grade_involution(a), e, met) + graf_product(b, c, met) == psi1.scale(factor)
+    assert grade_involution(graf_product(a, e, met)) + graf_product(b, c, met) != psi1.scale(factor)
 
 
 def test_identity_result_reporting_shapes(rep12):
