@@ -56,6 +56,10 @@ def invocations() -> list[list[str]]:
         out.append(["verify-fierz", "--signature", sig, "--samples", "2", "--seed", "5"])
     for sig in ("3,0", "1,6"):
         out.append(["verify-fierz", "--signature", sig, "--samples", "2", "--volume-sign", "-"])
+    # n = 10 under the standard and a mixed-sign metric: the dense products
+    # of the widest Fierz checks
+    for sig in ("10,0", "5,5"):
+        out.append(["verify-fierz", "--signature", sig, "--samples", "1"])
     out += [
         ["verify-fierz", "--signature", "1,2", "--samples", "2", "--format", "text"],
         ["census", "--signature", "1,2", "--samples", "10", "--format", "text"],
