@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, StructureError
 from .exterior import Signature
-from .linalg import SignedPerm, Vector, solve_twisted_system
-from .matrixrep import MainSubalgebra, Rep, build_structure, signed_perm_components
+from .linalg import SignedPerm, Vector
+from .matrixrep import MainSubalgebra, Rep, build_structure, solve_signed_perms
 
 
 class TableMismatchWarning(UserWarning):
@@ -146,9 +146,8 @@ def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
         raise ValueError("tau must be +1 or -1")
     if rep.signature.n == 0:
         return [Pairing(SignedPerm.identity(1), 1, tau)]
-    basis = solve_twisted_system(rep.d, [(g, g.transpose(), tau) for g in rep.perms])
     parts: dict[int, list[SignedPerm]] = {1: [], -1: []}
-    for m in signed_perm_components(basis):
+    for m in solve_signed_perms(rep.d, [(g, g.transpose(), tau) for g in rep.perms]):
         sigma = _symmetry(m)
         if sigma is None:
             raise StructureError("a pairing component is neither symmetric nor antisymmetric")

@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .bilinear import Pairing
@@ -35,6 +36,7 @@ from .exterior import (
     Form,
     Metric,
     Signature,
+    _graf_sign,
     contracted_wedge,
     grade_project,
     rational_to_str,
@@ -248,6 +250,21 @@ def _rows_90(cov, b):
     while the master itself passes; such rows are flagged as suspect
     transcriptions of the reduced system rather than input failures.
     The two B-free rows hold exactly on genuine covariants.
+
+    The rows are stated with psi4 ^_k psi4 for k = 0..4, and all five are
+    grade parts of the one square psi4 * psi4.  The product expands a
+    grade-m left factor f against g as
+
+        f * g = sum_k (1/k!) (-1)^(k(m-k) + floor(k/2)) cw_k(f, g),
+
+    and for g homogeneous of grade l the k-th term lies in grade
+    m + l - 2k alone, so distinct k never share a grade.  Hence
+
+        cw_k(f, g) = k! (-1)^(k(m-k) + floor(k/2)) <f * g>_(m+l-2k),
+
+    which for m = l = 4 gives psi4 ^ psi4 = <S>_8, cw_1 = -<S>_6,
+    cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0, with
+    S = psi4 * psi4.  The values are the contracted wedges' exactly.
     """
     psi0, p1, p4 = cov
     met = Metric.standard(psi0.signature)
@@ -255,24 +272,29 @@ def _rows_90(cov, b):
         "volume-image-clearance",
         lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)), met)),
     )
+    square = graf_product(p4, p4, met)
+
+    def p4_p4(k: int) -> Form:
+        """psi4 ^_k psi4, read from the square."""
+        part = grade_project(square, 8 - 2 * k)
+        return part.scale(factorial(k) * _graf_sign(k, 4))
+
     rows = (
         _result(
             "grade0-row",
             contracted_wedge(p1, p1, 1, met)
-            + contracted_wedge(p4, p4, 4, met).scale(Fraction(1, 24))
+            + p4_p4(4).scale(Fraction(1, 24))
             - psi0.scale(31 * b),
         ),
-        _result("grade1-row", hodge(wedge(p4, p4), met) - p1.scale(30 * b)),
+        _result("grade1-row", hodge(p4_p4(0), met) - p1.scale(30 * b)),
         _result(
             "grade2-row",
-            wedge(p1, p1) + contracted_wedge(p4, p4, 3, met).scale(Fraction(1, 6)),
+            wedge(p1, p1) + p4_p4(3).scale(Fraction(1, 6)),
         ),
-        _result("grade3-row", hodge(contracted_wedge(p4, p4, 1, met), met)),
+        _result("grade3-row", hodge(p4_p4(1), met)),
         _result(
             "grade4-row",
-            hodge(wedge(p1, p4), met).scale(4)
-            - contracted_wedge(p4, p4, 2, met)
-            - p4.scale(60 * b),
+            hodge(wedge(p1, p4), met).scale(4) - p4_p4(2) - p4.scale(60 * b),
         ),
     )
     return rows, clearance

@@ -28,9 +28,11 @@ operation per bit.  The table keeps the most recently used metrics only
 one-pair-at-a-time recursion instead.
 
 A kernel also holds the volume column nu[m] = row_m[full], built by the
-same doubling without the rows, and, for the squares f * f of ``graf``,
-pair tables by grade set: for every output mask, the index pairs of the
-masks of those grades and their weights, read from the rows once.
+same doubling without the rows; for the squares f * f of ``graf``, pair
+tables by grade set: for every output mask, the index pairs of the
+masks of those grades and their weights, read from the rows once; and,
+under a diagonal of +1 and -1 entries, the masks of each generator's
+left action on forms packed into one int, by field width.
 """
 
 from __future__ import annotations
@@ -512,17 +514,21 @@ class _DiagKernel:
 
     ``integral`` says whether every diagonal entry is an int; otherwise
     the rows hold Fractions and ``finish`` normalizes what they produce.
+    ``unit`` says whether every entry is +1 or -1, the metrics whose
+    products may run packed (``packed_masks``).
     """
 
-    __slots__ = ("n", "diag", "integral", "_rows", "_volume", "_squares")
+    __slots__ = ("n", "diag", "integral", "unit", "_rows", "_volume", "_squares", "_packed")
 
     def __init__(self, n: int, diag: tuple[Rational, ...]):
         self.n = n
         self.diag = diag
         self.integral = all(type(g) is int for g in diag)
+        self.unit = self.integral and all(g in (1, -1) for g in diag)
         self._rows: dict[int, list] = {}
         self._volume: list | None = None
         self._squares: OrderedDict[frozenset, _SquareTable | None] = OrderedDict()
+        self._packed: OrderedDict[int, tuple[tuple[int, int], ...]] = OrderedDict()
 
     def row(self, ma: int):
         cached = self._rows.get(ma)
@@ -626,6 +632,45 @@ class _DiagKernel:
             tuple(marks),
         )
 
+    def packed_masks(self, width: int) -> tuple[tuple[int, int], ...]:
+        """Per generator y, the masks of its left action on packed fields.
+
+        A packed form holds the coefficient of blade b in bits
+        b*width .. (b+1)*width - 1.  Entry y is (flip, low): ``flip``
+        covers the fields b with e_y e_b = -e_(b ^ 2^y), and ``low`` the
+        fields b without index y.  Only for unit diagonals, and kept for
+        the most recently used widths only.
+        """
+        masks = self._packed
+        got = masks.get(width)
+        if got is not None:
+            masks.move_to_end(width)
+            return got
+        got = masks[width] = self._build_packed_masks(width)
+        if len(masks) > _PACKED_MASK_CAP:
+            masks.popitem(last=False)
+        return got
+
+    def _build_packed_masks(self, width: int) -> tuple[tuple[int, int], ...]:
+        # Doubling over the bits j of b: fields 2^j .. 2^(j+1) - 1 are the
+        # first 2^j with index j added, which flips the sign of e_y e_b when
+        # j < y (one more index below y), multiplies it by g^yy when j = y,
+        # and leaves it when j > y.
+        out = []
+        for y in range(self.n):
+            flip = 0
+            low = (1 << (width << y)) - 1
+            for j in range(self.n):
+                span = width << j
+                if j < y or (j == y and self.diag[y] == -1):
+                    flip |= (((1 << span) - 1) ^ flip) << span
+                else:
+                    flip |= flip << span
+                if j > y:
+                    low |= low << span
+            out.append((flip, low))
+        return tuple(out)
+
     def finish(self, acc: dict, den: int) -> dict[int, Rational]:
         """The nonzero accumulated entries over den, normalized.
 
@@ -647,6 +692,9 @@ _KERNEL_CAP = 8
 # kernel keeps its most recently used grade sets only.
 _SQUARE_TABLE_MASKS = 256
 _SQUARE_TABLE_CAP = 4
+# Packed-product masks are 2n ints of 2^n fields per field width; each
+# kernel keeps its most recently used widths only.
+_PACKED_MASK_CAP = 4
 _KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
 
 

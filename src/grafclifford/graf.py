@@ -38,6 +38,27 @@ Kernel output is adopted by ``Form`` without re-validation: its masks
 are XORs of in-range masks and ``divide_numerators`` has already
 normalized its coefficients.
 
+A product of two dense forms (each on at least 3/4 of the 2^n blades,
+n >= ``_PACKED_MIN_N``) under a diagonal of +1 and -1 entries runs
+packed (``_product_terms_packed``).  The right factor's integer
+numerators go into two Python ints, one for the positive and one for
+the negative parts: blade b owns bits b*W .. (b+1)*W - 1 of each, so a
+field is never negative and never borrows.  Every field of the
+accumulators below sums at most terms(f) products of absolute values,
+so W is the bit length of max|f| max|g| terms(f), plus one bit, rounded
+up to whole bytes.  The left blades are visited in Gray-code order, so
+each step is one generator e_y acting on the left of the packed factor:
+the fields with e_y e_b = -e_(b^y) ((-1)^(indices of b below y), times
+g^yy when y is in b) are swapped between the two ints, then the fields
+are block-swapped by bit y, with shifts and the kernel's masks
+(``_DiagKernel.packed_masks``).  After k steps the ints hold
+e_yk ... e_y1 g = s e_a g, with the chain sign s tracked from the same
+factors, so c_a s times them is added into a positive and a negative
+accumulator; the fields are read out once at the end.  This is the
+blade product itself, one generator at a time, on 2^n steps of a few
+big-int operations instead of terms(f) terms(g) Python-level pairs.
+Squares, sparser forms, smaller n and other diagonals keep the loop.
+
 Under a diagonal metric the volume product is a signed relabelling,
 e_m vol = nu[m] e_(m ^ full), read from the kernel's volume column; so
 ``hodge`` builds no product, and the truncated product folds each term
@@ -81,10 +102,20 @@ def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
 
 # -- diagonal product -------------------------------------------------------------
 
+# Products of two forms that each fill at least 3/4 of the 2^n blades, at
+# and above this n, run packed (``_product_terms_packed``).  Measured on one
+# core: at n = 6 and 3/4 fill the packed kernel is 1-2x faster than the
+# pair loop, at n = 9 and full fill 8-10x; at half fill the loop does a
+# quarter of the pair work and wins at n = 6-7 on 100-bit coefficients.
+_PACKED_MIN_N = 6
+
 
 def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
     ta, da = common_denominator(ta)
     tb, db = common_denominator(tb)
+    n = kern.n
+    if kern.unit and n >= _PACKED_MIN_N and 4 * min(len(ta), len(tb)) >= 3 << n:
+        return kern.finish(_product_terms_packed(ta, tb, kern), da * db)
     acc: dict[int, Rational] = {}
     row_of = kern.row
     for ma, ca in ta:
@@ -93,6 +124,67 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
             key = ma ^ mb
             acc[key] = acc.get(key, 0) + ca * cb * row[mb]
     return kern.finish(acc, da * db)
+
+
+def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
+    """Integer numerators of f * g, one generator at a time on packed ints.
+
+    For integer (key, coefficient) pairs under a unit diagonal.  The
+    right factor is held as two ints, its positive and its negative parts,
+    blade b in field b of ``width`` bits; the left blades are visited in
+    Gray-code order, each step one left generator on those ints.
+    """
+    n = kern.n
+    bound = max(abs(c) for _, c in ta) * max(abs(c) for _, c in tb) * len(ta)
+    nbytes = (bound.bit_length() + 8) // 8
+    width = nbytes * 8
+    size = nbytes << n
+    pos, neg = bytearray(size), bytearray(size)
+    for mb, cb in tb:
+        part = pos if cb > 0 else neg
+        part[mb * nbytes : (mb + 1) * nbytes] = abs(cb).to_bytes(nbytes, "little")
+    vp, vn = int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+    coeff = dict(ta)
+    c = coeff.get(0, 0)
+    acc_p, acc_n = (c * vp, c * vn) if c > 0 else (-c * vn, -c * vp)
+    masks = kern.packed_masks(width)
+    diag = kern.diag
+    a = 0
+    chain = 1
+    for t in range(1, 1 << n):
+        y = (t & -t).bit_length() - 1
+        # e_y e_a = row_(2^y)[a] e_(a ^ 2^y): the parity of the indices of a
+        # below y, times g^yy when y is in a
+        if (a & ((1 << y) - 1)).bit_count() & 1:
+            chain = -chain
+        if a >> y & 1 and diag[y] == -1:
+            chain = -chain
+        a ^= 1 << y
+        flip, low = masks[y]
+        swap = (vp ^ vn) & flip
+        vp ^= swap
+        vn ^= swap
+        shift = width << y
+        vp = (vp & low) << shift | (vp >> shift) & low
+        vn = (vn & low) << shift | (vn >> shift) & low
+        c = coeff.get(a)
+        if c:
+            c *= chain
+            if c > 0:
+                acc_p += c * vp
+                acc_n += c * vn
+            else:
+                acc_p -= c * vn
+                acc_n -= c * vp
+    bp, bn = acc_p.to_bytes(size, "little"), acc_n.to_bytes(size, "little")
+    acc = {}
+    for key, lo in enumerate(range(0, size, nbytes)):
+        v = int.from_bytes(bp[lo : lo + nbytes], "little") - int.from_bytes(
+            bn[lo : lo + nbytes], "little"
+        )
+        if v:
+            acc[key] = v
+    return acc
 
 
 def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:

@@ -238,13 +238,17 @@ class _SignedUnionFind:
 
 def solve_twisted_system(
     d: int, constraints: list[tuple[SignedPerm, SignedPerm, int]]
-) -> list[Matrix]:
+) -> list[SignedPerm]:
     """Basis of {M : M S = eps T M} for signed-permutation S, T.
 
     Each constraint links entry (a, b) to (colT[a], colS[b]) with a sign,
     so the solution space decomposes into orbit components; components
     with a sign contradiction vanish, the rest contribute one basis
-    matrix each.
+    matrix each, ordered by root.  Every component of the systems a
+    representation poses is a signed permutation, so each is emitted as
+    one straight from its orbit: member a*d + b with relative sign s is
+    the entry s at row a, column b.  A component that is not (some row
+    holds no entry or two) raises ValueError.
     """
     uf = _SignedUnionFind(d * d)
     for S, T, eps in constraints:
@@ -268,10 +272,15 @@ def solve_twisted_system(
         comps.setdefault(root, []).append((u, s))
     basis = []
     for root in sorted(comps):
-        rows = [[0] * d for _ in range(d)]
-        for u, s in comps[root]:
-            rows[u // d][u % d] = s
-        basis.append(as_matrix(rows))
+        members = comps[root]
+        col = [-1] * d
+        sign = [1] * d
+        for u, s in members:
+            col[u // d], sign[u // d] = u % d, s
+        # d members that fill every row, in distinct columns
+        if len(members) != d or sorted(col) != list(range(d)):
+            raise ValueError("a solved component is not a signed permutation")
+        basis.append(SignedPerm(tuple(col), tuple(sign)))
     return basis
 
 

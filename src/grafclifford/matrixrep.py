@@ -353,27 +353,23 @@ def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> No
                 raise StructureError(f"generator relation failed for indices ({i + 1},{j + 1})")
 
 
-def signed_perm_components(basis: list[Matrix]) -> list[SignedPerm]:
-    """The components of a ``solve_twisted_system`` basis as signed permutations.
+def solve_signed_perms(d: int, constraints) -> list[SignedPerm]:
+    """The components of a ``solve_twisted_system`` basis, as signed permutations.
 
     Every component of the commutant, intertwiner and pairing systems
     of a representation is a signed permutation; one that is not raises
     StructureError.
     """
-    out = []
-    for m in basis:
-        sp = SignedPerm.from_dense(m)
-        if sp is None:
-            raise StructureError("a solved component is not a signed permutation")
-        out.append(sp)
-    return out
+    try:
+        return solve_twisted_system(d, constraints)
+    except ValueError as exc:
+        raise StructureError(str(exc)) from exc
 
 
 def commutant_basis(rep: Rep) -> list[SignedPerm]:
     """Basis of matrices commuting with every generator, solved once per rep."""
     if rep._commutant is None:
-        basis = solve_twisted_system(rep.d, [(g, g, 1) for g in rep.perms])
-        rep._commutant = tuple(signed_perm_components(basis))
+        rep._commutant = tuple(solve_signed_perms(rep.d, [(g, g, 1) for g in rep.perms]))
     return list(rep._commutant)
 
 
@@ -510,7 +506,7 @@ def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:
     """
     cons = [(g, g.neg(), 1) for g in rep.perms]
     cons.append((vol, vol.neg(), 1))
-    basis = signed_perm_components(solve_twisted_system(rep.d, cons))
+    basis = solve_signed_perms(rep.d, cons)
     if len(basis) != 2:
         raise StructureError(f"D intertwiner space has dimension {len(basis)}, expected 2")
     d = basis[0].neg()

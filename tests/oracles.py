@@ -30,7 +30,6 @@ from grafclifford.linalg import (
     mat_add,
     mat_mul,
     mat_scale,
-    solve_twisted_system,
 )
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
@@ -443,7 +442,8 @@ def solve_twisted_system_reference(d: int, constraints) -> list:
 #
 # The library derives J, D, H and the pairing grams as signed permutations
 # by sorting and signing solved components.  These are the row-reduction
-# derivations of the same maps, on the same solved components rendered dense:
+# derivations of the same maps, on the same solved components rendered dense
+# (the reference solver's, which the library solver must reproduce):
 # trace-free parts, rref, rational normalization and Gram-Schmidt for H;
 # symmetric and antisymmetric parts, rref, first-entry normalization and
 # an invertibility test for the pairings; eigenspace nullspaces and a
@@ -478,12 +478,12 @@ def structure_oracle(rep: Rep) -> tuple:
     if case == CASE_ALMOST_COMPLEX:
         vol = rep.volume_sp()
         cons = [(g, g.neg(), 1) for g in rep.perms] + [(vol, vol.neg(), 1)]
-        dmat = mat_scale(solve_twisted_system(d, cons)[0], -1)
+        dmat = mat_scale(solve_twisted_system_reference(d, cons)[0], -1)
         if is_scalar_matrix(mat_mul(dmat, dmat)) != d_square_target(rep.signature):
             raise ValueError("D does not square to the class target")
         return volume_matrix(rep), dmat, None
     pure = []
-    for b in solve_twisted_system(d, [(g, g, 1) for g in rep.perms]):
+    for b in solve_twisted_system_reference(d, [(g, g, 1) for g in rep.perms]):
         tr = mat_trace(b)
         part = mat_add(b, mat_scale(identity(d), Fraction(-tr, d))) if tr else b
         if not is_zero_matrix(part):
@@ -507,7 +507,7 @@ def solve_pairing_oracle(rep: Rep, tau: int) -> list[tuple]:
     if rep.signature.n == 0:
         return [(identity(1), 1)]
     sym, anti = [], []
-    for m in solve_twisted_system(d, [(g, g.transpose(), tau) for g in rep.perms]):
+    for m in solve_twisted_system_reference(d, [(g, g.transpose(), tau) for g in rep.perms]):
         mt = transpose(m)
         half_sum = mat_scale(mat_add(m, mt), Fraction(1, 2))
         half_diff = mat_scale(mat_add(m, mat_scale(mt, -1)), Fraction(1, 2))

@@ -25,7 +25,8 @@ from grafclifford.errors import (
     StructureError,
     UnsupportedSignature,
 )
-from grafclifford.exterior import Form, Signature
+from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, wedge
+from grafclifford.graf import hodge
 from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep, build_structure
 
@@ -185,6 +186,41 @@ def test_reduced_system_90_on_random_spinors(rep90, st90, pr90):
         assert GEO90.class_name(index)
         if b:
             assert "psi0 != 0" in GEO90.class_name(index)
+
+
+def _published_rows_90(psi0, p1, p4, b):
+    """The five reduced rows as published, each psi4 ^_k psi4 a contracted wedge."""
+    met = Metric.standard(SIG90)
+    return {
+        "grade0-row": contracted_wedge(p1, p1, 1, met)
+        + contracted_wedge(p4, p4, 4, met).scale(Fraction(1, 24))
+        - psi0.scale(31 * b),
+        "grade1-row": hodge(wedge(p4, p4), met) - p1.scale(30 * b),
+        "grade2-row": wedge(p1, p1) + contracted_wedge(p4, p4, 3, met).scale(Fraction(1, 6)),
+        "grade3-row": hodge(contracted_wedge(p4, p4, 1, met), met),
+        "grade4-row": hodge(wedge(p1, p4), met).scale(4)
+        - contracted_wedge(p4, p4, 2, met)
+        - p4.scale(60 * b),
+    }
+
+
+def test_reduced_rows_90_equal_the_published_contracted_wedges():
+    """The rows read from the square psi4 * psi4 are the published statement's values.
+
+    Off spinor covariants, so no row holds by accident: a full psi4 (the
+    square's table path), a sparse one (the pair loop) and rational ones.
+    """
+    rng = random.Random(45)
+    fours = [m for m in range(1 << 9) if m.bit_count() == 4]
+    for keep, rational in ((1.0, False), (1.0, True), (0.1, False), (0.6, True)):
+        psi0 = Form.scalar(SIG90, oracles._rand_coeff(rng, 4, rational) or 1)
+        p1 = oracles.rand_homogeneous(rng, SIG90, 1, terms=9, rational=rational)
+        p4 = Form.from_mask_dict(
+            SIG90, {m: oracles._rand_coeff(rng, 4, rational) or 1 for m in fours if rng.random() < keep}
+        )
+        b = Fraction(rng.randint(-5, 5), 3)
+        rows, _ = GEO90.rows((psi0, p1, p4), b)
+        assert {r.identity: r.residual for r in rows} == _published_rows_90(psi0, p1, p4, b)
 
 
 def test_reduced_system_90_on_the_zero_spinor(rep90, st90, pr90):

@@ -14,7 +14,9 @@ from grafclifford.exterior import (
     Form,
     Metric,
     Signature,
+    contracted_wedge,
     grade_involution,
+    grade_project,
     reversal,
 )
 from grafclifford.graf import (
@@ -177,6 +179,210 @@ def test_square_tables_are_bounded_per_kernel():
     # the grade set squared on every round is never the least recent, so it stays
     assert kept in kern._squares
     assert grade_sets[0] not in kern._squares
+
+
+# -- packed product ----------------------------------------------------------------------------
+
+
+def _dense_form(rng, sig, draw):
+    """A form on every mask with coefficient ``draw(rng)``; a draw of 0 leaves the mask out."""
+    return Form.from_mask_dict(sig, {m: draw(rng) for m in range(1 << sig.n)})
+
+
+COEFFICIENT_DRAWS = {
+    "int": lambda rng: rng.choice((-1, 1)) * rng.randint(1, 9),
+    "rational": lambda rng: Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12)),
+    "huge": lambda rng: rng.choice((-1, 1)) * rng.randint(10**30, 10**40),
+    "negative": lambda rng: -rng.randint(1, 9),
+    "zeroed": lambda rng: rng.choice((0, 0, -1, 2, -3, 4, 5, -6, 7, 8)),
+}
+
+
+def _packed(f, g, met):
+    """f * g through the packed kernel, called directly whatever the input."""
+    kern = exterior._kernel_for(met)
+    ta, da = common_denominator(list(f.mask_items()))
+    tb, db = common_denominator(list(g.mask_items()))
+    terms = kern.finish(graf._product_terms_packed(ta, tb, kern), da * db)
+    return Form._adopt(f.signature, terms)
+
+
+def _loop(f, g, met, monkeypatch):
+    """f * g through the blade-pair loop."""
+    with monkeypatch.context() as m:
+        m.setattr(graf, "_PACKED_MIN_N", 10**6)
+        return graf_product(f, g, met)
+
+
+def test_packed_product_matches_the_loop_and_the_oracle(monkeypatch):
+    """Dense forms with n <= 9 under the standard and a mixed-sign metric.
+
+    Coefficients are ints, rationals, huge ints, negative ints only, or
+    ints with a fifth of the blades left out (zero fields); above n = 6
+    only ints.  The sequential oracle runs on every product up to n = 6,
+    and above on single-term left factors (a dense n = 9 product takes it
+    seconds); the loop runs on every product.
+    """
+    rng = random.Random(31)
+    for n in range(10):
+        for sig in dict.fromkeys((Signature(n, 0), Signature(n - n // 2, n // 2))):
+            met = Metric.standard(sig)
+            for kind, draw in COEFFICIENT_DRAWS.items():
+                if n > 6 and kind != "int":
+                    continue
+                f, g = _dense_form(rng, sig, draw), _dense_form(rng, sig, draw)
+                single = Form.blade(sig, rng.randrange(1 << n), draw(rng) or 1)
+                for a, b in ((f, g), (single, g), (f, single)):
+                    if a.is_zero() or b.is_zero():
+                        continue  # the kernel takes forms with a term
+                    got = _packed(a, b, met)
+                    assert got == _loop(a, b, met, monkeypatch)
+                    if n <= 6 or a is single:
+                        assert got == oracles.graf_product_oracle(a, b, met)
+                    assert _normalized(got)
+                    if kind != "rational":
+                        assert _all_int(got)
+
+
+def test_packed_field_width_holds_a_bound_that_is_a_power_of_two(monkeypatch):
+    """max|f| max|g| terms(f) = 2^k, reached exactly at the scalar key.
+
+    With f_a = M and g_b = M' row_b[b], the scalar coefficient of f * g is
+    sum_a M M' row_a[a]^2 = 16 M M', the bound itself, in the positive or
+    (with f negated) the negative accumulator.  k runs over every offset
+    from a whole number of bytes.
+    """
+    sig = Signature(2, 2)
+    met = Metric.standard(sig)
+    kern = exterior._kernel_for(met)
+    for k in range(5, 30):
+        big, small = 1 << (k - 4) // 2, 1 << (k - 4) - (k - 4) // 2
+        for sign in (1, -1):
+            f = Form.from_mask_dict(sig, {m: sign * big for m in range(16)})
+            g = Form.from_mask_dict(sig, {m: small * kern.row(m)[m] for m in range(16)})
+            got = _packed(f, g, met)
+            assert got.scalar_part() == sign * (1 << k)
+            assert got == _loop(f, g, met, monkeypatch) == oracles.graf_product_oracle(f, g, met)
+
+
+def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
+    """Sparse inputs, squares, n below the threshold and other diagonals keep the loop."""
+    seen = []
+    packed = graf._product_terms_packed
+
+    def spy(ta, tb, kern):
+        seen.append((kern.n, len(ta), len(tb)))
+        return packed(ta, tb, kern)
+
+    monkeypatch.setattr(graf, "_product_terms_packed", spy)
+    rng = random.Random(32)
+    draw = COEFFICIENT_DRAWS["int"]
+    low = graf._PACKED_MIN_N
+    never = []
+    for n in (low, 9):
+        sig = Signature(n - 2, 2)
+        met = Metric.standard(sig)
+        dense = _dense_form(rng, sig, draw)
+        # one term short of three quarters of the blades
+        masks = rng.sample(range(1 << n), (3 << n) // 4 - 1)
+        sparse = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
+        never += [(dense, sparse, met), (sparse, dense, met), (dense, dense, met)]
+    below = Signature(low - 1, 0)
+    never.append((_dense_form(rng, below, draw), _dense_form(rng, below, draw), Metric.standard(below)))
+    for diag in ((2, -3, 5), (2, -3, 5, 1, -1, 1), (1, -1, Fraction(1, 2), 1, 1, 1)):
+        sig = Signature(sum(1 for v in diag if v > 0), sum(1 for v in diag if v < 0))
+        met = Metric(sig, [[v if i == j else 0 for j, _ in enumerate(diag)] for i, v in enumerate(diag)])
+        assert not exterior._kernel_for(met).unit
+        never.append((_dense_form(rng, sig, draw), _dense_form(rng, sig, draw), met))
+    for f, g, met in never:
+        prod = graf_product(f, g, met)
+        if met.signature.n <= low:
+            assert prod == oracles.graf_product_oracle(f, g, met)
+    assert seen == []
+    # three quarters exactly, under the standard and a mixed-sign metric, at the threshold
+    for sig in (Signature(low, 0), Signature(low - 3, 3)):
+        met = Metric.standard(sig)
+        assert exterior._kernel_for(met).unit
+        masks = rng.sample(range(1 << low), (3 << low) // 4)
+        f = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
+        g = _dense_form(rng, sig, draw)
+        assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
+    assert seen == [(low, 3 << (low - 2), 1 << low)] * 2
+
+
+def test_packed_masks_match_the_blade_action():
+    """Field b of flip is set iff e_y e_b = -e_(b^y); of low iff y is not in b."""
+    for diag in ((1, 1, 1, 1), (1, -1, -1, 1, -1)):
+        sig = Signature(diag.count(1), diag.count(-1))
+        kern = exterior._kernel_for(Metric.standard(sig))
+        for width in (8, 24):
+            field = (1 << width) - 1
+            for y, (flip, low) in enumerate(kern.packed_masks(width)):
+                for b in range(1 << sig.n):
+                    _, c = oracles.clifford_blade_product((y + 1,), exterior._indices_of_mask(b), kern.diag)
+                    assert flip >> (b * width) & field == (field if c == -1 else 0)
+                    assert low >> (b * width) & field == (0 if b >> y & 1 else field)
+                assert flip < 1 << (width << sig.n) and low < 1 << (width << sig.n)
+
+
+def test_packed_masks_are_bounded_per_kernel():
+    """Widths go least recently used past the cap, per kernel."""
+    sig = Signature(4, 2)
+    met = Metric.standard(sig)
+    rng = random.Random(33)
+    kern = exterior._kernel_for(met)
+    assert kern.unit
+    kern._packed.clear()
+    unit = _dense_form(rng, sig, lambda rng: rng.choice((-1, 1)))
+    ones = Form.from_mask_dict(sig, {m: 1 for m in range(1 << sig.n)})
+
+    def scaled(width):
+        # 2^(width - 8) * 1 * 64 terms = 2^(width - 2): width bits with the spare one
+        return ones.scale(1 << (width - 8))
+
+    kept = 16
+    widths = [24, 32, 40, 48, 56, 64]
+    assert len(widths) > exterior._PACKED_MASK_CAP
+    for width in widths:
+        for w in (width, kept):
+            f = scaled(w)
+            assert graf_product(f, unit, met) == oracles.graf_product_oracle(f, unit, met)
+            assert w in kern._packed
+        assert len(kern._packed) <= exterior._PACKED_MASK_CAP
+    # the width used on every round is never the least recent, so it stays
+    assert kept in kern._packed
+    assert widths[0] not in kern._packed
+
+
+def test_unit_flag_marks_exactly_the_plus_minus_one_diagonals():
+    def flag(diag):
+        n = len(diag)
+        sig = Signature(sum(1 for v in diag if v > 0), sum(1 for v in diag if v < 0))
+        gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        return exterior._kernel_for(Metric(sig, gram)).unit
+
+    assert flag((1, 1, 1)) and flag((1, -1, -1)) and flag(())
+    assert not flag((2, -3, 5)) and not flag((1, Fraction(1, 2))) and not flag((-1, -2))
+
+
+def test_contracted_wedge_is_a_graded_slice_of_the_product():
+    """cw_k(f, g) = k! (-1)^(k(m-k) + floor(k/2)) <f * g>_(m+l-2k) on homogeneous f, g."""
+    rng = random.Random(34)
+    sig21 = Signature(2, 1)
+    cases = [Metric.standard(Signature(4, 0)), Metric.standard(Signature(2, 2))]
+    cases.append(Metric(sig21, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]]))
+    for met in cases:
+        sig = met.signature
+        for m in range(sig.n + 1):
+            for l in range(sig.n + 1):
+                f = oracles.rand_homogeneous(rng, sig, m, terms=3, rational=True)
+                g = oracles.rand_homogeneous(rng, sig, l, terms=3)
+                prod = graf_product(f, g, met)
+                for k in range(sig.n + 1):
+                    sign = exterior._graf_sign(k, m)
+                    want = grade_project(prod, m + l - 2 * k).scale(math.factorial(k) * sign)
+                    assert contracted_wedge(f, g, k, met) == want
+                    assert want == oracles.contracted_wedge_oracle(f, g, k, met)
 
 
 def test_kernel_keeps_integer_inputs_on_ints():

@@ -169,12 +169,12 @@ def test_commutant_is_solved_once_per_representation(monkeypatch):
 def test_a_solved_component_that_is_not_a_signed_permutation_is_refused(monkeypatch):
     solve = matrixrep.solve_twisted_system
 
-    def doubled_first(d, constraints):
-        basis = solve(d, constraints)
-        return [mat_scale(basis[0], 2)] + basis[1:]
+    def unconstrained(d, constraints):
+        # every entry its own component: a matrix with one nonzero entry
+        return solve(d, [])
 
     rep = build_rep(SIG12)
-    monkeypatch.setattr(matrixrep, "solve_twisted_system", doubled_first)
+    monkeypatch.setattr(matrixrep, "solve_twisted_system", unconstrained)
     with pytest.raises(StructureError, match="not a signed permutation"):
         build_structure(rep)
     with pytest.raises(StructureError, match="not a signed permutation"):
