@@ -91,7 +91,6 @@ from .classify import (
     appendix_check,
     census,
     class_report,
-    classify,
     covariants,
     geometry_of,
     majorana_project,
@@ -180,7 +179,6 @@ __all__ = [
     "prepare",
     "covariants",
     "reduced_verdict",
-    "classify",
     "class_report",
     "census",
     "appendix_check",

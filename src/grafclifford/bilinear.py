@@ -4,7 +4,8 @@ A pairing is a real invertible matrix A defining B(x, y) = x^T A y such
 that every generator is tau-adjoint to itself: A G_i = tau G_i^T A.  The
 symmetry sign sigma comes from A^T = sigma A.  Solutions are found by
 solving the linear intertwining system exactly, never assumed; the
-published symmetry and type tables then act as cross-checks.  Every
+published tables select among them: tau is the table's type sign, and
+only solutions of the table's symmetry sign are admissible.  Every
 solution is a signed permutation, so A is held as one: the pairing
 checks, the isotropy test and B itself cost O(d), and the gram is
 rendered dense only for reports.
@@ -14,17 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, StructureError
 from .exterior import Signature
 from .linalg import SignedPerm, Vector
 from .matrixrep import MainSubalgebra, Rep, build_structure, solve_signed_perms
-
-
-class TableMismatchWarning(UserWarning):
-    """Computed pairing signs disagree with the published tables."""
 
 
 @dataclass(frozen=True)
@@ -100,18 +96,6 @@ def table_tau(signature: Signature) -> int | None:
     return {1: 1, 5: 1, 3: -1, 7: -1}.get(nr)
 
 
-def check_tables(pairing: Pairing, signature: Signature) -> bool:
-    """True when the computed signs match every printed table row."""
-    ts = table_sigma(signature)
-    tt = table_tau(signature)
-    ok = True
-    if ts is not None and pairing.sigma != ts:
-        ok = False
-    if tt is not None and pairing.tau != tt:
-        ok = False
-    return ok
-
-
 # -- solving ---------------------------------------------------------------------------
 
 
@@ -167,7 +151,7 @@ def b_eval(pairing: Pairing, alpha: Vector, beta: Vector):
     return sum(x * y for x, y in zip(alpha, av))
 
 
-# -- metadata: symmetry recomputation, isotropy, table cross-check ---------------------
+# -- isotropy of the half-spinor split ------------------------------------------------
 
 
 def _splitting_involution(rep: Rep, structure: MainSubalgebra) -> SignedPerm | None:
@@ -208,23 +192,6 @@ def isotropy_sign(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> int 
     raise StructureError("pairing is neither orthogonal nor isotropic on the split")
 
 
-def pairing_metadata(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> Pairing:
-    """Recompute sigma, fill isotropy, and warn on any table mismatch."""
-    sigma = _symmetry(pairing.gram)
-    if sigma is None:
-        raise StructureError("pairing matrix has no definite symmetry")
-    iso = isotropy_sign(pairing, rep, structure)
-    out = replace(pairing, sigma=sigma, isotropy=iso)
-    if not check_tables(out, rep.signature):
-        warnings.warn(
-            f"pairing signs (sigma={sigma}, tau={pairing.tau}) disagree with the "
-            f"published tables for signature ({rep.signature.p},{rep.signature.q})",
-            TableMismatchWarning,
-            stacklevel=2,
-        )
-    return out
-
-
 def admissible_pairings(rep: Rep, structure: MainSubalgebra | None = None) -> list[Pairing]:
     """Every invertible pairing matching the published type and symmetry row.
 
@@ -243,7 +210,7 @@ def admissible_pairings(rep: Rep, structure: MainSubalgebra | None = None) -> li
     structure = structure if structure is not None else build_structure(rep)
     out = []
     for cand in chosen:
-        filled = pairing_metadata(cand, rep, structure)
+        filled = replace(cand, isotropy=isotropy_sign(cand, rep, structure))
         filled.verify(rep)
         out.append(filled)
     return out

@@ -1,14 +1,23 @@
 """Spinor and pinor classes from covariant zero patterns, with census tooling.
 
-Two geometries are implemented end to end.  On signature (1,2) the
-almost-complex case applies: real spinors are the fixed points of the
-anticomplex structure, their surviving covariants are a scalar and a
-2-form, and the constraint system reduces to two contracted-wedge
-equations whose zero patterns cut out four classes.  On signature (9,0)
-the normal case applies in the truncated low-grade model: the covariant
-content is a scalar, a 1-form and a 4-form constrained by the truncated
-master identity; the published five-row reduced system is evaluated next
-to that master identity, and a row that fails while the master holds is
+One pipeline serves every classified signature, and a ``Geometry``
+record holds only its data and its published reduced rows.  The
+covariants of a spinor are the grade parts of the identity unit's
+component of E(alpha, alpha), read without its k_const / 2^n multiple
+by the one extractor ``covariants``, which checks the record's
+preconditions as it goes.  One master identity S o S = c B S on their
+sum S gates the class: o is the truncated product in the truncation
+regime and the Clifford product otherwise.
+
+Two geometries are on the table.  On signature (1,2) the almost-complex
+case applies: real spinors are the fixed points of the anticomplex
+structure, their surviving covariants are a scalar and a 2-form, and the
+constraint system reduces to two contracted-wedge equations whose zero
+patterns cut out four classes.  On signature (9,0) the normal case
+applies in the truncated low-grade model: the covariant content is a
+scalar, a 1-form and a 4-form constrained by the truncated master
+identity; the published five-row reduced system is evaluated next to
+that master identity, and a row that fails while the master holds is
 flagged as a suspected transcription issue instead of being repaired.
 
 The census samples integer spinors from a seeded generator, classifies
@@ -42,10 +51,16 @@ from .exterior import (
     rational_to_str,
     wedge,
 )
-from .fierz import IdentityResult, _bilinear_profile, _lowering_signs, _result
-from .graf import graf_product, hodge, lower_projection, truncated_product
+from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile, unit_table
+from .graf import (
+    graf_product,
+    hodge,
+    in_truncation_regime,
+    lower_projection,
+    truncated_product,
+)
 from .linalg import _norm
-from .matrixrep import CASE_ALMOST_COMPLEX, MainSubalgebra, Rep
+from .matrixrep import MainSubalgebra, Rep
 
 __all__ = [
     "Geometry",
@@ -87,18 +102,18 @@ def majorana_project(rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
     return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
 
 
-def real_structure_isometric(pairing: Pairing, structure: MainSubalgebra) -> bool:
-    """Whether the real structure preserves the pairing, B(Dx, Dy) = B(x, y).
+def _real_structure_weight(rep: Rep, structure: MainSubalgebra, pairing: Pairing) -> int:
+    """eps_D of D^T A D = eps_D A, read from the unit table U = (1, D).
 
-    Equivalent to the half-spinor split being orthogonal rather than
-    isotropic.  With the anti-isometric (isotropic-split) pairing all
-    even-rank bilinears vanish identically on real spinors, so the
-    scalar/rank-2 covariant set carries no information there.
+    eps_D = +1 when the real structure preserves the pairing, which for
+    D^2 = +Id is an orthogonal rather than isotropic half-spinor split
+    (``Pairing.isotropy``).  Under eps_D = -1 every even-rank bilinear
+    vanishes identically on real spinors, so their covariants carry no
+    information there.
     """
     if structure.D is None:
         raise StructureError("no real structure available for this case")
-    d = structure.D
-    return d.transpose().compose(pairing.gram).compose(d) == pairing.gram
+    return unit_table(rep, structure, pairing).weights[1]
 
 
 # -- reduced verdicts ---------------------------------------------------------------------
@@ -137,43 +152,7 @@ class ReducedVerdict:
         return obj
 
 
-# -- (1,2): real spinors, scalar and rank-2 covariants ------------------------------------
-
-
-def _covariants_12(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: tuple):
-    """Covariants of a D-fixed spinor; verifies the odd-rank vanishing."""
-    if structure.case != CASE_ALMOST_COMPLEX or structure.D is None:
-        raise StructureError("signature (1,2) carries the almost-complex case")
-    if not real_structure_isometric(pairing, structure):
-        raise StructureError(
-            "the pairing is anti-isometric under the real structure; the "
-            "scalar/rank-2 covariants vanish identically on real spinors "
-            "under it — use the orthogonal-split pairing"
-        )
-    if structure.D.apply(vec) != vec:
-        raise NotASpinor("spinor is not fixed by the real structure; project it first")
-    prof = _bilinear_profile(rep, pairing, vec, vec)
-    signs = _lowering_signs(rep)
-    terms2 = {}
-    for mask, val in prof.items():
-        k = mask.bit_count()
-        if k % 2 == 1:
-            raise NotASpinor("an odd-rank bilinear is nonzero on a real spinor")
-        if k == 2:
-            terms2[mask] = _norm(val * signs[mask])
-    return Form.scalar(rep.signature, prof.get(0, 0)), Form.from_mask_dict(rep.signature, terms2)
-
-
-def _master_12(cov, b, volume_sign: int) -> IdentityResult:
-    """The two-component square identity.
-
-    With both covariant components equal, the full product identity
-    collapses to (phi0 + phi2) * (phi0 + phi2) = 2 B (phi0 + phi2), whose
-    grade parts are exactly the two reduced rows.
-    """
-    total = cov[0] + cov[1]
-    square = graf_product(total, total, Metric.standard(total.signature))
-    return _result("two-component-square", square - total.scale(2 * b))
+# -- (1,2): the two contracted-wedge rows -----------------------------------------------
 
 
 def _rows_12(cov, b):
@@ -189,50 +168,7 @@ def _rows_12(cov, b):
     return rows, None
 
 
-# -- (9,0): pinors, grade-{0,1,4} covariants -----------------------------------------------
-
-
-def _covariants_90(rep: Rep, structure: MainSubalgebra, pairing: Pairing, vec: tuple):
-    """Truncated covariants of a pinor; verifies rank vanishing and duality.
-
-    Checks that the sign-law-forbidden ranks {2,3,6,7} vanish and that
-    the upper-grade bilinears (ranks 5,8,9) are the volume images of the
-    lower ones, so the grade-{0,1,4} truncation loses nothing.
-    """
-    if pairing.sigma != 1 or pairing.tau != 1:
-        raise StructureError(
-            "pinor covariants use the symmetric pairing of positive type"
-        )
-    if len(vec) != rep.abs.rep_dim:
-        raise DimensionMismatch("spinor length does not match the representation")
-    by_grade: dict[int, dict] = {k: {} for k in range(rep.signature.n + 1)}
-    for mask, val in _bilinear_profile(rep, pairing, vec, vec).items():
-        by_grade[mask.bit_count()][mask] = val
-    if any(by_grade[k] for k in (2, 3, 6, 7)):
-        raise NotASpinor("a sign-law-forbidden rank bilinear is nonzero")
-    parts = {k: Form._adopt(rep.signature, terms) for k, terms in by_grade.items()}
-    met = rep.metric
-    for k in (0, 1, 4):
-        if hodge(parts[k], met).scale(rep.volume_sign) != parts[rep.signature.n - k]:
-            raise NotASpinor(
-                "upper-grade bilinears are not the volume images of the lower ones"
-            )
-    return parts[0], parts[1], parts[4]
-
-
-def _master_90(cov, b, volume_sign: int) -> IdentityResult:
-    """Truncated master identity in cleared form: S * S = 16 B S.
-
-    The low-grade slice carries exactly half of the full covariant (the
-    volume image carries the other half), so clearing the 1/32 weight
-    from the slice leaves 16, not 32.  This is the form that genuine
-    spinor covariants satisfy exactly.  The truncated product uses the
-    projector of the representation's volume sign, the ideal the
-    covariants live in.
-    """
-    s = cov[0] + cov[1] + cov[2]
-    product = truncated_product(s, s, volume_sign, Metric.standard(s.signature))
-    return _result("truncated-master", product - s.scale(16 * b))
+# -- (9,0): the five published rows ----------------------------------------------------
 
 
 def _rows_90(cov, b):
@@ -307,22 +243,27 @@ def _rows_90(cov, b):
 class Geometry:
     """The data of the classification recipe on one signature.
 
-    The recipe is the same on every classified signature: prepare the
-    spinor, extract its covariant forms, check them against the reduced
-    identities, and read the class off which covariants vanish.  The
-    first component is the scalar, which equals B(alpha, alpha) on
+    The recipe is the same on every classified signature and is written
+    once: ``prepare`` the spinor, extract its covariant forms with
+    ``covariants`` (the identity unit's component of E(alpha, alpha),
+    split by grade), check the master identity S o S = c B S on their sum
+    S and the published reduced rows, and read the class off which
+    covariants vanish.  A record holds only data and its published rows.
+    The first component is the scalar, which equals B(alpha, alpha) on
     covariants computed from a spinor.
     """
 
     signature: tuple[int, int]
     # (name, grade) of each covariant form, in the order the extractor returns them
     components: tuple[tuple[str, int], ...]
+    # (sigma, tau) of the pairings the covariants are read under
+    pairing_signs: tuple[int, int]
     # real spinors: prepared by the Majorana projection, and classified
-    # only under pairings the real structure preserves
+    # only under pairings the real structure preserves (eps_D = +1)
     real: bool
-    extract: Callable[[Rep, MainSubalgebra, Pairing, tuple], tuple[Form, ...]]
-    # (covariants, b, volume sign) -> the master identity's result
-    master: Callable[[tuple[Form, ...], object, int], IdentityResult]
+    # (identity name, c) of the master identity S o S = c B S
+    master: tuple[str, int]
+    # (covariants, b) -> (reduced rows, volume-image clearance or None)
     rows: Callable[[tuple[Form, ...], object], tuple]
     # whether a failing reduced row refuses the spinor; otherwise failing
     # rows are flagged reports and only the master identity refuses
@@ -342,23 +283,29 @@ class Geometry:
 GEOMETRIES: dict[tuple[int, int], Geometry] = {
     geo.signature: geo
     for geo in (
+        # With both covariant components equal, the full product identity
+        # collapses to the square of phi0 + phi2, whose grade parts are
+        # exactly the two reduced rows.
         Geometry(
             signature=(1, 2),
             components=(("phi0", 0), ("phi2", 2)),
+            pairing_signs=(-1, -1),
             real=True,
-            extract=_covariants_12,
-            master=_master_12,
+            master=("two-component-square", 2),
             rows=_rows_12,
             gate_on_rows=True,
             refusal="covariants do not satisfy the reduced constraint system",
             patterns=((False, False), (True, False), (False, True), (True, True)),
         ),
+        # The low-grade slice carries exactly half of the full covariant
+        # (the volume image carries the other half), so clearing the 1/32
+        # weight from the slice leaves 16, not 32.
         Geometry(
             signature=(9, 0),
             components=(("psi0", 0), ("psi1", 1), ("psi4", 4)),
+            pairing_signs=(1, 1),
             real=False,
-            extract=_covariants_90,
-            master=_master_90,
+            master=("truncated-master", 16),
             rows=_rows_90,
             gate_on_rows=False,
             refusal="covariants do not satisfy the truncated master identity",
@@ -399,14 +346,69 @@ def prepare(geometry: Geometry, rep: Rep, structure: MainSubalgebra, alpha) -> t
 def covariants(
     geometry: Geometry, rep: Rep, structure: MainSubalgebra, pairing: Pairing, spinor
 ) -> tuple[Form, ...]:
-    """Covariant forms of a prepared spinor, in the geometry's component order."""
-    if (rep.signature.p, rep.signature.q) != geometry.signature:
+    """Covariant forms of a prepared spinor, in the geometry's component order.
+
+    The forms are the grade parts of the identity unit's component of
+    E(alpha, alpha) without its k_const / 2^n multiple: blade m of grade
+    k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``).
+    Each precondition is checked and refused: the pairing has the
+    record's signs; a real spinor's pairing is preserved by D and the
+    spinor is D-fixed; every grade vanishes unless it is a component
+    grade or, in the truncation regime, the volume image n - k of one,
+    and that image equals the Hodge dual of grade k times the volume
+    sign, so the low-grade truncation loses nothing.
+    """
+    sig = rep.signature
+    if (sig.p, sig.q) != geometry.signature:
         p, q = geometry.signature
         raise UnsupportedSignature(
-            f"this covariant set is defined on signature ({p},{q}), "
-            f"got ({rep.signature.p},{rep.signature.q})"
+            f"this covariant set is defined on signature ({p},{q}), got ({sig.p},{sig.q})"
         )
-    return geometry.extract(rep, structure, pairing, tuple(spinor))
+    vec = tuple(spinor)
+    if len(vec) != rep.abs.rep_dim:
+        raise DimensionMismatch("spinor length does not match the representation")
+    if (pairing.sigma, pairing.tau) != geometry.pairing_signs:
+        sigma, tau = geometry.pairing_signs
+        raise StructureError(f"the covariants use a pairing with (sigma, tau) = ({sigma}, {tau})")
+    if geometry.real:
+        if _real_structure_weight(rep, structure, pairing) != 1:
+            raise StructureError(
+                "the pairing is anti-isometric under the real structure; the "
+                "even-rank covariants vanish identically on real spinors "
+                "under it — use the orthogonal-split pairing"
+            )
+        if structure.D.apply(vec) != vec:
+            raise NotASpinor("spinor is not fixed by the real structure; project it first")
+    by_grade: dict[int, dict] = {k: {} for k in range(sig.n + 1)}
+    for mask, val in unit_profile(rep, pairing, vec, vec).items():
+        by_grade[mask.bit_count()][mask] = val
+    grades = [k for _, k in geometry.components]
+    images = [sig.n - k for k in grades] if in_truncation_regime(sig) else []
+    if any(terms for k, terms in by_grade.items() if k not in grades and k not in images):
+        raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
+    parts = {k: Form._adopt(sig, terms) for k, terms in by_grade.items()}
+    for k, image in zip(grades, images):
+        if hodge(parts[k], rep.metric).scale(rep.volume_sign) != parts[image]:
+            raise NotASpinor("upper-grade bilinears are not the volume images of the lower ones")
+    return tuple(parts[k] for k in grades)
+
+
+def _master(geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
+    """The master identity S o S = c B S in cleared form, S the sum of the covariants.
+
+    o is the truncated product under the projector of ``volume_sign``
+    (the ideal the covariants live in) in the truncation regime, and the
+    Clifford product otherwise.  S is one object, so the product takes
+    the square path.
+    """
+    s = sum(covs[1:], covs[0])
+    met = Metric.standard(s.signature)
+    if in_truncation_regime(s.signature):
+        square = truncated_product(s, s, volume_sign, met)
+    else:
+        square = graf_product(s, s, met)
+    name, c = geometry.master
+    return _result(name, square - s.scale(c * b))
 
 
 def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
@@ -419,7 +421,7 @@ def reduced_verdict(
     geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int = 1
 ) -> ReducedVerdict:
     """Exact verdict on the master identity and the reduced rows, with flags."""
-    master = geometry.master(covs, b, volume_sign)
+    master = _master(geometry, covs, b, volume_sign)
     rows, clearance = geometry.rows(covs, b)
     return ReducedVerdict(master, rows, _flags(master, rows), clearance)
 
@@ -442,7 +444,7 @@ def classify(
     if geometry.gate_on_rows:
         gate = verdict if verdict is not None else reduced_verdict(geometry, covs, b, volume_sign)
     else:
-        gate = verdict.master if verdict is not None else geometry.master(covs, b, volume_sign)
+        gate = verdict.master if verdict is not None else _master(geometry, covs, b, volume_sign)
     if not gate.passed:
         raise NotASpinor(geometry.refusal)
     return geometry.patterns.index(tuple(not f.is_zero() for f in covs)) + 1
@@ -591,7 +593,8 @@ def census(
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
     compatible = [
-        not geo.real or real_structure_isometric(pairing, structure) for pairing in pairings
+        not geo.real or _real_structure_weight(rep, structure, pairing) == 1
+        for pairing in pairings
     ]
     counts: list[dict[int, int]] = [{} for _ in pairings]
     found: list[dict[int, tuple]] = [{} for _ in pairings]

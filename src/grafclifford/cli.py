@@ -492,6 +492,8 @@ def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
+    if cfg.volume_sign != 1:
+        raise UnsupportedSignature("the identity battery is stated under volume sign +")
     sig = cfg.signature if cfg.signature is not None else Signature(*APPENDIX_SIGNATURE)
     verdict = appendix_check(sig, cfg.trials, cfg.seed)
     report = {

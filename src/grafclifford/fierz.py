@@ -32,8 +32,11 @@ u lambda(e_m) = c_u^k lambda(e_m) u this is
     eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
 
 The multiple is k_const / 2^n, which is 1/d, halved in the double
-algebras where e_m and e_m vol act alike.  ``reconstruct_check``
-verifies sum_u u lambda(f_u) = E exactly.
+algebras where e_m and e_m vol act alike.  ``unit_profile`` gives the
+coefficients before that multiple, with the signs (tau c_u)^k s_m read
+from one table per representation and tau c_u; the classification reads
+the identity unit's.  ``reconstruct_check`` verifies
+sum_u u lambda(f_u) = E exactly.
 
 Fierz identities.  Write a_u, b_u and f_u for the components of E11,
 E22 and E12.  Moving U[v] left past lambda(a_u) turns a_u into
@@ -198,15 +201,34 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
     return divide_numerators(out, aden * zden * wden)
 
 
-def _lowering_signs(rep: Rep) -> tuple[int, ...]:
-    """Per-mask product of metric diagonal signs (index lowering weight)."""
+@lru_cache(maxsize=8)
+def _blade_weights(rep: Rep, tc: int) -> tuple[int, ...]:
+    """tc^k s_m for every blade mask m of grade k, built by doubling.
+
+    s_m is the product of the metric diagonal signs over the blade's
+    indices (the index-lowering sign) and tc = tau c_u is the unit's
+    grade sign, so the table serves every unit with the same tc.
+    """
     diag = rep.metric.diagonal
-    n = rep.signature.n
-    out = [1] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] * int(diag[low.bit_length() - 1])
+    out = [1]
+    for i in range(rep.signature.n):
+        step = tc * int(diag[i])
+        out += [w * step for w in out]
     return tuple(out)
+
+
+def unit_profile(
+    rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector, eps: int = 1, twist: int = 1
+) -> dict[int, object]:
+    """Unscaled blade coefficients eps (tau c)^k s_m B(alpha, e_m beta), by mask.
+
+    With beta replaced by u beta, eps = eps_u and twist = c_u this is the
+    component of unit u before the k_const / 2^n multiple; the defaults
+    give the identity unit's.
+    """
+    weights = _blade_weights(rep, pairing.tau * twist)
+    prof = _bilinear_profile(rep, pairing, alpha, beta)
+    return {m: eps * weights[m] * v for m, v in prof.items()}
 
 
 def covariant(
@@ -222,13 +244,10 @@ def covariant(
     """
     table = unit_table(rep, structure, pairing)
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
-    signs = _lowering_signs(rep)
     comps = []
     for u, c, eps in zip(table.units, table.twists, table.weights):
-        weight, parity = pref * eps, pairing.tau * c
-        prof = _bilinear_profile(rep, pairing, alpha, u.apply(beta))
-        terms = {m: weight * (v * signs[m] * parity ** m.bit_count()) for m, v in prof.items()}
-        comps.append(Form.from_mask_dict(rep.signature, terms))
+        prof = unit_profile(rep, pairing, alpha, u.apply(beta), eps, c)
+        comps.append(Form.from_mask_dict(rep.signature, {m: pref * v for m, v in prof.items()}))
     return Covariant(tuple(comps), table)
 
 

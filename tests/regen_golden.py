@@ -87,6 +87,7 @@ def invocations() -> list[list[str]]:
         ["census", "--signature", "2,2", "--samples", "1"],
         ["census", "--signature", "9,0", "--samples", "-1"],
         ["appendix-check", "--signature", "1,2", "--trials", "1"],
+        ["appendix-check", "--volume-sign", "-", "--trials", "1"],
         ["verify-fierz"],
         ["build-rep", "--signature", "3"],
         ["build-rep", "--signature", "13,0"],

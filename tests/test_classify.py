@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import grafclifford.classify as classify_module
 import oracles
 from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
+    _real_structure_weight,
     appendix_check,
     census,
     class_report,
@@ -16,7 +18,6 @@ from grafclifford.classify import (
     geometry_of,
     majorana_project,
     prepare,
-    real_structure_isometric,
     reduced_verdict,
 )
 from grafclifford.errors import (
@@ -25,7 +26,8 @@ from grafclifford.errors import (
     StructureError,
     UnsupportedSignature,
 )
-from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, wedge
+from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, grade_project, wedge
+from grafclifford.fierz import covariant
 from grafclifford.graf import hodge
 from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep, build_structure
@@ -67,10 +69,35 @@ def test_majorana_projection_properties(rep12, st12, st90):
         majorana_project(rep12, st90, (1, 0, 0, 0))
 
 
-def test_real_structure_isometry_splits_the_pairings(st12, pairings12):
+def test_the_real_structure_weight_splits_the_pairings(rep12, st12, pairings12, rep90, st90, pr90):
     by_iso = {p.isotropy: p for p in pairings12}
-    assert real_structure_isometric(by_iso[1], st12)
-    assert not real_structure_isometric(by_iso[-1], st12)
+    assert _real_structure_weight(rep12, st12, by_iso[1]) == 1
+    assert _real_structure_weight(rep12, st12, by_iso[-1]) == -1
+    with pytest.raises(StructureError):
+        _real_structure_weight(rep90, st90, pr90)
+
+
+def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
+    """covariants() is the grade split of covariant(...).components[0] times 2^n / k_const."""
+    rng = random.Random(46)
+    for sig in (SIG12, SIG90):
+        geo = geometry_of(sig)
+        for volume_sign in (1, -1):
+            rep = build_rep(sig, volume_sign)
+            st = build_structure(rep)
+            pairings = [
+                pr
+                for pr in admissible_pairings(rep, st)
+                if not geo.real or _real_structure_weight(rep, st, pr) == 1
+            ]
+            assert pairings
+            for pairing in pairings:
+                for _ in range(3):
+                    vec = prepare(geo, rep, st, oracles.rand_vector(rng, rep.d))
+                    whole = covariant(rep, st, pairing, vec, vec).components[0]
+                    whole = whole.scale(Fraction(1 << sig.n, rep.abs.k_const))
+                    expected = tuple(grade_project(whole, k) for _, k in geo.components)
+                    assert covariants(geo, rep, st, pairing, vec) == expected
 
 
 # -- (1,2) covariants and classes --------------------------------------------------------
@@ -93,7 +120,7 @@ def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, 
             moved = basis
             break
     assert moved is not None
-    with pytest.raises(NotASpinor):
+    with pytest.raises(NotASpinor, match="not fixed by the real structure"):
         covariants(GEO12, rep12, st12, pr12, moved)
     anti = next(p for p in pairings12 if p.isotropy == -1)
     fixed = majorana_project(rep12, st12, (1, 0, 0, 0))
@@ -101,6 +128,32 @@ def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, 
         covariants(GEO12, rep12, st12, anti, fixed)
     with pytest.raises(UnsupportedSignature):
         covariants(GEO12, rep90, st90, pr90, (1,) + (0,) * 15)
+
+
+def test_the_extractor_refuses_profiles_off_the_grade_pattern(
+    monkeypatch, rep12, st12, pr12, rep90, st90, pr90
+):
+    genuine = classify_module.unit_profile
+    vec12 = majorana_project(rep12, st12, (3, -1, 2, 5))
+    vec90 = oracles.rand_vector(random.Random(47), rep90.d)
+    assert any(m.bit_count() == 5 for m in genuine(rep90, pr90, vec90, vec90))
+    edits = (
+        # a grade that is neither a component nor a volume image
+        (GEO12, rep12, st12, pr12, vec12, lambda prof: {**prof, 0b001: 1}, "rank outside"),
+        (GEO90, rep90, st90, pr90, vec90, lambda prof: {**prof, 0b11: 1}, "rank outside"),
+        # a volume image that is not the Hodge dual of its component
+        (
+            GEO90, rep90, st90, pr90, vec90,
+            lambda prof: {m: v for m, v in prof.items() if m.bit_count() != 5},
+            "volume images",
+        ),
+    )
+    for geo, rep, st, pairing, vec, edit, message in edits:
+        monkeypatch.setattr(
+            classify_module, "unit_profile", lambda *args, edit=edit: edit(genuine(*args))
+        )
+        with pytest.raises(NotASpinor, match=message):
+            covariants(geo, rep, st, pairing, vec)
 
 
 def test_reduced_rows_and_classes_12(rep12, st12, pr12):

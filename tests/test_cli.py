@@ -325,8 +325,13 @@ def test_appendix_check_cli(capsys):
     assert battery["passed"] is True
     assert len(battery["rows"]) == 12
     assert report["provenance"]["signature"] == [9, 0]
-    assert main(["appendix-check", "--signature", "1,2", "--trials", "1"]) == 2
-    assert "error" in capsys.readouterr().err
+    # the battery is stated on (9,0) under the + projector: refuse the rest
+    for flag in (["--signature", "1,2"], ["--volume-sign", "-"]):
+        assert main(["appendix-check", *flag, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("grafclifford: error: ")
 
 
 def test_text_format_rendering(capsys):

@@ -220,6 +220,21 @@ def test_every_pairing_up_to_dimension_eight_on_unprojected_spinors():
     assert cases == 77
 
 
+def test_the_real_structure_weight_is_the_isotropy_of_the_split():
+    # where D^2 = +Id, D splits the spinors, and D^T A D = eps_D A is the
+    # orthogonal split (eps_D = +1) or the isotropic one (eps_D = -1)
+    seen = set()
+    for rep, st in _buildable(8):
+        if st.d_square_sign != 1:
+            continue
+        for pairing in admissible_pairings(rep, st):
+            table = unit_table(rep, st, pairing)
+            eps_d = table.weights[table.units.index(st.D)]
+            assert (eps_d == 1) == (pairing.isotropy == 1), (rep.signature, pairing.isotropy)
+            seen.add(eps_d)
+    assert seen == {1, -1}
+
+
 def test_unit_table_constants_from_the_structure_maps():
     for rep, st in _buildable(9):
         pairing = admissible_pairings(rep, st)[0]

@@ -12,10 +12,14 @@ that only the tests call belongs in ``tests/oracles.py``.  No
 the ``typing`` aliases check through a slower path than the
 ``collections.abc`` classes they stand for.  Every import of a library
 module by another, at module or function level, names a lower layer
-(``LAYERS``), so the modules form a stack with no cycle.
+(``LAYERS``), so the modules form a stack with no cycle.  No name the
+package ``__init__.py`` binds equals a library submodule's stem: such a
+name replaces the package attribute of the submodule, so
+``import grafclifford.<stem> as m`` would bind it instead of the module.
 """
 
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,6 +146,25 @@ def layering_violations(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def exports_shadowing_submodules(init_source: str, stems: set[str]) -> list[str]:
+    """Names ``__init__.py`` binds at module level that equal a submodule's stem.
+
+    ``from . import stem`` binds the submodule itself and is not counted.
+    """
+    found = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in stems]
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -204,6 +227,38 @@ def test_the_isinstance_checker_sees_typing_names():
         "typing.Iterable (line 8)",
         "t.Sized (line 9)",
     ]
+
+
+def test_the_export_checker_sees_names_that_shadow_a_submodule():
+    source = (
+        "from . import graf\n"
+        "from .classify import classify, census\n"
+        "from .fierz import covariant as fierz\n"
+        "from .cli import main\n"
+        "def exterior():\n    pass\n"
+        "linalg = 1\n"
+        "__version__ = '0'\n"
+    )
+    stems = {"graf", "classify", "fierz", "cli", "exterior", "linalg"}
+    assert exports_shadowing_submodules(source, stems) == [
+        "classify (line 2)",
+        "fierz (line 3)",
+        "exterior (line 5)",
+        "linalg (line 7)",
+    ]
+
+
+def test_no_package_export_shadows_a_submodule():
+    init = ROOT / "src" / "grafclifford" / "__init__.py"
+    stems = {path.stem for path in SRC} - {"__init__"}
+    assert exports_shadowing_submodules(init.read_text(), stems) == []
+
+
+def test_a_dotted_submodule_import_binds_the_module():
+    import grafclifford.classify as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.__name__ == "grafclifford.classify"
 
 
 def test_no_isinstance_takes_a_typing_name():
