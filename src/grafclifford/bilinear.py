@@ -117,30 +117,21 @@ def _twisted_adjoint(a: SignedPerm, g: SignedPerm, tau: int) -> bool:
 def solve_pairing(rep: Rep, tau: int) -> list[Pairing]:
     """All invertible pairings of the given type, split by symmetry.
 
-    Returns one normalized representative per independent symmetric or
-    antisymmetric solution of {A G_i = tau G_i^T A}; empty when the type
-    admits no solution.  Each solved component is a signed permutation
-    and is symmetric or antisymmetric (else StructureError).  The order
-    and signs are those of row reduction over each symmetry class: the
-    components have disjoint supports, so their pivots are the row-0
-    entries; they come sorted by that column and signed so it is +1,
-    symmetric ones first.
+    Returns the basis of {A G_i = tau G_i^T A} in the canonical form of
+    ``solve_signed_perms``, symmetric elements first; empty when the type
+    admits no solution.  Each element is a signed permutation and is
+    symmetric or antisymmetric (else StructureError), so the order within
+    each symmetry class is that of its row reduction.
     """
     if tau not in (1, -1):
         raise ValueError("tau must be +1 or -1")
-    if rep.signature.n == 0:
-        return [Pairing(SignedPerm.identity(1), 1, tau)]
     parts: dict[int, list[SignedPerm]] = {1: [], -1: []}
     for m in solve_signed_perms(rep.d, [(g, g.transpose(), tau) for g in rep.perms]):
         sigma = _symmetry(m)
         if sigma is None:
             raise StructureError("a pairing component is neither symmetric nor antisymmetric")
-        parts[sigma].append(m.times(m.sign[0]))
-    return [
-        Pairing(m, sigma, tau)
-        for sigma in (1, -1)
-        for m in sorted(parts[sigma], key=lambda m: m.col[0])
-    ]
+        parts[sigma].append(m)
+    return [Pairing(m, sigma, tau) for sigma in (1, -1) for m in parts[sigma]]
 
 
 def b_eval(pairing: Pairing, alpha: Vector, beta: Vector):

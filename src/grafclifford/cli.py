@@ -513,14 +513,20 @@ def _require_signature(cfg: RunConfig) -> Signature:
     return cfg.signature
 
 
-def _add_common_flags(
-    sub: argparse.ArgumentParser, samples_default: int, trials_default: int | None
-) -> None:
+# argparse options of the flags that only some subcommands read
+_OPTIONAL_FLAGS = {
+    "--samples": {"type": _count, "metavar": "N"},
+    "--trials": {"type": _count, "metavar": "N"},
+    "--volume-sign": {"choices": ("+", "-")},
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    """The flags every subcommand reads, plus those in ``defaults`` (flag to default)."""
     sub.add_argument("--signature", type=_parse_signature, default=None, metavar="p,q")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=_count, default=samples_default, metavar="N")
-    sub.add_argument("--trials", type=_count, default=trials_default, metavar="N")
-    sub.add_argument("--volume-sign", choices=("+", "-"), default="+")
+    for flag, default in defaults.items():
+        sub.add_argument(flag, default=default, **_OPTIONAL_FLAGS[flag])
     sub.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
     sub.add_argument("--out", default=None, metavar="PATH")
 
@@ -539,29 +545,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    vol = {"--volume-sign": "+"}
     specs = (
-        ("check-algebra", "replay the product-level property suite", 0, None),
-        ("build-rep", "construct and verify a matrix representation", 0, 0),
-        ("verify-fierz", "run the quadratic identity suite on seeded spinors", 20, 0),
-        ("classify", "classify one spinor or covariant set from a JSON file", 0, 0),
-        ("census", "bucket seeded random spinors by covariant pattern", 1000, 0),
-        ("appendix-check", "replay the twelve product expansions", 0, 100),
+        ("check-algebra", "replay the product-level property suite", {"--trials": None}),
+        ("build-rep", "construct and verify a matrix representation", vol),
+        ("verify-fierz", "run the quadratic identity suite on seeded spinors", {"--samples": 20, **vol}),
+        ("classify", "classify one spinor or covariant set from a JSON file", vol),
+        ("census", "bucket seeded random spinors by covariant pattern", {"--samples": 1000, **vol}),
+        ("appendix-check", "replay the twelve product expansions", {"--trials": 100, **vol}),
     )
-    for name, help_text, samples_default, trials_default in specs:
+    for name, help_text, defaults in specs:
         sub = commands.add_parser(name, help=help_text)
-        _add_common_flags(sub, samples_default, trials_default)
+        _add_flags(sub, defaults)
         if name == "classify":
             sub.add_argument("spinor_file", metavar="SPINOR_FILE")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    given = vars(args)
     return RunConfig(
         signature=args.signature,
-        volume_sign=1 if args.volume_sign == "+" else -1,
+        volume_sign=-1 if given.get("volume_sign") == "-" else 1,
         seed=args.seed,
-        samples=args.samples,
-        trials=args.trials,
+        samples=given.get("samples", 0),
+        trials=given.get("trials"),
         out=args.out,
         fmt=args.fmt,
     )

@@ -3,11 +3,12 @@
 Matrices are immutable tuples of row tuples with int or Fraction
 entries.  Every generator, structure map and pairing gram is a signed
 permutation matrix (one nonzero entry, +1 or -1, per row and column),
-which makes the Clifford relations, blade products, vector actions,
-intertwiner systems and pairing checks cost O(d) or O(d^2) each.  Dense
-matrices remain for the images of forms and the rank-one endomorphisms
-of the Fierz checks; reports render a signed permutation's rows as
-strings straight from it (``SignedPerm.report_rows``).
+which makes the Clifford relations, blade products, vector actions and
+pairing checks cost O(d) each; the intertwiner systems they pose are
+solved in ``matrixrep.solve_signed_perms``.  Dense matrices remain for
+the images of forms and the rank-one endomorphisms of the Fierz checks;
+reports render a signed permutation's rows as strings straight from it
+(``SignedPerm.report_rows``).
 """
 
 from __future__ import annotations
@@ -173,115 +174,6 @@ class SignedPerm:
         if any(s != s0 for s in self.sign):
             return None
         return s0
-
-
-# -- intertwiner systems -----------------------------------------------------------
-
-
-class _SignedUnionFind:
-    """Union-find over matrix entries with a relative sign to the root.
-
-    Tracks equalities val[u] = s * val[parent[u]]; a sign contradiction
-    forces the whole component to zero.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.rank = [0] * n
-        self.dead = [False] * n
-
-    def find(self, u: int) -> tuple[int, int]:
-        """Return (root, s) with val[u] = s * val[root], compressing the path.
-
-        A root or a child of a root (most calls, as ranks stay small)
-        returns without allocating; a longer path is walked and flattened.
-        """
-        parent = self.parent
-        p = parent[u]
-        if p == u:
-            return u, 1
-        if parent[p] == p:
-            return p, self.sign[u]
-        path = [u]
-        u = p
-        while parent[u] != u:
-            path.append(u)
-            u = parent[u]
-        # walk from the node nearest the root outward, accumulating signs
-        sign = self.sign
-        cum = 1
-        for node in reversed(path):
-            cum = cum * sign[node]
-            parent[node] = u
-            sign[node] = cum
-        return u, cum
-
-    def union(self, u: int, v: int, s: int) -> None:
-        """Record val[u] = s * val[v]."""
-        ru, su = self.find(u)
-        rv, sv = self.find(v)
-        if ru == rv:
-            if su != s * sv:
-                self.dead[ru] = True
-            return
-        # val[ru] = su*s*sv * val[rv]  (signs are their own inverses)
-        rel = su * s * sv
-        if self.rank[ru] > self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[ru] = rv
-        self.sign[ru] = rel
-        self.dead[rv] = self.dead[rv] or self.dead[ru]
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[rv] += 1
-
-
-def solve_twisted_system(
-    d: int, constraints: list[tuple[SignedPerm, SignedPerm, int]]
-) -> list[SignedPerm]:
-    """Basis of {M : M S = eps T M} for signed-permutation S, T.
-
-    Each constraint links entry (a, b) to (colT[a], colS[b]) with a sign,
-    so the solution space decomposes into orbit components; components
-    with a sign contradiction vanish, the rest contribute one basis
-    matrix each, ordered by root.  Every component of the systems a
-    representation poses is a signed permutation, so each is emitted as
-    one straight from its orbit: member a*d + b with relative sign s is
-    the entry s at row a, column b.  A component that is not (some row
-    holds no entry or two) raises ValueError.
-    """
-    uf = _SignedUnionFind(d * d)
-    for S, T, eps in constraints:
-        if eps not in (1, -1):
-            raise ValueError("twist sign must be +1 or -1")
-        for a in range(d):
-            ta = T.col[a]
-            st_a = T.sign[a]
-            for b in range(d):
-                # (M S)[a][col_S[b]] = sign_S[b] M[a][b]
-                # (T M)[a][col_S[b]] = sign_T[a] M[col_T[a]][col_S[b]]
-                # => M[a][b] = eps sign_T[a] sign_S[b] M[col_T[a]][col_S[b]]
-                u = a * d + b
-                v = ta * d + S.col[b]
-                uf.union(u, v, eps * st_a * S.sign[b])
-    comps: dict[int, list[tuple[int, int]]] = {}
-    for u in range(d * d):
-        root, s = uf.find(u)
-        if uf.dead[root]:
-            continue
-        comps.setdefault(root, []).append((u, s))
-    basis = []
-    for root in sorted(comps):
-        members = comps[root]
-        col = [-1] * d
-        sign = [1] * d
-        for u, s in members:
-            col[u // d], sign[u // d] = u % d, s
-        # d members that fill every row, in distinct columns
-        if len(members) != d or sorted(col) != list(range(d)):
-            raise ValueError("a solved component is not a signed permutation")
-        basis.append(SignedPerm(tuple(col), tuple(sign)))
-    return basis
 
 
 # -- congruence reduction of symmetric matrices ------------------------------------

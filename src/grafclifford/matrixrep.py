@@ -35,7 +35,7 @@ from typing import Callable
 
 from .errors import DimensionMismatch, StructureError, UnsupportedSignature
 from .exterior import Form, Metric, Signature, rational_from_str
-from .linalg import Matrix, SignedPerm, as_matrix, common_denominator, solve_twisted_system
+from .linalg import Matrix, SignedPerm, as_matrix, common_denominator
 
 CASE_NORMAL = "normal"
 CASE_ALMOST_COMPLEX = "almost_complex"
@@ -354,16 +354,62 @@ def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> No
 
 
 def solve_signed_perms(d: int, constraints) -> list[SignedPerm]:
-    """The components of a ``solve_twisted_system`` basis, as signed permutations.
+    """Basis of {M : M S = eps T M} over signed-permutation constraints (S, T, eps).
 
-    Every component of the commutant, intertwiner and pairing systems
-    of a representation is a signed permutation; one that is not raises
-    StructureError.
+    Each constraint permutes the d*d entries of M: entry u = a*d + b must
+    equal eps T.sign[a] S.sign[b] times entry T.col[a]*d + S.col[b].  So
+    the solutions split into orbits under these moves, walked from the
+    entries in index order with the first entry of each orbit set to +1.
+    An orbit that reaches some entry with both signs vanishes.  Every
+    other orbit of the systems a representation poses is a signed
+    permutation (d members, one per row, in distinct columns) and is one
+    basis element; any other orbit raises StructureError.
+
+    Canonical form: a live orbit's first entry lies in row 0, so the
+    basis comes ordered by the column of each element's row-0 entry, and
+    that entry is +1.  The orbits have disjoint supports, so this is the
+    reduced row-echelon basis of the solution space, row 0 holding the
+    pivots.  With no constraints and d = 1 it is the identity.
     """
-    try:
-        return solve_twisted_system(d, constraints)
-    except ValueError as exc:
-        raise StructureError(str(exc)) from exc
+    moves = []
+    for S, T, eps in constraints:
+        if eps not in (1, -1):
+            raise StructureError("twist sign must be +1 or -1")
+        pos = [eps * s for s in S.sign]
+        neg = [-s for s in pos]
+        dest, rel = [], []
+        for tc, ts in zip(T.col, T.sign):
+            dest += [tc * d + c for c in S.col]
+            rel += pos if ts == 1 else neg
+        moves.append((dest, rel))
+    value = [0] * (d * d)
+    basis = []
+    for start in range(d * d):
+        if value[start]:
+            continue
+        value[start] = 1
+        orbit = [start]
+        live = True
+        for u in orbit:
+            su = value[u]
+            for dest, rel in moves:
+                v, sv = dest[u], rel[u] * su
+                sign_v = value[v]
+                if not sign_v:
+                    value[v] = sv
+                    orbit.append(v)
+                elif sign_v != sv:
+                    live = False
+        if not live:
+            continue
+        col = [-1] * d
+        sign = [1] * d
+        for u in orbit:
+            col[u // d], sign[u // d] = u % d, value[u]
+        if len(orbit) != d or sorted(col) != list(range(d)):
+            raise StructureError("a solved component is not a signed permutation")
+        basis.append(SignedPerm(tuple(col), tuple(sign)))
+    return basis
 
 
 def commutant_basis(rep: Rep) -> list[SignedPerm]:
@@ -500,36 +546,37 @@ def build_structure(rep: Rep) -> MainSubalgebra:
 
 
 def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:
-    """D = -(first intertwiner), which squares to the class target.
+    """D: the intertwiner whose row-0 entry lies in the larger column, last-row entry -1.
 
-    The sign fixes the Majorana convention the recorded reports use.
+    The intertwiners anticommute with every generator and with the
+    volume element.  They span two dimensions, as two basis elements in
+    the canonical form of ``solve_signed_perms``; D is the second
+    (basis[1]), signed so that its entry in row d - 1 is -1.  This is
+    the real structure the recorded reports use; either sign squares to
+    the class target, which is checked.
     """
     cons = [(g, g.neg(), 1) for g in rep.perms]
     cons.append((vol, vol.neg(), 1))
     basis = solve_signed_perms(rep.d, cons)
     if len(basis) != 2:
         raise StructureError(f"D intertwiner space has dimension {len(basis)}, expected 2")
-    d = basis[0].neg()
+    d = basis[1].times(-basis[1].sign[-1])
     if d.compose(d).scalar_value() != d_square_target(rep.signature):
-        raise StructureError("the first intertwiner does not square to the required D square")
+        raise StructureError("the intertwiner D does not square to the required D square")
     return d
 
 
 def _quaternion_units(basis: list[SignedPerm]) -> tuple[SignedPerm, SignedPerm, SignedPerm]:
-    """H1 and H2 from the non-scalar commutant components, H3 = H1 H2.
+    """H1 and H2: the first two non-scalar commutant elements, H3 = H1 H2.
 
     These are the units the row reduction of the trace-free commutant
-    gives.  The components have disjoint supports, so the reduced rows
-    are the components themselves: ordered by the column of their
-    row-0 entry, which is the flattened pivot, and signed so that entry
-    is +1.  A unit of square -Id needs no rational rescaling, and two
-    anticommuting units need no Gram-Schmidt step.  H1^2 = H2^2 = -Id
-    and H1 H2 = -H2 H1 are checked; with H3 = H1 H2 they imply every
-    other quaternion relation.
+    gives: the basis is in the canonical form of ``solve_signed_perms``,
+    which is already reduced.  A unit of square -Id needs no rational
+    rescaling, and two anticommuting units need no Gram-Schmidt step.
+    H1^2 = H2^2 = -Id and H1 H2 = -H2 H1 are checked; with H3 = H1 H2
+    they imply every other quaternion relation.
     """
-    pure = sorted(
-        (b.times(b.sign[0]) for b in basis if b.scalar_value() is None), key=lambda b: b.col[0]
-    )
+    pure = [b for b in basis if b.scalar_value() is None]
     if len(pure) != 3:
         raise StructureError(f"pure commutant has dimension {len(pure)}, expected 3")
     h1, h2 = pure[0], pure[1]

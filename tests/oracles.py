@@ -360,9 +360,13 @@ def solve_twisted_system_dense(d: int, constraints) -> list:
 # -- reference union-find solver ---------------------------------------------------------
 #
 # The signed union-find solver written plainly, with one path walk per
-# ``find``.  The library solver must return the same components in the
-# same order with the same signs, because D is read off the first
-# component and the pairings are sorted and signed from the components.
+# ``find``.  Its components come in the order of their union-by-rank
+# roots, with signs relative to those roots.  The library's orbit walk
+# must return the same components in canonical form: each signed +1 on
+# its row-0 entry and ordered by that entry's column.  The raw order
+# still pins one convention: the recorded D is -(the first component
+# here), which ``structure_oracle`` reads off directly while the library
+# derives it from its stated rule.
 
 
 class SignedUnionFindReference:
@@ -408,7 +412,7 @@ class SignedUnionFindReference:
 
 
 def solve_twisted_system_reference(d: int, constraints) -> list:
-    """Basis of {M : M S = eps T M} for signed-permutation S, T, in the library's order."""
+    """Basis of {M : M S = eps T M} for signed-permutation S, T, ordered by union-find root."""
     uf = SignedUnionFindReference(d * d)
     for S, T, eps in constraints:
         if eps not in (1, -1):
@@ -441,9 +445,9 @@ def solve_twisted_system_reference(d: int, constraints) -> list:
 # -- dense structure maps and pairings -----------------------------------------------------
 #
 # The library derives J, D, H and the pairing grams as signed permutations
-# by sorting and signing solved components.  These are the row-reduction
-# derivations of the same maps, on the same solved components rendered dense
-# (the reference solver's, which the library solver must reproduce):
+# from solved components in canonical form.  These are the row-reduction
+# derivations of the same maps, on the reference solver's raw components
+# rendered dense:
 # trace-free parts, rref, rational normalization and Gram-Schmidt for H;
 # symmetric and antisymmetric parts, rref, first-entry normalization and
 # an invertibility test for the pairings; eigenspace nullspaces and a

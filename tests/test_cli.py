@@ -366,6 +366,34 @@ def test_malformed_signature_argument():
     assert excinfo.value.code == 2
 
 
+# every subcommand reads --signature, --seed, --format and --out, plus these
+SUBCOMMAND_FLAGS = {
+    "check-algebra": {"--trials"},
+    "build-rep": {"--volume-sign"},
+    "verify-fierz": {"--samples", "--volume-sign"},
+    "classify": {"--volume-sign"},
+    "census": {"--samples", "--volume-sign"},
+    "appendix-check": {"--trials", "--volume-sign"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    common = {"--signature", "--seed", "--format", "--out"}
+    values = {"--samples": "1", "--trials": "1", "--volume-sign": "-"}
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(SUBCOMMAND_FLAGS)
+    for name, extra in SUBCOMMAND_FLAGS.items():
+        options = {opt for action in subparsers[name]._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == common | extra, name
+        positional = ["spinor.json"] if name == "classify" else []
+        for flag in set(values) - extra:
+            with pytest.raises(SystemExit) as excinfo:
+                main([name, "--signature", "1,2", flag, values[flag], *positional])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and f"unrecognized arguments: {flag}" in err, err
+
+
 def run_cli_process(args, cap):
     """Run the CLI in a fresh interpreter, so the cap applies from import on."""
     env = dict(os.environ, PYTHONPATH=str(SRC), GRAF_MAX_DIM=cap)

@@ -13,9 +13,9 @@ from grafclifford.linalg import (
     congruence_diagonal,
     mat_mul,
     mat_scale,
-    solve_twisted_system,
 )
-from grafclifford.matrixrep import CASE_ALMOST_COMPLEX, build_rep
+from grafclifford.errors import StructureError
+from grafclifford.matrixrep import CASE_ALMOST_COMPLEX, build_rep, solve_signed_perms
 from oracles import (
     identity,
     is_identity,
@@ -125,18 +125,27 @@ def test_report_rows_render_the_dense_matrix():
         assert rational_to_str(value) == text
 
 
+def canonical_order(mats) -> list:
+    """Signed permutation matrices signed +1 on row 0, ordered by that entry's column."""
+
+    def pivot(m):
+        return next(j for j, v in enumerate(m[0]) if v)
+
+    return sorted((m if m[0][pivot(m)] == 1 else mat_scale(m, -1) for m in mats), key=pivot)
+
+
 def check_solver_against_reference(d, cons) -> bool:
-    """The library's components, rendered dense, are the reference's.
+    """The library's basis, rendered dense, is the reference's components in canonical order.
 
     The library emits signed permutations and refuses any other
     component; returns whether the system had one to refuse.
     """
     want = solve_twisted_system_reference(d, cons)
     if all(SignedPerm.from_dense(m) is not None for m in want):
-        assert [to_dense(sp) for sp in solve_twisted_system(d, cons)] == want
+        assert [to_dense(sp) for sp in solve_signed_perms(d, cons)] == canonical_order(want)
         return False
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        solve_twisted_system(d, cons)
+    with pytest.raises(StructureError, match="not a signed permutation"):
+        solve_signed_perms(d, cons)
     return True
 
 
@@ -151,6 +160,8 @@ def test_solver_components_keep_the_reference_order_and_signs():
         ]
         refused += check_solver_against_reference(d, cons)
     assert 0 < refused < 200
+    with pytest.raises(StructureError, match="twist sign"):
+        solve_signed_perms(2, [(SignedPerm.identity(2), SignedPerm.identity(2), 0)])
     systems = 0
     for n in range(9):
         for p in range(n + 1):

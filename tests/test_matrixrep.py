@@ -151,13 +151,13 @@ def test_commutant_dimensions(rep12, rep90, rep04):
 
 def test_commutant_is_solved_once_per_representation(monkeypatch):
     calls = []
-    solve = matrixrep.solve_twisted_system
+    solve = matrixrep.solve_signed_perms
 
     def counted(d, constraints):
         calls.append(d)
         return solve(d, constraints)
 
-    monkeypatch.setattr(matrixrep, "solve_twisted_system", counted)
+    monkeypatch.setattr(matrixrep, "solve_signed_perms", counted)
     rep = build_rep(SIG04)
     structure = build_structure(rep)
     assert calls == [rep.d]
@@ -166,14 +166,14 @@ def test_commutant_is_solved_once_per_representation(monkeypatch):
 
 
 def test_a_solved_component_that_is_not_a_signed_permutation_is_refused(monkeypatch):
-    solve = matrixrep.solve_twisted_system
+    solve = matrixrep.solve_signed_perms
 
     def unconstrained(d, constraints):
         # every entry its own component: a matrix with one nonzero entry
         return solve(d, [])
 
     rep = build_rep(SIG12)
-    monkeypatch.setattr(matrixrep, "solve_twisted_system", unconstrained)
+    monkeypatch.setattr(matrixrep, "solve_signed_perms", unconstrained)
     with pytest.raises(StructureError, match="not a signed permutation"):
         build_structure(rep)
     with pytest.raises(StructureError, match="not a signed permutation"):
@@ -210,6 +210,25 @@ def test_d_square_target_only_in_almost_complex_case():
     assert d_square_target(Signature(3, 0)) == -1
     with pytest.raises(StructureError):
         d_square_target(SIG90)
+
+
+def test_d_keeps_the_recorded_sign_convention_up_to_the_cap():
+    # the recorded D is -(the first union-find component); the library
+    # states it as a rule on its canonical basis, checked here past n = 8
+    cases = 0
+    for n in range(1, 13, 2):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            if abs_type(sig).case != CASE_ALMOST_COMPLEX:
+                continue
+            for volume_sign in (1, -1):
+                rep = build_rep(sig, volume_sign)
+                vol = rep.volume_sp()
+                cons = [(g, g.neg(), 1) for g in rep.perms] + [(vol, vol.neg(), 1)]
+                first = oracles.solve_twisted_system_reference(rep.d, cons)[0]
+                assert oracles.to_dense(build_structure(rep).D) == mat_scale(first, -1)
+                cases += 1
+    assert cases == 42
 
 
 def test_rep_json_round_trip(rep12):
