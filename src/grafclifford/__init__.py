@@ -23,18 +23,17 @@ from .exterior import (
     Form,
     Metric,
     Signature,
-    contracted_wedge,
     grade_involution,
     grade_project,
     interior,
     rational_from_str,
     rational_to_str,
     reversal,
-    wedge,
 )
 from .graf import (
     TruncationRegimeWarning,
     TruncationSplit,
+    contracted_wedge,
     graf_product,
     hodge,
     in_truncation_regime,
@@ -44,6 +43,7 @@ from .graf import (
     truncated_product,
     volume_form,
     volume_square_sign,
+    wedge,
 )
 from .matrixrep import (
     CASE_ALMOST_COMPLEX,

@@ -41,23 +41,17 @@ from .errors import (
     StructureError,
     UnsupportedSignature,
 )
-from .exterior import (
-    Form,
-    Metric,
-    Signature,
-    _graf_sign,
-    contracted_wedge,
-    grade_project,
-    rational_to_str,
-    wedge,
-)
+from .exterior import Form, Metric, Signature, grade_project, rational_to_str
 from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile, unit_table
 from .graf import (
+    _graf_sign,
+    contracted_wedge,
     graf_product,
     hodge,
     in_truncation_regime,
     lower_projection,
     truncated_product,
+    wedge,
 )
 from .linalg import _norm
 from .matrixrep import MainSubalgebra, Rep
@@ -155,15 +149,23 @@ class ReducedVerdict:
 # -- (1,2): the two contracted-wedge rows -----------------------------------------------
 
 
+def _self_wedges(f: Form, m: int, met: Metric) -> Callable[[int], Form]:
+    """k -> f ^_k f for f homogeneous of grade m, each a grade slice of one square.
+
+    cw_k(f, f) = k! (-1)^(k(m-k) + floor(k/2)) <f * f>_(2m-2k)
+    (``graf.contracted_wedge``), so one product serves every k.
+    """
+    square = graf_product(f, f, met)
+    return lambda k: grade_project(square, 2 * m - 2 * k).scale(factorial(k) * _graf_sign(k, m))
+
+
 def _rows_12(cov, b):
+    """phi2 ^_2 phi2 = -2 <S>_0 and phi2 ^_1 phi2 = -<S>_2, with S = phi2 * phi2."""
     phi0, phi2 = cov
-    met = Metric.standard(phi0.signature)
+    phi2_phi2 = _self_wedges(phi2, 2, Metric.standard(phi0.signature))
     rows = (
-        _result(
-            "rank2-double-contraction",
-            contracted_wedge(phi2, phi2, 2, met) + phi0.scale(2 * b),
-        ),
-        _result("rank2-single-contraction", contracted_wedge(phi2, phi2, 1, met)),
+        _result("rank2-double-contraction", phi2_phi2(2) + phi0.scale(2 * b)),
+        _result("rank2-single-contraction", phi2_phi2(1)),
     )
     return rows, None
 
@@ -187,20 +189,10 @@ def _rows_90(cov, b):
     transcriptions of the reduced system rather than input failures.
     The two B-free rows hold exactly on genuine covariants.
 
-    The rows are stated with psi4 ^_k psi4 for k = 0..4, and all five are
-    grade parts of the one square psi4 * psi4.  The product expands a
-    grade-m left factor f against g as
-
-        f * g = sum_k (1/k!) (-1)^(k(m-k) + floor(k/2)) cw_k(f, g),
-
-    and for g homogeneous of grade l the k-th term lies in grade
-    m + l - 2k alone, so distinct k never share a grade.  Hence
-
-        cw_k(f, g) = k! (-1)^(k(m-k) + floor(k/2)) <f * g>_(m+l-2k),
-
-    which for m = l = 4 gives psi4 ^ psi4 = <S>_8, cw_1 = -<S>_6,
-    cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0, with
-    S = psi4 * psi4.  The values are the contracted wedges' exactly.
+    The rows are stated with psi1 ^_k psi1 for k = 0, 1 and psi4 ^_k psi4
+    for k = 0..4, each a grade part of the square of its factor
+    (``_self_wedges``); with S = psi4 * psi4, psi4 ^ psi4 = <S>_8,
+    cw_1 = -<S>_6, cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0.
     """
     psi0, p1, p4 = cov
     met = Metric.standard(psi0.signature)
@@ -208,24 +200,19 @@ def _rows_90(cov, b):
         "volume-image-clearance",
         lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)), met)),
     )
-    square = graf_product(p4, p4, met)
-
-    def p4_p4(k: int) -> Form:
-        """psi4 ^_k psi4, read from the square."""
-        part = grade_project(square, 8 - 2 * k)
-        return part.scale(factorial(k) * _graf_sign(k, 4))
-
+    p1_p1 = _self_wedges(p1, 1, met)
+    p4_p4 = _self_wedges(p4, 4, met)
     rows = (
         _result(
             "grade0-row",
-            contracted_wedge(p1, p1, 1, met)
+            p1_p1(1)
             + p4_p4(4).scale(Fraction(1, 24))
             - psi0.scale(31 * b),
         ),
         _result("grade1-row", hodge(p4_p4(0), met) - p1.scale(30 * b)),
         _result(
             "grade2-row",
-            wedge(p1, p1) + p4_p4(3).scale(Fraction(1, 6)),
+            p1_p1(0) + p4_p4(3).scale(Fraction(1, 6)),
         ),
         _result("grade3-row", hodge(p4_p4(1), met)),
         _result(

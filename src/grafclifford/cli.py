@@ -420,6 +420,14 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
     fields = payload["covariants"]
     if not isinstance(fields, dict):
         raise FormParseError("covariants must be an object of named forms")
+    names = [name for name, _ in geo.components]
+    unknown = sorted(set(fields) - set(names))
+    if unknown:
+        p, q = geo.signature
+        raise FormParseError(
+            f"unknown covariant {', '.join(map(repr, unknown))}: signature ({p},{q}) "
+            f"takes {', '.join(names)}"
+        )
 
     def load_form(name: str, grade: int) -> Form:
         if name not in fields:

@@ -3,29 +3,22 @@
 Forms are finite sums of canonical blades ``e{i1,...,ik}`` (strictly
 ascending 1-based frame indices) with rational coefficients.  All
 arithmetic is exact: coefficients are Python ints or Fractions, never
-floats.  Blades are carried as index bitmasks, signs come from
-permutation parity, and the metric enters only through the contracted
-wedge.
+floats.  Blades are carried as index bitmasks and signs come from
+permutation parity.  This layer holds forms, metrics, the interior
+contraction and the blade-pair kernel; the one product that pairs
+blades, and the wedge and contracted wedge as its grade slices, are in
+``graf``.
 
 Under a diagonal metric every blade-pair factor comes from one table,
 that metric's kernel (``_kernel_for``).  Row ``row_a`` holds, for every
 right blade b, the parity sign of sorting the concatenation a b times
 the diagonal entries g^yy of the shared indices y in a & b: the factor
-in the Clifford product e_a e_b = row_a[b] e_(a^b) (``graf``).  A pair
-with k = |a & b| has one nonzero contraction order,
-
-    cw_k(e_a, e_b) = k! (-1)^(k(m-k) + floor(k/2)) row_a[b] e_(a^b),  m = |a|,
-
-since a smaller order leaves a repeated index in the wedge and a larger
-one finds no index pair with a nonzero metric entry.  So the wedge
-(k = 0: on disjoint blades an entry is the pure reorder sign, whatever
-the metric) and the contracted wedge read the same rows as the product.
+in the Clifford product e_a e_b = row_a[b] e_(a^b) (``graf``).
 A row is built by doubling: the reorder sign and the metric factor are
 multiplicative over the bits of the right blade, so adding index y
 copies the first 2^y entries times that bit's factor, as one list
 operation per bit.  The table keeps the most recently used metrics only
-(``_KERNEL_CAP``).  A non-diagonal metric contracts through a
-one-pair-at-a-time recursion instead.
+(``_KERNEL_CAP``).
 
 A kernel also holds the volume column nu[m] = row_m[full], built by the
 same doubling without the rows; for the squares f * f of ``graf``, pair
@@ -45,14 +38,13 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from operator import itemgetter
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
 from .linalg import (
     Rational,
     _norm,
-    common_denominator,
     congruence_diagonal,
     divide_numerators,
 )
@@ -573,10 +565,10 @@ class _DiagKernel:
 
         A table pays when M_G is small (2 to ``_SQUARE_TABLE_MASKS``
         masks; two keep the gathers tuple-valued) and the square fills at
-        least half of it; otherwise the caller visits the form's own
-        unordered pairs.  A grade set whose pairs carry so many distinct
-        weights that the weighted copies would outnumber the pairs also
-        gets None, remembered like a table.
+        least half of it; otherwise the square is formed as any other
+        product.  A grade set whose pairs carry so many distinct weights
+        that the weighted copies would outnumber the pairs also gets
+        None, remembered like a table.
         """
         size = sum(comb(self.n, k) for k in grades)
         if not 2 <= size <= _SQUARE_TABLE_MASKS or 2 * terms < size:
@@ -710,37 +702,7 @@ def _kernel_for(metric: Metric) -> _DiagKernel:
     return kern
 
 
-def _graf_sign(k: int, m: int) -> int:
-    """(-1)^(k(m-k) + floor(k/2)), the sign of cw_k on a grade-m left factor."""
-    return -1 if (k * (m - k) + k // 2) & 1 else 1
-
-
 # -- exterior operations -------------------------------------------------------
-
-
-def _contract_diag(f: Form, g: Form, k: int, kern: _DiagKernel) -> Form:
-    """cw_k(f, g) from the kernel rows: k! (-1)^(k(m-k)+k//2) row_a[b] per pair."""
-    ta, da = common_denominator(list(f.mask_items()))
-    tb, db = common_denominator(list(g.mask_items()))
-    acc: dict[int, Rational] = {}
-    scale = factorial(k)
-    for ma, ca in ta:
-        m = ma.bit_count()
-        if m < k:
-            continue
-        row = kern.row(ma)
-        c = ca * scale * _graf_sign(k, m)
-        for mb, cb in tb:
-            if (ma & mb).bit_count() == k:
-                key = ma ^ mb
-                acc[key] = acc.get(key, 0) + c * cb * row[mb]
-    return Form._adopt(f.signature, kern.finish(acc, da * db))
-
-
-def wedge(f: Form, g: Form) -> Form:
-    """Exterior product; blades sharing an index annihilate."""
-    f._check_same(g)
-    return _contract_diag(f, g, 0, _kernel_for(Metric.standard(f.signature)))
 
 
 def interior(i: int, f: Form) -> Form:
@@ -774,76 +736,3 @@ def reversal(f: Form) -> Form:
         k = m.bit_count()
         out[m] = -c if (k * (k - 1) // 2) & 1 else c
     return Form.from_mask_dict(f.signature, out)
-
-
-def _cw_blades_general(ma: int, mb: int, k: int, gram, signs: _DiagKernel) -> dict[int, Rational]:
-    """Blade-level k-fold contraction for an arbitrary symmetric metric.
-
-    Recurses one contraction at a time over pairs (i in A, j in B) with a
-    nonzero metric entry; the base case is the plain wedge, whose sign is
-    read from the standard kernel ``signs``.
-    """
-    if k == 0:
-        if ma & mb:
-            return {}
-        return {ma | mb: signs.row(ma)[mb]}
-    acc: dict[int, Rational] = {}
-    a = ma
-    while a:
-        la = a & (-a)
-        a ^= la
-        i = la.bit_length()
-        b = mb
-        while b:
-            lb = b & (-b)
-            b ^= lb
-            j = lb.bit_length()
-            gij = gram[i - 1][j - 1]
-            if not gij:
-                continue
-            sign = interior_sign(ma, i) * interior_sign(mb, j)
-            for mask, val in _cw_blades_general(ma ^ la, mb ^ lb, k - 1, gram, signs).items():
-                v = acc.get(mask, 0) + gij * sign * val
-                if v:
-                    acc[mask] = v
-                elif mask in acc:
-                    del acc[mask]
-    return acc
-
-
-def contracted_wedge(f: Form, g: Form, k: int, metric: Metric | None = None) -> Form:
-    """k-fold metric contraction of f against g followed by a wedge.
-
-    Grade (m, r) inputs contribute at grade m + r - 2k; k = 0 is the plain
-    wedge.  The sum over contracted index pairs carries a k! multiplicity
-    that downstream products divide back out.
-    """
-    f._check_same(g)
-    if k < 0:
-        raise ValueError("contraction order must be nonnegative")
-    metric = metric if metric is not None else Metric.standard(f.signature)
-    if metric.signature != f.signature:
-        raise DimensionMismatch("metric signature does not match the forms")
-    if k == 0:
-        return wedge(f, g)
-    if metric.is_diagonal:
-        return _contract_diag(f, g, k, _kernel_for(metric))
-    ta, da = common_denominator(list(f.mask_items()))
-    tb, db = common_denominator(list(g.mask_items()))
-    acc: dict[int, Rational] = {}
-    gram = metric.gram
-    signs = _kernel_for(Metric.standard(f.signature))
-    for ma, ca in ta:
-        if ma.bit_count() < k:
-            continue
-        for mb, cb in tb:
-            if mb.bit_count() < k:
-                continue
-            cc = ca * cb
-            for mask, val in _cw_blades_general(ma, mb, k, gram, signs).items():
-                v = acc.get(mask, 0) + cc * val
-                if v:
-                    acc[mask] = v
-                elif mask in acc:
-                    del acc[mask]
-    return Form.from_mask_dict(f.signature, divide_numerators(acc, da * db))

@@ -1,4 +1,4 @@
-"""Clifford product on exterior forms and the induced volume operators.
+"""Clifford product on exterior forms, its grade slices, and the volume operators.
 
 The product expands a graded left factor against the right factor
 through metric-contracted wedges:
@@ -6,14 +6,24 @@ through metric-contracted wedges:
     product(f, g) = sum_k (1/k!) (-1)^(k(m-k) + floor(k/2)) cw_k(f, g)
 
 for a grade-m left component, extended bilinearly.  On covectors this
-reproduces the Clifford relation e^i * e^j + e^j * e^i = 2 g^ij.
+reproduces the Clifford relation e^i * e^j + e^j * e^i = 2 g^ij.  For g
+homogeneous of grade l the k-th term lies in grade m + l - 2k alone, so
+distinct k never share a grade and each contracted wedge is one grade
+slice of the product:
+
+    cw_k(f_m, g_l) = k! (-1)^(k(m-k) + floor(k/2)) <f_m * g_l>_(m+l-2k).
+
+``contracted_wedge`` and ``wedge`` (k = 0) are computed so, and the
+product is the only code that pairs blades.
 
 For diagonal metrics the k-sum collapses per blade pair: only the term
 contracting the full shared index set survives, and the product reads it
-as e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``, the
-same rows the wedge and the contracted wedge read.  The generic graded
-expansion above is kept for non-diagonal metrics and mirrored by an
-independent recursion in the test suite.
+as e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``.  A
+non-diagonal metric multiplies one left generator at a time.  A covector
+acts as e_i h = e_i ^ h + c_i h, with c_i = sum_j g^ij i_j built from
+``interior``; for i the lowest index of a and r = a - {i}, e_a = e_i e_r
+- c_i e_r, so e_a h = e_i (e_r h) - (c_i e_r) h, over the products e_s h
+of smaller blades, each formed once.
 
 Rational inputs (covariants carry k_const / 2^n) are cleared to integer
 numerators over one common denominator per factor before the blade-pair
@@ -24,19 +34,17 @@ result is the same exact rational as term-by-term Fraction arithmetic,
 so every rendered report is unchanged.
 
 A square f * f (the same Form object passed twice, as the master
-identities do) visits each unordered blade pair once
-(``_product_terms_square``): both ordered products of the pair are read
-from the same kernel rows and added as exact integers, so the result is
-the ordered double loop's.  When the form fills at least half of the
-masks of its grade set G, and there are at most 256 of them, the pairs
-come from the kernel's table for G instead: the numerators are padded
-with zeros onto those masks, and every output coefficient is a sum over
-the table's pairs, formed by C-level gathers, products and a running
-sum.  The (9,0) pinor squares, on G = {0, 1, 4} (136 masks, 4,996
-nonzero pairs), take the table; sparse or wide forms keep the loop.
-Kernel output is adopted by ``Form`` without re-validation: its masks
-are XORs of in-range masks and ``divide_numerators`` has already
-normalized its coefficients.
+identities do) that fills at least half of the masks of its grade set
+G, with at most 256 of them, reads its blade pairs from the kernel's
+table for G (``_product_terms_square``): each unordered pair once, with
+both ordered products of the pair added as exact integers.  The
+numerators are padded with zeros onto those masks, and every output
+coefficient is a sum over the table's pairs, formed by C-level gathers,
+products and a running sum.  The (9,0) pinor squares, on G = {0, 1, 4}
+(136 masks, 4,996 nonzero pairs), take the table; any other square is
+formed as f * g.  Kernel output is adopted by ``Form`` without
+re-validation: its masks are XORs of in-range masks and
+``divide_numerators`` has already normalized its coefficients.
 
 A product of two dense forms (each on at least 3/4 of the 2^n blades,
 n >= ``_PACKED_MIN_N``) under a diagonal of +1 and -1 entries runs
@@ -57,7 +65,7 @@ factors, so c_a s times them is added into a positive and a negative
 accumulator; the fields are read out once at the end.  This is the
 blade product itself, one generator at a time, on 2^n steps of a few
 big-int operations instead of terms(f) terms(g) Python-level pairs.
-Squares, sparser forms, smaller n and other diagonals keep the loop.
+Sparser forms, smaller n and other diagonals keep the loop.
 
 Under a diagonal metric the volume product is a signed relabelling,
 e_m vol = nu[m] e_(m ^ full), read from the kernel's volume column; so
@@ -81,10 +89,9 @@ from .exterior import (
     Metric,
     Signature,
     _DiagKernel,
-    _graf_sign,
     _kernel_for,
-    contracted_wedge,
     grade_project,
+    interior,
 )
 from .linalg import Rational, _norm, common_denominator
 
@@ -187,52 +194,67 @@ def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
     return acc
 
 
-def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational]:
-    """f * f from each unordered blade pair once.
+def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational] | None:
+    """f * f from the kernel's pair table for the form's grade set, or None without one.
 
     e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under a diagonal
     metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the bracket is 0
-    for an anticommuting pair and 2 row_a[b] for a commuting one.  When
-    the kernel holds a table for the form's grade set, the pairs are
-    read from it over the zero-padded numerators, as gathers, products
-    and a running sum in C; otherwise the form's own pairs are visited.
+    for an anticommuting pair and 2 row_a[b] for a commuting one.  The
+    pairs are read from the table over the zero-padded numerators, as
+    gathers, products and a running sum in C.
     """
-    ta, den = common_denominator(ta)
     table = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta))
-    if table is not None:
-        index = table.index
-        x = [0] * len(index)
-        for ma, ca in ta:
-            x[index[ma]] = ca
-        weighted: list = []
-        for w in table.weights:
-            weighted += x if w == 1 else [w * c for c in x]
-        run = accumulate(map(mul, table.left(weighted), table.right(x)), initial=0)
-        ends = list(compress(run, table.marks))
-        return kern.finish(dict(zip(table.keys, map(sub, ends[1:], ends))), den * den)
-    row_of = kern.row
-    terms = [(ma, ca, row_of(ma)) for ma, ca in ta]
-    acc: dict[int, Rational] = {}
-    for i, (ma, ca, row) in enumerate(terms):
-        acc[0] = acc.get(0, 0) + ca * ca * row[ma]
-        for mb, cb, row_b in terms[i + 1 :]:
-            s = row[mb] + row_b[ma]
-            if s:
-                key = ma ^ mb
-                acc[key] = acc.get(key, 0) + ca * cb * s
-    return kern.finish(acc, den * den)
+    if table is None:
+        return None
+    ta, den = common_denominator(ta)
+    index = table.index
+    x = [0] * len(index)
+    for ma, ca in ta:
+        x[index[ma]] = ca
+    weighted: list = []
+    for w in table.weights:
+        weighted += x if w == 1 else [w * c for c in x]
+    run = accumulate(map(mul, table.left(weighted), table.right(x)), initial=0)
+    ends = list(compress(run, table.marks))
+    return kern.finish(dict(zip(table.keys, map(sub, ends[1:], ends))), den * den)
+
+
+# -- non-diagonal product -----------------------------------------------------------
+
+
+def _contraction(i: int, h: Form, metric: Metric) -> Form:
+    """c_i h = sum_j g^ij i_j h, the contraction with the i-th frame covector."""
+    out = Form.zero(h.signature)
+    for j, gij in enumerate(metric.gram[i - 1], 1):
+        if gij:
+            out = out + interior(j, h).scale(gij)
+    return out
 
 
 def _product_general(f: Form, g: Form, metric: Metric) -> Form:
-    """Graded expansion used for non-diagonal metrics."""
-    out = Form.zero(f.signature)
-    for m in sorted(f.grades()):
-        fm = grade_project(f, m)
-        for k in range(m + 1):
-            term = contracted_wedge(fm, g, k, metric)
-            if term.is_zero():
-                continue
-            out = out + term.scale(Fraction(_graf_sign(k, m), factorial(k)))
+    """f * g under a non-diagonal metric, one left generator at a time.
+
+    e_a g = e_i (e_r g) - (c_i e_r) g for i the lowest index of a and
+    r = a - {i}, with e_i h = e_i ^ h + c_i h; each e_a g is formed once.
+    """
+    sig = f.signature
+    done = {0: g}
+
+    def left(a: int) -> Form:
+        h = done.get(a)
+        if h is None:
+            low = a & -a
+            i, rest = low.bit_length(), a ^ low
+            h = left(rest)
+            h = wedge(Form.blade(sig, low), h) + _contraction(i, h, metric)
+            for s, c in _contraction(i, Form.blade(sig, rest), metric).mask_items():
+                h = h - left(s).scale(c)
+            done[a] = h
+        return h
+
+    out = Form.zero(sig)
+    for a, c in f.mask_items():
+        out = out + left(a).scale(c)
     return out
 
 
@@ -243,14 +265,62 @@ def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
     """
     f._check_same(g)
     metric = _resolve_metric(f, metric)
-    if metric.is_diagonal:
-        kern = _kernel_for(metric)
-        if f is g:
-            terms = _product_terms_square(list(f.mask_items()), kern)
-        else:
-            terms = _product_terms_diag(list(f.mask_items()), list(g.mask_items()), kern)
-        return Form._adopt(f.signature, terms)
-    return _product_general(f, g, metric)
+    if not metric.is_diagonal:
+        return _product_general(f, g, metric)
+    kern = _kernel_for(metric)
+    ta = list(f.mask_items())
+    terms = _product_terms_square(ta, kern) if f is g else None
+    if terms is None:
+        terms = _product_terms_diag(ta, list(g.mask_items()), kern)
+    return Form._adopt(f.signature, terms)
+
+
+# -- wedge and contracted wedge: grade slices of the product --------------------------
+
+
+def _graf_sign(k: int, m: int) -> int:
+    """(-1)^(k(m-k) + floor(k/2)), the sign of cw_k on a grade-m left factor."""
+    return -1 if (k * (m - k) + k // 2) & 1 else 1
+
+
+def _grade_parts(f: Form) -> list[tuple[int, Form]]:
+    """(m, f_m) for each grade m of f; a homogeneous f is its own one part."""
+    grades = sorted(f.grades())
+    if len(grades) == 1:
+        return [(grades[0], f)]
+    return [(m, grade_project(f, m)) for m in grades]
+
+
+def contracted_wedge(f: Form, g: Form, k: int, metric: Metric | None = None) -> Form:
+    """k-fold metric contraction of f against g followed by a wedge.
+
+    Grade (m, l) inputs contribute cw_k(f_m, g_l) = k! (-1)^(k(m-k) +
+    floor(k/2)) <f_m * g_l>_(m+l-2k), a grade slice of their product;
+    k = 0 is the plain wedge.  The k! multiplicity is the one the product
+    divides back out.  A homogeneous factor is multiplied as it is, so
+    cw_k(f, f) takes the square path.
+    """
+    f._check_same(g)
+    if k < 0:
+        raise ValueError("contraction order must be nonnegative")
+    metric = _resolve_metric(f, metric)
+    left = _grade_parts(f)
+    right = left if g is f else _grade_parts(g)
+    out = Form.zero(f.signature)
+    for m, fm in left:
+        if m < k:
+            continue
+        scale = factorial(k) * _graf_sign(k, m)
+        for l, gl in right:
+            if l >= k:
+                part = grade_project(graf_product(fm, gl, metric), m + l - 2 * k)
+                out = out + part.scale(scale)
+    return out
+
+
+def wedge(f: Form, g: Form) -> Form:
+    """Exterior product, cw_0; blades sharing an index annihilate."""
+    return contracted_wedge(f, g, 0)
 
 
 # -- volume form and Hodge-type operators ----------------------------------------

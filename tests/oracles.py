@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grafclifford.bilinear import Pairing, b_eval, table_sigma, table_tau
-from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, rational_from_str
+from grafclifford.exterior import Form, Metric, Signature, rational_from_str
 from grafclifford.fierz import check_fierz, covariant
 from grafclifford.graf import graf_product
 from grafclifford.linalg import (
@@ -188,7 +188,8 @@ def graf_product_reversed_check(f: Form, g: Form, metric: Metric) -> bool:
     rhs = Form.zero(f.signature)
     for k in range(m + 1):
         sign = -1 if (k * (m - k + 1) + k // 2) & 1 else 1
-        rhs = rhs + contracted_wedge(f, g, k, metric).scale(Fraction(sign, math.factorial(k)))
+        term = contracted_wedge_oracle(f, g, k, metric)
+        rhs = rhs + term.scale(Fraction(sign, math.factorial(k)))
     if (m * r) & 1:
         rhs = -rhs
     return graf_product(g, f, metric) == rhs
@@ -684,6 +685,23 @@ def rand_form(
     size = 1 << sig.n
     chosen = rng.sample(range(size), min(terms, size))
     return Form.from_mask_dict(sig, {m: _rand_coeff(rng, box, rational) for m in chosen})
+
+
+def non_diagonal_metrics() -> tuple[Metric, ...]:
+    """Grams with off-diagonal entries: (2,1), a rational (3,1), and a (2,2) zero diagonal.
+
+    The (2,2) gram couples two hyperbolic pairs, so no frame vector has
+    a nonzero square.
+    """
+    third = Fraction(1, 3)
+    return (
+        Metric(Signature(2, 1), [[2, 1, 0], [1, -3, 2], [0, 2, 5]]),
+        Metric(
+            Signature(3, 1),
+            [[2, 1, 0, 0], [1, 3, 0, Fraction(1, 2)], [0, 0, 1, 1], [0, Fraction(1, 2), 1, -2]],
+        ),
+        Metric(Signature(2, 2), [[0, 1, 0, third], [1, 0, -2, 0], [0, -2, 0, 1], [third, 0, 1, 0]]),
+    )
 
 
 def rand_homogeneous(

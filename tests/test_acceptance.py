@@ -19,7 +19,7 @@ from grafclifford.classify import (
     reduced_verdict,
 )
 from grafclifford.errors import NotASpinor
-from grafclifford.exterior import Form, Metric, Signature, contracted_wedge
+from grafclifford.exterior import Form, Metric, Signature
 from grafclifford.fierz import (
     _bilinear_profile,
     covariant,
@@ -27,6 +27,7 @@ from grafclifford.fierz import (
     reconstruct_check,
 )
 from grafclifford.graf import (
+    contracted_wedge,
     graf_product,
     lower_projection,
     projector_pm,

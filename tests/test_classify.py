@@ -26,9 +26,9 @@ from grafclifford.errors import (
     StructureError,
     UnsupportedSignature,
 )
-from grafclifford.exterior import Form, Metric, Signature, contracted_wedge, grade_project, wedge
+from grafclifford.exterior import Form, Metric, Signature, grade_project
 from grafclifford.fierz import covariant
-from grafclifford.graf import hodge
+from grafclifford.graf import contracted_wedge, hodge, wedge
 from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep, build_structure
 
@@ -177,6 +177,32 @@ def test_reduced_rows_and_classes_12(rep12, st12, pr12):
     assert 3 in seen
     zero = covariants(GEO12, rep12, st12, pr12, (0,) * rep12.d)
     assert classify(GEO12, zero) == 1
+
+
+def test_reduced_rows_12_equal_the_published_contracted_wedges():
+    """The rows read from the square phi2 * phi2 are the published contracted wedges.
+
+    phi2 ^_2 phi2 + 2 b phi0 and phi2 ^_1 phi2, evaluated by the recursion
+    oracle on off-spinor covariants with integer and rational
+    coefficients and several b.  Every phi2 here has a nonzero
+    phi2 ^_2 phi2, so a wrong sign or grade there shows.  phi2 ^_1 phi2
+    vanishes for every 2-form (the grade-2 part of a bivector square is
+    its commutator with itself), so that row pins the grade read only.
+    """
+    rng = random.Random(46)
+    met = Metric.standard(SIG12)
+    for rational in (False, True):
+        for b in (0, 1, Fraction(-5, 3), 7):
+            phi0 = Form.scalar(SIG12, oracles._rand_coeff(rng, 4, rational) or 1)
+            phi2 = oracles.rand_homogeneous(rng, SIG12, 2, terms=3, rational=rational)
+            double = oracles.contracted_wedge_oracle(phi2, phi2, 2, met)
+            assert not double.is_zero()
+            rows, clearance = GEO12.rows((phi0, phi2), b)
+            assert clearance is None
+            assert {r.identity: r.residual for r in rows} == {
+                "rank2-double-contraction": double + phi0.scale(2 * b),
+                "rank2-single-contraction": oracles.contracted_wedge_oracle(phi2, phi2, 1, met),
+            }
 
 
 def test_classify_12_rejects_non_solutions():

@@ -210,6 +210,22 @@ def test_classify_injection_rejects_master_violation(tmp_path, capsys):
     assert "master" in report["error"]
 
 
+def test_classify_injection_refuses_unknown_covariant_names(tmp_path, capsys):
+    """A name off the geometry's component list exits 2, naming the expected ones."""
+    for sig, covs, unknown, expected in (
+        ("1,2", {"psi0": [{"blade": [], "coeff": "1"}]}, "'psi0'", "phi0, phi2"),
+        ("9,0", {"phi2": [{"blade": [1, 2], "coeff": "1"}]}, "'phi2'", "psi0, psi1, psi4"),
+        ("9,0", {"psi0": [{"blade": [], "coeff": "1"}], "psi2": []}, "'psi2'", "psi0, psi1, psi4"),
+    ):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps({"covariants": covs, "scalar": "1/16"}))
+        assert main(["classify", "--signature", sig, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert unknown in captured.err and expected in captured.err
+
+
 def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps([1, 0, 0, 0]))

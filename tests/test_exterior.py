@@ -14,15 +14,14 @@ from grafclifford.exterior import (
     Form,
     Metric,
     Signature,
-    contracted_wedge,
     grade_involution,
     grade_project,
     interior,
     rational_from_str,
     rational_to_str,
     reversal,
-    wedge,
 )
+from grafclifford.graf import contracted_wedge, wedge
 
 SIG22 = Signature(2, 2)
 SIG12 = Signature(1, 2)
@@ -241,29 +240,28 @@ def _adoptable(f: Form) -> bool:
 
 
 def test_contracted_wedge_matches_recursion_oracle_general_metric():
+    """Standard, scaled and rational diagonals, and non-diagonal grams at n = 3 and 4.
+
+    The non-diagonal grams are (2,1), a rational (3,1) and a (2,2) one
+    with a zero diagonal; integer and rational inputs, every k, and
+    cw_k(f, f) with the same object on both sides.
+    """
     rng = random.Random(9)
     sig = Signature(2, 1)
     diag = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])
-    full = Metric(sig, [[2, 1, 0], [1, -3, 2], [0, 2, 5]])
-    for met in (diag, full):
-        for _ in range(15):
-            f = oracles.rand_form(rng, sig)
-            g = oracles.rand_form(rng, sig)
-            for k in range(sig.n + 1):
-                assert contracted_wedge(f, g, k, met) == oracles.contracted_wedge_oracle(
-                    f, g, k, met
-                )
-    # the shared kernel's contraction path: integer and rational inputs, every k
     rational_diag = Metric(sig, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]])
-    for met in (Metric.standard(sig), diag, rational_diag, full):
+    metrics = (Metric.standard(sig), diag, rational_diag) + oracles.non_diagonal_metrics()
+    for met in metrics:
+        n = met.signature.n
         for rational in (False, True):
-            for _ in range(15):
-                f = oracles.rand_form(rng, sig, rational=rational)
-                g = oracles.rand_form(rng, sig, rational=rational)
-                for k in range(sig.n + 1):
-                    got = contracted_wedge(f, g, k, met)
-                    assert got == oracles.contracted_wedge_oracle(f, g, k, met)
-                    assert _adoptable(got)
+            for _ in range(15 if n == 3 else 6):
+                f = oracles.rand_form(rng, met.signature, rational=rational)
+                g = oracles.rand_form(rng, met.signature, rational=rational)
+                for k in range(n + 1):
+                    for left, right in ((f, g), (f, f)):
+                        got = contracted_wedge(left, right, k, met)
+                        assert got == oracles.contracted_wedge_oracle(left, right, k, met)
+                        assert _adoptable(got)
                 assert _adoptable(wedge(f, g))
     # an integral coefficient under a rational metric is stored as an int
     e1 = Form.blade(sig, (1,))

@@ -14,13 +14,13 @@ from grafclifford.exterior import (
     Form,
     Metric,
     Signature,
-    contracted_wedge,
     grade_involution,
     grade_project,
     reversal,
 )
 from grafclifford.graf import (
     TruncationRegimeWarning,
+    contracted_wedge,
     graf_product,
     hodge,
     in_truncation_regime,
@@ -104,12 +104,12 @@ def _grade_set_form(rng, sig, grades, keep=1.0, rational=False):
 
 
 def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
-    """graf_product(f, f) takes the unordered-pair path; f times an equal copy does not.
+    """graf_product(f, f) may take the square table; f times an equal copy does not.
 
     On (9,0) the pinor grade set {0, 1, 4} fills a square table when most
-    of its 136 masks are present and falls back to the pair loop when the
-    form is sparse, spans a grade set past the table ceiling, or lives
-    under a diagonal with too many distinct pair weights.
+    of its 136 masks are present and falls back to the ordered pair loop
+    when the form is sparse, spans a grade set past the table ceiling,
+    or lives under a diagonal with too many distinct pair weights.
     """
     rng = random.Random(23)
     sig21 = Signature(2, 1)
@@ -266,7 +266,11 @@ def test_packed_field_width_holds_a_bound_that_is_a_power_of_two(monkeypatch):
 
 
 def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
-    """Sparse inputs, squares, n below the threshold and other diagonals keep the loop."""
+    """Sparse inputs, tabled squares, n below the threshold and other diagonals keep the loop.
+
+    A dense square without a pair table (n = 9: 512 masks, past the
+    table ceiling) runs packed like any other dense product.
+    """
     seen = []
     packed = graf._product_terms_packed
 
@@ -279,6 +283,7 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
     draw = COEFFICIENT_DRAWS["int"]
     low = graf._PACKED_MIN_N
     never = []
+    squares = []
     for n in (low, 9):
         sig = Signature(n - 2, 2)
         met = Metric.standard(sig)
@@ -286,7 +291,10 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
         # one term short of three quarters of the blades
         masks = rng.sample(range(1 << n), (3 << n) // 4 - 1)
         sparse = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
-        never += [(dense, sparse, met), (sparse, dense, met), (dense, dense, met)]
+        never += [(dense, sparse, met), (sparse, dense, met)]
+        squares.append((dense, met))
+    kern = exterior._kernel_for(squares[0][1])
+    assert kern.square_table(frozenset(range(low + 1)), 1 << low) is not None
     below = Signature(low - 1, 0)
     never.append((_dense_form(rng, below, draw), _dense_form(rng, below, draw), Metric.standard(below)))
     for diag in ((2, -3, 5), (2, -3, 5, 1, -1, 1), (1, -1, Fraction(1, 2), 1, 1, 1)):
@@ -299,6 +307,10 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
         if met.signature.n <= low:
             assert prod == oracles.graf_product_oracle(f, g, met)
     assert seen == []
+    for f, met in squares:
+        copy = Form.from_mask_dict(met.signature, f.mask_dict())
+        assert graf_product(f, f, met) == _loop(f, copy, met, monkeypatch)
+    assert seen == [(9, 1 << 9, 1 << 9)]
     # three quarters exactly, under the standard and a mixed-sign metric, at the threshold
     for sig in (Signature(low, 0), Signature(low - 3, 3)):
         met = Metric.standard(sig)
@@ -307,7 +319,7 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
         f = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
         g = _dense_form(rng, sig, draw)
         assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
-    assert seen == [(low, 3 << (low - 2), 1 << low)] * 2
+    assert seen == [(9, 1 << 9, 1 << 9)] + [(low, 3 << (low - 2), 1 << low)] * 2
 
 
 def test_packed_masks_match_the_blade_action():
@@ -379,7 +391,7 @@ def test_contracted_wedge_is_a_graded_slice_of_the_product():
                 g = oracles.rand_homogeneous(rng, sig, l, terms=3)
                 prod = graf_product(f, g, met)
                 for k in range(sig.n + 1):
-                    sign = exterior._graf_sign(k, m)
+                    sign = graf._graf_sign(k, m)
                     want = grade_project(prod, m + l - 2 * k).scale(math.factorial(k) * sign)
                     assert contracted_wedge(f, g, k, met) == want
                     assert want == oracles.contracted_wedge_oracle(f, g, k, met)
@@ -490,19 +502,24 @@ def test_kernel_cache_is_bounded():
 
 
 def test_product_with_general_metric_is_associative_and_clifford():
-    sig = Signature(2, 1)
-    met = Metric(sig, [[2, 1, 0], [1, -3, 2], [0, 2, 5]])
+    """Under (2,1), rational (3,1) and zero-diagonal (2,2) grams with off-diagonal entries."""
     rng = random.Random(13)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            ei, ej = Form.blade(sig, (i,)), Form.blade(sig, (j,))
-            anti = graf_product(ei, ej, met) + graf_product(ej, ei, met)
-            assert anti == Form.unit(sig).scale(2 * met.entry(i, j))
-    for _ in range(10):
-        f, g, h = (oracles.rand_form(rng, sig) for _ in range(3))
-        assert graf_product(graf_product(f, g, met), h, met) == graf_product(
-            f, graf_product(g, h, met), met
-        )
+    for met in oracles.non_diagonal_metrics():
+        sig = met.signature
+        assert not met.is_diagonal
+        for i in range(1, sig.n + 1):
+            for j in range(1, sig.n + 1):
+                ei, ej = Form.blade(sig, (i,)), Form.blade(sig, (j,))
+                anti = graf_product(ei, ej, met) + graf_product(ej, ei, met)
+                assert anti == Form.unit(sig).scale(2 * met.entry(i, j))
+        for rational in (False, True):
+            for _ in range(10):
+                f, g, h = (oracles.rand_form(rng, sig, rational=rational) for _ in range(3))
+                assert graf_product(graf_product(f, g, met), h, met) == graf_product(
+                    f, graf_product(g, h, met), met
+                )
+                assert graf_product(f, g, met) == _graded_expansion(f, g, met)
+                assert graf_product(f, f, met) == _graded_expansion(f, f, met)
 
 
 def test_grade_involution_and_reversal_behave_on_products():
@@ -586,8 +603,9 @@ def test_hodge_is_right_volume_product():
         (sig21, Metric(sig21, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])),
         (sig21, Metric(sig21, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])),
         (sig21, Metric(sig21, [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, Fraction(5, 7)]])),
-        (sig21, Metric(sig21, [[2, 1, 0], [1, -3, 2], [0, 2, 5]])),
     ]
+    rational_met = cases[-1][1]
+    cases += [(met.signature, met) for met in oracles.non_diagonal_metrics()]
     for sig, met in cases:
         v = volume_form(sig)
         for rational in (False, True):
@@ -605,8 +623,7 @@ def test_hodge_is_right_volume_product():
                     assert hodge(star, met) == f.scale(sign)
     assert hodge(Form.unit(SIG12)) == volume_form(SIG12)
     # integral coefficients under a rational diagonal are stored as ints
-    rational = cases[-2][1]
-    dual = hodge(Form.blade(sig21, (1, 3), 14), rational)
+    dual = hodge(Form.blade(sig21, (1, 3), 14), rational_met)
     assert dual.mask_dict() == {2: 5} and type(dual.coeff(2)) is int
 
 

@@ -16,6 +16,10 @@ module by another, at module or function level, names a lower layer
 package ``__init__.py`` binds equals a library submodule's stem: such a
 name replaces the package attribute of the submodule, so
 ``import grafclifford.<stem> as m`` would bind it instead of the module.
+The reference implementations in ``tests/oracles.py`` read neither
+``wedge`` nor ``contracted_wedge`` of the library: the library derives
+both from the product, so a reference built on them would check the
+product against itself.
 """
 
 import ast
@@ -43,6 +47,9 @@ LAYERS = {
 # (importing module, imported module) pairs exempt from the order: the
 # report provenance reads the package version at call time.
 LAYER_EXCEPTIONS = {("cli", "__init__")}
+# Library names the oracles must not read: the library derives them from
+# the product the oracles check.
+ORACLE_FORBIDDEN = {"wedge", "contracted_wedge"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -146,6 +153,17 @@ def layering_violations(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def library_reads(source: str, names: set[str]) -> list[str]:
+    """Imports of ``names`` from the library, and reads of them as attributes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _library_import(node) is not None:
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f".{node.attr} (line {node.lineno})")
+    return found
+
+
 def exports_shadowing_submodules(init_source: str, stems: set[str]) -> list[str]:
     """Names ``__init__.py`` binds at module level that equal a submodule's stem.
 
@@ -246,6 +264,28 @@ def test_the_export_checker_sees_names_that_shadow_a_submodule():
         "exterior (line 5)",
         "linalg (line 7)",
     ]
+
+
+def test_the_library_read_checker_sees_imports_and_attributes():
+    source = (
+        "from grafclifford.graf import wedge, graf_product\n"
+        "from grafclifford import contracted_wedge as cw\n"
+        "from .graf import wedge\n"
+        "from mylib import wedge\n"
+        "import grafclifford.graf as g\n"
+        "g.contracted_wedge(1, 2, 0)\n"
+        "def wedge_oracle(f, g):\n    return g.graf_product(f, g)\n"
+    )
+    assert library_reads(source, ORACLE_FORBIDDEN) == [
+        "wedge (line 1)",
+        "contracted_wedge (line 2)",
+        "wedge (line 3)",
+        ".contracted_wedge (line 6)",
+    ]
+
+
+def test_the_oracles_read_no_wedge_of_the_library():
+    assert library_reads((ROOT / "tests" / "oracles.py").read_text(), ORACLE_FORBIDDEN) == []
 
 
 def test_no_package_export_shadows_a_submodule():
