@@ -56,8 +56,6 @@ from .matrixrep import (
     build_rep,
     build_structure,
     commutant_basis,
-    lambda_form,
-    rep_from_json,
 )
 from .bilinear import (
     Pairing,
@@ -139,8 +137,6 @@ __all__ = [
     "abs_type",
     "Rep",
     "build_rep",
-    "rep_from_json",
-    "lambda_form",
     "commutant_basis",
     "MainSubalgebra",
     "build_structure",

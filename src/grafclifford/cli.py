@@ -417,6 +417,11 @@ def _parse_scalar(obj, default):
 
 def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[int, dict]:
     geo = geometry_of(sig)
+    extra = sorted(set(payload) - {"covariants", "scalar"})
+    if extra:
+        raise FormParseError(
+            f"unknown key {', '.join(map(repr, extra))}: injected covariants take covariants, scalar"
+        )
     fields = payload["covariants"]
     if not isinstance(fields, dict):
         raise FormParseError("covariants must be an object of named forms")

@@ -442,20 +442,6 @@ class Metric:
             obj["gram"] = [[rational_to_str(v) for v in row] for row in self.gram]
         return obj
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "Metric":
-        try:
-            sig = Signature(int(obj["p"]), int(obj["q"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormParseError(f"bad metric JSON {obj!r}") from exc
-        gram = obj.get("gram")
-        if gram is None:
-            return cls.standard(sig)
-        parsed = [
-            [rational_from_str(v) if isinstance(v, str) else _norm(v) for v in row] for row in gram
-        ]
-        return cls(sig, parsed)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Metric)

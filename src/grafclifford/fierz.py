@@ -36,7 +36,9 @@ algebras where e_m and e_m vol act alike.  ``unit_profile`` gives the
 coefficients before that multiple, with the signs (tau c_u)^k s_m read
 from one table per representation and tau c_u; the classification reads
 the identity unit's.  ``reconstruct_check`` verifies
-sum_u u lambda(f_u) = E exactly.
+sum_u u lambda(f_u) = E exactly, on integer numerators over one common
+denominator, reading only the blades' signed permutations and so
+independently of the weights above.
 
 Fierz identities.  Write a_u, b_u and f_u for the components of E11,
 E22 and E12.  Moving U[v] left past lambda(a_u) turns a_u into
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import sub
+from operator import add, sub
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
@@ -74,7 +76,6 @@ from .linalg import (
     as_matrix,
     common_denominator,
     divide_numerators,
-    mat_add,
     mat_mul,
     mat_scale,
 )
@@ -259,14 +260,33 @@ def reconstruct_check(
     alpha: Vector,
     beta: Vector,
 ) -> bool:
-    """The component forms reassemble the spinor-pair endomorphism."""
+    """sum_u u lambda(f_u) = E(alpha, beta), on integer numerators over one denominator.
+
+    Each term c lambda(e_m) is added into d rows of d ints per component
+    from the blade's signed permutation; row i of u M is u.sign[i] times
+    row u.col[i] of M.  No covariant weight is read.
+    """
     units = structure.units
     if len(cov.components) != 1 + len(units):
         raise StructureError("covariant components do not match the commutant units")
-    built = rep.lambda_form(cov.components[0])
-    for unit, comp in zip(units, cov.components[1:]):
-        built = mat_add(built, unit.left_act(rep.lambda_form(comp)))
-    return built == endo_E(pairing, alpha, beta)
+    d = rep.d
+    if len(alpha) != d or len(beta) != d:
+        raise DimensionMismatch("spinor length does not match the pairing")
+    if any(f.signature != rep.signature for f in cov.components):
+        raise DimensionMismatch("form signature does not match the representation")
+    terms = [((u, m), c) for u, f in enumerate(cov.components) for m, c in f.mask_items()]
+    terms, den = common_denominator(terms)
+    images = [[[0] * d for _ in range(d)] for _ in cov.components]
+    for (u, mask), c in terms:
+        sp = rep.blade_sp(mask)
+        for row, col, s in zip(images[u], sp.col, sp.sign):
+            row[col] += c * s
+    total = images[0]
+    for unit, image in zip(units, images[1:]):
+        for i, (col, s) in enumerate(zip(unit.col, unit.sign)):
+            total[i] = list(map(add if s == 1 else sub, total[i], image[col]))
+    abeta = pairing.gram.apply(beta)
+    return total == [[den * a * b for b in abeta] for a in alpha]
 
 
 # -- identity checking ---------------------------------------------------------------

@@ -5,8 +5,9 @@ entries.  Every generator, structure map and pairing gram is a signed
 permutation matrix (one nonzero entry, +1 or -1, per row and column),
 which makes the Clifford relations, blade products, vector actions and
 pairing checks cost O(d) each; the intertwiner systems they pose are
-solved in ``matrixrep.solve_signed_perms``.  Dense matrices remain for
-the images of forms and the rank-one endomorphisms of the Fierz checks;
+solved in ``matrixrep.solve_signed_perms``.  Dense matrices remain only
+for the rank-one endomorphisms of the fundamental identity
+(``fierz.endo_E``); the images of forms are never built densely, and
 reports render a signed permutation's rows as strings straight from it
 (``SignedPerm.report_rows``).
 """
@@ -69,10 +70,6 @@ def as_matrix(rows) -> Matrix:
     return tuple(tuple(_norm(v) for v in row) for row in rows)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(_norm(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a: Matrix, c: Rational) -> Matrix:
     return tuple(tuple(_norm(x * c) for x in row) for row in a)
 
@@ -112,21 +109,6 @@ class SignedPerm:
     def identity(cls, n: int) -> "SignedPerm":
         return cls(tuple(range(n)), (1,) * n)
 
-    @classmethod
-    def from_dense(cls, a: Matrix) -> "SignedPerm | None":
-        n = len(a)
-        col = []
-        sign = []
-        for row in a:
-            hits = [(j, v) for j, v in enumerate(row) if v != 0]
-            if len(hits) != 1 or hits[0][1] not in (1, -1):
-                return None
-            col.append(hits[0][0])
-            sign.append(1 if hits[0][1] == 1 else -1)
-        if sorted(col) != list(range(n)):
-            return None
-        return cls(tuple(col), tuple(sign))
-
     def report_rows(self) -> list[list[str]]:
         """The dense rows as report strings, "0", "1" and "-1"."""
         n = self.dim
@@ -154,10 +136,6 @@ class SignedPerm:
             col[self.col[i]] = i
             sign[self.col[i]] = self.sign[i]
         return SignedPerm(tuple(col), tuple(sign))
-
-    def left_act(self, a: Matrix) -> Matrix:
-        """Matrix product self @ a: row i is sign[i] times row col[i] of a."""
-        return tuple(tuple(s * v for v in a[c]) for s, c in zip(self.sign, self.col))
 
     def neg(self) -> "SignedPerm":
         return SignedPerm(self.col, tuple(-s for s in self.sign))

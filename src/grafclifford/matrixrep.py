@@ -8,17 +8,18 @@ recursion from rank-one and rank-two seeds:
 * quaternion and octonion left-multiplication tables give the definite
   negative signatures up to rank seven, with explicit doublings for
   ranks eight and nine;
+* from rank ten on, 8-periodicity: (0,q) = (0,q-8) (x) Cl(0,8), a
+  Kronecker product of signed permutations;
 * a two-step positive extension turns a definite negative algebra into
   the definite positive one two ranks higher;
 * a mixed-pair extension adds one plus and one minus direction at once.
 
-The ladder does not reach (0,10), (0,11), (0,12), (1,11) or (12,0);
-those are refused.  Representations live in the standard orthonormal
-frame of the signature (forms themselves take any metric), and every
+So every signature builds; the dimension cap (``GRAF_MAX_DIM``) is the
+only refusal.  Representations live in the standard orthonormal frame
+of the signature (forms themselves take any metric), and every
 computation here runs on the signed permutations, the structure maps J,
-D and H included; dense matrices are rendered only for the images of
-forms and for tests, and reports print the rows of each generator
-straight from its signed permutation.
+D and H and the blade action included; reports print the rows of each
+generator straight from its signed permutation.
 
 Every constructed representation is verified on the spot: generator
 relations, real dimension, commutant dimension, and the scalar value of
@@ -27,15 +28,13 @@ the volume element where one exists.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .errors import DimensionMismatch, StructureError, UnsupportedSignature
-from .exterior import Form, Metric, Signature, rational_from_str
-from .linalg import Matrix, SignedPerm, as_matrix, common_denominator
+from .errors import StructureError
+from .exterior import Metric, Signature
+from .linalg import SignedPerm
 
 CASE_NORMAL = "normal"
 CASE_ALMOST_COMPLEX = "almost_complex"
@@ -74,10 +73,8 @@ def abs_type(signature: Signature) -> AbsType:
         d = 2 * size
     else:
         field, csize = "H", 4
-        size = 1 << (half - 1) if half >= 1 else 0
+        size = 1 << (half - 1)  # n >= 2 in every quaternionic class
         d = 4 * size
-    if size < 1:
-        raise UnsupportedSignature(f"no matrix model for signature ({signature.p},{signature.q})")
     is_double = cls in (1, 5)
     case = (
         CASE_NORMAL
@@ -143,6 +140,14 @@ def _sp_off_diag(g: SignedPerm, negate_upper: bool) -> SignedPerm:
     return SignedPerm(tuple(col), tuple(sign))
 
 
+def _sp_kron(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """Kronecker product: row i*db + k holds a[i] b[k] at column a.col[i]*db + b.col[k]."""
+    db = b.dim
+    col = [ca * db + cb for ca in a.col for cb in b.col]
+    sign = [sa * sb for sa in a.sign for sb in b.sign]
+    return SignedPerm(tuple(col), tuple(sign))
+
+
 def _sp_swap(d: int, negate_lower: bool) -> SignedPerm:
     """Block matrix [[0, I], [+-I, 0]]."""
     col = [i + d for i in range(d)] + list(range(d))
@@ -184,7 +189,15 @@ def _definite_negative_gens(q: int) -> list[SignedPerm]:
     if q == 9:
         pos = _definite_positive_gens(9)
         return [_sp_off_diag(g, negate_upper=True) for g in pos]
-    raise UnsupportedSignature(f"no seed construction for signature (0,{q})")
+    # (0,q) = (0,q-8) (x) Cl(0,8): g (x) w8 for each base generator g, then
+    # 1 (x) e_j; w8 squares to +1 and anticommutes with every e_j
+    base = _definite_negative_gens(q - 8)
+    block = _definite_negative_gens(8)
+    w8 = block[0]
+    for e in block[1:]:
+        w8 = w8.compose(e)
+    one = SignedPerm.identity(base[0].dim)
+    return [_sp_kron(g, w8) for g in base] + [_sp_kron(one, e) for e in block]
 
 
 def _definite_positive_gens(p: int) -> list[SignedPerm]:
@@ -201,11 +214,7 @@ def _definite_positive_gens(p: int) -> list[SignedPerm]:
 def _build_sp_generators(p: int, q: int) -> list[SignedPerm]:
     if p >= 1 and q >= 1:
         inner = _build_sp_generators(p - 1, q - 1)
-        if inner:
-            d = inner[0].dim
-        else:
-            d = abs_type(Signature(p - 1, q - 1)).rep_dim
-        doubled, e_pos, e_neg = _mixed_pair_extend(inner, d)
+        doubled, e_pos, e_neg = _mixed_pair_extend(inner, inner[0].dim if inner else 1)
         return doubled[: p - 1] + [e_pos] + doubled[p - 1 :] + [e_neg]
     if q == 0:
         return _definite_positive_gens(p)
@@ -297,21 +306,6 @@ class Rep:
             self._profile = gather if len(indices) > 1 else lambda v: (gather(v),)
         return self._profile
 
-    def lambda_form(self, f: Form) -> Matrix:
-        """Image of a form under the representation morphism."""
-        if f.signature != self.signature:
-            raise DimensionMismatch("form signature does not match the representation")
-        d = self.d
-        terms, den = common_denominator(list(f.mask_items()))
-        rows = [[0] * d for _ in range(d)]
-        for mask, c in terms:
-            sp = self.blade_sp(mask)
-            for i in range(d):
-                rows[i][sp.col[i]] += c * sp.sign[i]
-        if den == 1:
-            return as_matrix(rows)
-        return as_matrix([Fraction(v, den) for v in row] for row in rows)
-
     def volume_sp(self) -> SignedPerm:
         return self.blade_sp((1 << self.signature.n) - 1)
 
@@ -322,13 +316,6 @@ class Rep:
             "metric": self.metric.to_json_obj(),
             "generators": [g.report_rows() for g in self.perms],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-
-def lambda_form(rep: Rep, f: Form) -> Matrix:
-    return rep.lambda_form(f)
 
 
 def verify_generators(perms: tuple[SignedPerm, ...], signature: Signature) -> None:
@@ -425,16 +412,12 @@ def build_rep(signature: Signature, volume_sign: int = 1) -> Rep:
     The representation lives in the standard orthonormal frame.  For odd
     dimensions where the volume element acts as a scalar the sign of that
     scalar is normalized to `volume_sign` by negating all generators when
-    needed.  Signatures the seed ladder does not reach, (0,10), (0,11),
-    (0,12), (1,11) and (12,0), raise UnsupportedSignature.
+    needed.  This is the library's one way to construct a representation,
+    and it builds every signature inside the dimension cap.
     """
     if volume_sign not in (1, -1):
         raise ValueError("volume_sign must be +1 or -1")
-    p, q = signature.p, signature.q
-    try:
-        perms = _build_sp_generators(p, q)
-    except UnsupportedSignature:
-        raise UnsupportedSignature(f"no seed construction for signature ({p},{q})") from None
+    perms = _build_sp_generators(signature.p, signature.q)
     if signature.n % 2 == 1 and _volume_scalar_sp(perms) == -volume_sign:
         perms = [g.neg() for g in perms]
     rep = Rep(signature, volume_sign, tuple(perms))
@@ -454,30 +437,6 @@ def _verify_commutant_dim(rep: Rep) -> None:
     got = len(commutant_basis(rep))
     if got != want:
         raise StructureError(f"commutant dimension {got}, expected {want}")
-
-
-def rep_from_json_obj(obj: dict) -> Rep:
-    """Rebuild a representation; refuses dense or non-standard-frame input."""
-    try:
-        p, q = (int(v) for v in obj["signature"])
-        volume_sign = int(obj["volume_sign"])
-        dense = [
-            [[rational_from_str(v) if isinstance(v, str) else v for v in row] for row in g]
-            for g in obj["generators"]
-        ]
-        perms = [SignedPerm.from_dense(g) for g in dense]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"bad representation JSON: {exc}") from exc
-    signature = Signature(p, q)
-    if any(g is None for g in perms):
-        raise StructureError("representation generators must be signed permutations")
-    if Metric.from_json_obj(obj.get("metric", {"p": p, "q": q})) != Metric.standard(signature):
-        raise StructureError("representations use the standard orthonormal metric")
-    return Rep(signature, volume_sign, tuple(perms))
-
-
-def rep_from_json(text: str) -> Rep:
-    return rep_from_json_obj(json.loads(text))
 
 
 # -- main subalgebra structures ------------------------------------------------------

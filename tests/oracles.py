@@ -23,14 +23,7 @@ from grafclifford.bilinear import Pairing, b_eval, table_sigma, table_tau
 from grafclifford.exterior import Form, Metric, Signature, rational_from_str
 from grafclifford.fierz import check_fierz, covariant
 from grafclifford.graf import graf_product
-from grafclifford.linalg import (
-    SignedPerm,
-    _norm,
-    as_matrix,
-    mat_add,
-    mat_mul,
-    mat_scale,
-)
+from grafclifford.linalg import SignedPerm, _norm, as_matrix, mat_mul, mat_scale
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -269,6 +262,29 @@ def is_identity(a) -> bool:
     return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
+def mat_add(a, b):
+    return tuple(tuple(_norm(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def kron(a, b):
+    """Kronecker product of two dense matrices."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def from_dense(a) -> SignedPerm | None:
+    """The signed permutation with dense matrix a, or None if a is not one."""
+    col, sign = [], []
+    for row in a:
+        hits = [(j, v) for j, v in enumerate(row) if v != 0]
+        if len(hits) != 1 or hits[0][1] not in (1, -1):
+            return None
+        col.append(hits[0][0])
+        sign.append(hits[0][1])
+    if sorted(col) != list(range(len(a))):
+        return None
+    return SignedPerm(tuple(col), tuple(sign))
+
+
 def to_dense(sp: SignedPerm):
     """The dense matrix of a signed permutation."""
     n = sp.dim
@@ -283,6 +299,14 @@ def generators(rep: Rep) -> tuple:
 def blade_matrix(rep: Rep, mask: int):
     """Dense matrix of the canonical blade with the given index mask."""
     return to_dense(rep.blade_sp(mask))
+
+
+def lambda_form(rep: Rep, f: Form):
+    """Dense image of a form: the blade matrices scaled by its coefficients and summed."""
+    out = zeros(rep.d, rep.d)
+    for mask, coeff in f.mask_items():
+        out = mat_add(out, mat_scale(blade_matrix(rep, mask), coeff))
+    return out
 
 
 def volume_matrix(rep: Rep):
@@ -577,7 +601,7 @@ def pairing_from_json(text: str) -> Pairing:
     dense = as_matrix(
         [[rational_from_str(v) if isinstance(v, str) else v for v in row] for row in obj["gram"]]
     )
-    gram = SignedPerm.from_dense(dense)
+    gram = from_dense(dense)
     if gram is None:
         raise ValueError("pairing gram is not a signed permutation")
     iso = obj.get("isotropy")

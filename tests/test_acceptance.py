@@ -35,8 +35,8 @@ from grafclifford.graf import (
     volume_form,
     volume_square_sign,
 )
-from grafclifford.linalg import mat_add, mat_mul, mat_scale
-from grafclifford.matrixrep import lambda_form
+from grafclifford.linalg import mat_mul, mat_scale
+from oracles import lambda_form, mat_add
 
 ALL_SIGNATURES = [
     Signature(p, n - p) for n in range(10) for p in range(n + 1)

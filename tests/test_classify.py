@@ -9,6 +9,7 @@ import grafclifford.classify as classify_module
 import oracles
 from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
+    _appendix_rows,
     _real_structure_weight,
     appendix_check,
     census,
@@ -28,7 +29,7 @@ from grafclifford.errors import (
 )
 from grafclifford.exterior import Form, Metric, Signature, grade_project
 from grafclifford.fierz import covariant
-from grafclifford.graf import contracted_wedge, hodge, wedge
+from grafclifford.graf import volume_form
 from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep, build_structure
 
@@ -267,19 +268,31 @@ def test_reduced_system_90_on_random_spinors(rep90, st90, pr90):
             assert "psi0 != 0" in GEO90.class_name(index)
 
 
+def _oracle_star(f):
+    """Right product with the volume blade by the oracles' sequential product."""
+    return oracles.graf_product_oracle(f, volume_form(f.signature), Metric.standard(f.signature))
+
+
 def _published_rows_90(psi0, p1, p4, b):
-    """The five reduced rows as published, each psi4 ^_k psi4 a contracted wedge."""
+    """The five reduced rows as published, each psi4 ^_k psi4 a contracted wedge.
+
+    The wedges and contractions come from the oracles' recursion and the
+    Hodge star from their sequential product, so no row is a slice of
+    the library's own square.
+    """
     met = Metric.standard(SIG90)
+
+    def cw(f, g, k):
+        return oracles.contracted_wedge_oracle(f, g, k, met)
+
+    star = _oracle_star
+
     return {
-        "grade0-row": contracted_wedge(p1, p1, 1, met)
-        + contracted_wedge(p4, p4, 4, met).scale(Fraction(1, 24))
-        - psi0.scale(31 * b),
-        "grade1-row": hodge(wedge(p4, p4), met) - p1.scale(30 * b),
-        "grade2-row": wedge(p1, p1) + contracted_wedge(p4, p4, 3, met).scale(Fraction(1, 6)),
-        "grade3-row": hodge(contracted_wedge(p4, p4, 1, met), met),
-        "grade4-row": hodge(wedge(p1, p4), met).scale(4)
-        - contracted_wedge(p4, p4, 2, met)
-        - p4.scale(60 * b),
+        "grade0-row": cw(p1, p1, 1) + cw(p4, p4, 4).scale(Fraction(1, 24)) - psi0.scale(31 * b),
+        "grade1-row": star(oracles.wedge_oracle(p4, p4)) - p1.scale(30 * b),
+        "grade2-row": oracles.wedge_oracle(p1, p1) + cw(p4, p4, 3).scale(Fraction(1, 6)),
+        "grade3-row": star(cw(p4, p4, 1)),
+        "grade4-row": star(oracles.wedge_oracle(p1, p4)).scale(4) - cw(p4, p4, 2) - p4.scale(60 * b),
     }
 
 
@@ -433,3 +446,61 @@ def test_product_identity_battery():
 
     with pytest.raises(UnsupportedSignature):
         appendix_check(SIG12, 1, 0)
+
+def _battery_closed_forms(psi0, psi1, psi4):
+    """The battery's closed forms, each built from oracle wedges and contractions."""
+    met = Metric.standard(SIG90)
+    b = psi0.scalar_part()
+    star = _oracle_star
+
+    def cw(f, g, k):
+        return oracles.contracted_wedge_oracle(f, g, k, met)
+
+    def lower(f):
+        return Form.from_mask_dict(SIG90, {m: c for m, c in f.mask_items() if m.bit_count() <= 4})
+
+    w14, c14 = cw(psi1, psi4, 0), cw(psi1, psi4, 1)
+    quad = (
+        cw(psi4, psi4, 2).scale(Fraction(-1, 2))
+        + cw(psi4, psi4, 3).scale(Fraction(1, 6))
+        + cw(psi4, psi4, 4).scale(Fraction(1, 24))
+        + star(cw(psi4, psi4, 0))
+        - star(cw(psi4, psi4, 1))
+    )
+    return {
+        "scalar-square-projector-replay": lower(psi0 + star(psi0)).scale(b),
+        "scalar-square": psi0.scale(b),
+        "scalar-vector": psi1.scale(b),
+        "scalar-quadform": psi4.scale(b),
+        "vector-scalar": psi1.scale(b),
+        "vector-square": cw(psi1, psi1, 0) + cw(psi1, psi1, 1),
+        "vector-quadform-full": w14 + c14,
+        "vector-quadform": c14 + star(w14),
+        "quadform-scalar": psi4.scale(b),
+        "quadform-vector-full": w14 - c14,
+        "quadform-vector": star(w14) - c14,
+        "quadform-square": quad,
+    }
+
+
+def test_battery_closed_forms_equal_the_oracle_pieces():
+    """Each literal product of the battery equals its closed form built by the oracles.
+
+    The battery itself compares products with the library's wedges and
+    contractions, which are slices of the same product; here the closed
+    forms are evaluated from the recursion oracle instead, on inputs
+    shaped as ``appendix_check`` draws them.
+    """
+    rng = random.Random(47)
+    met = Metric.standard(SIG90)
+    fours = [m for m in range(1 << 9) if m.bit_count() == 4]
+    for _ in range(20):
+        psi0 = Form.scalar(SIG90, rng.randint(-4, 4))
+        psi1 = Form.from_mask_dict(SIG90, {1 << i: rng.randint(-4, 4) for i in range(9)})
+        psi4 = Form.from_mask_dict(SIG90, {m: rng.randint(-4, 4) for m in rng.sample(fours, 6)})
+        closed = _battery_closed_forms(psi0, psi1, psi4)
+        rows = _appendix_rows(psi0, psi1, psi4, met)
+        assert [ident for ident, *_ in rows] == APPENDIX_ROW_IDS
+        for ident, literal, _, grades in rows:
+            assert literal == closed[ident], ident
+            assert literal.grades() <= grades, ident

@@ -226,6 +226,22 @@ def test_classify_injection_refuses_unknown_covariant_names(tmp_path, capsys):
         assert unknown in captured.err and expected in captured.err
 
 
+def test_classify_injection_refuses_unknown_top_level_keys(tmp_path, capsys):
+    """A misspelled key next to the covariants exits 2 instead of being dropped."""
+    path = tmp_path / "cov.json"
+    covs = {"psi0": [{"blade": [], "coeff": "1"}]}
+    for payload, unknown in (
+        ({"covariants": covs, "scalr": "1/16"}, "'scalr'"),
+        ({"covariants": covs, "scalar": "1/16", "notes": [], "Scalar": "1"}, "'Scalar', 'notes'"),
+    ):
+        path.write_text(json.dumps(payload))
+        assert main(["classify", "--signature", "9,0", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert unknown in captured.err and "covariants, scalar" in captured.err
+
+
 def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps([1, 0, 0, 0]))

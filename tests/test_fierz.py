@@ -69,6 +69,27 @@ def test_covariant_structure_case_must_match(rep12, st90, pr12):
         covariant(rep12, st90, pr12, (1, 0, 0, 0), (0, 1, 0, 0))
 
 
+def _tamperings(cov):
+    """Covariants that must fail reassembly, each wrong in one place.
+
+    Per nonzero component: doubled, one blade's sign flipped, the unit
+    weight negated, and (where it has an odd grade) the twist flipped.
+    """
+    out = []
+    for u, comp in enumerate(cov.components):
+        if comp.is_zero():
+            continue
+        mask, c = next(iter(comp.mask_items()))
+        flipped = comp - Form.from_mask_dict(comp.signature, {mask: 2 * c})
+        wrong = [comp.scale(2), flipped, -comp]
+        if any(k % 2 for k in comp.grades()):
+            wrong.append(grade_involution(comp))
+        for bad in wrong:
+            comps = cov.components[:u] + (bad,) + cov.components[u + 1 :]
+            out.append(replace(cov, components=comps))
+    return out
+
+
 def test_components_reassemble_the_endomorphism(
     rep12, st12, pr12, rep90, st90, pr90, rep04, st04, pr04
 ):
@@ -77,12 +98,33 @@ def test_components_reassemble_the_endomorphism(
         for _ in range(3):
             alpha = oracles.rand_vector(rng, rep.d)
             beta = oracles.rand_vector(rng, rep.d)
-            cov = covariant(rep, st, pairing, alpha, beta)
-            assert reconstruct_check(rep, st, pairing, cov, alpha, beta)
-            tampered = replace(cov, components=(cov.components[0].scale(2),) + cov.components[1:])
-            assert not reconstruct_check(rep, st, pairing, tampered, alpha, beta)
+            thirds = tuple(Fraction(c, 3) for c in beta)
+            for a, b in ((alpha, beta), (alpha, thirds)):
+                cov = covariant(rep, st, pairing, a, b)
+                assert reconstruct_check(rep, st, pairing, cov, a, b)
+                tampered = _tamperings(cov)
+                assert len(tampered) >= 3 * len(cov.components)
+                for bad in tampered:
+                    assert not reconstruct_check(rep, st, pairing, bad, a, b)
             with pytest.raises(StructureError):
                 reconstruct_check(rep, st, pairing, replace(cov, components=()), alpha, beta)
+            with pytest.raises(DimensionMismatch):
+                reconstruct_check(rep, st, pairing, cov, alpha[:-1], beta)
+    # real (1,2) spinors are Majorana projections, with half-integer entries
+    halves = 0
+    for pairing in admissible_pairings(rep12, st12):
+        for _ in range(3):
+            a = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            b = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            halves += any(type(c) is Fraction for c in a + b)
+            cov = covariant(rep12, st12, pairing, a, b)
+            assert reconstruct_check(rep12, st12, pairing, cov, a, b)
+            for bad in _tamperings(cov):
+                assert not reconstruct_check(rep12, st12, pairing, bad, a, b)
+    assert halves
+    foreign = replace(cov, components=(Form.zero(Signature(9, 0)),) * len(cov.components))
+    with pytest.raises(DimensionMismatch):
+        reconstruct_check(rep12, st12, pairing, foreign, a, b)
 
 
 def test_bilinear_profile_matches_the_dense_blade_oracle(

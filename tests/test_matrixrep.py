@@ -1,6 +1,5 @@
 """Matrix representations: generators, blade operators, commutant structure."""
 
-import json
 import random
 
 import pytest
@@ -11,7 +10,7 @@ from grafclifford.bilinear import admissible_pairings
 from grafclifford.errors import StructureError, UnsupportedSignature
 from grafclifford.exterior import Form, Signature
 from grafclifford.graf import graf_product
-from grafclifford.linalg import mat_add, mat_mul, mat_scale
+from grafclifford.linalg import mat_mul, mat_scale
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -21,10 +20,9 @@ from grafclifford.matrixrep import (
     build_structure,
     commutant_basis,
     d_square_target,
-    lambda_form,
-    rep_from_json,
     verify_generators,
 )
+from oracles import lambda_form, mat_add
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
@@ -231,28 +229,6 @@ def test_d_keeps_the_recorded_sign_convention_up_to_the_cap():
     assert cases == 42
 
 
-def test_rep_json_round_trip(rep12):
-    rebuilt = rep_from_json(rep12.to_json())
-    assert rebuilt.signature == rep12.signature
-    assert oracles.generators(rebuilt) == oracles.generators(rep12)
-    assert rebuilt.volume_sign == rep12.volume_sign
-    assert rebuilt.metric == rep12.metric
-    # refused: a dense generator, a non-standard metric, a wrong volume sign
-    obj = rep12.to_json_obj()
-    doubled = dict(obj, generators=[[[2 * int(v) for v in row] for row in obj["generators"][0]]])
-    doubled["generators"] += obj["generators"][1:]
-    scaled = dict(obj, metric={"p": 1, "q": 2, "gram": [[1, 0, 0], [0, -4, 0], [0, 0, -1]]})
-    flipped = dict(build_rep(SIG90).to_json_obj(), volume_sign=-1)
-    for bad, reason in (
-        (doubled, "signed permutations"),
-        (scaled, "standard orthonormal metric"),
-        (flipped, "volume sign"),
-        ({"signature": [1, 2]}, "bad representation JSON"),
-    ):
-        with pytest.raises(StructureError, match=reason):
-            rep_from_json(json.dumps(bad))
-
-
 def test_every_signature_inside_the_cap_builds_or_is_refused_by_name():
     refused = set()
     for n in range(13):
@@ -270,7 +246,29 @@ def test_every_signature_inside_the_cap_builds_or_is_refused_by_name():
             structure = build_structure(rep)
             assert structure.case == rep.abs.case
             assert admissible_pairings(rep, structure)
-    assert refused == {(0, 10), (0, 11), (0, 12), (1, 11), (12, 0)}
+    assert refused == set()
+
+
+def test_the_signatures_past_the_seed_ladder_are_block_products_with_cl08():
+    # (0,q) = (0,q-8) (x) Cl(0,8) for q >= 10; (1,11) and (12,0) extend (0,10)
+    block = matrixrep._definite_negative_gens(8)
+    for q in (10, 11, 12):
+        base = matrixrep._definite_negative_gens(q - 8)
+        gens = matrixrep._definite_negative_gens(q)
+        dense = [oracles.to_dense(g) for g in gens]
+        w8 = oracles.identity(16)
+        for e in block:
+            w8 = mat_mul(w8, oracles.to_dense(e))
+        want = [oracles.kron(oracles.to_dense(g), w8) for g in base]
+        want += [oracles.kron(oracles.identity(base[0].dim), oracles.to_dense(e)) for e in block]
+        assert dense == want
+    expected = {(0, 10): (-1, 1), (0, 11): (1, -1), (0, 12): (1, 1), (1, 11): (1, 1), (12, 0): (1, 1)}
+    for (p, q), signs in expected.items():
+        for volume_sign in (1, -1) if (p + q) % 2 else (1,):
+            rep = build_rep(Signature(p, q), volume_sign)
+            assert rep.volume_sp().scalar_value() == (volume_sign if (p + q) % 2 else None)
+            pairings = admissible_pairings(rep, build_structure(rep))
+            assert [(pr.sigma, pr.tau) for pr in pairings] == [signs]
 
 
 def test_volume_sign_validation():
