@@ -31,15 +31,12 @@ from .exterior import (
     reversal,
 )
 from .graf import (
-    TruncationRegimeWarning,
-    TruncationSplit,
     contracted_wedge,
     graf_product,
     hodge,
     in_truncation_regime,
     lower_projection,
     projector_pm,
-    truncate,
     truncated_product,
     volume_form,
     volume_square_sign,
@@ -126,12 +123,9 @@ __all__ = [
     "volume_form",
     "hodge",
     "projector_pm",
-    "truncate",
-    "TruncationSplit",
     "lower_projection",
     "in_truncation_regime",
     "truncated_product",
-    "TruncationRegimeWarning",
     # representations
     "AbsType",
     "abs_type",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .errors import DimensionMismatch, StructureError
 from .exterior import Signature
 from .linalg import SignedPerm, Vector
-from .matrixrep import MainSubalgebra, Rep, build_structure, solve_signed_perms
+from .matrixrep import MainSubalgebra, Rep, solve_signed_perms
 
 
 @dataclass(frozen=True)
@@ -145,24 +145,25 @@ def b_eval(pairing: Pairing, alpha: Vector, beta: Vector):
 # -- isotropy of the half-spinor split ------------------------------------------------
 
 
-def _splitting_involution(rep: Rep, structure: MainSubalgebra) -> SignedPerm | None:
+def _splitting_involution(rep: Rep, d: SignedPerm | None) -> SignedPerm | None:
     """The involution S whose +-1 eigenspaces split the spinors, when one exists.
 
-    S is D when D^2 = +Id, else the volume element when it squares to +Id
-    without being scalar.
+    S is the real structure D when D^2 = +Id, else the volume element
+    when it squares to +Id without being scalar.
     """
-    if structure.d_square_sign == 1:
-        return structure.D
+    if d is not None and d.compose(d).scalar_value() == 1:
+        return d
     vol = rep.volume_sp()
     if vol.compose(vol).scalar_value() == 1 and vol.scalar_value() is None:
         return vol
     return None
 
 
-def isotropy_sign(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> int | None:
-    """+1 when B is orthogonal on the split, -1 when each half is totally isotropic.
+def isotropy_sign(pairing: Pairing, split: SignedPerm | None) -> int | None:
+    """+1 when B is orthogonal on the split by S, -1 when each half is totally isotropic.
 
-    S is a signed permutation of square +Id, so S = S^T = S^-1, and
+    S (``_splitting_involution``, None when the spinors do not split) is
+    a signed permutation of square +Id, so S = S^T = S^-1, and
     P+- = (1 +- S)/2 project onto the halves.  The cross blocks
     4 P+^T A P- = A - AS + SA - SAS and 4 P-^T A P+ = A + AS - SA - SAS
     sum to 2(A - SAS); the diagonal blocks 4 P+^T A P+ = A + AS + SA + SAS
@@ -171,11 +172,10 @@ def isotropy_sign(pairing: Pairing, rep: Rep, structure: MainSubalgebra) -> int 
     conversely SAS = +-A gives AS = +-SA, which kills the cross or the
     diagonal blocks.  A is invertible, so at most one holds.
     """
-    s = _splitting_involution(rep, structure)
-    if s is None:
+    if split is None:
         return None
     a = pairing.gram
-    moved = s.transpose().compose(a).compose(s)
+    moved = split.transpose().compose(a).compose(split)
     if moved == a:
         return 1
     if moved == a.neg():
@@ -188,7 +188,8 @@ def admissible_pairings(rep: Rep, structure: MainSubalgebra | None = None) -> li
 
     More than one independent solution can match (two skew pairings exist
     on signature (1,2)); all are returned with metadata filled, in the
-    solver's deterministic order.
+    solver's deterministic order.  ``structure`` defaults to
+    ``rep.structure``; a caller that has solved it already may pass it.
     """
     tau = table_tau(rep.signature)
     if tau is None:
@@ -198,10 +199,11 @@ def admissible_pairings(rep: Rep, structure: MainSubalgebra | None = None) -> li
     chosen = [p for p in sols if want_sigma is None or p.sigma == want_sigma]
     if not chosen:
         raise StructureError("no admissible pairing matches the published table row")
-    structure = structure if structure is not None else build_structure(rep)
+    structure = structure if structure is not None else rep.structure
+    split = _splitting_involution(rep, structure.D)
     out = []
     for cand in chosen:
-        filled = replace(cand, isotropy=isotropy_sign(cand, rep, structure))
+        filled = replace(cand, isotropy=isotropy_sign(cand, split))
         filled.verify(rep)
         out.append(filled)
     return out
@@ -221,7 +223,7 @@ def preferred_pairing(pairings: list[Pairing]) -> Pairing:
 
 
 def standard_pairing(rep: Rep, structure: MainSubalgebra | None = None) -> Pairing:
-    """The preferred admissible pairing of the representation."""
+    """The preferred admissible pairing of the representation (``structure`` as above)."""
     return preferred_pairing(admissible_pairings(rep, structure))
 
 

@@ -27,7 +27,6 @@ closed-form expansion of every pairwise product of covariant grades
 against literal evaluation on random forms.
 """
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,7 @@ from .graf import (
     wedge,
 )
 from .linalg import _norm
-from .matrixrep import MainSubalgebra, Rep
+from .matrixrep import Rep
 
 __all__ = [
     "Geometry",
@@ -84,19 +83,20 @@ def _as_signature(signature) -> Signature:
 # -- real-spinor projection ------------------------------------------------------------
 
 
-def majorana_project(rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
+def majorana_project(rep: Rep, alpha) -> tuple:
     """Plus-projection onto real spinors: half of (alpha + D(alpha))."""
-    if structure.D is None:
+    dmap = rep.structure.D
+    if dmap is None:
         raise StructureError("projection needs the anticomplex structure map")
     vec = tuple(alpha)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
     half = Fraction(1, 2)
-    dv = structure.D.apply(vec)
+    dv = dmap.apply(vec)
     return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
 
 
-def _real_structure_weight(rep: Rep, structure: MainSubalgebra, pairing: Pairing) -> int:
+def _real_structure_weight(rep: Rep, pairing: Pairing) -> int:
     """eps_D of D^T A D = eps_D A, read from the unit table U = (1, D).
 
     eps_D = +1 when the real structure preserves the pairing, which for
@@ -105,9 +105,9 @@ def _real_structure_weight(rep: Rep, structure: MainSubalgebra, pairing: Pairing
     vanishes identically on real spinors, so their covariants carry no
     information there.
     """
-    if structure.D is None:
+    if rep.structure.D is None:
         raise StructureError("no real structure available for this case")
-    return unit_table(rep, structure, pairing).weights[1]
+    return unit_table(rep, pairing).weights[1]
 
 
 # -- reduced verdicts ---------------------------------------------------------------------
@@ -323,34 +323,29 @@ def geometry_of(signature: Signature) -> Geometry:
 # -- the classification pipeline ------------------------------------------------------------
 
 
-def prepare(geometry: Geometry, rep: Rep, structure: MainSubalgebra, alpha) -> tuple:
-    """The spinor the geometry classifies: the real part where spinors are real."""
-    if geometry.real:
-        return majorana_project(rep, structure, alpha)
+def prepare(rep: Rep, alpha) -> tuple:
+    """The spinor the signature's geometry classifies: the real part where spinors are real."""
+    if geometry_of(rep.signature).real:
+        return majorana_project(rep, alpha)
     return tuple(alpha)
 
 
-def covariants(
-    geometry: Geometry, rep: Rep, structure: MainSubalgebra, pairing: Pairing, spinor
-) -> tuple[Form, ...]:
+def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     """Covariant forms of a prepared spinor, in the geometry's component order.
 
     The forms are the grade parts of the identity unit's component of
     E(alpha, alpha) without its k_const / 2^n multiple: blade m of grade
     k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``).
-    Each precondition is checked and refused: the pairing has the
-    record's signs; a real spinor's pairing is preserved by D and the
-    spinor is D-fixed; every grade vanishes unless it is a component
-    grade or, in the truncation regime, the volume image n - k of one,
-    and that image equals the Hodge dual of grade k times the volume
-    sign, so the low-grade truncation loses nothing.
+    Each precondition is checked and refused: the signature has a
+    geometry (``geometry_of``); the pairing has the record's signs; a
+    real spinor's pairing is preserved by D and the spinor is D-fixed;
+    every grade vanishes unless it is a component grade or, in the
+    truncation regime, the volume image n - k of one, and that image
+    equals the Hodge dual of grade k times the volume sign, so the
+    low-grade truncation loses nothing.
     """
     sig = rep.signature
-    if (sig.p, sig.q) != geometry.signature:
-        p, q = geometry.signature
-        raise UnsupportedSignature(
-            f"this covariant set is defined on signature ({p},{q}), got ({sig.p},{sig.q})"
-        )
+    geometry = geometry_of(sig)
     vec = tuple(spinor)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
@@ -358,13 +353,13 @@ def covariants(
         sigma, tau = geometry.pairing_signs
         raise StructureError(f"the covariants use a pairing with (sigma, tau) = ({sigma}, {tau})")
     if geometry.real:
-        if _real_structure_weight(rep, structure, pairing) != 1:
+        if _real_structure_weight(rep, pairing) != 1:
             raise StructureError(
                 "the pairing is anti-isometric under the real structure; the "
                 "even-rank covariants vanish identically on real spinors "
                 "under it — use the orthogonal-split pairing"
             )
-        if structure.D.apply(vec) != vec:
+        if rep.structure.D.apply(vec) != vec:
             raise NotASpinor("spinor is not fixed by the real structure; project it first")
     by_grade: dict[int, dict] = {k: {} for k in range(sig.n + 1)}
     for mask, val in unit_profile(rep, pairing, vec, vec).items():
@@ -380,7 +375,7 @@ def covariants(
     return tuple(parts[k] for k in grades)
 
 
-def _master(geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
+def _master(covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
     """The master identity S o S = c B S in cleared form, S the sum of the covariants.
 
     o is the truncated product under the projector of ``volume_sign``
@@ -394,7 +389,7 @@ def _master(geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int) -> 
         square = truncated_product(s, s, volume_sign, met)
     else:
         square = graf_product(s, s, met)
-    name, c = geometry.master
+    name, c = geometry_of(s.signature).master
     return _result(name, square - s.scale(c * b))
 
 
@@ -404,17 +399,14 @@ def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
     return tuple(r.identity for r in rows if not r.passed)
 
 
-def reduced_verdict(
-    geometry: Geometry, covs: tuple[Form, ...], b, volume_sign: int = 1
-) -> ReducedVerdict:
+def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> ReducedVerdict:
     """Exact verdict on the master identity and the reduced rows, with flags."""
-    master = _master(geometry, covs, b, volume_sign)
-    rows, clearance = geometry.rows(covs, b)
+    master = _master(covs, b, volume_sign)
+    rows, clearance = geometry_of(covs[0].signature).rows(covs, b)
     return ReducedVerdict(master, rows, _flags(master, rows), clearance)
 
 
 def classify(
-    geometry: Geometry,
     covs: tuple[Form, ...],
     b=None,
     verdict: ReducedVerdict | None = None,
@@ -427,11 +419,12 @@ def classify(
     own.  The gate reads ``verdict`` when the caller already holds it and
     otherwise evaluates only what it needs, under ``volume_sign``.
     """
+    geometry = geometry_of(covs[0].signature)
     b = covs[0].scalar_part() if b is None else b
     if geometry.gate_on_rows:
-        gate = verdict if verdict is not None else reduced_verdict(geometry, covs, b, volume_sign)
+        gate = verdict if verdict is not None else reduced_verdict(covs, b, volume_sign)
     else:
-        gate = verdict.master if verdict is not None else _master(geometry, covs, b, volume_sign)
+        gate = verdict.master if verdict is not None else _master(covs, b, volume_sign)
     if not gate.passed:
         raise NotASpinor(geometry.refusal)
     return geometry.patterns.index(tuple(not f.is_zero() for f in covs)) + 1
@@ -463,21 +456,18 @@ class ClassReport:
             "pairing_hash": self.pairing_hash,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
-
 
 def class_report(
-    geometry: Geometry,
     covs: tuple[Form, ...],
     b=None,
     volume_sign: int = 1,
     pairing_hash: str | None = None,
 ) -> ClassReport:
     """Classify one covariant set and assemble the full report for it."""
+    geometry = geometry_of(covs[0].signature)
     b = covs[0].scalar_part() if b is None else b
-    verdict = reduced_verdict(geometry, covs, b, volume_sign)
-    index = classify(geometry, covs, b, verdict)
+    verdict = reduced_verdict(covs, b, volume_sign)
+    index = classify(covs, b, verdict)
     return ClassReport(
         covs[0].signature,
         index,
@@ -555,13 +545,9 @@ class CensusReport:
             "sections": sections,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
-
 
 def census(
     rep: Rep,
-    structure: MainSubalgebra,
     pairings: list[Pairing],
     samples: int,
     seed: int,
@@ -580,7 +566,7 @@ def census(
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
     compatible = [
-        not geo.real or _real_structure_weight(rep, structure, pairing) == 1
+        not geo.real or _real_structure_weight(rep, pairing) == 1
         for pairing in pairings
     ]
     counts: list[dict[int, int]] = [{} for _ in pairings]
@@ -588,14 +574,14 @@ def census(
     ranks: list[set[int]] = [set() for _ in pairings]
     for _ in range(samples):
         raw = tuple(rng.randint(-box, box) for _ in range(dim))
-        vec = prepare(geo, rep, structure, raw)
+        vec = prepare(rep, raw)
         for slot, pairing in enumerate(pairings):
             if not compatible[slot]:
                 prof = _bilinear_profile(rep, pairing, vec, vec)
                 ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
                 continue
-            covs = covariants(geo, rep, structure, pairing, vec)
-            index = classify(geo, covs, volume_sign=rep.volume_sign)
+            covs = covariants(rep, pairing, vec)
+            index = classify(covs, volume_sign=rep.volume_sign)
             counts[slot][index] = counts[slot].get(index, 0) + 1
             found[slot].setdefault(index, vec)
     sections = tuple(
@@ -640,9 +626,6 @@ class AppendixVerdict:
             "passed": self.passed,
             "rows": [r.to_json_obj() for r in self.rows],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _random_homogeneous(rng: random.Random, sig: Signature, k: int, box: int, terms: int) -> Form:

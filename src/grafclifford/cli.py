@@ -38,7 +38,7 @@ from .exterior import (
     Metric,
     Signature,
     max_dim,
-    rational_from_str,
+    rational_from_json,
     rational_to_str,
 )
 from .fierz import check_fierz, covariant, fundamental_identity_holds, reconstruct_check
@@ -52,7 +52,7 @@ from .graf import (
     volume_form,
     volume_square_sign,
 )
-from .matrixrep import MainSubalgebra, build_rep, build_structure
+from .matrixrep import Rep, build_rep
 from .classify import (
     APPENDIX_SIGNATURE,
     GEOMETRIES,
@@ -264,14 +264,14 @@ def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _build_all(sig: Signature, volume_sign: int):
-    """Representation, structure maps, admissible pairings and the preferred one."""
+    """Representation, admissible pairings and the preferred one."""
     rep = build_rep(sig, volume_sign)
-    structure = build_structure(rep)
-    pairings = admissible_pairings(rep, structure)
-    return rep, structure, pairings, preferred_pairing(pairings)
+    pairings = admissible_pairings(rep)
+    return rep, pairings, preferred_pairing(pairings)
 
 
-def _structure_obj(structure: MainSubalgebra) -> dict:
+def _structure_obj(rep: Rep) -> dict:
+    structure = rep.structure
     return {
         "case": structure.case,
         "has_complex_structure": structure.J is not None,
@@ -293,13 +293,13 @@ def _pairing_obj(pairing: Pairing) -> dict:
 
 def cmd_build_rep(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    rep, structure, pairings, preferred = _build_all(sig, cfg.volume_sign)
+    rep, pairings, preferred = _build_all(sig, cfg.volume_sign)
     report = {
         "provenance": _provenance(
             sig, rep.metric, rep.volume_sign, preferred.content_hash(), cfg.seed
         ),
         "representation": rep.to_json_obj(),
-        "structure": _structure_obj(structure),
+        "structure": _structure_obj(rep),
         "pairings": [_pairing_obj(p) for p in pairings],
         "passed": True,
     }
@@ -315,7 +315,7 @@ def _random_vec(rng: random.Random, dim: int, box: int = 5) -> tuple:
 
 def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
-    rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
+    rep, _, pairing = _build_all(sig, cfg.volume_sign)
     rng = random.Random(cfg.seed)
     samples = cfg.samples
     dim = rep.abs.rep_dim
@@ -326,12 +326,12 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
         a1, b1, a2, b2 = (_random_vec(rng, dim) for _ in range(4))
         if not fundamental_identity_holds(pairing, a1, b1, a2, b2):
             fundamental_fails += 1
-        cov11 = covariant(rep, structure, pairing, a1, b1)
-        cov22 = covariant(rep, structure, pairing, a2, b2)
+        cov11 = covariant(rep, pairing, a1, b1)
+        cov22 = covariant(rep, pairing, a2, b2)
         for cov, alpha, beta in ((cov11, a1, b1), (cov22, a2, b2)):
-            if not reconstruct_check(rep, structure, pairing, cov, alpha, beta):
+            if not reconstruct_check(rep, pairing, cov, alpha, beta):
                 reconstruction_fails += 1
-        cov12 = covariant(rep, structure, pairing, a1, b2)
+        cov12 = covariant(rep, pairing, a1, b2)
         verdict = check_fierz(cov11, cov22, cov12, b_eval(pairing, a2, b1))
         if not verdict.passed:
             fierz_fails += 1
@@ -340,7 +340,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
 
     report: dict = {
         "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
-        "case": structure.case,
+        "case": rep.abs.case,
         "samples": samples,
         "oracles": {
             "fundamental_identity_failures": fundamental_fails,
@@ -354,13 +354,12 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     master_fails = 0
     flagged_rows: dict[str, int] = {}
     flagged_example = None
-    geo = GEOMETRIES.get((sig.p, sig.q))
-    if geo is not None:
+    if (sig.p, sig.q) in GEOMETRIES:
         rng2 = random.Random(cfg.seed + 1)
         for _ in range(samples):
-            alpha = prepare(geo, rep, structure, _random_vec(rng2, dim))
-            covs = covariants(geo, rep, structure, pairing, alpha)
-            verdict = reduced_verdict(geo, covs, b_eval(pairing, alpha, alpha), rep.volume_sign)
+            alpha = prepare(rep, _random_vec(rng2, dim))
+            covs = covariants(rep, pairing, alpha)
+            verdict = reduced_verdict(covs, b_eval(pairing, alpha, alpha), rep.volume_sign)
             if not verdict.master.passed:
                 master_fails += 1
             for name in verdict.flagged:
@@ -398,23 +397,6 @@ def _load_json_file(path: str):
         raise FormParseError(f"spinor file {path!r} is not valid JSON: {exc}") from exc
 
 
-def _parse_vector(obj) -> tuple:
-    entries = []
-    for item in obj:
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise FormParseError(f"spinor entries must be integers or rational strings, got {item!r}")
-        entries.append(rational_from_str(item) if isinstance(item, str) else item)
-    return tuple(entries)
-
-
-def _parse_scalar(obj, default):
-    if obj is None:
-        return default
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise FormParseError(f"scalar must be an integer or rational string, got {obj!r}")
-    return rational_from_str(obj) if isinstance(obj, str) else obj
-
-
 def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[int, dict]:
     geo = geometry_of(sig)
     extra = sorted(set(payload) - {"covariants", "scalar"})
@@ -443,8 +425,9 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
         return form
 
     covs = tuple(load_form(name, grade) for name, grade in geo.components)
-    scalar = _parse_scalar(payload.get("scalar"), covs[0].scalar_part())
-    result = class_report(geo, covs, scalar, cfg.volume_sign).to_json_obj()
+    scalar = payload.get("scalar")
+    scalar = covs[0].scalar_part() if scalar is None else rational_from_json(scalar, "scalar")
+    result = class_report(covs, scalar, cfg.volume_sign).to_json_obj()
     report = {
         "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
         "mode": "covariant-injection",
@@ -467,15 +450,15 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
         raise FormParseError(
             "spinor file must be a JSON array of rationals or an object with 'covariants'"
         )
-    vec = _parse_vector(payload)
-    geo = geometry_of(sig)
-    rep, structure, _, pairing = _build_all(sig, cfg.volume_sign)
+    vec = tuple(rational_from_json(item, "spinor entry") for item in payload)
+    geometry_of(sig)  # refuses an unclassified signature before the build
+    rep, _, pairing = _build_all(sig, cfg.volume_sign)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch(
             f"spinor has {len(vec)} entries; the representation needs {rep.abs.rep_dim}"
         )
-    covs = covariants(geo, rep, structure, pairing, prepare(geo, rep, structure, vec))
-    result = class_report(geo, covs, None, rep.volume_sign, pairing.content_hash())
+    covs = covariants(rep, pairing, prepare(rep, vec))
+    result = class_report(covs, None, rep.volume_sign, pairing.content_hash())
     report = {
         "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "mode": "spinor",
@@ -491,8 +474,8 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
 def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
     geometry_of(sig)  # refuses an unclassified signature before the build
-    rep, structure, pairings, pairing = _build_all(sig, cfg.volume_sign)
-    result = census(rep, structure, pairings, cfg.samples, cfg.seed)
+    rep, pairings, pairing = _build_all(sig, cfg.volume_sign)
+    result = census(rep, pairings, cfg.samples, cfg.seed)
     report = {
         "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "census": result.to_json_obj(),

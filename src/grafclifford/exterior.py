@@ -30,7 +30,6 @@ left action on forms packed into one int, by field width.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from collections import OrderedDict
@@ -72,6 +71,15 @@ def rational_from_str(text: str) -> Rational:
         return _norm(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormParseError(f"bad rational literal {text!r}") from exc
+
+
+def rational_from_json(value, what: str) -> Rational:
+    """A JSON rational: an int that is not a bool, or a rational string."""
+    if isinstance(value, str):
+        return rational_from_str(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormParseError(f"{what} must be an integer or a rational string, got {value!r}")
+    return value
 
 
 def rational_to_str(c: Rational) -> str:
@@ -361,18 +369,11 @@ class Form:
                 blade = Blade(indices)
             except ValueError as exc:
                 raise FormParseError(f"bad form term {entry!r}") from exc
-            if isinstance(coeff, str):
-                coeff = rational_from_str(coeff)
-            elif isinstance(coeff, bool) or not isinstance(coeff, int):
-                raise FormParseError(f"bad coefficient {coeff!r}")
-            terms.append((blade.mask, coeff))
+            terms.append((blade.mask, rational_from_json(coeff, "coefficient")))
         try:
             return cls(signature, terms)
         except ValueError as exc:
             raise FormParseError(str(exc)) from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 class Metric:

@@ -4,8 +4,8 @@ The rank-one endomorphism E(alpha, beta), gamma -> B(gamma, beta) alpha,
 expands over the operators u lambda(e_m), where e_m runs over the
 canonical blades and u over the commutant units U = (1,) + units: no
 unit in the normal case, (D,) in the almost-complex case and
-(H1, H2, H3) in the quaternionic case (``MainSubalgebra.units``).  The
-coefficients, collected as one exterior form per unit, are the
+(H1, H2, H3) in the quaternionic case (the units of ``Rep.structure``).
+The coefficients, collected as one exterior form per unit, are the
 covariants.  The composition law E11 E22 = B(alpha2, beta1) E12 then
 forces quadratic identities among them, checked here with exact
 arithmetic and no tolerances.  One engine serves every case; three
@@ -79,7 +79,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
 )
-from .matrixrep import CASE_ALMOST_COMPLEX, CASE_NORMAL, CASE_QUATERNIONIC, MainSubalgebra, Rep
+from .matrixrep import CASE_ALMOST_COMPLEX, CASE_NORMAL, CASE_QUATERNIONIC, Rep
 
 # The identity for unit w, in the order of U.
 IDENTITY_NAMES = {
@@ -111,11 +111,9 @@ class UnitTable:
 
 
 @lru_cache(maxsize=8)
-def unit_table(rep: Rep, structure: MainSubalgebra, pairing: Pairing) -> UnitTable:
+def unit_table(rep: Rep, pairing: Pairing) -> UnitTable:
     """Twists, weights and products of the commutant units, cached across covariant calls."""
-    if structure.case != rep.abs.case:
-        raise StructureError("structure case does not match the representation")
-    units = (SignedPerm.identity(rep.d),) + structure.units
+    units = (SignedPerm.identity(rep.d),) + rep.structure.units
     gram = pairing.gram
     twists, weights = [], []
     for u in units:
@@ -137,7 +135,7 @@ def unit_table(rep: Rep, structure: MainSubalgebra, pairing: Pairing) -> UnitTab
                 raise StructureError("the commutant units are not closed under products")
             row.append(hit)
         products.append(tuple(row))
-    return UnitTable(structure.case, units, tuple(twists), tuple(weights), tuple(products))
+    return UnitTable(rep.abs.case, units, tuple(twists), tuple(weights), tuple(products))
 
 
 @dataclass(frozen=True)
@@ -232,18 +230,12 @@ def unit_profile(
     return {m: eps * weights[m] * v for m, v in prof.items()}
 
 
-def covariant(
-    rep: Rep,
-    structure: MainSubalgebra,
-    pairing: Pairing,
-    alpha: Vector,
-    beta: Vector,
-) -> Covariant:
+def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> Covariant:
     """Covariant form components for a spinor pair, one per commutant unit.
 
     Blade m of component u is pref eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
     """
-    table = unit_table(rep, structure, pairing)
+    table = unit_table(rep, pairing)
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
     comps = []
     for u, c, eps in zip(table.units, table.twists, table.weights):
@@ -253,12 +245,7 @@ def covariant(
 
 
 def reconstruct_check(
-    rep: Rep,
-    structure: MainSubalgebra,
-    pairing: Pairing,
-    cov: Covariant,
-    alpha: Vector,
-    beta: Vector,
+    rep: Rep, pairing: Pairing, cov: Covariant, alpha: Vector, beta: Vector
 ) -> bool:
     """sum_u u lambda(f_u) = E(alpha, beta), on integer numerators over one denominator.
 
@@ -266,7 +253,7 @@ def reconstruct_check(
     from the blade's signed permutation; row i of u M is u.sign[i] times
     row u.col[i] of M.  No covariant weight is read.
     """
-    units = structure.units
+    units = rep.structure.units
     if len(cov.components) != 1 + len(units):
         raise StructureError("covariant components do not match the commutant units")
     d = rep.d

@@ -76,14 +76,12 @@ f * g + s (f * g) vol and projecting.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import factorial
 from operator import mul, sub
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnsupportedSignature
 from .exterior import (
     Form,
     Metric,
@@ -94,10 +92,6 @@ from .exterior import (
     interior,
 )
 from .linalg import Rational, _norm, common_denominator
-
-
-class TruncationRegimeWarning(UserWarning):
-    """Truncated products are only an isomorphic model in certain signatures."""
 
 
 def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
@@ -364,23 +358,10 @@ def projector_pm(f: Form, sign: int, metric: Metric | None = None) -> Form:
 # -- truncation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationSplit:
-    """Split of a form into grades <= floor(n/2) and the rest."""
-
-    lower: Form
-    upper: Form
-
-
-def truncate(f: Form) -> TruncationSplit:
-    half = f.signature.n // 2
-    lower = {m: c for m, c in f.mask_items() if m.bit_count() <= half}
-    upper = {m: c for m, c in f.mask_items() if m.bit_count() > half}
-    return TruncationSplit(Form._adopt(f.signature, lower), Form._adopt(f.signature, upper))
-
-
 def lower_projection(f: Form) -> Form:
-    return truncate(f).lower
+    """The part of f in grades at most floor(n/2)."""
+    half = f.signature.n // 2
+    return Form._adopt(f.signature, {m: c for m, c in f.mask_items() if m.bit_count() <= half})
 
 
 def in_truncation_regime(signature: Signature) -> bool:
@@ -391,38 +372,33 @@ def in_truncation_regime(signature: Signature) -> bool:
 def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = None) -> Form:
     """Product induced on lower-grade truncations: 2 P_L(P_s(f) * P_s(g)).
 
-    Outside odd dimensions with volume square +1 this is still computed
-    literally, but a TruncationRegimeWarning is attached because the
-    truncation is no longer an isomorphism onto an ideal.
+    Defined only in the truncation regime (odd n with volume square +1)
+    under an orthonormal metric; anything else is refused with
+    UnsupportedSignature, since the truncation is then no isomorphism
+    onto an ideal.  There the volume element v is central with unit
+    square, so P_s commutes with the product and one product call
+    suffices: 2 P_L(P_s(f*g)) = P_L(fg + sign fg v).  A term above
+    floor(n/2) folds onto m ^ full with factor sign nu[m]; one at or
+    below it has its volume image above and keeps its place.
     """
     f._check_same(g)
     if sign not in (1, -1):
         raise ValueError("projector sign must be +1 or -1")
     metric = _resolve_metric(f, metric)
     sig = f.signature
-    if in_truncation_regime(sig) and metric.is_orthonormal:
-        # v is central with unit square here, so P_s commutes with the
-        # product and one product call suffices: 2 P_L(P_s(f*g)) =
-        # P_L(fg + sign fg v).  A term above floor(n/2) folds onto
-        # m ^ full with factor sign nu[m]; one at or below it has its
-        # volume image above and keeps its place.
-        nu = _kernel_for(metric).volume_column()
-        full = (1 << sig.n) - 1
-        half = sig.n // 2
-        acc: dict[int, Rational] = {}
-        for m, c in graf_product(f, g, metric).mask_items():
-            if m.bit_count() > half:
-                c = c * sign * nu[m]
-                m ^= full
-            acc[m] = acc.get(m, 0) + c
-        return Form._adopt(sig, {m: _norm(c) for m, c in acc.items() if c})
-    if not in_truncation_regime(sig):
-        warnings.warn(
-            f"signature ({sig.p},{sig.q}) is outside the truncation "
-            "isomorphism regime (odd n with volume square +1)",
-            TruncationRegimeWarning,
-            stacklevel=2,
+    if not (in_truncation_regime(sig) and metric.is_orthonormal):
+        frame = "an orthonormal" if metric.is_orthonormal else "a non-orthonormal"
+        raise UnsupportedSignature(
+            "the truncated product needs odd n with volume square +1 and an orthonormal "
+            f"metric, not ({sig.p},{sig.q}) under {frame} metric"
         )
-    pf = projector_pm(f, sign, metric)
-    pg = projector_pm(g, sign, metric)
-    return lower_projection(graf_product(pf, pg, metric)).scale(2)
+    nu = _kernel_for(metric).volume_column()
+    full = (1 << sig.n) - 1
+    half = sig.n // 2
+    acc: dict[int, Rational] = {}
+    for m, c in graf_product(f, g, metric).mask_items():
+        if m.bit_count() > half:
+            c = c * sign * nu[m]
+            m ^= full
+        acc[m] = acc.get(m, 0) + c
+    return Form._adopt(sig, {m: _norm(c) for m, c in acc.items() if c})

@@ -232,7 +232,8 @@ class Rep:
     caches one signed permutation per canonical blade on the instance,
     so the cache holds at most 2^n entries of d column indices and d
     signs; the covariant profile table (``profile_gather``) visits every
-    blade and fills it.
+    blade and fills it.  The commutant basis and the structure maps
+    (``structure``) are solved once per instance, on first use.
     """
 
     __slots__ = (
@@ -243,6 +244,7 @@ class Rep:
         "abs",
         "_cache_sp",
         "_commutant",
+        "_structure",
         "_profile",
     )
 
@@ -254,6 +256,7 @@ class Rep:
         self.abs = abs_type(signature)
         self._cache_sp: dict[int, SignedPerm] = {}
         self._commutant: tuple[SignedPerm, ...] | None = None
+        self._structure: MainSubalgebra | None = None
         self._profile: Callable[[list], tuple] | None = None
         verify_generators(self.perms, signature)
         if signature.n % 2 == 1:
@@ -266,6 +269,13 @@ class Rep:
     @property
     def d(self) -> int:
         return self.abs.rep_dim
+
+    @property
+    def structure(self) -> MainSubalgebra:
+        """The commutant structure maps J, D and H (``build_structure``), solved once."""
+        if self._structure is None:
+            self._structure = build_structure(self)
+        return self._structure
 
     # -- blade action ---------------------------------------------------------
 
@@ -489,19 +499,19 @@ def d_square_target(signature: Signature) -> int:
 
 
 def build_structure(rep: Rep) -> MainSubalgebra:
-    """Construct the case-specific commutant structure maps."""
-    at = rep.abs
-    basis = commutant_basis(rep)
-    if len(basis) != at.commutant_dim:
-        raise StructureError(f"commutant dimension {len(basis)}, expected {at.commutant_dim}")
-    if at.case == CASE_NORMAL:
+    """Solve the case-specific commutant structure maps; ``Rep.structure`` caches them.
+
+    ``build_rep`` has already checked the commutant's dimension.
+    """
+    case = rep.abs.case
+    if case == CASE_NORMAL:
         return MainSubalgebra(CASE_NORMAL)
-    if at.case == CASE_ALMOST_COMPLEX:
+    if case == CASE_ALMOST_COMPLEX:
         vol = rep.volume_sp()
         if vol.compose(vol).scalar_value() != -1:
             raise StructureError("volume square is not -Id in the almost-complex case")
         return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol, D=_solve_d(rep, vol))
-    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(basis))
+    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(commutant_basis(rep)))
 
 
 def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:

@@ -4,7 +4,7 @@ import pytest
 
 from grafclifford.bilinear import admissible_pairings, standard_pairing
 from grafclifford.exterior import Signature
-from grafclifford.matrixrep import build_rep, build_structure
+from grafclifford.matrixrep import build_rep
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
@@ -17,18 +17,13 @@ def rep12():
 
 
 @pytest.fixture(scope="session")
-def st12(rep12):
-    return build_structure(rep12)
+def pr12(rep12):
+    return standard_pairing(rep12)
 
 
 @pytest.fixture(scope="session")
-def pr12(rep12, st12):
-    return standard_pairing(rep12, st12)
-
-
-@pytest.fixture(scope="session")
-def pairings12(rep12, st12):
-    return admissible_pairings(rep12, st12)
+def pairings12(rep12):
+    return admissible_pairings(rep12)
 
 
 @pytest.fixture(scope="session")
@@ -37,13 +32,8 @@ def rep90():
 
 
 @pytest.fixture(scope="session")
-def st90(rep90):
-    return build_structure(rep90)
-
-
-@pytest.fixture(scope="session")
-def pr90(rep90, st90):
-    return standard_pairing(rep90, st90)
+def pr90(rep90):
+    return standard_pairing(rep90)
 
 
 @pytest.fixture(scope="session")
@@ -52,10 +42,5 @@ def rep04():
 
 
 @pytest.fixture(scope="session")
-def st04(rep04):
-    return build_structure(rep04)
-
-
-@pytest.fixture(scope="session")
-def pr04(rep04, st04):
-    return standard_pairing(rep04, st04)
+def pr04(rep04):
+    return standard_pairing(rep04)

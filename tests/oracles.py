@@ -27,7 +27,6 @@ from grafclifford.linalg import SignedPerm, _norm, as_matrix, mat_mul, mat_scale
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
-    MainSubalgebra,
     Rep,
     abs_type,
     d_square_target,
@@ -655,9 +654,7 @@ def _tuple_component(rep: Rep, pairing, alpha, w, scale, parity_weight: int) -> 
     return from_tuples(rep.signature, acc)
 
 
-def ordered_tuple_covariant(
-    rep: Rep, structure: MainSubalgebra, pairing, alpha, beta
-) -> tuple[Form, ...]:
+def ordered_tuple_covariant(rep: Rep, pairing, alpha, beta) -> tuple[Form, ...]:
     """Covariant components summed over ordered index tuples with 1/k!.
 
     Mirrors the library's ascending-blade construction for the normal
@@ -666,6 +663,7 @@ def ordered_tuple_covariant(
     D^T A D = eps A, computed here from the dense matrices.
     """
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
+    structure = rep.structure
     if structure.case == CASE_NORMAL:
         return (_tuple_component(rep, pairing, alpha, beta, pref, pairing.tau),)
     if structure.case == CASE_ALMOST_COMPLEX:
@@ -681,10 +679,10 @@ def ordered_tuple_covariant(
     raise ValueError("tuple expansion oracle covers the normal and almost-complex cases")
 
 
-def fierz_on_spinors(rep: Rep, structure: MainSubalgebra, pairing, alpha1, beta1, alpha2, beta2):
+def fierz_on_spinors(rep: Rep, pairing, alpha1, beta1, alpha2, beta2):
     """``check_fierz`` on the covariants of (alpha1, beta1), (alpha2, beta2) and (alpha1, beta2)."""
     pairs = ((alpha1, beta1), (alpha2, beta2), (alpha1, beta2))
-    covs = [covariant(rep, structure, pairing, a, b) for a, b in pairs]
+    covs = [covariant(rep, pairing, a, b) for a, b in pairs]
     return check_fierz(*covs, b_eval(pairing, alpha2, beta1))
 
 

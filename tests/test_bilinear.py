@@ -26,13 +26,12 @@ from grafclifford.matrixrep import (
     CASE_NORMAL,
     CASE_QUATERNIONIC,
     build_rep,
-    build_structure,
 )
 
 
-def test_solved_pairings_verify_and_carry_correct_signs(rep12, st12, rep90, st90, rep04, st04):
-    for rep, st in ((rep12, st12), (rep90, st90), (rep04, st04)):
-        pairings = admissible_pairings(rep, st)
+def test_solved_pairings_verify_and_carry_correct_signs(rep12, rep90, rep04):
+    for rep in (rep12, rep90, rep04):
+        pairings = admissible_pairings(rep)
         assert pairings
         for pairing in pairings:
             pairing.verify(rep)
@@ -42,10 +41,10 @@ def test_solved_pairings_verify_and_carry_correct_signs(rep12, st12, rep90, st90
             assert (pairing.sigma, pairing.tau) == (table_sigma(sig), table_tau(sig))
 
 
-def test_computed_signs_match_the_published_tables(rep12, st12, rep90, st90, rep04, st04):
+def test_computed_signs_match_the_published_tables(rep12, rep90, rep04):
     expected = {(1, 2): (-1, -1), (9, 0): (1, 1), (0, 4): (1, 1)}
-    for rep, st in ((rep12, st12), (rep90, st90), (rep04, st04)):
-        pairing = standard_pairing(rep, st)
+    for rep in (rep12, rep90, rep04):
+        pairing = standard_pairing(rep)
         sig = rep.signature
         assert (pairing.sigma, pairing.tau) == expected[(sig.p, sig.q)]
         assert table_sigma(sig) == pairing.sigma
@@ -94,7 +93,7 @@ def test_blade_transpose_sign_consistency(rep12, pr12):
         assert mat_mul(oracles.transpose(m), a) == mat_scale(mat_mul(a, m), sign)
 
 
-def test_vanishing_ranks_match_observed_profiles(rep12, st12, pr12, rep90, pr90):
+def test_vanishing_ranks_match_observed_profiles(rep12, pr12, rep90, pr90):
     assert vanishing_ranks(pr12, 3) == {0, 3}
     assert vanishing_ranks(pr90, 9) == {2, 3, 6, 7}
     rng = random.Random(29)
@@ -147,11 +146,11 @@ def test_structure_maps_and_pairings_equal_the_dense_derivations():
     for (p, q), volume_signs, case, dsq, isotropies in DENSE_DERIVATION_CASES:
         for volume_sign in volume_signs:
             rep = build_rep(Signature(p, q), volume_sign)
-            st = build_structure(rep)
+            st = rep.structure
             assert (st.case, st.d_square_sign) == (case, dsq), (p, q, volume_sign)
             h = None if st.H is None else tuple(oracles.to_dense(x) for x in st.H)
             assert (_dense(st.J), _dense(st.D), h) == oracles.structure_oracle(rep)
-            pairings = admissible_pairings(rep, st)
+            pairings = admissible_pairings(rep)
             assert [pr.isotropy for pr in pairings] == isotropies, (p, q, volume_sign)
             assert [
                 (oracles.to_dense(pr.gram), pr.sigma, pr.tau, pr.isotropy) for pr in pairings

@@ -1,7 +1,9 @@
 """Spinor/pinor classification, reduced-row flagging, census, product battery."""
 
+import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -31,7 +33,7 @@ from grafclifford.exterior import Form, Metric, Signature, grade_project
 from grafclifford.fierz import covariant
 from grafclifford.graf import volume_form
 from grafclifford.linalg import SignedPerm
-from grafclifford.matrixrep import build_rep, build_structure
+from grafclifford.matrixrep import build_rep
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
@@ -57,25 +59,25 @@ APPENDIX_ROW_IDS = [
 # -- real-spinor projection ------------------------------------------------------------
 
 
-def test_majorana_projection_properties(rep12, st12, st90):
+def test_majorana_projection_properties(rep12, rep90):
     rng = random.Random(41)
     for _ in range(5):
         raw = oracles.rand_vector(rng, rep12.d)
-        proj = majorana_project(rep12, st12, raw)
-        assert oracles.mat_vec(oracles.to_dense(st12.D), proj) == proj
-        assert majorana_project(rep12, st12, proj) == proj
+        proj = majorana_project(rep12, raw)
+        assert oracles.mat_vec(oracles.to_dense(rep12.structure.D), proj) == proj
+        assert majorana_project(rep12, proj) == proj
     with pytest.raises(DimensionMismatch):
-        majorana_project(rep12, st12, (1, 0))
+        majorana_project(rep12, (1, 0))
     with pytest.raises(StructureError):
-        majorana_project(rep12, st90, (1, 0, 0, 0))
+        majorana_project(rep90, (1,) + (0,) * 15)
 
 
-def test_the_real_structure_weight_splits_the_pairings(rep12, st12, pairings12, rep90, st90, pr90):
+def test_the_real_structure_weight_splits_the_pairings(rep12, pairings12, rep90, pr90):
     by_iso = {p.isotropy: p for p in pairings12}
-    assert _real_structure_weight(rep12, st12, by_iso[1]) == 1
-    assert _real_structure_weight(rep12, st12, by_iso[-1]) == -1
+    assert _real_structure_weight(rep12, by_iso[1]) == 1
+    assert _real_structure_weight(rep12, by_iso[-1]) == -1
     with pytest.raises(StructureError):
-        _real_structure_weight(rep90, st90, pr90)
+        _real_structure_weight(rep90, pr90)
 
 
 def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
@@ -85,85 +87,85 @@ def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
         geo = geometry_of(sig)
         for volume_sign in (1, -1):
             rep = build_rep(sig, volume_sign)
-            st = build_structure(rep)
             pairings = [
                 pr
-                for pr in admissible_pairings(rep, st)
-                if not geo.real or _real_structure_weight(rep, st, pr) == 1
+                for pr in admissible_pairings(rep)
+                if not geo.real or _real_structure_weight(rep, pr) == 1
             ]
             assert pairings
             for pairing in pairings:
                 for _ in range(3):
-                    vec = prepare(geo, rep, st, oracles.rand_vector(rng, rep.d))
-                    whole = covariant(rep, st, pairing, vec, vec).components[0]
+                    vec = prepare(rep, oracles.rand_vector(rng, rep.d))
+                    whole = covariant(rep, pairing, vec, vec).components[0]
                     whole = whole.scale(Fraction(1 << sig.n, rep.abs.k_const))
                     expected = tuple(grade_project(whole, k) for _, k in geo.components)
-                    assert covariants(geo, rep, st, pairing, vec) == expected
+                    assert covariants(rep, pairing, vec) == expected
 
 
 # -- (1,2) covariants and classes --------------------------------------------------------
 
 
-def test_covariants_12_scalar_always_vanishes(rep12, st12, pr12):
+def test_covariants_12_scalar_always_vanishes(rep12, pr12):
     rng = random.Random(42)
     for _ in range(10):
-        vec = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-        phi0, phi2 = covariants(GEO12, rep12, st12, pr12, vec)
+        vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+        phi0, phi2 = covariants(rep12, pr12, vec)
         assert phi0.is_zero()
         assert phi2.grades() <= {2}
 
 
-def test_covariants_12_rejects_bad_inputs(rep12, st12, pr12, pairings12, rep90, st90, pr90):
+def test_covariants_12_rejects_bad_inputs(rep12, pr12, pairings12, rep04, pr04):
     moved = None
     for i in range(rep12.d):
         basis = tuple(1 if j == i else 0 for j in range(rep12.d))
-        if oracles.mat_vec(oracles.to_dense(st12.D), basis) != basis:
+        if oracles.mat_vec(oracles.to_dense(rep12.structure.D), basis) != basis:
             moved = basis
             break
     assert moved is not None
     with pytest.raises(NotASpinor, match="not fixed by the real structure"):
-        covariants(GEO12, rep12, st12, pr12, moved)
+        covariants(rep12, pr12, moved)
     anti = next(p for p in pairings12 if p.isotropy == -1)
-    fixed = majorana_project(rep12, st12, (1, 0, 0, 0))
+    fixed = majorana_project(rep12, (1, 0, 0, 0))
     with pytest.raises(StructureError):
-        covariants(GEO12, rep12, st12, anti, fixed)
-    with pytest.raises(UnsupportedSignature):
-        covariants(GEO12, rep90, st90, pr90, (1,) + (0,) * 15)
+        covariants(rep12, anti, fixed)
+    # the signature picks the geometry, and (0,4) has none
+    with pytest.raises(UnsupportedSignature, match="classification covers"):
+        covariants(rep04, pr04, (1, 0, 0, 0))
 
 
 def test_the_extractor_refuses_profiles_off_the_grade_pattern(
-    monkeypatch, rep12, st12, pr12, rep90, st90, pr90
+    monkeypatch, rep12, pr12, rep90, pr90
 ):
     genuine = classify_module.unit_profile
-    vec12 = majorana_project(rep12, st12, (3, -1, 2, 5))
+    vec12 = majorana_project(rep12, (3, -1, 2, 5))
     vec90 = oracles.rand_vector(random.Random(47), rep90.d)
     assert any(m.bit_count() == 5 for m in genuine(rep90, pr90, vec90, vec90))
     edits = (
         # a grade that is neither a component nor a volume image
-        (GEO12, rep12, st12, pr12, vec12, lambda prof: {**prof, 0b001: 1}, "rank outside"),
-        (GEO90, rep90, st90, pr90, vec90, lambda prof: {**prof, 0b11: 1}, "rank outside"),
+        (rep12, pr12, vec12, lambda prof: {**prof, 0b001: 1}, "rank outside"),
+        (rep90, pr90, vec90, lambda prof: {**prof, 0b11: 1}, "rank outside"),
         # a volume image that is not the Hodge dual of its component
         (
-            GEO90, rep90, st90, pr90, vec90,
+            rep90, pr90, vec90,
             lambda prof: {m: v for m, v in prof.items() if m.bit_count() != 5},
             "volume images",
         ),
     )
-    for geo, rep, st, pairing, vec, edit, message in edits:
+    for rep, pairing, vec, edit, message in edits:
         monkeypatch.setattr(
             classify_module, "unit_profile", lambda *args, edit=edit: edit(genuine(*args))
         )
         with pytest.raises(NotASpinor, match=message):
-            covariants(geo, rep, st, pairing, vec)
+            covariants(rep, pairing, vec)
 
 
-def test_reduced_rows_and_classes_12(rep12, st12, pr12):
+def test_reduced_rows_and_classes_12(rep12, pr12):
     rng = random.Random(43)
     seen = set()
     for _ in range(15):
-        vec = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-        cov = covariants(GEO12, rep12, st12, pr12, vec)
-        verdict = reduced_verdict(GEO12, cov, cov[0].scalar_part())
+        vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+        cov = covariants(rep12, pr12, vec)
+        verdict = reduced_verdict(cov, cov[0].scalar_part())
         assert verdict.master.identity == "two-component-square"
         assert [r.identity for r in verdict.rows] == [
             "rank2-double-contraction",
@@ -171,13 +173,13 @@ def test_reduced_rows_and_classes_12(rep12, st12, pr12):
         ]
         assert verdict.passed
         assert verdict.flagged == ()
-        index = classify(GEO12, cov)
+        index = classify(cov)
         assert index in {1, 3}
         assert GEO12.class_name(index)
         seen.add(index)
     assert 3 in seen
-    zero = covariants(GEO12, rep12, st12, pr12, (0,) * rep12.d)
-    assert classify(GEO12, zero) == 1
+    zero = covariants(rep12, pr12, (0,) * rep12.d)
+    assert classify(zero) == 1
 
 
 def test_reduced_rows_12_equal_the_published_contracted_wedges():
@@ -209,38 +211,38 @@ def test_reduced_rows_12_equal_the_published_contracted_wedges():
 def test_classify_12_rejects_non_solutions():
     fake = (Form.scalar(SIG12, 1), Form.zero(SIG12))
     with pytest.raises(NotASpinor):
-        classify(GEO12, fake)
+        classify(fake)
 
 
 # -- (9,0) covariants and classes --------------------------------------------------------
 
 
-def test_covariants_90_basis_spinor(rep90, st90, pr90):
+def test_covariants_90_basis_spinor(rep90, pr90):
     vec = (1,) + (0,) * 15
-    cov = covariants(GEO90, rep90, st90, pr90, vec)
+    cov = covariants(rep90, pr90, vec)
     assert cov[0] == Form.scalar(SIG90, 1)
-    assert classify(GEO90, cov) in {2, 3, 6, 8}
+    assert classify(cov) in {2, 3, 6, 8}
 
 
-def test_covariants_90_rejects_bad_inputs(rep90, st90, rep12, st12, pr12):
+def test_covariants_90_rejects_bad_inputs(rep90, rep04, pr04):
     wrong_type = Pairing(SignedPerm.identity(rep90.d), sigma=1, tau=-1)
     with pytest.raises(StructureError):
-        covariants(GEO90, rep90, st90, wrong_type, (1,) + (0,) * 15)
+        covariants(rep90, wrong_type, (1,) + (0,) * 15)
     with pytest.raises(DimensionMismatch):
-        covariants(GEO90, rep90, st90, Pairing(SignedPerm.identity(rep90.d), 1, 1), (1, 0))
-    with pytest.raises(UnsupportedSignature):
-        covariants(GEO90, rep12, st12, pr12, (1, 0, 0, 0))
+        covariants(rep90, Pairing(SignedPerm.identity(rep90.d), 1, 1), (1, 0))
+    with pytest.raises(UnsupportedSignature, match="classification covers"):
+        covariants(rep04, pr04, (1, 0, 0, 0))
 
 
-def test_reduced_system_90_on_random_spinors(rep90, st90, pr90):
+def test_reduced_system_90_on_random_spinors(rep90, pr90):
     rng = random.Random(44)
     for _ in range(6):
         vec = oracles.rand_vector(rng, rep90.d, box=3)
-        cov = covariants(GEO90, rep90, st90, pr90, vec)
+        cov = covariants(rep90, pr90, vec)
         psi0, psi1, psi4 = cov
         b = psi0.scalar_part()
         assert b == sum(a * a for a in vec)
-        verdict = reduced_verdict(GEO90, cov, b)
+        verdict = reduced_verdict(cov, b)
         assert verdict.master.identity == "truncated-master"
         assert verdict.master.passed
         assert verdict.clearance is not None
@@ -262,7 +264,7 @@ def test_reduced_system_90_on_random_spinors(rep90, st90, pr90):
             if not comp.is_zero()
         )
         assert verdict.flagged == expected_flags
-        index = classify(GEO90, cov)
+        index = classify(cov)
         assert GEO90.class_name(index)
         if b:
             assert "psi0 != 0" in GEO90.class_name(index)
@@ -315,12 +317,12 @@ def test_reduced_rows_90_equal_the_published_contracted_wedges():
         assert {r.identity: r.residual for r in rows} == _published_rows_90(psi0, p1, p4, b)
 
 
-def test_reduced_system_90_on_the_zero_spinor(rep90, st90, pr90):
-    cov = covariants(GEO90, rep90, st90, pr90, (0,) * rep90.d)
-    verdict = reduced_verdict(GEO90, cov, 0)
+def test_reduced_system_90_on_the_zero_spinor(rep90, pr90):
+    cov = covariants(rep90, pr90, (0,) * rep90.d)
+    verdict = reduced_verdict(cov, 0)
     assert verdict.passed
     assert verdict.flagged == ()
-    assert classify(GEO90, cov) == 7
+    assert classify(cov) == 7
 
 
 def test_classify_90_hand_injected_covariants():
@@ -329,32 +331,31 @@ def test_classify_90_hand_injected_covariants():
     e1 = Form.from_mask_dict(SIG90, {1: 1})
 
     inj3 = (one, e1, zero)
-    verdict = reduced_verdict(GEO90, inj3, Fraction(1, 8))
+    verdict = reduced_verdict(inj3, Fraction(1, 8))
     assert verdict.master.passed
     assert verdict.flagged == ("grade0-row", "grade1-row")
-    assert classify(GEO90, inj3, Fraction(1, 8)) == 3
+    assert classify(inj3, Fraction(1, 8)) == 3
 
     inj6 = (one, zero, zero)
-    verdict6 = reduced_verdict(GEO90, inj6, Fraction(1, 16))
+    verdict6 = reduced_verdict(inj6, Fraction(1, 16))
     assert verdict6.master.passed
     assert verdict6.flagged == ("grade0-row",)
-    assert classify(GEO90, inj6, Fraction(1, 16)) == 6
+    assert classify(inj6, Fraction(1, 16)) == 6
 
     with pytest.raises(NotASpinor):
-        classify(GEO90, (one, zero, zero))
+        classify((one, zero, zero))
 
 
 # -- reports, census, identity battery ---------------------------------------------------
 
 
-def spinor_report(rep, st, pairing, alpha):
-    geo = geometry_of(rep.signature)
-    cov = covariants(geo, rep, st, pairing, prepare(geo, rep, st, alpha))
-    return class_report(geo, cov, None, rep.volume_sign, pairing.content_hash())
+def spinor_report(rep, pairing, alpha):
+    cov = covariants(rep, pairing, prepare(rep, alpha))
+    return class_report(cov, None, rep.volume_sign, pairing.content_hash())
 
 
-def test_class_report_fields(rep12, st12, pr12, rep90, st90, pr90, rep04, st04, pr04):
-    report = spinor_report(rep12, st12, pr12, (3, -1, 2, 5))
+def test_class_report_fields(rep12, pr12, rep90, pr90, rep04, pr04):
+    report = spinor_report(rep12, pr12, (3, -1, 2, 5))
     assert report.signature == SIG12
     assert report.class_index in {1, 3}
     assert report.class_pattern == GEO12.class_name(report.class_index)
@@ -365,18 +366,20 @@ def test_class_report_fields(rep12, st12, pr12, rep90, st90, pr90, rep04, st04, 
     assert set(obj["covariants"]) == {"phi0", "phi2"}
 
     basis = (1,) + (0,) * 15
-    report90 = spinor_report(rep90, st90, pr90, basis)
+    report90 = spinor_report(rep90, pr90, basis)
     assert report90.class_pattern.startswith("psi0 != 0")
     assert [name for name, _ in report90.covariants] == ["psi0", "psi1", "psi4"]
 
     with pytest.raises(UnsupportedSignature):
-        spinor_report(rep04, st04, pr04, (1, 0, 0, 0))
+        spinor_report(rep04, pr04, (1, 0, 0, 0))
 
 
-def test_census_is_deterministic_and_structured(rep12, st12, pairings12):
-    first = census(rep12, st12, pairings12, 25, 7)
-    second = census(rep12, st12, pairings12, 25, 7)
-    assert first.to_json() == second.to_json()
+def test_census_is_deterministic_and_structured(rep12, pairings12):
+    first = census(rep12, pairings12, 25, 7)
+    second = census(rep12, pairings12, 25, 7)
+    # serialized as the CLI prints a report
+    dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    assert dump(first.to_json_obj()) == dump(second.to_json_obj())
     by_iso = {sec.isotropy: sec for sec in first.sections}
     assert set(by_iso) == {1, -1}
     assert by_iso[1].compatible
@@ -396,20 +399,19 @@ def test_census_is_deterministic_and_structured(rep12, st12, pairings12):
     assert "representative" in compatible["classes"]["3"]
 
 
-def test_census_on_the_pinor_signature(rep90, st90):
-    pairings90 = admissible_pairings(rep90, st90)
-    report = census(rep90, st90, pairings90, 6, 3)
+def test_census_on_the_pinor_signature(rep90):
+    pairings90 = admissible_pairings(rep90)
+    report = census(rep90, pairings90, 6, 3)
     (section,) = report.sections
     assert section.compatible
     assert dict(section.counts) == {8: 6}
-    empty = census(rep90, st90, pairings90, 0, 3)
+    empty = census(rep90, pairings90, 0, 3)
     assert empty.sections[0].counts == ()
 
 
 def test_census_blade_cache_is_bounded_by_the_blade_count():
     rep = build_rep(Signature(9, 0))
-    st = build_structure(rep)
-    census(rep, st, admissible_pairings(rep, st), 20, 5)
+    census(rep, admissible_pairings(rep), 20, 5)
     size = 1 << rep.signature.n
     # the profile table visits every canonical blade, and each is cached once
     assert set(rep._cache_sp) == set(range(size))
@@ -417,18 +419,17 @@ def test_census_blade_cache_is_bounded_by_the_blade_count():
     # one run of d flat indices per blade, into z (x) w and its negation
     flat = range(2 * rep.d * rep.d)
     assert len(table(flat)) == size * rep.d
-    census(rep, st, admissible_pairings(rep, st), 20, 6)
+    census(rep, admissible_pairings(rep), 20, 6)
     assert len(rep._cache_sp) <= size
     assert rep.profile_gather() is table
 
 
-def test_census_input_validation(rep12, st12, pairings12):
+def test_census_input_validation(rep12, pairings12):
     with pytest.raises(ValueError):
-        census(rep12, st12, pairings12, -1, 0)
+        census(rep12, pairings12, -1, 0)
     rep22 = build_rep(Signature(2, 2))
-    st22 = build_structure(rep22)
     with pytest.raises(UnsupportedSignature):
-        census(rep22, st22, admissible_pairings(rep22, st22), 1, 0)
+        census(rep22, admissible_pairings(rep22), 1, 0)
 
 
 def test_product_identity_battery():

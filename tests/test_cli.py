@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from grafclifford.classify import geometry_of
-from grafclifford import cli
+from grafclifford import cli, matrixrep
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
 from grafclifford.graf import volume_square_sign
@@ -130,7 +130,7 @@ def test_verify_fierz_expands_each_covariant_once(capsys, monkeypatch):
     real = cli.covariant
 
     def counted(*args):
-        calls.append(args[3:])
+        calls.append(args[2:])
         return real(*args)
 
     monkeypatch.setattr(cli, "covariant", counted)
@@ -138,6 +138,26 @@ def test_verify_fierz_expands_each_covariant_once(capsys, monkeypatch):
     assert status == 0
     assert len(calls) == 9
     assert len(set(calls)) == 9
+
+
+def test_structure_maps_are_solved_once_per_representation(capsys, monkeypatch):
+    # every reader takes the maps from Rep.structure, which solves them on first use
+    solved = []
+    solve = matrixrep.build_structure
+
+    def counted(rep):
+        solved.append(rep)
+        return solve(rep)
+
+    monkeypatch.setattr(matrixrep, "build_structure", counted)
+    for argv in (
+        ["census", "--signature", "1,2", "--samples", "5"],
+        ["verify-fierz", "--signature", "0,4", "--samples", "2"],
+    ):
+        solved.clear()
+        status, report = run_json(capsys, argv)
+        assert status == 0 and report["passed"]
+        assert len(solved) == 1
 
 
 def test_classify_pinor_basis_spinor(tmp_path, capsys):
@@ -284,6 +304,18 @@ def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+    # spinor entries, the scalar and coefficients are read by one rule
+    for what, payload in (
+        ("spinor entry", [True] + [0] * 15),
+        ("scalar", {"covariants": {}, "scalar": 0.5}),
+        ("coefficient", {"covariants": {"psi0": [{"blade": [], "coeff": 1.0}]}}),
+    ):
+        bad = tmp_path / "bad_rational.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["classify", "--signature", "9,0", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"grafclifford: error: {what} must be an integer or a rational string")
 
 
 def test_census_output_is_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from grafclifford.exterior import (
     grade_involution,
     grade_project,
     interior,
+    rational_from_json,
     rational_from_str,
     rational_to_str,
     reversal,
@@ -43,6 +44,14 @@ def test_rational_string_round_trip():
     assert rational_from_str("6/4") == Fraction(3, 2)
     with pytest.raises(FormParseError):
         rational_from_str("not-a-number")
+
+
+def test_json_rationals_are_ints_or_rational_strings():
+    assert rational_from_json(-3, "entry") == -3
+    assert rational_from_json("6/4", "entry") == Fraction(3, 2)
+    for bad in (True, False, 1.0, None, [1]):
+        with pytest.raises(FormParseError, match="entry must be an integer or a rational string"):
+            rational_from_json(bad, "entry")
 
 
 def test_blade_requires_strictly_ascending_indices():

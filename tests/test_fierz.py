@@ -24,7 +24,7 @@ from grafclifford.fierz import (
 from grafclifford.classify import majorana_project
 from grafclifford.graf import graf_product
 from grafclifford.linalg import SignedPerm
-from grafclifford.matrixrep import build_rep, build_structure
+from grafclifford.matrixrep import build_rep
 
 
 def _unit(d, i):
@@ -53,20 +53,15 @@ def test_fundamental_identity_on_random_quadruples(rep12, pr12, rep90, pr90, rep
 
 
 def test_covariant_scalar_component_is_the_pairing_value(
-    rep12, st12, pr12, rep90, st90, pr90, rep04, st04, pr04
+    rep12, pr12, rep90, pr90, rep04, pr04
 ):
     rng = random.Random(33)
-    for rep, st, pairing in ((rep12, st12, pr12), (rep90, st90, pr90), (rep04, st04, pr04)):
+    for rep, pairing in ((rep12, pr12), (rep90, pr90), (rep04, pr04)):
         alpha = oracles.rand_vector(rng, rep.d)
         beta = oracles.rand_vector(rng, rep.d)
-        cov = covariant(rep, st, pairing, alpha, beta)
+        cov = covariant(rep, pairing, alpha, beta)
         pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
         assert cov.components[0].scalar_part() == pref * b_eval(pairing, alpha, beta)
-
-
-def test_covariant_structure_case_must_match(rep12, st90, pr12):
-    with pytest.raises(StructureError):
-        covariant(rep12, st90, pr12, (1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def _tamperings(cov):
@@ -91,44 +86,44 @@ def _tamperings(cov):
 
 
 def test_components_reassemble_the_endomorphism(
-    rep12, st12, pr12, rep90, st90, pr90, rep04, st04, pr04
+    rep12, pr12, rep90, pr90, rep04, pr04
 ):
     rng = random.Random(34)
-    for rep, st, pairing in ((rep12, st12, pr12), (rep90, st90, pr90), (rep04, st04, pr04)):
+    for rep, pairing in ((rep12, pr12), (rep90, pr90), (rep04, pr04)):
         for _ in range(3):
             alpha = oracles.rand_vector(rng, rep.d)
             beta = oracles.rand_vector(rng, rep.d)
             thirds = tuple(Fraction(c, 3) for c in beta)
             for a, b in ((alpha, beta), (alpha, thirds)):
-                cov = covariant(rep, st, pairing, a, b)
-                assert reconstruct_check(rep, st, pairing, cov, a, b)
+                cov = covariant(rep, pairing, a, b)
+                assert reconstruct_check(rep, pairing, cov, a, b)
                 tampered = _tamperings(cov)
                 assert len(tampered) >= 3 * len(cov.components)
                 for bad in tampered:
-                    assert not reconstruct_check(rep, st, pairing, bad, a, b)
+                    assert not reconstruct_check(rep, pairing, bad, a, b)
             with pytest.raises(StructureError):
-                reconstruct_check(rep, st, pairing, replace(cov, components=()), alpha, beta)
+                reconstruct_check(rep, pairing, replace(cov, components=()), alpha, beta)
             with pytest.raises(DimensionMismatch):
-                reconstruct_check(rep, st, pairing, cov, alpha[:-1], beta)
+                reconstruct_check(rep, pairing, cov, alpha[:-1], beta)
     # real (1,2) spinors are Majorana projections, with half-integer entries
     halves = 0
-    for pairing in admissible_pairings(rep12, st12):
+    for pairing in admissible_pairings(rep12):
         for _ in range(3):
-            a = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-            b = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            a = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+            b = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
             halves += any(type(c) is Fraction for c in a + b)
-            cov = covariant(rep12, st12, pairing, a, b)
-            assert reconstruct_check(rep12, st12, pairing, cov, a, b)
+            cov = covariant(rep12, pairing, a, b)
+            assert reconstruct_check(rep12, pairing, cov, a, b)
             for bad in _tamperings(cov):
-                assert not reconstruct_check(rep12, st12, pairing, bad, a, b)
+                assert not reconstruct_check(rep12, pairing, bad, a, b)
     assert halves
     foreign = replace(cov, components=(Form.zero(Signature(9, 0)),) * len(cov.components))
     with pytest.raises(DimensionMismatch):
-        reconstruct_check(rep12, st12, pairing, foreign, a, b)
+        reconstruct_check(rep12, pairing, foreign, a, b)
 
 
 def test_bilinear_profile_matches_the_dense_blade_oracle(
-    rep12, st12, pairings12, rep90, pr90, rep04, pr04
+    rep12, pairings12, rep90, pr90, rep04, pr04
 ):
     rng = random.Random(37)
     cases = [(rep90, pr90), (rep04, pr04)] + [(rep12, pairing) for pairing in pairings12]
@@ -154,8 +149,8 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     # real (1,2) spinors are Majorana projections, with half-integer entries
     for pairing in pairings12:
         for _ in range(4):
-            a = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
-            b = majorana_project(rep12, st12, oracles.rand_vector(rng, rep12.d))
+            a = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+            b = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
             assert any(type(c) is Fraction for c in a + b)
             for x, y in ((a, a), (a, b)):
                 assert _bilinear_profile(rep12, pairing, x, y) == oracles.bilinear_profile(
@@ -164,48 +159,47 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     # the smallest representations; on (0,0) the table holds a single index
     for sig in (Signature(0, 0), Signature(1, 0)):
         rep = build_rep(sig)
-        for pairing in admissible_pairings(rep, build_structure(rep)):
+        for pairing in admissible_pairings(rep):
             for a, b in (((3,) * rep.d, (-2,) * rep.d), ((Fraction(1, 2),) * rep.d, (5,) * rep.d)):
                 assert _bilinear_profile(rep, pairing, a, b) == oracles.bilinear_profile(
                     rep, pairing, a, b
                 )
 
 
-def test_covariant_matches_ordered_tuple_expansion(rep12, st12, pairings12):
+def test_covariant_matches_ordered_tuple_expansion(rep12, pairings12):
     # both admissible pairings: the D-component weight is eps in D^T A D = eps A
     rep30 = build_rep(Signature(3, 0))
-    st30 = build_structure(rep30)
-    pairings30 = admissible_pairings(rep30, st30)
-    cases = [(rep12, st12, p) for p in pairings12] + [(rep30, st30, p) for p in pairings30]
+    pairings30 = admissible_pairings(rep30)
+    cases = [(rep12, p) for p in pairings12] + [(rep30, p) for p in pairings30]
     assert len(cases) == 4
     rng = random.Random(35)
-    for rep, st, pairing in cases:
+    for rep, pairing in cases:
         for _ in range(2):
             alpha = oracles.rand_vector(rng, rep.d)
             beta = oracles.rand_vector(rng, rep.d)
-            cov = covariant(rep, st, pairing, alpha, beta)
-            oracle = oracles.ordered_tuple_covariant(rep, st, pairing, alpha, beta)
+            cov = covariant(rep, pairing, alpha, beta)
+            oracle = oracles.ordered_tuple_covariant(rep, pairing, alpha, beta)
             assert cov.components == tuple(oracle)
 
 
-def test_quadratic_identities_normal_case(rep90, st90, pr90):
+def test_quadratic_identities_normal_case(rep90, pr90):
     rng = random.Random(36)
     for _ in range(2):
         quad = [oracles.rand_vector(rng, rep90.d, box=3) for _ in range(4)]
-        verdict = oracles.fierz_on_spinors(rep90, st90, pr90, *quad)
+        verdict = oracles.fierz_on_spinors(rep90, pr90, *quad)
         assert verdict.case == "normal"
         assert [r.identity for r in verdict.results] == ["normal"]
         assert verdict.passed
 
 
-def test_quadratic_identities_almost_complex_case(rep12, st12, pr12):
+def test_quadratic_identities_almost_complex_case(rep12, pr12):
     rng = random.Random(37)
     for project in (True, False):
         for _ in range(3):
             quad = [oracles.rand_vector(rng, rep12.d) for _ in range(4)]
             if project:
-                quad = [majorana_project(rep12, st12, v) for v in quad]
-            verdict = oracles.fierz_on_spinors(rep12, st12, pr12, *quad)
+                quad = [majorana_project(rep12, v) for v in quad]
+            verdict = oracles.fierz_on_spinors(rep12, pr12, *quad)
             assert verdict.case == "almost_complex"
             assert [r.identity for r in verdict.results] == [
                 "almost_complex_i",
@@ -214,11 +208,11 @@ def test_quadratic_identities_almost_complex_case(rep12, st12, pr12):
             assert verdict.passed
 
 
-def test_quadratic_identities_quaternionic_case(rep04, st04, pr04):
+def test_quadratic_identities_quaternionic_case(rep04, pr04):
     rng = random.Random(38)
     for _ in range(4):
         quad = [oracles.rand_vector(rng, rep04.d) for _ in range(4)]
-        verdict = oracles.fierz_on_spinors(rep04, st04, pr04, *quad)
+        verdict = oracles.fierz_on_spinors(rep04, pr04, *quad)
         assert verdict.case == "quaternionic"
         assert [r.identity for r in verdict.results] == [
             "quaternionic_scalar",
@@ -230,7 +224,7 @@ def test_quadratic_identities_quaternionic_case(rep04, st04, pr04):
 
 
 def _buildable(max_n: int):
-    """(rep, structure) for every buildable signature up to max_n, both volume signs for odd n."""
+    """Every buildable representation up to max_n, both volume signs for odd n."""
     for n in range(max_n + 1):
         for p in range(n, -1, -1):
             for volume_sign in (1, -1) if n % 2 else (1,):
@@ -238,7 +232,7 @@ def _buildable(max_n: int):
                     rep = build_rep(Signature(p, n - p), volume_sign)
                 except UnsupportedSignature:
                     continue
-                yield rep, build_structure(rep)
+                yield rep
 
 
 def test_every_pairing_up_to_dimension_eight_on_unprojected_spinors():
@@ -247,18 +241,18 @@ def test_every_pairing_up_to_dimension_eight_on_unprojected_spinors():
     # Fierz identities all hold exactly on integer spinors of all of S
     rng = random.Random(39)
     cases = 0
-    for rep, st in _buildable(8):
-        for pairing in admissible_pairings(rep, st):
+    for rep in _buildable(8):
+        for pairing in admissible_pairings(rep):
             cases += 1
             a1, b1, a2, b2 = (oracles.rand_vector(rng, rep.d, box=3) for _ in range(4))
             where = (rep.signature.p, rep.signature.q, rep.volume_sign, pairing.content_hash())
             assert fundamental_identity_holds(pairing, a1, b1, a2, b2), where
-            covs = [covariant(rep, st, pairing, a, b) for a, b in ((a1, b1), (a2, b2), (a1, b2))]
-            assert reconstruct_check(rep, st, pairing, covs[0], a1, b1), where
-            assert reconstruct_check(rep, st, pairing, covs[1], a2, b2), where
+            covs = [covariant(rep, pairing, a, b) for a, b in ((a1, b1), (a2, b2), (a1, b2))]
+            assert reconstruct_check(rep, pairing, covs[0], a1, b1), where
+            assert reconstruct_check(rep, pairing, covs[1], a2, b2), where
             verdict = check_fierz(*covs, b_eval(pairing, a2, b1))
             assert verdict.passed, (where, verdict.to_json_obj())
-            assert len(verdict.results) == len(covs[0].components) == 1 + len(st.units)
+            assert len(verdict.results) == len(covs[0].components) == 1 + len(rep.structure.units)
     assert cases == 77
 
 
@@ -266,11 +260,12 @@ def test_the_real_structure_weight_is_the_isotropy_of_the_split():
     # where D^2 = +Id, D splits the spinors, and D^T A D = eps_D A is the
     # orthogonal split (eps_D = +1) or the isotropic one (eps_D = -1)
     seen = set()
-    for rep, st in _buildable(8):
+    for rep in _buildable(8):
+        st = rep.structure
         if st.d_square_sign != 1:
             continue
-        for pairing in admissible_pairings(rep, st):
-            table = unit_table(rep, st, pairing)
+        for pairing in admissible_pairings(rep):
+            table = unit_table(rep, pairing)
             eps_d = table.weights[table.units.index(st.D)]
             assert (eps_d == 1) == (pairing.isotropy == 1), (rep.signature, pairing.isotropy)
             seen.add(eps_d)
@@ -278,9 +273,10 @@ def test_the_real_structure_weight_is_the_isotropy_of_the_split():
 
 
 def test_unit_table_constants_from_the_structure_maps():
-    for rep, st in _buildable(9):
-        pairing = admissible_pairings(rep, st)[0]
-        table = unit_table(rep, st, pairing)
+    for rep in _buildable(9):
+        st = rep.structure
+        pairing = admissible_pairings(rep)[0]
+        table = unit_table(rep, pairing)
         assert table.units[1:] == st.units
         assert table.units[0].scalar_value() == 1
         # D anticommutes with every generator, so its twist is the grade
@@ -298,37 +294,44 @@ def test_unit_table_constants_from_the_structure_maps():
             assert all(table.products[i][i] == (-1, 0) for i in (1, 2, 3))
 
 
-def test_unit_table_refuses_maps_that_break_the_relations(rep12, st12, pr12, rep04, st04, pr04):
+def _with_structure_maps(signature, **maps):
+    """A fresh representation whose cached structure maps have ``maps`` replaced."""
+    rep = build_rep(signature)
+    rep._structure = replace(rep.structure, **maps)
+    return rep
+
+
+def test_unit_table_refuses_maps_that_break_the_relations(rep12, pr12, rep04, pr04):
     # the first generator commutes with itself and anticommutes with the others
     with pytest.raises(StructureError, match="commutes"):
-        unit_table(rep12, replace(st12, D=rep12.perms[0]), pr12)
-    h1, h2, _ = st04.H
+        unit_table(_with_structure_maps(Signature(1, 2), D=rep12.perms[0]), pr12)
+    h1, h2, _ = rep04.structure.H
     with pytest.raises(StructureError, match="closed"):
-        unit_table(rep04, replace(st04, H=(h1, h2, h1)), pr04)
+        unit_table(_with_structure_maps(Signature(0, 4), H=(h1, h2, h1)), pr04)
     shift = SignedPerm(tuple((i + 1) % rep04.d for i in range(rep04.d)), (1,) * rep04.d)
     with pytest.raises(StructureError, match="isometr"):
-        unit_table(rep04, st04, Pairing(shift, 1, 1))
+        unit_table(rep04, Pairing(shift, 1, 1))
 
 
-def test_check_fierz_refuses_covariants_of_different_pairings(rep12, st12, pairings12):
+def test_check_fierz_refuses_covariants_of_different_pairings(rep12, pairings12):
     alpha, beta = (1, 0, 2, -1), (0, 3, 1, 1)
-    first, second = (covariant(rep12, st12, p, alpha, beta) for p in pairings12)
+    first, second = (covariant(rep12, p, alpha, beta) for p in pairings12)
     with pytest.raises(StructureError):
         check_fierz(first, first, second, b_eval(pairings12[0], alpha, beta))
 
 
-def test_almost_complex_identities_by_hand(rep12, st12, pr12):
+def test_almost_complex_identities_by_hand(rep12, pr12):
     # with sigma(x) = D^-1 x D, the grade involution here, the two
     # identities read a c + s_D sigma(b) e = B psi0 and sigma(a) e + b c =
     # B psi1 on all of S; the grade involution of the whole products b e
     # and a e agrees with them only when e is even (projected spinors)
     rng = random.Random(40)
     a1, b1, a2, b2 = (oracles.rand_vector(rng, rep12.d) for _ in range(4))
-    a, b = covariant(rep12, st12, pr12, a1, b1).components
-    c, e = covariant(rep12, st12, pr12, a2, b2).components
-    psi0, psi1 = covariant(rep12, st12, pr12, a1, b2).components
+    a, b = covariant(rep12, pr12, a1, b1).components
+    c, e = covariant(rep12, pr12, a2, b2).components
+    psi0, psi1 = covariant(rep12, pr12, a1, b2).components
     factor = b_eval(pr12, a2, b1)
-    met, s_d = rep12.metric, st12.d_square_sign
+    met, s_d = rep12.metric, rep12.structure.d_square_sign
     assert graf_product(a, c, met) + graf_product(grade_involution(b), e, met).scale(s_d) == psi0.scale(factor)
     assert graf_product(grade_involution(a), e, met) + graf_product(b, c, met) == psi1.scale(factor)
     assert grade_involution(graf_product(a, e, met)) + graf_product(b, c, met) != psi1.scale(factor)

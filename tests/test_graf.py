@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from grafclifford import exterior, graf
+from grafclifford.errors import UnsupportedSignature
 from grafclifford.exterior import (
     Form,
     Metric,
@@ -19,14 +20,12 @@ from grafclifford.exterior import (
     reversal,
 )
 from grafclifford.graf import (
-    TruncationRegimeWarning,
     contracted_wedge,
     graf_product,
     hodge,
     in_truncation_regime,
     lower_projection,
     projector_pm,
-    truncate,
     truncated_product,
     volume_form,
     volume_square_sign,
@@ -665,10 +664,13 @@ def test_truncation_split_and_reconstruction():
     met = Metric.standard(sig)
     for _ in range(15):
         f = oracles.rand_form(rng, sig)
-        split = truncate(f)
-        assert split.lower + split.upper == f
-        assert all(k <= sig.n // 2 for k in split.lower.grades())
-        assert all(k > sig.n // 2 for k in split.upper.grades())
+        lower = lower_projection(f)
+        upper = f - lower
+        assert all(k <= sig.n // 2 for k in lower.grades())
+        assert all(k > sig.n // 2 for k in upper.grades())
+        assert lower == sum(
+            (grade_project(f, k) for k in range(sig.n // 2 + 1)), Form.zero(sig)
+        )
         for s in (1, -1):
             pf = projector_pm(f, s, met)
             assert projector_pm(lower_projection(pf).scale(2), s, met) == pf
@@ -700,7 +702,8 @@ def test_truncated_product_refuses_a_bad_projector_sign():
     sig = Signature(2, 1)
     f = Form.blade(sig, (1,), 2)
     scaled = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])
-    # the orthonormal fast path, the projector path and the path outside the regime
+    # before the refusals of a non-orthonormal metric and of a signature
+    # outside the regime
     for s in (0, 2, -2):
         with pytest.raises(ValueError, match="projector sign"):
             truncated_product(f, f, s, Metric.standard(sig))
@@ -710,10 +713,17 @@ def test_truncated_product_refuses_a_bad_projector_sign():
             truncated_product(Form.blade(SIG12, (1,)), Form.blade(SIG12, (1,)), s)
 
 
-def test_truncated_product_warns_outside_regime():
-    f = Form.blade(SIG12, (1,))
-    with pytest.warns(TruncationRegimeWarning):
-        truncated_product(f, f, 1)
-    g = Form.blade(Signature(2, 2), (1,))
-    with pytest.warns(TruncationRegimeWarning):
-        truncated_product(g, g, 1)
+def test_truncated_product_refuses_outside_regime():
+    # even n, and odd n with volume square -1
+    for sig in (Signature(2, 2), SIG12):
+        f = Form.blade(sig, (1,))
+        where = rf"not \({sig.p},{sig.q}\) under an orthonormal"
+        with pytest.raises(UnsupportedSignature, match=where):
+            truncated_product(f, f, 1)
+    # in the regime, under a metric that is not orthonormal
+    sig = Signature(2, 1)
+    f = Form.blade(sig, (1,), 2)
+    scaled = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, 5]])
+    with pytest.raises(UnsupportedSignature, match="non-orthonormal"):
+        truncated_product(f, f, 1, scaled)
+    assert truncated_product(f, f, 1, Metric.standard(sig)) == Form.scalar(sig, 4)

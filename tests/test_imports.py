@@ -19,7 +19,11 @@ name replaces the package attribute of the submodule, so
 The reference implementations in ``tests/oracles.py`` read neither
 ``wedge`` nor ``contracted_wedge`` of the library: the library derives
 both from the product, so a reference built on them would check the
-product against itself.
+product against itself.  No library function takes a parameter named
+``structure`` or ``geometry``: a representation carries its structure
+maps (``Rep.structure``) and a signature picks its geometry
+(``classify.geometry_of``), so passing either next to its source only
+admits a mismatched pair.
 """
 
 import ast
@@ -50,6 +54,14 @@ LAYER_EXCEPTIONS = {("cli", "__init__")}
 # Library names the oracles must not read: the library derives them from
 # the product the oracles check.
 ORACLE_FORBIDDEN = {"wedge", "contracted_wedge"}
+# Parameters the library derives instead of taking them.  The two pairing
+# entry points keep an optional structure that defaults to rep.structure,
+# for callers that have solved it already.
+DERIVED_PARAMETERS = {"structure", "geometry"}
+DERIVED_PARAMETER_EXCEPTIONS = {
+    ("bilinear", "admissible_pairings"),
+    ("bilinear", "standard_pairing"),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -183,6 +195,23 @@ def exports_shadowing_submodules(init_source: str, stems: set[str]) -> list[str]
     return found
 
 
+def derived_parameters(sources: dict[str, str]) -> list[str]:
+    """Functions, methods and lambdas that take a parameter named in DERIVED_PARAMETERS."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            hits = [p for p in params if p in DERIVED_PARAMETERS]
+            if hits and (module, name) not in DERIVED_PARAMETER_EXCEPTIONS:
+                found.append(f"{module}.{name}({', '.join(hits)}) (line {node.lineno})")
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -282,6 +311,33 @@ def test_the_library_read_checker_sees_imports_and_attributes():
         "wedge (line 3)",
         ".contracted_wedge (line 6)",
     ]
+
+
+def test_the_parameter_checker_sees_structure_and_geometry_parameters():
+    sources = {
+        "bilinear": (
+            "def admissible_pairings(rep, structure=None):\n    pass\n"
+            "def isotropy_sign(pairing, rep, structure):\n    pass\n"
+        ),
+        "classify": (
+            "def prepare(geometry, rep, /, alpha):\n    pass\n"
+            "class Census:\n    def run(self, *, structure, **geometry):\n        pass\n"
+            "pick = lambda geometry: geometry\n"
+            "def derived(rep, geo, st):\n    return rep.structure, st.geometry\n"
+            "def standard_pairing(rep, structure=None):\n    pass\n"
+        ),
+    }
+    assert derived_parameters(sources) == [
+        "bilinear.isotropy_sign(structure) (line 3)",
+        "classify.prepare(geometry) (line 1)",
+        "classify.standard_pairing(structure) (line 9)",
+        "classify.run(structure, geometry) (line 4)",
+        "classify.<lambda>(geometry) (line 6)",
+    ]
+
+
+def test_no_library_function_takes_a_structure_or_a_geometry():
+    assert derived_parameters({path.stem: path.read_text() for path in SRC}) == []
 
 
 def test_the_oracles_read_no_wedge_of_the_library():

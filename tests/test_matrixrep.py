@@ -157,10 +157,11 @@ def test_commutant_is_solved_once_per_representation(monkeypatch):
 
     monkeypatch.setattr(matrixrep, "solve_signed_perms", counted)
     rep = build_rep(SIG04)
-    structure = build_structure(rep)
+    structure = rep.structure
     assert calls == [rep.d]
     assert structure.case == CASE_QUATERNIONIC
     assert len(commutant_basis(rep)) == 4 and calls == [rep.d]
+    assert rep.structure is structure
 
 
 def test_a_solved_component_that_is_not_a_signed_permutation_is_refused(monkeypatch):
@@ -178,7 +179,8 @@ def test_a_solved_component_that_is_not_a_signed_permutation_is_refused(monkeypa
         build_rep(SIG04)
 
 
-def test_structure_fields_by_case(rep12, st12, rep90, st90, rep04, st04):
+def test_structure_fields_by_case(rep12, rep90, rep04):
+    st12, st90, st04 = rep12.structure, rep90.structure, rep04.structure
     assert st90.case == CASE_NORMAL
     assert st90.J is None and st90.D is None and st90.H is None
     assert st90.d_square_sign is None
@@ -224,7 +226,7 @@ def test_d_keeps_the_recorded_sign_convention_up_to_the_cap():
                 vol = rep.volume_sp()
                 cons = [(g, g.neg(), 1) for g in rep.perms] + [(vol, vol.neg(), 1)]
                 first = oracles.solve_twisted_system_reference(rep.d, cons)[0]
-                assert oracles.to_dense(build_structure(rep).D) == mat_scale(first, -1)
+                assert oracles.to_dense(rep.structure.D) == mat_scale(first, -1)
                 cases += 1
     assert cases == 42
 
@@ -243,9 +245,8 @@ def test_every_signature_inside_the_cap_builds_or_is_refused_by_name():
             assert rep.d == abs_type(sig).rep_dim
             # every structure map and pairing gram is solved as a signed
             # permutation, and some pairing matches the published tables
-            structure = build_structure(rep)
-            assert structure.case == rep.abs.case
-            assert admissible_pairings(rep, structure)
+            assert rep.structure.case == rep.abs.case
+            assert admissible_pairings(rep)
     assert refused == set()
 
 
@@ -267,7 +268,7 @@ def test_the_signatures_past_the_seed_ladder_are_block_products_with_cl08():
         for volume_sign in (1, -1) if (p + q) % 2 else (1,):
             rep = build_rep(Signature(p, q), volume_sign)
             assert rep.volume_sp().scalar_value() == (volume_sign if (p + q) % 2 else None)
-            pairings = admissible_pairings(rep, build_structure(rep))
+            pairings = admissible_pairings(rep)
             assert [(pr.sigma, pr.tau) for pr in pairings] == [signs]
 
 
