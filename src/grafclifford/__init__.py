@@ -52,7 +52,6 @@ from .matrixrep import (
     abs_type,
     build_rep,
     build_structure,
-    commutant_basis,
 )
 from .bilinear import (
     Pairing,
@@ -131,7 +130,6 @@ __all__ = [
     "abs_type",
     "Rep",
     "build_rep",
-    "commutant_basis",
     "MainSubalgebra",
     "build_structure",
     "CASE_NORMAL",

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedSignature,
 )
 from .exterior import Form, Metric, Signature, grade_project, rational_to_str
-from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile, unit_table
+from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile
 from .graf import (
     _graf_sign,
     contracted_wedge,
@@ -74,12 +74,6 @@ __all__ = [
 ]
 
 
-def _as_signature(signature) -> Signature:
-    if isinstance(signature, Signature):
-        return signature
-    return Signature(*signature)
-
-
 # -- real-spinor projection ------------------------------------------------------------
 
 
@@ -94,20 +88,6 @@ def majorana_project(rep: Rep, alpha) -> tuple:
     half = Fraction(1, 2)
     dv = dmap.apply(vec)
     return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
-
-
-def _real_structure_weight(rep: Rep, pairing: Pairing) -> int:
-    """eps_D of D^T A D = eps_D A, read from the unit table U = (1, D).
-
-    eps_D = +1 when the real structure preserves the pairing, which for
-    D^2 = +Id is an orthogonal rather than isotropic half-spinor split
-    (``Pairing.isotropy``).  Under eps_D = -1 every even-rank bilinear
-    vanishes identically on real spinors, so their covariants carry no
-    information there.
-    """
-    if rep.structure.D is None:
-        raise StructureError("no real structure available for this case")
-    return unit_table(rep, pairing).weights[1]
 
 
 # -- reduced verdicts ---------------------------------------------------------------------
@@ -246,7 +226,7 @@ class Geometry:
     # (sigma, tau) of the pairings the covariants are read under
     pairing_signs: tuple[int, int]
     # real spinors: prepared by the Majorana projection, and classified
-    # only under pairings the real structure preserves (eps_D = +1)
+    # only under pairings the real structure preserves (isotropy +1)
     real: bool
     # (identity name, c) of the master identity S o S = c B S
     master: tuple[str, int]
@@ -338,7 +318,9 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``).
     Each precondition is checked and refused: the signature has a
     geometry (``geometry_of``); the pairing has the record's signs; a
-    real spinor's pairing is preserved by D and the spinor is D-fixed;
+    real spinor's pairing is preserved by D, which on a real geometry
+    (D^2 = +Id) is its orthogonal split (``Pairing.isotropy`` = +1),
+    and the spinor is D-fixed;
     every grade vanishes unless it is a component grade or, in the
     truncation regime, the volume image n - k of one, and that image
     equals the Hodge dual of grade k times the volume sign, so the
@@ -353,7 +335,7 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
         sigma, tau = geometry.pairing_signs
         raise StructureError(f"the covariants use a pairing with (sigma, tau) = ({sigma}, {tau})")
     if geometry.real:
-        if _real_structure_weight(rep, pairing) != 1:
+        if pairing.isotropy != 1:
             raise StructureError(
                 "the pairing is anti-isometric under the real structure; the "
                 "even-rank covariants vanish identically on real spinors "
@@ -566,7 +548,7 @@ def census(
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
     compatible = [
-        not geo.real or _real_structure_weight(rep, pairing) == 1
+        not geo.real or pairing.isotropy == 1
         for pairing in pairings
     ]
     counts: list[dict[int, int]] = [{} for _ in pairings]
@@ -688,7 +670,7 @@ def _appendix_rows(psi0: Form, psi1: Form, psi4: Form, met: Metric):
 
 
 def appendix_check(
-    signature, trials: int, seed: int, box: int = 4, terms: int = 6
+    sig: Signature, trials: int, seed: int, box: int = 4, terms: int = 6
 ) -> AppendixVerdict:
     """Closed-form expansions of pairwise covariant-grade products, exactly.
 
@@ -697,7 +679,6 @@ def appendix_check(
     checks each product row against literal evaluation, including the
     claimed grade memberships of the results.
     """
-    sig = _as_signature(signature)
     if (sig.p, sig.q) != APPENDIX_SIGNATURE:
         raise UnsupportedSignature("the identity battery is stated on signature (9,0)")
     met = Metric.standard(sig)

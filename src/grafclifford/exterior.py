@@ -17,8 +17,7 @@ in the Clifford product e_a e_b = row_a[b] e_(a^b) (``graf``).
 A row is built by doubling: the reorder sign and the metric factor are
 multiplicative over the bits of the right blade, so adding index y
 copies the first 2^y entries times that bit's factor, as one list
-operation per bit.  The table keeps the most recently used metrics only
-(``_KERNEL_CAP``).
+operation per bit.
 
 A kernel also holds the volume column nu[m] = row_m[full], built by the
 same doubling without the rows; for the squares f * f of ``graf``, pair
@@ -26,17 +25,25 @@ tables by grade set: for every output mask, the index pairs of the
 masks of those grades and their weights, read from the rows once; and,
 under a diagonal of +1 and -1 entries, the masks of each generator's
 left action on forms packed into one int, by field width.
+
+Every memo has one of two stdlib forms.  A table shared across objects
+is a ``functools.lru_cache`` with a named bound: the kernels by metric
+(``_KERNEL_CAP``), the pair tables by kernel and grade set
+(``_SQUARE_TABLE_CAP``) and the packed masks by kernel and width
+(``_PACKED_MASK_CAP``); their ``cache_info()`` gives size, hits and
+misses.  A value derived from one object, such as the volume column, is
+a ``functools.cached_property``.  The rows live in a per-kernel dict
+keyed by mask, so at most 2^n of them.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from operator import itemgetter
 
@@ -148,10 +155,6 @@ class Blade:
         for i in self.indices:
             m |= 1 << (i - 1)
         return m
-
-    @property
-    def grade(self) -> int:
-        return len(self.indices)
 
 
 def _mask_of(key) -> int:
@@ -376,6 +379,11 @@ class Form:
             raise FormParseError(str(exc)) from exc
 
 
+# Standard metrics kept, one per signature; every signature inside the
+# default cap (91 of them) fits.
+_STANDARD_METRIC_CAP = 128
+
+
 class Metric:
     """Symmetric invertible rational coefficient matrix for frame contractions.
 
@@ -417,7 +425,7 @@ class Metric:
                 )
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_STANDARD_METRIC_CAP)
     def standard(signature: Signature) -> "Metric":
         return Metric(signature)
 
@@ -488,6 +496,17 @@ class _SquareTable:
     marks: tuple[bool, ...]
 
 
+# A square table over M_G holds up to |M_G|(|M_G| + 1)/2 pairs (8.4 million
+# for every grade at n = 12), so larger grade sets keep the pair loop.
+_SQUARE_TABLE_MASKS = 256
+# Bounds of the LRU caches: a kernel's rows hold up to 4^n factors, and
+# packed-product masks are 2n ints of 2^n fields per width.  The table
+# and mask caps are shared by all kernels.
+_KERNEL_CAP = 8
+_SQUARE_TABLE_CAP = 4
+_PACKED_MASK_CAP = 4
+
+
 class _DiagKernel:
     """Per-metric table of blade-pair product factors, built lazily by row.
 
@@ -497,17 +516,12 @@ class _DiagKernel:
     products may run packed (``packed_masks``).
     """
 
-    __slots__ = ("n", "diag", "integral", "unit", "_rows", "_volume", "_squares", "_packed")
-
     def __init__(self, n: int, diag: tuple[Rational, ...]):
         self.n = n
         self.diag = diag
         self.integral = all(type(g) is int for g in diag)
         self.unit = self.integral and all(g in (1, -1) for g in diag)
         self._rows: dict[int, list] = {}
-        self._volume: list | None = None
-        self._squares: OrderedDict[frozenset, _SquareTable | None] = OrderedDict()
-        self._packed: OrderedDict[int, tuple[tuple[int, int], ...]] = OrderedDict()
 
     def row(self, ma: int):
         cached = self._rows.get(ma)
@@ -530,6 +544,7 @@ class _DiagKernel:
         self._rows[ma] = row
         return row
 
+    @cached_property
     def volume_column(self) -> list:
         """nu[m] = row_m[full]: e_m e_full = nu[m] e_(m ^ full).
 
@@ -538,13 +553,10 @@ class _DiagKernel:
         in m) times the diagonal entries of m.  Built by doubling over the
         bits of m, without the rows of the masks themselves.
         """
-        col = self._volume
-        if col is None:
-            col = [1]
-            for y in range(self.n):
-                s = -self.diag[y] if y & 1 else self.diag[y]
-                col += [x * s for x in col]
-            self._volume = col
+        col = [1]
+        for y in range(self.n):
+            s = -self.diag[y] if y & 1 else self.diag[y]
+            col += [x * s for x in col]
         return col
 
     def square_table(self, grades: frozenset[int], terms: int) -> _SquareTable | None:
@@ -560,15 +572,9 @@ class _DiagKernel:
         size = sum(comb(self.n, k) for k in grades)
         if not 2 <= size <= _SQUARE_TABLE_MASKS or 2 * terms < size:
             return None
-        tables = self._squares
-        if grades in tables:
-            tables.move_to_end(grades)
-            return tables[grades]
-        table = tables[grades] = self._build_square_table(grades)
-        if len(tables) > _SQUARE_TABLE_CAP:
-            tables.popitem(last=False)
-        return table
+        return self._build_square_table(grades)
 
+    @lru_cache(maxsize=_SQUARE_TABLE_CAP)
     def _build_square_table(self, grades: frozenset[int]) -> _SquareTable | None:
         # e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b), and e_a e_a =
         # row_a[a]; pairs whose weight is 0 (anticommuting ones) are dropped.
@@ -611,6 +617,7 @@ class _DiagKernel:
             tuple(marks),
         )
 
+    @lru_cache(maxsize=_PACKED_MASK_CAP)
     def packed_masks(self, width: int) -> tuple[tuple[int, int], ...]:
         """Per generator y, the masks of its left action on packed fields.
 
@@ -620,17 +627,6 @@ class _DiagKernel:
         fields b without index y.  Only for unit diagonals, and kept for
         the most recently used widths only.
         """
-        masks = self._packed
-        got = masks.get(width)
-        if got is not None:
-            masks.move_to_end(width)
-            return got
-        got = masks[width] = self._build_packed_masks(width)
-        if len(masks) > _PACKED_MASK_CAP:
-            masks.popitem(last=False)
-        return got
-
-    def _build_packed_masks(self, width: int) -> tuple[tuple[int, int], ...]:
         # Doubling over the bits j of b: fields 2^j .. 2^(j+1) - 1 are the
         # first 2^j with index j added, which flips the sign of e_y e_b when
         # j < y (one more index below y), multiplies it by g^yy when j = y,
@@ -663,30 +659,11 @@ class _DiagKernel:
         return divide_numerators(acc, den)
 
 
-# Least-recently-used kernels past this many metrics are dropped; a row
-# holds 2^n factors, so an unbounded table grows with every metric seen.
-_KERNEL_CAP = 8
-# A square table over M_G holds up to |M_G|(|M_G| + 1)/2 pairs (8.4 million
-# for every grade at n = 12), so larger grade sets keep the pair loop; each
-# kernel keeps its most recently used grade sets only.
-_SQUARE_TABLE_MASKS = 256
-_SQUARE_TABLE_CAP = 4
-# Packed-product masks are 2n ints of 2^n fields per field width; each
-# kernel keeps its most recently used widths only.
-_PACKED_MASK_CAP = 4
-_KERNELS: OrderedDict[tuple[int, tuple], _DiagKernel] = OrderedDict()
+_kernel = lru_cache(maxsize=_KERNEL_CAP)(_DiagKernel)
 
 
 def _kernel_for(metric: Metric) -> _DiagKernel:
-    key = (metric.signature.n, metric.diagonal)
-    kern = _KERNELS.get(key)
-    if kern is None:
-        kern = _KERNELS[key] = _DiagKernel(metric.signature.n, metric.diagonal)
-        if len(_KERNELS) > _KERNEL_CAP:
-            _KERNELS.popitem(last=False)
-    else:
-        _KERNELS.move_to_end(key)
-    return kern
+    return _kernel(metric.signature.n, metric.diagonal)
 
 
 # -- exterior operations -------------------------------------------------------

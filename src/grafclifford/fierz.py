@@ -195,7 +195,7 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
     wn = [c for _, c in wn]
     zw = [z * c for _, z in zt for c in wn]
     zw += [-v for v in zw]
-    ends = list(islice(accumulate(rep.profile_gather()(zw), initial=0), 0, None, d))
+    ends = list(islice(accumulate(rep.profile_gather(zw), initial=0), 0, None, d))
     out = {mask: v for mask, v in enumerate(map(sub, ends[1:], ends)) if v}
     return divide_numerators(out, aden * zden * wden)
 

@@ -337,7 +337,7 @@ def hodge(f: Form, metric: Metric | None = None) -> Form:
     """
     metric = _resolve_metric(f, metric)
     if metric.is_diagonal:
-        nu = _kernel_for(metric).volume_column()
+        nu = _kernel_for(metric).volume_column
         full = (1 << f.signature.n) - 1
         return Form._adopt(f.signature, {m ^ full: _norm(c * nu[m]) for m, c in f.mask_items()})
     return graf_product(f, volume_form(f.signature), metric)
@@ -392,7 +392,7 @@ def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = N
             "the truncated product needs odd n with volume square +1 and an orthonormal "
             f"metric, not ({sig.p},{sig.q}) under {frame} metric"
         )
-    nu = _kernel_for(metric).volume_column()
+    nu = _kernel_for(metric).volume_column
     full = (1 << sig.n) - 1
     half = sig.n // 2
     acc: dict[int, Rational] = {}

@@ -29,6 +29,7 @@ the volume element where one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable
 
@@ -43,10 +44,8 @@ CASE_QUATERNIONIC = "quaternionic"
 
 @dataclass(frozen=True)
 class AbsType:
-    """Matrix-algebra type of a signature: division ring, size, dimensions."""
+    """Matrix-algebra type of a signature: case, double or simple, sizes."""
 
-    pq_class: int
-    field: str
     is_double: bool
     matrix_size: int
     rep_dim: int
@@ -64,15 +63,15 @@ def abs_type(signature: Signature) -> AbsType:
     cls = signature.pq_class()
     half = n // 2
     if cls in (0, 1, 2):
-        field, csize = "R", 1
+        csize = 1
         size = 1 << half
         d = size
     elif cls in (3, 7):
-        field, csize = "C", 2
+        csize = 2
         size = 1 << half
         d = 2 * size
     else:
-        field, csize = "H", 4
+        csize = 4
         size = 1 << (half - 1)  # n >= 2 in every quaternionic class
         d = 4 * size
     is_double = cls in (1, 5)
@@ -83,7 +82,7 @@ def abs_type(signature: Signature) -> AbsType:
         if cls in (3, 7)
         else CASE_QUATERNIONIC
     )
-    return AbsType(cls, field, is_double, size, d, csize, case)
+    return AbsType(is_double, size, d, csize, case)
 
 
 # -- Cayley-Dickson left multiplications ------------------------------------------
@@ -232,21 +231,11 @@ class Rep:
     caches one signed permutation per canonical blade on the instance,
     so the cache holds at most 2^n entries of d column indices and d
     signs; the covariant profile table (``profile_gather``) visits every
-    blade and fills it.  The commutant basis and the structure maps
-    (``structure``) are solved once per instance, on first use.
+    blade and fills it.  The commutant basis (``commutant``), the
+    structure maps (``structure``) and the profile table are
+    ``functools.cached_property`` values, derived once per instance on
+    first use.
     """
-
-    __slots__ = (
-        "signature",
-        "metric",
-        "volume_sign",
-        "perms",
-        "abs",
-        "_cache_sp",
-        "_commutant",
-        "_structure",
-        "_profile",
-    )
 
     def __init__(self, signature: Signature, volume_sign: int, perms: tuple[SignedPerm, ...]):
         self.signature = signature
@@ -255,9 +244,6 @@ class Rep:
         self.perms = tuple(perms)
         self.abs = abs_type(signature)
         self._cache_sp: dict[int, SignedPerm] = {}
-        self._commutant: tuple[SignedPerm, ...] | None = None
-        self._structure: MainSubalgebra | None = None
-        self._profile: Callable[[list], tuple] | None = None
         verify_generators(self.perms, signature)
         if signature.n % 2 == 1:
             sv = self.volume_sp().scalar_value()
@@ -270,12 +256,15 @@ class Rep:
     def d(self) -> int:
         return self.abs.rep_dim
 
-    @property
+    @cached_property
+    def commutant(self) -> tuple[SignedPerm, ...]:
+        """Basis of the matrices commuting with every generator."""
+        return tuple(solve_signed_perms(self.d, [(g, g, 1) for g in self.perms]))
+
+    @cached_property
     def structure(self) -> MainSubalgebra:
-        """The commutant structure maps J, D and H (``build_structure``), solved once."""
-        if self._structure is None:
-            self._structure = build_structure(self)
-        return self._structure
+        """The commutant structure maps J, D and H (``build_structure``)."""
+        return build_structure(self)
 
     # -- blade action ---------------------------------------------------------
 
@@ -291,6 +280,7 @@ class Rep:
         self._cache_sp[mask] = out
         return out
 
+    @cached_property
     def profile_gather(self) -> Callable[[list], tuple]:
         """Every blade's signed permutation as flat indices into z (x) w, -(z (x) w).
 
@@ -300,21 +290,19 @@ class Rep:
         copy that follows it.  So the gather of the concatenation holds
         2^n runs of d values, and each run sums to sum_i s_i z_i w_(c_i).
         """
-        if self._profile is None:
-            d = self.d
-            # one int object per index value, shared by every blade that uses it
-            flat = list(range(2 * d * d))
-            indices = []
-            for mask in range(1 << self.signature.n):
-                sp = self.blade_sp(mask)
-                indices += [
-                    flat[i * d + c if s > 0 else d * d + i * d + c]
-                    for i, (c, s) in enumerate(zip(sp.col, sp.sign))
-                ]
-            gather = itemgetter(*indices)
-            # on (0,0) there is one index, and itemgetter then returns the item itself
-            self._profile = gather if len(indices) > 1 else lambda v: (gather(v),)
-        return self._profile
+        d = self.d
+        # one int object per index value, shared by every blade that uses it
+        flat = list(range(2 * d * d))
+        indices = []
+        for mask in range(1 << self.signature.n):
+            sp = self.blade_sp(mask)
+            indices += [
+                flat[i * d + c if s > 0 else d * d + i * d + c]
+                for i, (c, s) in enumerate(zip(sp.col, sp.sign))
+            ]
+        gather = itemgetter(*indices)
+        # on (0,0) there is one index, and itemgetter then returns the item itself
+        return gather if len(indices) > 1 else lambda v: (gather(v),)
 
     def volume_sp(self) -> SignedPerm:
         return self.blade_sp((1 << self.signature.n) - 1)
@@ -409,13 +397,6 @@ def solve_signed_perms(d: int, constraints) -> list[SignedPerm]:
     return basis
 
 
-def commutant_basis(rep: Rep) -> list[SignedPerm]:
-    """Basis of matrices commuting with every generator, solved once per rep."""
-    if rep._commutant is None:
-        rep._commutant = tuple(solve_signed_perms(rep.d, [(g, g, 1) for g in rep.perms]))
-    return list(rep._commutant)
-
-
 def build_rep(signature: Signature, volume_sign: int = 1) -> Rep:
     """Construct and verify a representation for the signature.
 
@@ -444,7 +425,7 @@ def _volume_scalar_sp(gens: list[SignedPerm]) -> int | None:
 
 def _verify_commutant_dim(rep: Rep) -> None:
     want = rep.abs.commutant_dim
-    got = len(commutant_basis(rep))
+    got = len(rep.commutant)
     if got != want:
         raise StructureError(f"commutant dimension {got}, expected {want}")
 
@@ -511,7 +492,7 @@ def build_structure(rep: Rep) -> MainSubalgebra:
         if vol.compose(vol).scalar_value() != -1:
             raise StructureError("volume square is not -Id in the almost-complex case")
         return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol, D=_solve_d(rep, vol))
-    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(commutant_basis(rep)))
+    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(rep.commutant))
 
 
 def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:
@@ -535,7 +516,7 @@ def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:
     return d
 
 
-def _quaternion_units(basis: list[SignedPerm]) -> tuple[SignedPerm, SignedPerm, SignedPerm]:
+def _quaternion_units(basis: tuple[SignedPerm, ...]) -> tuple[SignedPerm, SignedPerm, SignedPerm]:
     """H1 and H2: the first two non-scalar commutant elements, H3 = H1 H2.
 
     These are the units the row reduction of the trace-free commutant

@@ -12,7 +12,6 @@ import oracles
 from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
     _appendix_rows,
-    _real_structure_weight,
     appendix_check,
     census,
     class_report,
@@ -72,14 +71,6 @@ def test_majorana_projection_properties(rep12, rep90):
         majorana_project(rep90, (1,) + (0,) * 15)
 
 
-def test_the_real_structure_weight_splits_the_pairings(rep12, pairings12, rep90, pr90):
-    by_iso = {p.isotropy: p for p in pairings12}
-    assert _real_structure_weight(rep12, by_iso[1]) == 1
-    assert _real_structure_weight(rep12, by_iso[-1]) == -1
-    with pytest.raises(StructureError):
-        _real_structure_weight(rep90, pr90)
-
-
 def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
     """covariants() is the grade split of covariant(...).components[0] times 2^n / k_const."""
     rng = random.Random(46)
@@ -90,7 +81,7 @@ def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
             pairings = [
                 pr
                 for pr in admissible_pairings(rep)
-                if not geo.real or _real_structure_weight(rep, pr) == 1
+                if not geo.real or pr.isotropy == 1
             ]
             assert pairings
             for pairing in pairings:
@@ -126,7 +117,7 @@ def test_covariants_12_rejects_bad_inputs(rep12, pr12, pairings12, rep04, pr04):
         covariants(rep12, pr12, moved)
     anti = next(p for p in pairings12 if p.isotropy == -1)
     fixed = majorana_project(rep12, (1, 0, 0, 0))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="anti-isometric under the real structure"):
         covariants(rep12, anti, fixed)
     # the signature picks the geometry, and (0,4) has none
     with pytest.raises(UnsupportedSignature, match="classification covers"):
@@ -415,13 +406,13 @@ def test_census_blade_cache_is_bounded_by_the_blade_count():
     size = 1 << rep.signature.n
     # the profile table visits every canonical blade, and each is cached once
     assert set(rep._cache_sp) == set(range(size))
-    table = rep.profile_gather()
+    table = rep.profile_gather
     # one run of d flat indices per blade, into z (x) w and its negation
     flat = range(2 * rep.d * rep.d)
     assert len(table(flat)) == size * rep.d
     census(rep, admissible_pairings(rep), 20, 6)
     assert len(rep._cache_sp) <= size
-    assert rep.profile_gather() is table
+    assert rep.profile_gather is table
 
 
 def test_census_input_validation(rep12, pairings12):

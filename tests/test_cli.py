@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from grafclifford.classify import geometry_of
-from grafclifford import cli, matrixrep
+from grafclifford import cli, exterior, matrixrep
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
 from grafclifford.graf import volume_square_sign
@@ -158,6 +158,18 @@ def test_structure_maps_are_solved_once_per_representation(capsys, monkeypatch):
         status, report = run_json(capsys, argv)
         assert status == 0 and report["passed"]
         assert len(solved) == 1
+
+
+def test_a_census_builds_one_kernel_and_one_square_table(capsys):
+    # every sample squares on the one (9,0) kernel and its one pinor pair table
+    kernels = exterior._kernel
+    tables = exterior._DiagKernel._build_square_table
+    kernels.cache_clear()
+    tables.cache_clear()
+    status, report = run_json(capsys, ["census", "--signature", "9,0", "--samples", "5"])
+    assert status == 0 and report["passed"]
+    assert kernels.cache_info().misses == 1
+    assert tables.cache_info().misses == 1
 
 
 def test_classify_pinor_basis_spinor(tmp_path, capsys):

@@ -297,7 +297,7 @@ def test_unit_table_constants_from_the_structure_maps():
 def _with_structure_maps(signature, **maps):
     """A fresh representation whose cached structure maps have ``maps`` replaced."""
     rep = build_rep(signature)
-    rep._structure = replace(rep.structure, **maps)
+    rep.structure = replace(rep.structure, **maps)
     return rep
 
 

@@ -160,24 +160,38 @@ def _check_squares(squares, met, oracle=True):
             assert _all_int(square)
 
 
+def _lookups(cache):
+    """Hits and misses of an ``lru_cache`` so far."""
+    info = cache.cache_info()
+    return info.hits, info.misses
+
+
 def test_square_tables_are_bounded_per_kernel():
+    """Grade sets go least recently used past the cap, which all kernels share."""
     sig = Signature(5, 0)
     met = Metric.standard(sig)
     rng = random.Random(24)
-    kern = exterior._kernel_for(met)
-    kern._squares.clear()
+    tables = exterior._DiagKernel._build_square_table
+    tables.cache_clear()
+
+    def square(grades):
+        f = _grade_set_form(rng, sig, grades)
+        hits, misses = _lookups(tables)
+        assert graf_product(f, f, met) == oracles.graf_product_oracle(f, f, met)
+        now_hits, now_misses = _lookups(tables)
+        assert now_hits + now_misses == hits + misses + 1
+        return now_hits - hits
+
     kept = frozenset({0, 1})
     grade_sets = [frozenset(s) for s in ({1}, {2}, {0, 2}, {1, 2}, {2, 3}, {3}, {1, 3}, {0, 4})]
     assert len(grade_sets) > exterior._SQUARE_TABLE_CAP
     for grades in grade_sets:
-        for gs in (grades, kept):
-            f = _grade_set_form(rng, sig, gs)
-            assert graf_product(f, f, met) == oracles.graf_product_oracle(f, f, met)
-            assert gs in kern._squares
-        assert len(kern._squares) <= exterior._SQUARE_TABLE_CAP
+        square(grades)
+        square(kept)
+        assert tables.cache_info().currsize <= exterior._SQUARE_TABLE_CAP
     # the grade set squared on every round is never the least recent, so it stays
-    assert kept in kern._squares
-    assert grade_sets[0] not in kern._squares
+    assert square(kept) == 1
+    assert square(grade_sets[0]) == 0
 
 
 # -- packed product ----------------------------------------------------------------------------
@@ -337,13 +351,13 @@ def test_packed_masks_match_the_blade_action():
 
 
 def test_packed_masks_are_bounded_per_kernel():
-    """Widths go least recently used past the cap, per kernel."""
+    """Widths go least recently used past the cap, which all kernels share."""
     sig = Signature(4, 2)
     met = Metric.standard(sig)
     rng = random.Random(33)
-    kern = exterior._kernel_for(met)
-    assert kern.unit
-    kern._packed.clear()
+    assert exterior._kernel_for(met).unit
+    masks = exterior._DiagKernel.packed_masks
+    masks.cache_clear()
     unit = _dense_form(rng, sig, lambda rng: rng.choice((-1, 1)))
     ones = Form.from_mask_dict(sig, {m: 1 for m in range(1 << sig.n)})
 
@@ -351,18 +365,24 @@ def test_packed_masks_are_bounded_per_kernel():
         # 2^(width - 8) * 1 * 64 terms = 2^(width - 2): width bits with the spare one
         return ones.scale(1 << (width - 8))
 
+    def product(width):
+        f = scaled(width)
+        hits, misses = _lookups(masks)
+        assert graf_product(f, unit, met) == oracles.graf_product_oracle(f, unit, met)
+        now_hits, now_misses = _lookups(masks)
+        assert now_hits + now_misses == hits + misses + 1
+        return now_hits - hits
+
     kept = 16
     widths = [24, 32, 40, 48, 56, 64]
     assert len(widths) > exterior._PACKED_MASK_CAP
     for width in widths:
-        for w in (width, kept):
-            f = scaled(w)
-            assert graf_product(f, unit, met) == oracles.graf_product_oracle(f, unit, met)
-            assert w in kern._packed
-        assert len(kern._packed) <= exterior._PACKED_MASK_CAP
+        product(width)
+        product(kept)
+        assert masks.cache_info().currsize <= exterior._PACKED_MASK_CAP
     # the width used on every round is never the least recent, so it stays
-    assert kept in kern._packed
-    assert widths[0] not in kern._packed
+    assert product(kept) == 1
+    assert product(widths[0]) == 0
 
 
 def test_unit_flag_marks_exactly_the_plus_minus_one_diagonals():
@@ -486,6 +506,8 @@ def test_kernel_cache_is_bounded():
     sig = Signature(2, 1)
     rng = random.Random(22)
     base = Metric.standard(sig)
+    kernels = exterior._kernel
+    kernels.cache_clear()
     kept = exterior._kernel_for(base)
     for c in range(2, exterior._KERNEL_CAP + 6):
         met = Metric(sig, [[c, 0, 0], [0, -3, 0], [0, 0, Fraction(1, c)]])
@@ -493,11 +515,14 @@ def test_kernel_cache_is_bounded():
             f = oracles.rand_form(rng, sig, rational=True)
             g = oracles.rand_form(rng, sig)
             assert graf_product(f, g, m) == oracles.graf_product_oracle(f, g, m)
-        assert len(exterior._KERNELS) <= exterior._KERNEL_CAP
+        assert kernels.cache_info().currsize <= exterior._KERNEL_CAP
     # the metric used on every round is never the least recent, so it stays
-    assert exterior._KERNELS[(sig.n, base.diagonal)] is kept
+    hits, misses = _lookups(kernels)
+    assert exterior._kernel_for(base) is kept
+    assert _lookups(kernels) == (hits + 1, misses)
     first = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, Fraction(1, 2)]])
-    assert (sig.n, first.diagonal) not in exterior._KERNELS
+    exterior._kernel_for(first)
+    assert _lookups(kernels) == (hits + 1, misses + 1)
 
 
 def test_product_with_general_metric_is_associative_and_clifford():

@@ -23,7 +23,12 @@ product against itself.  No library function takes a parameter named
 ``structure`` or ``geometry``: a representation carries its structure
 maps (``Rep.structure``) and a signature picks its geometry
 (``classify.geometry_of``), so passing either next to its source only
-admits a mismatched pair.
+admits a mismatched pair.  Every memo of the library is a
+``functools.lru_cache`` with a finite integer ``maxsize`` (a literal or
+a module-level constant) or a ``functools.cached_property``: no
+``OrderedDict`` LRU, no unbounded ``lru_cache`` or ``cache``, and no
+``lru_cache(...)(self.<attr>)``, whose cache of bound methods keeps
+every instance it has seen alive until a garbage-collection pass.
 """
 
 import ast
@@ -212,6 +217,69 @@ def derived_parameters(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def unbounded_memos(source: str) -> list[str]:
+    """Memos outside the two idioms: ``OrderedDict``, unbounded caches, cached bound methods."""
+    tree = ast.parse(source)
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    imported, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            imported.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or "functools" for alias in node.names if alias.name == "functools")
+
+    def factory(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            return node.attr
+        return None
+
+    def bounded(call: ast.Call) -> bool:
+        size = call.args[0] if call.args else None
+        size = next((k.value for k in call.keywords if k.arg == "maxsize"), size)
+        if isinstance(size, ast.Name):
+            value = constants.get(size.id)
+        else:
+            value = size.value if isinstance(size, ast.Constant) else None
+        return type(value) is int and value > 0
+
+    nodes = list(ast.walk(tree))
+    calls = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    found = []
+    for node in nodes:
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name == "OrderedDict" or (
+            isinstance(node, ast.alias) and node.name == "OrderedDict"
+        ):
+            found.append((node.lineno, "OrderedDict"))
+        elif factory(node) == "cache":
+            found.append((node.lineno, "unbounded cache"))
+        elif factory(node) == "lru_cache" and id(node) not in calls:
+            found.append((node.lineno, "lru_cache without maxsize"))
+        elif isinstance(node, ast.Call) and factory(node.func) == "lru_cache" and not bounded(node):
+            found.append((node.lineno, "unbounded lru_cache"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Call)
+            and factory(node.func.func) == "lru_cache"
+            and any(
+                isinstance(arg, ast.Attribute)
+                and isinstance(arg.value, ast.Name)
+                and arg.value.id == "self"
+                for arg in node.args
+            )
+        ):
+            found.append((node.lineno, "lru_cache of a bound method"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -334,6 +402,47 @@ def test_the_parameter_checker_sees_structure_and_geometry_parameters():
         "classify.run(structure, geometry) (line 4)",
         "classify.<lambda>(geometry) (line 6)",
     ]
+
+
+def test_the_memo_checker_sees_unbounded_and_per_instance_caches():
+    source = (
+        "import functools\n"
+        "from collections import OrderedDict\n"
+        "from functools import cache as memo, cached_property, lru_cache\n"
+        "CAP = 8\n"
+        "NONE = None\n"
+        "@lru_cache(maxsize=CAP)\ndef a(x):\n    return x\n"
+        "@functools.lru_cache(16)\ndef b(x):\n    return x\n"
+        "@lru_cache\ndef c(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef d(x):\n    return x\n"
+        "@memo\ndef e(x):\n    return x\n"
+        "@lru_cache(maxsize=NONE)\ndef f(x):\n    return x\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.rows = OrderedDict()\n"
+        "        self.get = lru_cache(maxsize=CAP)(self.build)\n"
+        "    @cached_property\n"
+        "    def volume(self):\n        return 1\n"
+        "kernel = lru_cache(maxsize=CAP)(K)\n"
+    )
+    assert unbounded_memos(source) == [
+        "OrderedDict (line 2)",
+        "lru_cache without maxsize (line 12)",
+        "unbounded lru_cache (line 15)",
+        "unbounded cache (line 18)",
+        "unbounded lru_cache (line 21)",
+        "OrderedDict (line 26)",
+        "lru_cache of a bound method (line 27)",
+    ]
+
+
+def test_every_library_memo_is_a_bounded_cache_or_a_cached_property():
+    found = {}
+    for path in SRC:
+        hits = unbounded_memos(path.read_text())
+        if hits:
+            found[str(path.relative_to(ROOT))] = hits
+    assert found == {}
 
 
 def test_no_library_function_takes_a_structure_or_a_geometry():

@@ -18,7 +18,6 @@ from grafclifford.matrixrep import (
     abs_type,
     build_rep,
     build_structure,
-    commutant_basis,
     d_square_target,
     verify_generators,
 )
@@ -137,11 +136,11 @@ def test_volume_action_and_volume_sign(rep12, rep90):
 
 
 def test_commutant_dimensions(rep12, rep90, rep04):
-    assert len(commutant_basis(rep12)) == 2
-    assert len(commutant_basis(rep90)) == 1
-    assert len(commutant_basis(rep04)) == 4
+    assert len(rep12.commutant) == 2
+    assert len(rep90.commutant) == 1
+    assert len(rep04.commutant) == 4
     for rep in (rep12, rep90, rep04):
-        for m in commutant_basis(rep):
+        for m in rep.commutant:
             m = oracles.to_dense(m)
             for g in oracles.generators(rep):
                 assert mat_mul(m, g) == mat_mul(g, m)
@@ -160,7 +159,7 @@ def test_commutant_is_solved_once_per_representation(monkeypatch):
     structure = rep.structure
     assert calls == [rep.d]
     assert structure.case == CASE_QUATERNIONIC
-    assert len(commutant_basis(rep)) == 4 and calls == [rep.d]
+    assert len(rep.commutant) == 4 and calls == [rep.d]
     assert rep.structure is structure
 
 
