@@ -1,7 +1,11 @@
 """Spinor and pinor classes from covariant zero patterns, with census tooling.
 
 One pipeline serves every classified signature, and a ``Geometry``
-record holds only its data and its published reduced rows.  The
+record holds only its data and its published reduced rows.  What the
+signature fixes is derived where it is read, not declared: the pairing
+signs are the published table row (``bilinear.table_sigma`` and
+``table_tau``), and spinors are real exactly when the structure has a
+real structure, a D with D^2 = +Id (``_real``).  The
 covariants of a spinor are the grade parts of the identity unit's
 component of E(alpha, alpha), read without its k_const / 2^n multiple
 by the one extractor ``covariants``, which checks the record's
@@ -33,14 +37,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .bilinear import Pairing
+from .bilinear import Pairing, table_sigma, table_tau
 from .errors import (
     DimensionMismatch,
     NotASpinor,
     StructureError,
     UnsupportedSignature,
 )
-from .exterior import Form, Metric, Signature, grade_project, rational_to_str
+from .exterior import Form, Signature, grade_project, rational_to_str
 from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile
 from .graf import (
     _graf_sign,
@@ -129,20 +133,20 @@ class ReducedVerdict:
 # -- (1,2): the two contracted-wedge rows -----------------------------------------------
 
 
-def _self_wedges(f: Form, m: int, met: Metric) -> Callable[[int], Form]:
+def _self_wedges(f: Form, m: int) -> Callable[[int], Form]:
     """k -> f ^_k f for f homogeneous of grade m, each a grade slice of one square.
 
     cw_k(f, f) = k! (-1)^(k(m-k) + floor(k/2)) <f * f>_(2m-2k)
     (``graf.contracted_wedge``), so one product serves every k.
     """
-    square = graf_product(f, f, met)
+    square = graf_product(f, f)
     return lambda k: grade_project(square, 2 * m - 2 * k).scale(factorial(k) * _graf_sign(k, m))
 
 
 def _rows_12(cov, b):
     """phi2 ^_2 phi2 = -2 <S>_0 and phi2 ^_1 phi2 = -<S>_2, with S = phi2 * phi2."""
     phi0, phi2 = cov
-    phi2_phi2 = _self_wedges(phi2, 2, Metric.standard(phi0.signature))
+    phi2_phi2 = _self_wedges(phi2, 2)
     rows = (
         _result("rank2-double-contraction", phi2_phi2(2) + phi0.scale(2 * b)),
         _result("rank2-single-contraction", phi2_phi2(1)),
@@ -175,13 +179,12 @@ def _rows_90(cov, b):
     cw_1 = -<S>_6, cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0.
     """
     psi0, p1, p4 = cov
-    met = Metric.standard(psi0.signature)
     clearance = _result(
         "volume-image-clearance",
-        lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)), met)),
+        lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)))),
     )
-    p1_p1 = _self_wedges(p1, 1, met)
-    p4_p4 = _self_wedges(p4, 4, met)
+    p1_p1 = _self_wedges(p1, 1)
+    p4_p4 = _self_wedges(p4, 4)
     rows = (
         _result(
             "grade0-row",
@@ -189,15 +192,15 @@ def _rows_90(cov, b):
             + p4_p4(4).scale(Fraction(1, 24))
             - psi0.scale(31 * b),
         ),
-        _result("grade1-row", hodge(p4_p4(0), met) - p1.scale(30 * b)),
+        _result("grade1-row", hodge(p4_p4(0)) - p1.scale(30 * b)),
         _result(
             "grade2-row",
             p1_p1(0) + p4_p4(3).scale(Fraction(1, 6)),
         ),
-        _result("grade3-row", hodge(p4_p4(1), met)),
+        _result("grade3-row", hodge(p4_p4(1))),
         _result(
             "grade4-row",
-            hodge(wedge(p1, p4), met).scale(4) - p4_p4(2) - p4.scale(60 * b),
+            hodge(wedge(p1, p4)).scale(4) - p4_p4(2) - p4.scale(60 * b),
         ),
     )
     return rows, clearance
@@ -215,19 +218,16 @@ class Geometry:
     ``covariants`` (the identity unit's component of E(alpha, alpha),
     split by grade), check the master identity S o S = c B S on their sum
     S and the published reduced rows, and read the class off which
-    covariants vanish.  A record holds only data and its published rows.
-    The first component is the scalar, which equals B(alpha, alpha) on
-    covariants computed from a spinor.
+    covariants vanish.  A record holds only data and its published rows;
+    the pairing signs and whether spinors are real follow from the
+    signature and are derived where they are read.  The first component
+    is the scalar, which equals B(alpha, alpha) on covariants computed
+    from a spinor.
     """
 
     signature: tuple[int, int]
     # (name, grade) of each covariant form, in the order the extractor returns them
     components: tuple[tuple[str, int], ...]
-    # (sigma, tau) of the pairings the covariants are read under
-    pairing_signs: tuple[int, int]
-    # real spinors: prepared by the Majorana projection, and classified
-    # only under pairings the real structure preserves (isotropy +1)
-    real: bool
     # (identity name, c) of the master identity S o S = c B S
     master: tuple[str, int]
     # (covariants, b) -> (reduced rows, volume-image clearance or None)
@@ -256,8 +256,6 @@ GEOMETRIES: dict[tuple[int, int], Geometry] = {
         Geometry(
             signature=(1, 2),
             components=(("phi0", 0), ("phi2", 2)),
-            pairing_signs=(-1, -1),
-            real=True,
             master=("two-component-square", 2),
             rows=_rows_12,
             gate_on_rows=True,
@@ -270,8 +268,6 @@ GEOMETRIES: dict[tuple[int, int], Geometry] = {
         Geometry(
             signature=(9, 0),
             components=(("psi0", 0), ("psi1", 1), ("psi4", 4)),
-            pairing_signs=(1, 1),
-            real=False,
             master=("truncated-master", 16),
             rows=_rows_90,
             gate_on_rows=False,
@@ -303,9 +299,19 @@ def geometry_of(signature: Signature) -> Geometry:
 # -- the classification pipeline ------------------------------------------------------------
 
 
+def _real(rep: Rep) -> bool:
+    """Whether spinors are real: the structure has a D with D^2 = +Id (cached).
+
+    Real spinors are Majorana-projected and classified only under
+    pairings the real structure preserves (isotropy +1).
+    """
+    return rep.structure.d_square_sign == 1
+
+
 def prepare(rep: Rep, alpha) -> tuple:
     """The spinor the signature's geometry classifies: the real part where spinors are real."""
-    if geometry_of(rep.signature).real:
+    geometry_of(rep.signature)  # refuses an unclassified signature
+    if _real(rep):
         return majorana_project(rep, alpha)
     return tuple(alpha)
 
@@ -317,10 +323,10 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     E(alpha, alpha) without its k_const / 2^n multiple: blade m of grade
     k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``).
     Each precondition is checked and refused: the signature has a
-    geometry (``geometry_of``); the pairing has the record's signs; a
-    real spinor's pairing is preserved by D, which on a real geometry
-    (D^2 = +Id) is its orthogonal split (``Pairing.isotropy`` = +1),
-    and the spinor is D-fixed;
+    geometry (``geometry_of``); the pairing has the signs of the
+    published table row; a real spinor's pairing is preserved by D,
+    which where spinors are real (D^2 = +Id) is its orthogonal split
+    (``Pairing.isotropy`` = +1), and the spinor is D-fixed;
     every grade vanishes unless it is a component grade or, in the
     truncation regime, the volume image n - k of one, and that image
     equals the Hodge dual of grade k times the volume sign, so the
@@ -331,10 +337,10 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     vec = tuple(spinor)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
-    if (pairing.sigma, pairing.tau) != geometry.pairing_signs:
-        sigma, tau = geometry.pairing_signs
-        raise StructureError(f"the covariants use a pairing with (sigma, tau) = ({sigma}, {tau})")
-    if geometry.real:
+    signs = (table_sigma(sig), table_tau(sig))
+    if (pairing.sigma, pairing.tau) != signs:
+        raise StructureError(f"the covariants use a pairing with (sigma, tau) = {signs}")
+    if _real(rep):
         if pairing.isotropy != 1:
             raise StructureError(
                 "the pairing is anti-isometric under the real structure; the "
@@ -352,7 +358,7 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
         raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
     parts = {k: Form._adopt(sig, terms) for k, terms in by_grade.items()}
     for k, image in zip(grades, images):
-        if hodge(parts[k], rep.metric).scale(rep.volume_sign) != parts[image]:
+        if hodge(parts[k]).scale(rep.volume_sign) != parts[image]:
             raise NotASpinor("upper-grade bilinears are not the volume images of the lower ones")
     return tuple(parts[k] for k in grades)
 
@@ -366,11 +372,10 @@ def _master(covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
     the square path.
     """
     s = sum(covs[1:], covs[0])
-    met = Metric.standard(s.signature)
     if in_truncation_regime(s.signature):
-        square = truncated_product(s, s, volume_sign, met)
+        square = truncated_product(s, s, volume_sign)
     else:
-        square = graf_product(s, s, met)
+        square = graf_product(s, s)
     name, c = geometry_of(s.signature).master
     return _result(name, square - s.scale(c * b))
 
@@ -528,34 +533,30 @@ class CensusReport:
         }
 
 
-def census(
-    rep: Rep,
-    pairings: list[Pairing],
-    samples: int,
-    seed: int,
-    box: int = 5,
-) -> CensusReport:
+# Census spinor entries are drawn from the integer box [-CENSUS_BOX, CENSUS_BOX].
+CENSUS_BOX = 5
+
+
+def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> CensusReport:
     """Sample, classify, and count spinors; deterministic under the seed.
 
-    Spinor entries are drawn uniformly from the integer box [-box, box]
-    and prepared for the geometry (projected onto real spinors where
-    spinors are real); each sample is classified under every admissible
-    pairing separately.
+    Spinor entries are drawn uniformly from the integer box
+    [-CENSUS_BOX, CENSUS_BOX] and prepared for the geometry (projected
+    onto real spinors where spinors are real); each sample is classified
+    under every admissible pairing separately.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
-    geo = geometry_of(rep.signature)
+    geometry_of(rep.signature)  # refuses an unclassified signature
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
-    compatible = [
-        not geo.real or pairing.isotropy == 1
-        for pairing in pairings
-    ]
+    real = _real(rep)
+    compatible = [not real or pairing.isotropy == 1 for pairing in pairings]
     counts: list[dict[int, int]] = [{} for _ in pairings]
     found: list[dict[int, tuple]] = [{} for _ in pairings]
     ranks: list[set[int]] = [set() for _ in pairings]
     for _ in range(samples):
-        raw = tuple(rng.randint(-box, box) for _ in range(dim))
+        raw = tuple(rng.randint(-CENSUS_BOX, CENSUS_BOX) for _ in range(dim))
         vec = prepare(rep, raw)
         for slot, pairing in enumerate(pairings):
             if not compatible[slot]:
@@ -579,12 +580,16 @@ def census(
         )
         for slot, pairing in enumerate(pairings)
     )
-    return CensusReport(rep.signature, samples, seed, box, rep.volume_sign, sections)
+    return CensusReport(rep.signature, samples, seed, CENSUS_BOX, rep.volume_sign, sections)
 
 
 # -- closed-form product identity battery on (9,0) --------------------------------------
 
 APPENDIX_SIGNATURE = (9, 0)
+# Battery inputs: coefficients from [-APPENDIX_BOX, APPENDIX_BOX], and
+# APPENDIX_TERMS blades in each 4-form.
+APPENDIX_BOX = 4
+APPENDIX_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -616,62 +621,53 @@ def _random_homogeneous(rng: random.Random, sig: Signature, k: int, box: int, te
     return Form.from_mask_dict(sig, {m: rng.randint(-box, box) for m in chosen})
 
 
-def _appendix_rows(psi0: Form, psi1: Form, psi4: Form, met: Metric):
+def _appendix_rows(psi0: Form, psi1: Form, psi4: Form):
     """(id, literal value, closed form, allowed grades) for all twelve rows."""
     b = psi0.scalar_part()
-
-    def tp(f, g):
-        return truncated_product(f, g, 1, met)
-
-    def star(f):
-        return hodge(f, met)
-
     w11 = wedge(psi1, psi1)
-    c11 = contracted_wedge(psi1, psi1, 1, met)
+    c11 = contracted_wedge(psi1, psi1, 1)
     w14 = wedge(psi1, psi4)
-    c14 = contracted_wedge(psi1, psi4, 1, met)
+    c14 = contracted_wedge(psi1, psi4, 1)
     w44 = wedge(psi4, psi4)
     quad_closed = (
-        contracted_wedge(psi4, psi4, 2, met).scale(Fraction(-1, 2))
-        + contracted_wedge(psi4, psi4, 3, met).scale(Fraction(1, 6))
-        + contracted_wedge(psi4, psi4, 4, met).scale(Fraction(1, 24))
-        + star(w44)
-        - star(contracted_wedge(psi4, psi4, 1, met))
+        contracted_wedge(psi4, psi4, 2).scale(Fraction(-1, 2))
+        + contracted_wedge(psi4, psi4, 3).scale(Fraction(1, 6))
+        + contracted_wedge(psi4, psi4, 4).scale(Fraction(1, 24))
+        + hodge(w44)
+        - hodge(contracted_wedge(psi4, psi4, 1))
     )
     return (
         (
             "scalar-square-projector-replay",
-            tp(psi0, psi0),
-            lower_projection(psi0 + star(psi0)).scale(b),
+            truncated_product(psi0, psi0),
+            lower_projection(psi0 + hodge(psi0)).scale(b),
             frozenset({0}),
         ),
-        ("scalar-square", tp(psi0, psi0), psi0.scale(b), frozenset({0})),
-        ("scalar-vector", tp(psi0, psi1), psi1.scale(b), frozenset({1})),
-        ("scalar-quadform", tp(psi0, psi4), psi4.scale(b), frozenset({4})),
-        ("vector-scalar", tp(psi1, psi0), psi1.scale(b), frozenset({1})),
-        ("vector-square", tp(psi1, psi1), w11 + c11, frozenset({0, 2})),
+        ("scalar-square", truncated_product(psi0, psi0), psi0.scale(b), frozenset({0})),
+        ("scalar-vector", truncated_product(psi0, psi1), psi1.scale(b), frozenset({1})),
+        ("scalar-quadform", truncated_product(psi0, psi4), psi4.scale(b), frozenset({4})),
+        ("vector-scalar", truncated_product(psi1, psi0), psi1.scale(b), frozenset({1})),
+        ("vector-square", truncated_product(psi1, psi1), w11 + c11, frozenset({0, 2})),
         (
             "vector-quadform-full",
-            graf_product(psi1, psi4, met),
+            graf_product(psi1, psi4),
             w14 + c14,
             frozenset({3, 5}),
         ),
-        ("vector-quadform", tp(psi1, psi4), c14 + star(w14), frozenset({3, 4})),
-        ("quadform-scalar", tp(psi4, psi0), psi4.scale(b), frozenset({4})),
+        ("vector-quadform", truncated_product(psi1, psi4), c14 + hodge(w14), frozenset({3, 4})),
+        ("quadform-scalar", truncated_product(psi4, psi0), psi4.scale(b), frozenset({4})),
         (
             "quadform-vector-full",
-            graf_product(psi4, psi1, met),
+            graf_product(psi4, psi1),
             w14 - c14,
             frozenset({3, 5}),
         ),
-        ("quadform-vector", tp(psi4, psi1), star(w14) - c14, frozenset({3, 4})),
-        ("quadform-square", tp(psi4, psi4), quad_closed, frozenset({0, 1, 2, 3, 4})),
+        ("quadform-vector", truncated_product(psi4, psi1), hodge(w14) - c14, frozenset({3, 4})),
+        ("quadform-square", truncated_product(psi4, psi4), quad_closed, frozenset({0, 1, 2, 3, 4})),
     )
 
 
-def appendix_check(
-    sig: Signature, trials: int, seed: int, box: int = 4, terms: int = 6
-) -> AppendixVerdict:
+def appendix_check(sig: Signature, trials: int, seed: int) -> AppendixVerdict:
     """Closed-form expansions of pairwise covariant-grade products, exactly.
 
     Samples independent scalar, 1-form, and 4-form inputs (the scalar
@@ -681,17 +677,16 @@ def appendix_check(
     """
     if (sig.p, sig.q) != APPENDIX_SIGNATURE:
         raise UnsupportedSignature("the identity battery is stated on signature (9,0)")
-    met = Metric.standard(sig)
     rng = random.Random(seed)
     order: list[str] = []
     failures: dict[str, Form] = {}
     for _ in range(trials):
-        psi0 = Form.scalar(sig, rng.randint(-box, box))
+        psi0 = Form.scalar(sig, rng.randint(-APPENDIX_BOX, APPENDIX_BOX))
         psi1 = Form.from_mask_dict(
-            sig, {1 << i: rng.randint(-box, box) for i in range(sig.n)}
+            sig, {1 << i: rng.randint(-APPENDIX_BOX, APPENDIX_BOX) for i in range(sig.n)}
         )
-        psi4 = _random_homogeneous(rng, sig, 4, box, terms)
-        for ident, literal, closed, grades in _appendix_rows(psi0, psi1, psi4, met):
+        psi4 = _random_homogeneous(rng, sig, 4, APPENDIX_BOX, APPENDIX_TERMS)
+        for ident, literal, closed, grades in _appendix_rows(psi0, psi1, psi4):
             if ident not in order:
                 order.append(ident)
             if ident in failures:

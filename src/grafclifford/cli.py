@@ -106,18 +106,19 @@ def _count(text: str) -> int:
 
 def _provenance(
     signature: Signature | None,
-    metric: Metric | None,
     volume_sign: int | None,
     pairing_hash: str | None,
     seed: int | None,
 ) -> dict:
+    """The report header; a report with a volume sign is over its signature's standard frame."""
     from . import __version__
 
+    framed = signature is not None and volume_sign is not None
     return {
         "tool": TOOL_NAME,
         "version": __version__,
         "signature": None if signature is None else [signature.p, signature.q],
-        "metric": None if metric is None else metric.to_json_obj(),
+        "metric": Metric.standard(signature).to_json_obj() if framed else None,
         "volume_sign": volume_sign,
         "pairing_hash": pairing_hash,
         "seed": seed,
@@ -162,10 +163,15 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 # -- check-algebra -----------------------------------------------------------------------
 
 
-def _random_form(rng: random.Random, sig: Signature, box: int = 4, terms: int = 5) -> Form:
+# check-algebra forms: FORM_TERMS blades, coefficients from [-FORM_BOX, FORM_BOX]
+FORM_BOX = 4
+FORM_TERMS = 5
+
+
+def _random_form(rng: random.Random, sig: Signature) -> Form:
     size = 1 << sig.n
-    chosen = rng.sample(range(size), min(terms, size))
-    return Form.from_mask_dict(sig, {m: rng.randint(-box, box) for m in chosen})
+    chosen = rng.sample(range(size), min(FORM_TERMS, size))
+    return Form.from_mask_dict(sig, {m: rng.randint(-FORM_BOX, FORM_BOX) for m in chosen})
 
 
 def _first_failure(report: dict, prop: str, sig: Signature, detail: dict) -> None:
@@ -174,7 +180,6 @@ def _first_failure(report: dict, prop: str, sig: Signature, detail: dict) -> Non
 
 
 def _check_signature_properties(sig: Signature, trials: int, seed: int, report: dict) -> bool:
-    met = Metric.standard(sig)
     rng = random.Random(f"{seed}:{sig.p},{sig.q}")
     ok = True
 
@@ -182,14 +187,14 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
         for j in range(1, sig.n + 1):
             ei = Form.blade(sig, (i,))
             ej = Form.blade(sig, (j,))
-            anti = graf_product(ei, ej, met) + graf_product(ej, ei, met)
-            expected = Form.unit(sig).scale(2 * met.entry(i, j))
+            anti = graf_product(ei, ej) + graf_product(ej, ei)
+            expected = Form.unit(sig).scale(2 * Metric.standard(sig).entry(i, j))
             if anti != expected:
                 ok = False
                 _first_failure(report, "clifford-relation", sig, {"i": i, "j": j})
 
     vol = volume_form(sig)
-    square = graf_product(vol, vol, met)
+    square = graf_product(vol, vol)
     sign = volume_square_sign(sig.p, sig.q)
     if square != Form.unit(sig).scale(sign):
         ok = False
@@ -197,8 +202,8 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
 
     for t in range(trials):
         f, g, h = (_random_form(rng, sig) for _ in range(3))
-        left = graf_product(graf_product(f, g, met), h, met)
-        right = graf_product(f, graf_product(g, h, met), met)
+        left = graf_product(graf_product(f, g), h)
+        right = graf_product(f, graf_product(g, h))
         if left != right:
             ok = False
             _first_failure(
@@ -207,13 +212,13 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
                 sig,
                 {"trial": t, "f": f.to_text(), "g": g.to_text(), "h": h.to_text()},
             )
-        if sig.n % 2 == 1 and graf_product(vol, f, met) != graf_product(f, vol, met):
+        if sig.n % 2 == 1 and graf_product(vol, f) != graf_product(f, vol):
             ok = False
             _first_failure(report, "volume-centrality", sig, {"trial": t, "f": f.to_text()})
-        if hodge(f, met) != graf_product(f, vol, met):
+        if hodge(f) != graf_product(f, vol):
             ok = False
             _first_failure(report, "hodge-definition", sig, {"trial": t, "f": f.to_text()})
-        if hodge(hodge(f, met), met) != f.scale(sign):
+        if hodge(hodge(f)) != f.scale(sign):
             ok = False
             _first_failure(report, "hodge-square", sig, {"trial": t, "f": f.to_text()})
 
@@ -221,18 +226,16 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
         for t in range(trials):
             f, g = (_random_form(rng, sig) for _ in range(2))
             for s in (1, -1):
-                pf = projector_pm(f, s, met)
-                if projector_pm(pf, s, met) != pf:
+                pf = projector_pm(f, s)
+                if projector_pm(pf, s) != pf:
                     ok = False
                     _first_failure(report, "projector-idempotency", sig, {"trial": t, "sign": s})
-                rebuilt = projector_pm(lower_projection(pf).scale(2), s, met)
+                rebuilt = projector_pm(lower_projection(pf).scale(2), s)
                 if rebuilt != pf:
                     ok = False
                     _first_failure(report, "truncation-reconstruction", sig, {"trial": t, "sign": s})
-            tp = truncated_product(f, g, 1, met)
-            if projector_pm(tp, 1, met) != graf_product(
-                projector_pm(f, 1, met), projector_pm(g, 1, met), met
-            ):
+            tp = truncated_product(f, g)
+            if projector_pm(tp, 1) != graf_product(projector_pm(f, 1), projector_pm(g, 1)):
                 ok = False
                 _first_failure(report, "truncated-intertwining", sig, {"trial": t})
     return ok
@@ -247,7 +250,7 @@ def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
         sigs = [Signature(p, n - p) for n in range(bound + 1) for p in range(n, -1, -1)]
         trials = 5 if cfg.trials is None else cfg.trials
     report: dict = {
-        "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
+        "provenance": _provenance(cfg.signature, None, None, cfg.seed),
         "trials_per_signature": trials,
         "signatures_checked": len(sigs),
         "volume_square_table": [],
@@ -282,22 +285,14 @@ def _structure_obj(rep: Rep) -> dict:
 
 
 def _pairing_obj(pairing: Pairing) -> dict:
-    return {
-        "hash": pairing.content_hash(),
-        "sigma": pairing.sigma,
-        "tau": pairing.tau,
-        "isotropy": pairing.isotropy,
-        "gram": pairing.gram.report_rows(),
-    }
+    return {"hash": pairing.content_hash(), **pairing.to_json_obj()}
 
 
 def cmd_build_rep(cfg: RunConfig) -> tuple[int, dict]:
     sig = _require_signature(cfg)
     rep, pairings, preferred = _build_all(sig, cfg.volume_sign)
     report = {
-        "provenance": _provenance(
-            sig, rep.metric, rep.volume_sign, preferred.content_hash(), cfg.seed
-        ),
+        "provenance": _provenance(sig, rep.volume_sign, preferred.content_hash(), cfg.seed),
         "representation": rep.to_json_obj(),
         "structure": _structure_obj(rep),
         "pairings": [_pairing_obj(p) for p in pairings],
@@ -309,8 +304,12 @@ def cmd_build_rep(cfg: RunConfig) -> tuple[int, dict]:
 # -- verify-fierz ------------------------------------------------------------------------
 
 
-def _random_vec(rng: random.Random, dim: int, box: int = 5) -> tuple:
-    return tuple(rng.randint(-box, box) for _ in range(dim))
+# verify-fierz spinor entries are drawn from [-VECTOR_BOX, VECTOR_BOX]
+VECTOR_BOX = 5
+
+
+def _random_vec(rng: random.Random, dim: int) -> tuple:
+    return tuple(rng.randint(-VECTOR_BOX, VECTOR_BOX) for _ in range(dim))
 
 
 def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
@@ -339,7 +338,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
                 first_fierz_failure = verdict.to_json_obj()
 
     report: dict = {
-        "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "case": rep.abs.case,
         "samples": samples,
         "oracles": {
@@ -429,7 +428,7 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
     scalar = covs[0].scalar_part() if scalar is None else rational_from_json(scalar, "scalar")
     result = class_report(covs, scalar, cfg.volume_sign).to_json_obj()
     report = {
-        "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
+        "provenance": _provenance(sig, cfg.volume_sign, None, cfg.seed),
         "mode": "covariant-injection",
         "scalar": rational_to_str(scalar),
         "class_index": result["class_index"],
@@ -460,7 +459,7 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
     covs = covariants(rep, pairing, prepare(rep, vec))
     result = class_report(covs, None, rep.volume_sign, pairing.content_hash())
     report = {
-        "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "mode": "spinor",
         "report": result.to_json_obj(),
         "passed": True,
@@ -477,7 +476,7 @@ def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
     rep, pairings, pairing = _build_all(sig, cfg.volume_sign)
     result = census(rep, pairings, cfg.samples, cfg.seed)
     report = {
-        "provenance": _provenance(sig, rep.metric, rep.volume_sign, pairing.content_hash(), cfg.seed),
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
         "census": result.to_json_obj(),
         "passed": True,
     }
@@ -493,7 +492,7 @@ def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
     sig = cfg.signature if cfg.signature is not None else Signature(*APPENDIX_SIGNATURE)
     verdict = appendix_check(sig, cfg.trials, cfg.seed)
     report = {
-        "provenance": _provenance(sig, Metric.standard(sig), cfg.volume_sign, None, cfg.seed),
+        "provenance": _provenance(sig, cfg.volume_sign, None, cfg.seed),
         "battery": verdict.to_json_obj(),
         "passed": verdict.passed,
     }
@@ -593,7 +592,7 @@ def main(argv=None) -> int:
         return 2
     except (NotASpinor, StructureError) as exc:
         status, report = 1, {
-            "provenance": _provenance(cfg.signature, None, None, None, cfg.seed),
+            "provenance": _provenance(cfg.signature, None, None, cfg.seed),
             "error": str(exc),
             "passed": False,
         }

@@ -9,22 +9,24 @@ contraction and the blade-pair kernel; the one product that pairs
 blades, and the wedge and contracted wedge as its grade slices, are in
 ``graf``.
 
-Under a diagonal metric every blade-pair factor comes from one table,
-that metric's kernel (``_kernel_for``).  Row ``row_a`` holds, for every
-right blade b, the parity sign of sorting the concatenation a b times
-the diagonal entries g^yy of the shared indices y in a & b: the factor
-in the Clifford product e_a e_b = row_a[b] e_(a^b) (``graf``).
-A row is built by doubling: the reorder sign and the metric factor are
-multiplicative over the bits of the right blade, so adding index y
-copies the first 2^y entries times that bit's factor, as one list
+Under an orthonormal metric (a diagonal of +1 and -1 entries) every
+blade-pair factor comes from one table, that metric's kernel
+(``_kernel_for``).  The kernel serves orthonormal frames only; ``graf``
+multiplies under any other metric without it.  Row ``row_a`` holds, for
+every right blade b, the parity sign of sorting the concatenation a b
+times the diagonal entries g^yy of the shared indices y in a & b: the
+factor +1 or -1 in the Clifford product e_a e_b = row_a[b] e_(a^b)
+(``graf``).  A row is built by doubling: the reorder sign and the metric
+sign are multiplicative over the bits of the right blade, so adding
+index y copies the first 2^y entries or their negatives, as one list
 operation per bit.
 
 A kernel also holds the volume column nu[m] = row_m[full], built by the
 same doubling without the rows; for the squares f * f of ``graf``, pair
 tables by grade set: for every output mask, the index pairs of the
-masks of those grades and their weights, read from the rows once; and,
-under a diagonal of +1 and -1 entries, the masks of each generator's
-left action on forms packed into one int, by field width.
+masks of those grades and their weights, read from the rows once; and
+the masks of each generator's left action on forms packed into one int,
+by field width.
 
 Every memo has one of two stdlib forms.  A table shared across objects
 is a ``functools.lru_cache`` with a named bound: the kernels by metric
@@ -510,17 +512,15 @@ _PACKED_MASK_CAP = 4
 class _DiagKernel:
     """Per-metric table of blade-pair product factors, built lazily by row.
 
-    ``integral`` says whether every diagonal entry is an int; otherwise
-    the rows hold Fractions and ``finish`` normalizes what they produce.
-    ``unit`` says whether every entry is +1 or -1, the metrics whose
-    products may run packed (``packed_masks``).
+    Only for an orthonormal diagonal, so every factor is +1 or -1; any
+    other diagonal is refused.
     """
 
-    def __init__(self, n: int, diag: tuple[Rational, ...]):
+    def __init__(self, n: int, diag: tuple[int, ...]):
+        if any(g not in (1, -1) for g in diag):
+            raise ValueError("the blade-pair kernel serves orthonormal metrics only")
         self.n = n
         self.diag = diag
-        self.integral = all(type(g) is int for g in diag)
-        self.unit = self.integral and all(g in (1, -1) for g in diag)
         self._rows: dict[int, list] = {}
 
     def row(self, ma: int):
@@ -529,18 +529,13 @@ class _DiagKernel:
             return cached
         # Doubling over the bits of mb: adding index y to mb multiplies by
         # the parity of a-indices above y, and by g^yy when y is shared, so
-        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that factor.
+        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that sign.
         row = [1]
         for y in range(self.n):
             s = -1 if (ma >> (y + 1)).bit_count() & 1 else 1
             if ma >> y & 1:
-                s = s * self.diag[y]
-            if s == 1:
-                row += row
-            elif s == -1:
-                row += [-x for x in row]
-            else:
-                row += [x * s for x in row]
+                s *= self.diag[y]
+            row += row if s == 1 else [-x for x in row]
         self._rows[ma] = row
         return row
 
@@ -624,8 +619,8 @@ class _DiagKernel:
         A packed form holds the coefficient of blade b in bits
         b*width .. (b+1)*width - 1.  Entry y is (flip, low): ``flip``
         covers the fields b with e_y e_b = -e_(b ^ 2^y), and ``low`` the
-        fields b without index y.  Only for unit diagonals, and kept for
-        the most recently used widths only.
+        fields b without index y.  Kept for the most recently used widths
+        only.
         """
         # Doubling over the bits j of b: fields 2^j .. 2^(j+1) - 1 are the
         # first 2^j with index j added, which flips the sign of e_y e_b when
@@ -647,22 +642,15 @@ class _DiagKernel:
         return tuple(out)
 
     def finish(self, acc: dict, den: int) -> dict[int, Rational]:
-        """The nonzero accumulated entries over den, normalized.
-
-        Integer rows leave integer numerators, which ``divide_numerators``
-        normalizes; rows of a rational metric can leave an integral
-        Fraction even when den is 1, so those entries are normalized here.
-        """
-        acc = {m: c for m, c in acc.items() if c}
-        if den == 1 and not self.integral:
-            return {m: _norm(c) for m, c in acc.items()}
-        return divide_numerators(acc, den)
+        """The nonzero accumulated integer numerators over den, normalized."""
+        return divide_numerators({m: c for m, c in acc.items() if c}, den)
 
 
 _kernel = lru_cache(maxsize=_KERNEL_CAP)(_DiagKernel)
 
 
 def _kernel_for(metric: Metric) -> _DiagKernel:
+    """The kernel of an orthonormal metric."""
     return _kernel(metric.signature.n, metric.diagonal)
 
 

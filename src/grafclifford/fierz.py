@@ -67,7 +67,7 @@ from operator import add, sub
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
-from .exterior import Form, Metric, grade_involution, grade_project
+from .exterior import Form, grade_involution, grade_project
 from .graf import graf_product
 from .linalg import (
     Matrix,
@@ -204,14 +204,15 @@ def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> d
 def _blade_weights(rep: Rep, tc: int) -> tuple[int, ...]:
     """tc^k s_m for every blade mask m of grade k, built by doubling.
 
-    s_m is the product of the metric diagonal signs over the blade's
-    indices (the index-lowering sign) and tc = tau c_u is the unit's
-    grade sign, so the table serves every unit with the same tc.
+    s_m is the product of the metric signs over the blade's indices (the
+    index-lowering sign): -1 for each of the last q indices in the
+    standard frame of signature (p, q).  tc = tau c_u is the unit's grade
+    sign, so the table serves every unit with the same tc.
     """
-    diag = rep.metric.diagonal
+    sig = rep.signature
     out = [1]
-    for i in range(rep.signature.n):
-        step = tc * int(diag[i])
+    for i in range(sig.n):
+        step = tc if i < sig.p else -tc
         out += [w * step for w in out]
     return tuple(out)
 
@@ -332,12 +333,11 @@ def check_fierz(cov11: Covariant, cov22: Covariant, cov12: Covariant, factor) ->
     if cov22.table != table or cov12.table != table:
         raise StructureError("the covariants come from different structures or pairings")
     a, b = cov11.components, cov22.components
-    met = Metric.standard(a[0].signature)
     residuals = [c.scale(-factor) for c in cov12.components]
     for u, row in enumerate(table.products):
         for v, (s, w) in enumerate(row):
             au = a[u] if table.twists[v] == 1 else grade_involution(a[u])
-            term = graf_product(au, b[v], met)
+            term = graf_product(au, b[v])
             residuals[w] = residuals[w] + term if s == 1 else residuals[w] - term
     names = IDENTITY_NAMES[table.case]
     return FierzVerdict(table.case, tuple(map(_result, names, residuals)))

@@ -17,19 +17,20 @@ slice of the product:
 product is the only code that pairs blades.
 
 For diagonal metrics the k-sum collapses per blade pair: only the term
-contracting the full shared index set survives, and the product reads it
-as e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``.  A
-non-diagonal metric multiplies one left generator at a time.  A covector
-acts as e_i h = e_i ^ h + c_i h, with c_i = sum_j g^ij i_j built from
-``interior``; for i the lowest index of a and r = a - {i}, e_a = e_i e_r
-- c_i e_r, so e_a h = e_i (e_r h) - (c_i e_r) h, over the products e_s h
-of smaller blades, each formed once.
+contracting the full shared index set survives.  Under an orthonormal
+metric (a diagonal of +1 and -1 entries) the product reads it as
+e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``.  Any
+metric that is not orthonormal multiplies one left generator at a time
+(``_product_general``).  A covector acts as e_i h = e_i ^ h + c_i h,
+with c_i = sum_j g^ij i_j built from ``interior``; for i the lowest
+index of a and r = a - {i}, e_a = e_i e_r - c_i e_r, so
+e_a h = e_i (e_r h) - (c_i e_r) h, over the products e_s h of smaller
+blades, each formed once.
 
 Rational inputs (covariants carry k_const / 2^n) are cleared to integer
 numerators over one common denominator per factor before the blade-pair
 loop, which then runs on ints; each output coefficient is divided once
-at the end and normalized, so an integral one is still an int, under a
-rational metric diagonal too (its rows hold Fractions).  The
+at the end and normalized, so an integral one is still an int.  The
 result is the same exact rational as term-by-term Fraction arithmetic,
 so every rendered report is unchanged.
 
@@ -47,10 +48,9 @@ re-validation: its masks are XORs of in-range masks and
 ``divide_numerators`` has already normalized its coefficients.
 
 A product of two dense forms (each on at least 3/4 of the 2^n blades,
-n >= ``_PACKED_MIN_N``) under a diagonal of +1 and -1 entries runs
-packed (``_product_terms_packed``).  The right factor's integer
-numerators go into two Python ints, one for the positive and one for
-the negative parts: blade b owns bits b*W .. (b+1)*W - 1 of each, so a
+n >= ``_PACKED_MIN_N``) runs packed (``_product_terms_packed``).  The
+right factor's integer numerators go into two Python ints, one for the
+positive and one for the negative parts: blade b owns bits b*W .. (b+1)*W - 1 of each, so a
 field is never negative and never borrows.  Every field of the
 accumulators below sums at most terms(f) products of absolute values,
 so W is the bit length of max|f| max|g| terms(f), plus one bit, rounded
@@ -65,9 +65,9 @@ factors, so c_a s times them is added into a positive and a negative
 accumulator; the fields are read out once at the end.  This is the
 blade product itself, one generator at a time, on 2^n steps of a few
 big-int operations instead of terms(f) terms(g) Python-level pairs.
-Sparser forms, smaller n and other diagonals keep the loop.
+Sparser forms and smaller n keep the loop.
 
-Under a diagonal metric the volume product is a signed relabelling,
+Under an orthonormal metric the volume product is a signed relabelling,
 e_m vol = nu[m] e_(m ^ full), read from the kernel's volume column; so
 ``hodge`` builds no product, and the truncated product folds each term
 of f * g above floor(n/2) onto its lower-grade image instead of forming
@@ -95,13 +95,15 @@ from .linalg import Rational, _norm, common_denominator
 
 
 def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
-    m = metric if metric is not None else Metric.standard(f.signature)
-    if m.signature != f.signature:
+    """The given metric, or by default the standard frame of the form's signature."""
+    if metric is None:
+        return Metric.standard(f.signature)
+    if metric.signature != f.signature:
         raise DimensionMismatch("metric signature does not match the forms")
-    return m
+    return metric
 
 
-# -- diagonal product -------------------------------------------------------------
+# -- orthonormal product ----------------------------------------------------------
 
 # Products of two forms that each fill at least 3/4 of the 2^n blades, at
 # and above this n, run packed (``_product_terms_packed``).  Measured on one
@@ -115,7 +117,7 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
     ta, da = common_denominator(ta)
     tb, db = common_denominator(tb)
     n = kern.n
-    if kern.unit and n >= _PACKED_MIN_N and 4 * min(len(ta), len(tb)) >= 3 << n:
+    if n >= _PACKED_MIN_N and 4 * min(len(ta), len(tb)) >= 3 << n:
         return kern.finish(_product_terms_packed(ta, tb, kern), da * db)
     acc: dict[int, Rational] = {}
     row_of = kern.row
@@ -130,10 +132,10 @@ def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
 def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
     """Integer numerators of f * g, one generator at a time on packed ints.
 
-    For integer (key, coefficient) pairs under a unit diagonal.  The
-    right factor is held as two ints, its positive and its negative parts,
-    blade b in field b of ``width`` bits; the left blades are visited in
-    Gray-code order, each step one left generator on those ints.
+    For integer (key, coefficient) pairs.  The right factor is held as
+    two ints, its positive and its negative parts, blade b in field b of
+    ``width`` bits; the left blades are visited in Gray-code order, each
+    step one left generator on those ints.
     """
     n = kern.n
     bound = max(abs(c) for _, c in ta) * max(abs(c) for _, c in tb) * len(ta)
@@ -191,11 +193,11 @@ def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
 def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational] | None:
     """f * f from the kernel's pair table for the form's grade set, or None without one.
 
-    e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under a diagonal
-    metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the bracket is 0
-    for an anticommuting pair and 2 row_a[b] for a commuting one.  The
-    pairs are read from the table over the zero-padded numerators, as
-    gathers, products and a running sum in C.
+    e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under an
+    orthonormal metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the
+    bracket is 0 for an anticommuting pair and 2 row_a[b] for a commuting
+    one.  The pairs are read from the table over the zero-padded
+    numerators, as gathers, products and a running sum in C.
     """
     table = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta))
     if table is None:
@@ -213,7 +215,7 @@ def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational] | None:
     return kern.finish(dict(zip(table.keys, map(sub, ends[1:], ends))), den * den)
 
 
-# -- non-diagonal product -----------------------------------------------------------
+# -- general product ---------------------------------------------------------------
 
 
 def _contraction(i: int, h: Form, metric: Metric) -> Form:
@@ -226,7 +228,7 @@ def _contraction(i: int, h: Form, metric: Metric) -> Form:
 
 
 def _product_general(f: Form, g: Form, metric: Metric) -> Form:
-    """f * g under a non-diagonal metric, one left generator at a time.
+    """f * g under any metric, one left generator at a time.
 
     e_a g = e_i (e_r g) - (c_i e_r) g for i the lowest index of a and
     r = a - {i}, with e_i h = e_i ^ h + c_i h; each e_a g is formed once.
@@ -253,13 +255,14 @@ def _product_general(f: Form, g: Form, metric: Metric) -> Form:
 
 
 def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
-    """Associative Clifford product of two forms.
+    """Associative Clifford product of two forms, under the standard frame by default.
 
-    On covectors: graf_product(e^i, e^j) = e^i ^ e^j + g^ij.
+    On covectors: graf_product(e^i, e^j) = e^i ^ e^j + g^ij.  Only an
+    orthonormal metric reads the kernel; any other takes the general path.
     """
     f._check_same(g)
     metric = _resolve_metric(f, metric)
-    if not metric.is_diagonal:
+    if not metric.is_orthonormal:
         return _product_general(f, g, metric)
     kern = _kernel_for(metric)
     ta = list(f.mask_items())
@@ -332,11 +335,11 @@ def volume_form(signature: Signature) -> Form:
 def hodge(f: Form, metric: Metric | None = None) -> Form:
     """Right product with the volume form.
 
-    Under a diagonal metric e_m vol = nu[m] e_(m ^ full), with nu the
-    kernel's volume column, so the product is a signed relabelling.
+    Under an orthonormal metric e_m vol = nu[m] e_(m ^ full), with nu
+    the kernel's volume column, so the product is a signed relabelling.
     """
     metric = _resolve_metric(f, metric)
-    if metric.is_diagonal:
+    if metric.is_orthonormal:
         nu = _kernel_for(metric).volume_column
         full = (1 << f.signature.n) - 1
         return Form._adopt(f.signature, {m ^ full: _norm(c * nu[m]) for m, c in f.mask_items()})
@@ -347,8 +350,6 @@ def projector_pm(f: Form, sign: int, metric: Metric | None = None) -> Form:
     """Half of (identity plus-or-minus the volume product)."""
     if sign not in (1, -1):
         raise ValueError("projector sign must be +1 or -1")
-    metric = _resolve_metric(f, metric)
-
     half = Fraction(1, 2)
     if sign == 1:
         return (f + hodge(f, metric)).scale(half)

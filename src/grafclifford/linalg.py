@@ -88,7 +88,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 class SignedPerm:
     """Matrix with exactly one nonzero entry (+1/-1) per row and column.
 
-    Row i holds its nonzero at column col[i] with value sign[i].
+    Row i holds its nonzero at column col[i] with value sign[i].  The
+    constructor checks both; products, transposes and negations of signed
+    permutations are signed permutations, so they are built by ``_of``,
+    which skips the check.
     """
 
     col: tuple[int, ...]
@@ -100,6 +103,14 @@ class SignedPerm:
             raise ValueError("signed permutation columns must be a permutation")
         if any(s not in (1, -1) for s in self.sign):
             raise ValueError("signed permutation entries must be +1 or -1")
+
+    @classmethod
+    def _of(cls, col: tuple[int, ...], sign: tuple[int, ...]) -> "SignedPerm":
+        """A signed permutation derived from checked ones, taken without re-checking."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "col", col)
+        object.__setattr__(out, "sign", sign)
+        return out
 
     @property
     def dim(self) -> int:
@@ -126,7 +137,7 @@ class SignedPerm:
         """Matrix product self @ other."""
         col = tuple(other.col[c] for c in self.col)
         sign = tuple(s * other.sign[c] for s, c in zip(self.sign, self.col))
-        return SignedPerm(col, sign)
+        return SignedPerm._of(col, sign)
 
     def transpose(self) -> "SignedPerm":
         n = self.dim
@@ -135,10 +146,10 @@ class SignedPerm:
         for i in range(n):
             col[self.col[i]] = i
             sign[self.col[i]] = self.sign[i]
-        return SignedPerm(tuple(col), tuple(sign))
+        return SignedPerm._of(tuple(col), tuple(sign))
 
     def neg(self) -> "SignedPerm":
-        return SignedPerm(self.col, tuple(-s for s in self.sign))
+        return SignedPerm._of(self.col, tuple(-s for s in self.sign))
 
     def times(self, s: int) -> "SignedPerm":
         """The product with the sign s, +1 or -1."""

@@ -458,8 +458,9 @@ class MainSubalgebra:
             return self.H
         return () if self.D is None else (self.D,)
 
-    @property
+    @cached_property
     def d_square_sign(self) -> int | None:
+        """D^2 as +1 or -1 (None without D), composed once per structure."""
         if self.D is None:
             return None
         return 1 if self.D.compose(self.D).scalar_value() == 1 else -1

@@ -78,10 +78,11 @@ def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
         geo = geometry_of(sig)
         for volume_sign in (1, -1):
             rep = build_rep(sig, volume_sign)
+            real = rep.structure.d_square_sign == 1
             pairings = [
                 pr
                 for pr in admissible_pairings(rep)
-                if not geo.real or pr.isotropy == 1
+                if not real or pr.isotropy == 1
             ]
             assert pairings
             for pairing in pairings:
@@ -484,14 +485,13 @@ def test_battery_closed_forms_equal_the_oracle_pieces():
     shaped as ``appendix_check`` draws them.
     """
     rng = random.Random(47)
-    met = Metric.standard(SIG90)
     fours = [m for m in range(1 << 9) if m.bit_count() == 4]
     for _ in range(20):
         psi0 = Form.scalar(SIG90, rng.randint(-4, 4))
         psi1 = Form.from_mask_dict(SIG90, {1 << i: rng.randint(-4, 4) for i in range(9)})
         psi4 = Form.from_mask_dict(SIG90, {m: rng.randint(-4, 4) for m in rng.sample(fours, 6)})
         closed = _battery_closed_forms(psi0, psi1, psi4)
-        rows = _appendix_rows(psi0, psi1, psi4, met)
+        rows = _appendix_rows(psi0, psi1, psi4)
         assert [ident for ident, *_ in rows] == APPENDIX_ROW_IDS
         for ident, literal, _, grades in rows:
             assert literal == closed[ident], ident

@@ -1,5 +1,6 @@
 """Clifford product on forms: relations, volume, Hodge, truncation."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -107,8 +108,9 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
 
     On (9,0) the pinor grade set {0, 1, 4} fills a square table when most
     of its 136 masks are present and falls back to the ordered pair loop
-    when the form is sparse, spans a grade set past the table ceiling,
-    or lives under a diagonal with too many distinct pair weights.
+    when the form is sparse or spans a grade set past the table ceiling.
+    Under a diagonal that is not orthonormal a square takes the general
+    path, tables or not.
     """
     rng = random.Random(23)
     sig21 = Signature(2, 1)
@@ -126,16 +128,18 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
     pinor = frozenset({0, 1, 4})
     halves = Metric(SIG90, [[Fraction(1 + i % 2, 2) if i == j else 0 for j in range(9)] for i in range(9)])
     distinct = Metric(SIG90, [[Fraction(i + 2, 2 * i + 1) if i == j else 0 for j in range(9)] for i in range(9)])
-    for met, tabled in ((Metric.standard(SIG90), True), (halves, True), (distinct, False)):
-        kern = exterior._kernel_for(met)
+    for met in (Metric.standard(SIG90), halves, distinct):
         full = _grade_set_form(rng, SIG90, pinor)
         zeroed = _grade_set_form(rng, SIG90, pinor, keep=0.6, rational=True)
         sparse = _grade_set_form(rng, SIG90, pinor, keep=0.2)
-        for f in (full, zeroed):
-            assert (kern.square_table(pinor, f.num_terms()) is not None) is tabled
-        assert kern.square_table(pinor, sparse.num_terms()) is None
-        # the sequential oracle on the table path; the pair loop is checked above
-        _check_squares([zeroed] if met is halves else [full, zeroed], met, oracle=tabled)
+        if met.is_orthonormal:
+            kern = exterior._kernel_for(met)
+            for f in (full, zeroed):
+                assert kern.square_table(pinor, f.num_terms()) is not None
+            assert kern.square_table(pinor, sparse.num_terms()) is None
+        # the sequential oracle on the table path and under halves; the pair
+        # loop is checked above
+        _check_squares([zeroed] if met is halves else [full, zeroed], met, oracle=met is not distinct)
         _check_squares([sparse], met, oracle=False)
     # 336 masks on grades {3, 4, 5}: past the ceiling even when full
     wide = _grade_set_form(rng, SIG90, {3, 4, 5})
@@ -279,10 +283,11 @@ def test_packed_field_width_holds_a_bound_that_is_a_power_of_two(monkeypatch):
 
 
 def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
-    """Sparse inputs, tabled squares, n below the threshold and other diagonals keep the loop.
+    """Sparse inputs, tabled squares and n below the threshold keep the loop.
 
-    A dense square without a pair table (n = 9: 512 masks, past the
-    table ceiling) runs packed like any other dense product.
+    Diagonals that are not orthonormal take the general path.  A dense
+    square without a pair table (n = 9: 512 masks, past the table
+    ceiling) runs packed like any other dense product.
     """
     seen = []
     packed = graf._product_terms_packed
@@ -311,9 +316,9 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
     below = Signature(low - 1, 0)
     never.append((_dense_form(rng, below, draw), _dense_form(rng, below, draw), Metric.standard(below)))
     for diag in ((2, -3, 5), (2, -3, 5, 1, -1, 1), (1, -1, Fraction(1, 2), 1, 1, 1)):
-        sig = Signature(sum(1 for v in diag if v > 0), sum(1 for v in diag if v < 0))
-        met = Metric(sig, [[v if i == j else 0 for j, _ in enumerate(diag)] for i, v in enumerate(diag)])
-        assert not exterior._kernel_for(met).unit
+        met = _diagonal_metric(diag)
+        sig = met.signature
+        assert not met.is_orthonormal
         never.append((_dense_form(rng, sig, draw), _dense_form(rng, sig, draw), met))
     for f, g, met in never:
         prod = graf_product(f, g, met)
@@ -327,7 +332,6 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
     # three quarters exactly, under the standard and a mixed-sign metric, at the threshold
     for sig in (Signature(low, 0), Signature(low - 3, 3)):
         met = Metric.standard(sig)
-        assert exterior._kernel_for(met).unit
         masks = rng.sample(range(1 << low), (3 << low) // 4)
         f = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
         g = _dense_form(rng, sig, draw)
@@ -355,7 +359,6 @@ def test_packed_masks_are_bounded_per_kernel():
     sig = Signature(4, 2)
     met = Metric.standard(sig)
     rng = random.Random(33)
-    assert exterior._kernel_for(met).unit
     masks = exterior._DiagKernel.packed_masks
     masks.cache_clear()
     unit = _dense_form(rng, sig, lambda rng: rng.choice((-1, 1)))
@@ -385,15 +388,56 @@ def test_packed_masks_are_bounded_per_kernel():
     assert product(widths[0]) == 0
 
 
-def test_unit_flag_marks_exactly_the_plus_minus_one_diagonals():
-    def flag(diag):
-        n = len(diag)
-        sig = Signature(sum(1 for v in diag if v > 0), sum(1 for v in diag if v < 0))
-        gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return exterior._kernel_for(Metric(sig, gram)).unit
+def _diagonal_metric(diag) -> Metric:
+    """The metric with the given diagonal, over the signature of its signs."""
+    n = len(diag)
+    sig = Signature(sum(1 for v in diag if v > 0), sum(1 for v in diag if v < 0))
+    return Metric(sig, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    assert flag((1, 1, 1)) and flag((1, -1, -1)) and flag(())
-    assert not flag((2, -3, 5)) and not flag((1, Fraction(1, 2))) and not flag((-1, -2))
+
+def test_only_orthonormal_metrics_reach_the_kernel(monkeypatch):
+    """Scaled and rational diagonals take the general path and equal the oracle.
+
+    graf_product, hodge and contracted_wedge under (2,-3,5), (1/2,-3,5/7)
+    and a (9,0) diagonal of halves and ones never ask for the kernel of
+    that metric; the general path's one-generator wedges read the
+    standard frame's, which is orthonormal.  Under an orthonormal
+    diagonal in any sign order the product asks for its own kernel.
+    """
+    asked = []
+    kernel_for = graf._kernel_for
+
+    def spy(metric):
+        asked.append(metric)
+        return kernel_for(metric)
+
+    monkeypatch.setattr(graf, "_kernel_for", spy)
+    rng = random.Random(35)
+    halves = tuple(Fraction(1 + i % 2, 2) for i in range(9))
+    for diag in ((2, -3, 5), (Fraction(1, 2), -3, Fraction(5, 7)), halves):
+        met = _diagonal_metric(diag)
+        sig = met.signature
+        v = volume_form(sig)
+        for rational in (False, True):
+            for _ in range(3):
+                f = oracles.rand_form(rng, sig, terms=6, rational=rational)
+                g = oracles.rand_form(rng, sig, terms=6, rational=rational)
+                assert graf_product(f, g, met) == oracles.graf_product_oracle(f, g, met)
+                assert graf_product(f, f, met) == oracles.graf_product_oracle(f, f, met)
+                assert hodge(f, met) == oracles.graf_product_oracle(f, v, met)
+                for k in (0, 1, 2):
+                    assert contracted_wedge(f, g, k, met) == oracles.contracted_wedge_oracle(
+                        f, g, k, met
+                    )
+        assert asked and all(m.is_orthonormal for m in asked)
+        asked.clear()
+    with pytest.raises(ValueError):
+        exterior._DiagKernel(3, (2, -3, 5))
+    unit = _diagonal_metric((-1, 1, 1))
+    f = oracles.rand_form(rng, unit.signature)
+    assert graf_product(f, f, unit) == oracles.graf_product_oracle(f, f, unit)
+    assert hodge(f, unit) == oracles.graf_product_oracle(f, volume_form(unit.signature), unit)
+    assert asked == [unit, unit]
 
 
 def test_contracted_wedge_is_a_graded_slice_of_the_product():
@@ -479,14 +523,13 @@ def _pair_sign_factor(ma: int, mb: int, diag: tuple):
 
 
 def test_kernel_row_matches_the_pair_sign_definition():
-    rational = (Fraction(1, 2), -3, Fraction(5, 7), 2, Fraction(-1, 4), 1)
     checked = 0
     for n in range(7):
         diagonals = [
             (1,) * n,
+            (-1,) * n,
             tuple(1 if i % 3 else -1 for i in range(n)),
-            (2, -3, 5, -1, 1, 7)[:n],
-            rational[:n],
+            tuple(-1 if i % 2 else 1 for i in range(n)),
         ]
         for diag in diagonals:
             kern = exterior._DiagKernel(n, diag)
@@ -495,33 +538,35 @@ def test_kernel_row_matches_the_pair_sign_definition():
                 assert len(row) == 1 << n
                 for mb, entry in enumerate(row):
                     want = _pair_sign_factor(ma, mb, diag)
-                    assert entry == want and type(entry) is type(want)
+                    assert entry == want and type(entry) is int
                     checked += 1
-            if all(type(g) is int for g in diag):
-                assert all(type(v) is int for row in kern._rows.values() for v in row)
     assert checked == 4 * sum(4**n for n in range(7))
 
 
 def test_kernel_cache_is_bounded():
-    sig = Signature(2, 1)
+    """Orthonormal diagonals of every sign order at n = 4 go least recently used past the cap."""
     rng = random.Random(22)
-    base = Metric.standard(sig)
+    base = Metric.standard(Signature(2, 2))
+    others = [
+        _diagonal_metric(diag)
+        for diag in itertools.product((1, -1), repeat=4)
+        if diag != base.diagonal
+    ]
+    assert len(others) > exterior._KERNEL_CAP
     kernels = exterior._kernel
     kernels.cache_clear()
     kept = exterior._kernel_for(base)
-    for c in range(2, exterior._KERNEL_CAP + 6):
-        met = Metric(sig, [[c, 0, 0], [0, -3, 0], [0, 0, Fraction(1, c)]])
+    for met in others:
         for m in (met, base):
-            f = oracles.rand_form(rng, sig, rational=True)
-            g = oracles.rand_form(rng, sig)
+            f = oracles.rand_form(rng, m.signature, rational=True)
+            g = oracles.rand_form(rng, m.signature)
             assert graf_product(f, g, m) == oracles.graf_product_oracle(f, g, m)
         assert kernels.cache_info().currsize <= exterior._KERNEL_CAP
     # the metric used on every round is never the least recent, so it stays
     hits, misses = _lookups(kernels)
     assert exterior._kernel_for(base) is kept
     assert _lookups(kernels) == (hits + 1, misses)
-    first = Metric(sig, [[2, 0, 0], [0, -3, 0], [0, 0, Fraction(1, 2)]])
-    exterior._kernel_for(first)
+    exterior._kernel_for(others[0])
     assert _lookups(kernels) == (hits + 1, misses + 1)
 
 

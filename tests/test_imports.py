@@ -23,7 +23,11 @@ product against itself.  No library function takes a parameter named
 ``structure`` or ``geometry``: a representation carries its structure
 maps (``Rep.structure``) and a signature picks its geometry
 (``classify.geometry_of``), so passing either next to its source only
-admits a mismatched pair.  Every memo of the library is a
+admits a mismatched pair.  Likewise no function of a layer above
+``graf`` (``FRAME_MODULES``) takes a parameter named ``metric`` or
+``met``: those layers multiply in the standard orthonormal frame of
+the signature, the product's default, and ``classify``, ``fierz`` and
+``bilinear`` do not read ``Metric`` at all.  Every memo of the library is a
 ``functools.lru_cache`` with a finite integer ``maxsize`` (a literal or
 a module-level constant) or a ``functools.cached_property``: no
 ``OrderedDict`` LRU, no unbounded ``lru_cache`` or ``cache``, and no
@@ -67,6 +71,12 @@ DERIVED_PARAMETER_EXCEPTIONS = {
     ("bilinear", "admissible_pairings"),
     ("bilinear", "standard_pairing"),
 }
+# The layers above ``graf`` take no metric; those below the CLI read no
+# ``Metric`` (the CLI's report header and its check of the Clifford
+# relation read the standard one).
+METRIC_PARAMETERS = {"metric", "met"}
+FRAME_MODULES = ("matrixrep", "bilinear", "fierz", "classify", "cli")
+METRIC_FREE_MODULES = ("bilinear", "fierz", "classify")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -200,8 +210,8 @@ def exports_shadowing_submodules(init_source: str, stems: set[str]) -> list[str]
     return found
 
 
-def derived_parameters(sources: dict[str, str]) -> list[str]:
-    """Functions, methods and lambdas that take a parameter named in DERIVED_PARAMETERS."""
+def derived_parameters(sources: dict[str, str], names: set[str] = DERIVED_PARAMETERS) -> list[str]:
+    """Functions, methods and lambdas that take a parameter named in ``names``."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -211,7 +221,7 @@ def derived_parameters(sources: dict[str, str]) -> list[str]:
             args = node.args
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            hits = [p for p in params if p in DERIVED_PARAMETERS]
+            hits = [p for p in params if p in names]
             if hits and (module, name) not in DERIVED_PARAMETER_EXCEPTIONS:
                 found.append(f"{module}.{name}({', '.join(hits)}) (line {node.lineno})")
     return found
@@ -404,6 +414,41 @@ def test_the_parameter_checker_sees_structure_and_geometry_parameters():
     ]
 
 
+def test_the_parameter_checker_sees_metric_parameters():
+    sources = {
+        "fierz": (
+            "def check(cov, met):\n    pass\n"
+            "def profile(rep, pairing):\n    return rep.metric.diagonal\n"
+        ),
+        "cli": (
+            "def header(signature, *, metric=None):\n    pass\n"
+            "product = lambda f, g, metric: (f, g)\n"
+            "def rows(metrics, meta):\n    pass\n"
+        ),
+    }
+    assert derived_parameters(sources, METRIC_PARAMETERS) == [
+        "fierz.check(met) (line 1)",
+        "cli.header(metric) (line 1)",
+        "cli.<lambda>(metric) (line 3)",
+    ]
+
+
+def test_the_library_read_checker_sees_metric_reads():
+    source = (
+        "from .exterior import Form, Metric\n"
+        "from grafclifford.exterior import Metric as M\n"
+        "import grafclifford.exterior as ext\n"
+        "ext.Metric.standard(sig)\n"
+        "rep.metric.diagonal\n"
+        "Metrics = 1\n"
+    )
+    assert library_reads(source, {"Metric"}) == [
+        "Metric (line 1)",
+        "Metric (line 2)",
+        ".Metric (line 4)",
+    ]
+
+
 def test_the_memo_checker_sees_unbounded_and_per_instance_caches():
     source = (
         "import functools\n"
@@ -447,6 +492,22 @@ def test_every_library_memo_is_a_bounded_cache_or_a_cached_property():
 
 def test_no_library_function_takes_a_structure_or_a_geometry():
     assert derived_parameters({path.stem: path.read_text() for path in SRC}) == []
+
+
+def test_no_layer_above_graf_takes_a_metric():
+    sources = {path.stem: path.read_text() for path in SRC if path.stem in FRAME_MODULES}
+    assert set(sources) == set(FRAME_MODULES)
+    assert derived_parameters(sources, METRIC_PARAMETERS) == []
+
+
+def test_classify_fierz_and_bilinear_read_no_metric():
+    found = {}
+    for path in SRC:
+        if path.stem in METRIC_FREE_MODULES:
+            hits = library_reads(path.read_text(), {"Metric"})
+            if hits:
+                found[path.stem] = hits
+    assert found == {}
 
 
 def test_the_oracles_read_no_wedge_of_the_library():

@@ -10,7 +10,7 @@ from grafclifford.bilinear import admissible_pairings
 from grafclifford.errors import StructureError, UnsupportedSignature
 from grafclifford.exterior import Form, Signature
 from grafclifford.graf import graf_product
-from grafclifford.linalg import mat_mul, mat_scale
+from grafclifford.linalg import SignedPerm, mat_mul, mat_scale
 from grafclifford.matrixrep import (
     CASE_ALMOST_COMPLEX,
     CASE_NORMAL,
@@ -144,6 +144,33 @@ def test_commutant_dimensions(rep12, rep90, rep04):
             m = oracles.to_dense(m)
             for g in oracles.generators(rep):
                 assert mat_mul(m, g) == mat_mul(g, m)
+
+
+def test_a_blade_table_checks_only_the_identity(monkeypatch):
+    """Composed blades skip the signed-permutation check; the public constructor keeps it."""
+    rep = build_rep(Signature(4, 4))
+    rep._cache_sp.clear()
+    identity = SignedPerm.identity(rep.d)
+    checks = []
+    check = SignedPerm.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        check(self)
+
+    monkeypatch.setattr(SignedPerm, "__post_init__", counted)
+    table = [rep.blade_sp(mask) for mask in range(1 << rep.signature.n)]
+    assert checks == [identity]
+    monkeypatch.undo()
+    assert all(SignedPerm(sp.col, sp.sign) == sp for sp in table)
+    # an orthogonal g with g^2 = s Id has g^T = s g
+    for y, s in enumerate((1, 1, 1, 1, -1, -1, -1, -1)):
+        g = table[1 << y]
+        assert g.transpose() == g.times(s) and g.neg().compose(g).scalar_value() == -s
+    with pytest.raises(ValueError):
+        SignedPerm((0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        SignedPerm((1, 0), (1, 2))
 
 
 def test_commutant_is_solved_once_per_representation(monkeypatch):
