@@ -10,6 +10,10 @@ spinor (or of a hand-injected covariant set), ``census`` buckets
 seeded random spinors by covariant zero pattern, and ``appendix-check``
 replays the twelve closed-form product expansions.
 
+Each subcommand is one row of the table in ``build_parser``: name, help,
+flag defaults, handler, whether ``--signature`` is required, positional.
+Handlers read the parsed namespace; ``main`` dispatches through it.
+
 Every report embeds the tool version, signature, metric, volume sign,
 pairing hash and seed; identical configurations produce byte-identical
 output.  Exit status 0 means no oracle-level check failed (flagged
@@ -23,7 +27,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .bilinear import Pairing, admissible_pairings, b_eval, preferred_pairing
 from .errors import (
@@ -66,19 +69,6 @@ from .classify import (
 )
 
 TOOL_NAME = "grafclifford"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: everything a subcommand needs, no globals."""
-
-    signature: Signature | None
-    volume_sign: int
-    seed: int
-    samples: int
-    trials: int | None
-    out: str | None
-    fmt: str
 
 
 def _parse_signature(text: str) -> Signature:
@@ -148,13 +138,13 @@ def _render_text(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.fmt == "json":
         payload = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         payload = "\n".join(_render_text(report)) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
@@ -241,23 +231,23 @@ def _check_signature_properties(sig: Signature, trials: int, seed: int, report: 
     return ok
 
 
-def cmd_check_algebra(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.signature is not None:
-        sigs = [cfg.signature]
-        trials = 25 if cfg.trials is None else cfg.trials
+def cmd_check_algebra(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.signature is not None:
+        sigs = [args.signature]
+        trials = 25 if args.trials is None else args.trials
     else:
         bound = min(9, max_dim())
         sigs = [Signature(p, n - p) for n in range(bound + 1) for p in range(n, -1, -1)]
-        trials = 5 if cfg.trials is None else cfg.trials
+        trials = 5 if args.trials is None else args.trials
     report: dict = {
-        "provenance": _provenance(cfg.signature, None, None, cfg.seed),
+        "provenance": _provenance(args.signature, None, None, args.seed),
         "trials_per_signature": trials,
         "signatures_checked": len(sigs),
         "volume_square_table": [],
     }
     all_ok = True
     for sig in sigs:
-        all_ok &= _check_signature_properties(sig, trials, cfg.seed, report)
+        all_ok &= _check_signature_properties(sig, trials, args.seed, report)
         report["volume_square_table"].append([sig.p, sig.q, volume_square_sign(sig.p, sig.q)])
     report["passed"] = all_ok
     return (0 if all_ok else 1), report
@@ -288,17 +278,16 @@ def _pairing_obj(pairing: Pairing) -> dict:
     return {"hash": pairing.content_hash(), **pairing.to_json_obj()}
 
 
-def cmd_build_rep(cfg: RunConfig) -> tuple[int, dict]:
-    sig = _require_signature(cfg)
-    rep, pairings, preferred = _build_all(sig, cfg.volume_sign)
-    report = {
-        "provenance": _provenance(sig, rep.volume_sign, preferred.content_hash(), cfg.seed),
+def cmd_build_rep(args: argparse.Namespace) -> tuple[int, dict]:
+    sig = args.signature
+    rep, pairings, preferred = _build_all(sig, args.volume_sign)
+    return 0, {
+        "provenance": _provenance(sig, rep.volume_sign, preferred.content_hash(), args.seed),
         "representation": rep.to_json_obj(),
         "structure": _structure_obj(rep),
         "pairings": [_pairing_obj(p) for p in pairings],
         "passed": True,
     }
-    return 0, report
 
 
 # -- verify-fierz ------------------------------------------------------------------------
@@ -312,11 +301,11 @@ def _random_vec(rng: random.Random, dim: int) -> tuple:
     return tuple(rng.randint(-VECTOR_BOX, VECTOR_BOX) for _ in range(dim))
 
 
-def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
-    sig = _require_signature(cfg)
-    rep, _, pairing = _build_all(sig, cfg.volume_sign)
-    rng = random.Random(cfg.seed)
-    samples = cfg.samples
+def cmd_verify_fierz(args: argparse.Namespace) -> tuple[int, dict]:
+    sig = args.signature
+    rep, _, pairing = _build_all(sig, args.volume_sign)
+    rng = random.Random(args.seed)
+    samples = args.samples
     dim = rep.abs.rep_dim
 
     fundamental_fails = reconstruction_fails = fierz_fails = 0
@@ -338,7 +327,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
                 first_fierz_failure = verdict.to_json_obj()
 
     report: dict = {
-        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
         "case": rep.abs.case,
         "samples": samples,
         "oracles": {
@@ -354,7 +343,7 @@ def cmd_verify_fierz(cfg: RunConfig) -> tuple[int, dict]:
     flagged_rows: dict[str, int] = {}
     flagged_example = None
     if (sig.p, sig.q) in GEOMETRIES:
-        rng2 = random.Random(cfg.seed + 1)
+        rng2 = random.Random(args.seed + 1)
         for _ in range(samples):
             alpha = prepare(rep, _random_vec(rng2, dim))
             covs = covariants(rep, pairing, alpha)
@@ -392,11 +381,11 @@ def _load_json_file(path: str):
             return json.load(handle)
     except OSError as exc:
         raise FormParseError(f"cannot read spinor file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8, digit limit, depth
         raise FormParseError(f"spinor file {path!r} is not valid JSON: {exc}") from exc
 
 
-def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[int, dict]:
+def _classify_injected(sig: Signature, payload: dict, args: argparse.Namespace) -> tuple[int, dict]:
     geo = geometry_of(sig)
     extra = sorted(set(payload) - {"covariants", "scalar"})
     if extra:
@@ -426,9 +415,9 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
     covs = tuple(load_form(name, grade) for name, grade in geo.components)
     scalar = payload.get("scalar")
     scalar = covs[0].scalar_part() if scalar is None else rational_from_json(scalar, "scalar")
-    result = class_report(covs, scalar, cfg.volume_sign).to_json_obj()
+    result = class_report(covs, scalar, args.volume_sign).to_json_obj()
     report = {
-        "provenance": _provenance(sig, cfg.volume_sign, None, cfg.seed),
+        "provenance": _provenance(sig, args.volume_sign, None, args.seed),
         "mode": "covariant-injection",
         "scalar": rational_to_str(scalar),
         "class_index": result["class_index"],
@@ -440,18 +429,18 @@ def _classify_injected(sig: Signature, payload: dict, cfg: RunConfig) -> tuple[i
     return 0, report
 
 
-def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
-    sig = _require_signature(cfg)
-    payload = _load_json_file(spinor_path)
+def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
+    sig = args.signature
+    payload = _load_json_file(args.spinor_file)
     if isinstance(payload, dict) and "covariants" in payload:
-        return _classify_injected(sig, payload, cfg)
+        return _classify_injected(sig, payload, args)
     if not isinstance(payload, list):
         raise FormParseError(
             "spinor file must be a JSON array of rationals or an object with 'covariants'"
         )
     vec = tuple(rational_from_json(item, "spinor entry") for item in payload)
     geometry_of(sig)  # refuses an unclassified signature before the build
-    rep, _, pairing = _build_all(sig, cfg.volume_sign)
+    rep, _, pairing = _build_all(sig, args.volume_sign)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch(
             f"spinor has {len(vec)} entries; the representation needs {rep.abs.rep_dim}"
@@ -459,7 +448,7 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
     covs = covariants(rep, pairing, prepare(rep, vec))
     result = class_report(covs, None, rep.volume_sign, pairing.content_hash())
     report = {
-        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
         "mode": "spinor",
         "report": result.to_json_obj(),
         "passed": True,
@@ -470,29 +459,28 @@ def cmd_classify(cfg: RunConfig, spinor_path: str) -> tuple[int, dict]:
 # -- census ------------------------------------------------------------------------------
 
 
-def cmd_census(cfg: RunConfig) -> tuple[int, dict]:
-    sig = _require_signature(cfg)
+def cmd_census(args: argparse.Namespace) -> tuple[int, dict]:
+    sig = args.signature
     geometry_of(sig)  # refuses an unclassified signature before the build
-    rep, pairings, pairing = _build_all(sig, cfg.volume_sign)
-    result = census(rep, pairings, cfg.samples, cfg.seed)
-    report = {
-        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), cfg.seed),
+    rep, pairings, pairing = _build_all(sig, args.volume_sign)
+    result = census(rep, pairings, args.samples, args.seed)
+    return 0, {
+        "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
         "census": result.to_json_obj(),
         "passed": True,
     }
-    return 0, report
 
 
 # -- appendix-check ----------------------------------------------------------------------
 
 
-def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.volume_sign != 1:
+def cmd_appendix_check(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.volume_sign != 1:
         raise UnsupportedSignature("the identity battery is stated under volume sign +")
-    sig = cfg.signature if cfg.signature is not None else Signature(*APPENDIX_SIGNATURE)
-    verdict = appendix_check(sig, cfg.trials, cfg.seed)
+    sig = args.signature if args.signature is not None else Signature(*APPENDIX_SIGNATURE)
+    verdict = appendix_check(sig, args.trials, args.seed)
     report = {
-        "provenance": _provenance(sig, cfg.volume_sign, None, cfg.seed),
+        "provenance": _provenance(sig, args.volume_sign, None, args.seed),
         "battery": verdict.to_json_obj(),
         "passed": verdict.passed,
     }
@@ -500,12 +488,6 @@ def cmd_appendix_check(cfg: RunConfig) -> tuple[int, dict]:
 
 
 # -- entry point -------------------------------------------------------------------------
-
-
-def _require_signature(cfg: RunConfig) -> Signature:
-    if cfg.signature is None:
-        raise UnsupportedSignature("this subcommand requires --signature p,q")
-    return cfg.signature
 
 
 # argparse options of the flags that only some subcommands read
@@ -516,16 +498,6 @@ _OPTIONAL_FLAGS = {
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    """The flags every subcommand reads, plus those in ``defaults`` (flag to default)."""
-    sub.add_argument("--signature", type=_parse_signature, default=None, metavar="p,q")
-    sub.add_argument("--seed", type=int, default=0)
-    for flag, default in defaults.items():
-        sub.add_argument(flag, default=default, **_OPTIONAL_FLAGS[flag])
-    sub.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-    sub.add_argument("--out", default=None, metavar="PATH")
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports an invalid invocation on one stderr line, without the usage block."""
 
@@ -534,6 +506,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its rows are built per call, so they name the handlers bound now."""
     parser = _Parser(
         prog=TOOL_NAME,
         description="Exact arithmetic engine for Clifford algebra on exterior forms.",
@@ -541,65 +514,57 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     vol = {"--volume-sign": "+"}
-    specs = (
-        ("check-algebra", "replay the product-level property suite", {"--trials": None}),
-        ("build-rep", "construct and verify a matrix representation", vol),
-        ("verify-fierz", "run the quadratic identity suite on seeded spinors", {"--samples": 20, **vol}),
-        ("classify", "classify one spinor or covariant set from a JSON file", vol),
-        ("census", "bucket seeded random spinors by covariant pattern", {"--samples": 1000, **vol}),
-        ("appendix-check", "replay the twelve product expansions", {"--trials": 100, **vol}),
+    # name, help, flag defaults, handler, whether --signature is required, positional
+    table = (
+        ("check-algebra", "replay the product-level property suite", {"--trials": None},
+         cmd_check_algebra, False, None),
+        ("build-rep", "construct and verify a matrix representation", vol,
+         cmd_build_rep, True, None),
+        ("verify-fierz", "run the quadratic identity suite on seeded spinors",
+         {"--samples": 20, **vol}, cmd_verify_fierz, True, None),
+        ("classify", "classify one spinor or covariant set from a JSON file", vol,
+         cmd_classify, True, "SPINOR_FILE"),
+        ("census", "bucket seeded random spinors by covariant pattern",
+         {"--samples": 1000, **vol}, cmd_census, True, None),
+        ("appendix-check", "replay the twelve product expansions", {"--trials": 100, **vol},
+         cmd_appendix_check, False, None),
     )
-    for name, help_text, defaults in specs:
+    for name, help_text, defaults, handler, needs_signature, positional in table:
         sub = commands.add_parser(name, help=help_text)
-        _add_flags(sub, defaults)
-        if name == "classify":
-            sub.add_argument("spinor_file", metavar="SPINOR_FILE")
+        # the flags every subcommand reads, plus the row's (flag to default)
+        sub.add_argument("--signature", type=_parse_signature, default=None, metavar="p,q")
+        sub.add_argument("--seed", type=int, default=0)
+        for flag, default in defaults.items():
+            sub.add_argument(flag, default=default, **_OPTIONAL_FLAGS[flag])
+        sub.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
+        sub.add_argument("--out", default=None, metavar="PATH")
+        if positional:
+            sub.add_argument(positional.lower(), metavar=positional)
+        sub.set_defaults(handler=handler, needs_signature=needs_signature)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    return RunConfig(
-        signature=args.signature,
-        volume_sign=-1 if given.get("volume_sign") == "-" else 1,
-        seed=args.seed,
-        samples=given.get("samples", 0),
-        trials=given.get("trials"),
-        out=args.out,
-        fmt=args.fmt,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
+    if "volume_sign" in args:
+        args.volume_sign = -1 if args.volume_sign == "-" else 1
     try:
-        if args.command == "check-algebra":
-            status, report = cmd_check_algebra(cfg)
-        elif args.command == "build-rep":
-            status, report = cmd_build_rep(cfg)
-        elif args.command == "verify-fierz":
-            status, report = cmd_verify_fierz(cfg)
-        elif args.command == "classify":
-            status, report = cmd_classify(cfg, args.spinor_file)
-        elif args.command == "census":
-            status, report = cmd_census(cfg)
-        else:
-            status, report = cmd_appendix_check(cfg)
+        if args.needs_signature and args.signature is None:
+            raise UnsupportedSignature("this subcommand requires --signature p,q")
+        status, report = args.handler(args)
     except (FormParseError, DimensionMismatch, UnsupportedSignature) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
     except (NotASpinor, StructureError) as exc:
         status, report = 1, {
-            "provenance": _provenance(cfg.signature, None, None, cfg.seed),
+            "provenance": _provenance(args.signature, None, None, args.seed),
             "error": str(exc),
             "passed": False,
         }
     try:
-        _emit(report, cfg)
+        _emit(report, args)
     except OSError as exc:
-        target = repr(cfg.out) if cfg.out else "stdout"
+        target = repr(args.out) if args.out else "stdout"
         print(f"{TOOL_NAME}: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return status

@@ -74,12 +74,19 @@ def max_dim() -> int:
     return value
 
 
+# The one grammar of a rational literal, 'num' or 'num/den': no '+', point, exponent or '_'.
+_RATIONAL = r"-?\d+(?:/\d+)?"
+
+
 def rational_from_str(text: str) -> Rational:
-    """Parse 'num' or 'num/den' into an exact rational."""
-    try:
-        return _norm(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormParseError(f"bad rational literal {text!r}") from exc
+    """Parse a ``_RATIONAL`` literal, surrounding blanks allowed, into an exact rational."""
+    literal = text.strip()
+    if re.fullmatch(_RATIONAL, literal):
+        try:
+            return _norm(Fraction(literal))
+        except (ValueError, ZeroDivisionError):  # past the int digit limit, or over zero
+            pass
+    raise FormParseError(f"bad rational literal {text!r}")
 
 
 def rational_from_json(value, what: str) -> Rational:
@@ -342,7 +349,7 @@ class Form:
         terms: list[tuple[int, Rational]] = []
         for chunk in body.split("+"):
             chunk = chunk.strip()
-            m = re.fullmatch(r"(?P<c>-?\d+(?:/\d+)?)\s*\*\s*e\{(?P<idx>[\d,\s]*)\}", chunk)
+            m = re.fullmatch(rf"(?P<c>{_RATIONAL})\s*\*\s*e\{{(?P<idx>[\d,\s]*)\}}", chunk)
             if m is None:
                 raise FormParseError(f"bad form term {chunk!r}")
             coeff = rational_from_str(m.group("c"))
@@ -374,11 +381,10 @@ class Form:
                 blade = Blade(indices)
             except ValueError as exc:
                 raise FormParseError(f"bad form term {entry!r}") from exc
+            if indices and indices[-1] > signature.n:  # before a mask that wide is built
+                raise FormParseError(f"blade {blade.indices} exceeds dimension {signature.n}")
             terms.append((blade.mask, rational_from_json(coeff, "coefficient")))
-        try:
-            return cls(signature, terms)
-        except ValueError as exc:
-            raise FormParseError(str(exc)) from exc
+        return cls(signature, terms)
 
 
 # Standard metrics kept, one per signature; every signature inside the

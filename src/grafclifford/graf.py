@@ -14,7 +14,8 @@ slice of the product:
     cw_k(f_m, g_l) = k! (-1)^(k(m-k) + floor(k/2)) <f_m * g_l>_(m+l-2k).
 
 ``contracted_wedge`` and ``wedge`` (k = 0) are computed so, and the
-product is the only code that pairs blades.
+product is the only code that pairs blades: ``interior`` and the
+covector wedge of the general path each remove or add one index.
 
 For diagonal metrics the k-sum collapses per blade pair: only the term
 contracting the full shared index set survives.  Under an orthonormal
@@ -22,7 +23,8 @@ metric (a diagonal of +1 and -1 entries) the product reads it as
 e_a e_b = row_a[b] e_(a^b) from the kernel rows of ``exterior``.  Any
 metric that is not orthonormal multiplies one left generator at a time
 (``_product_general``).  A covector acts as e_i h = e_i ^ h + c_i h,
-with c_i = sum_j g^ij i_j built from ``interior``; for i the lowest
+with e_i ^ h inserting i by ``interior_sign`` (no kernel is read) and
+c_i = sum_j g^ij i_j built from ``interior``; for i the lowest
 index of a and r = a - {i}, e_a = e_i e_r - c_i e_r, so
 e_a h = e_i (e_r h) - (c_i e_r) h, over the products e_s h of smaller
 blades, each formed once.
@@ -90,6 +92,7 @@ from .exterior import (
     _kernel_for,
     grade_project,
     interior,
+    interior_sign,
 )
 from .linalg import Rational, _norm, common_denominator
 
@@ -232,6 +235,7 @@ def _product_general(f: Form, g: Form, metric: Metric) -> Form:
 
     e_a g = e_i (e_r g) - (c_i e_r) g for i the lowest index of a and
     r = a - {i}, with e_i h = e_i ^ h + c_i h; each e_a g is formed once.
+    The wedge inserts i: e_i ^ e_m = (-1)^(indices of m below i) e_(m+i).
     """
     sig = f.signature
     done = {0: g}
@@ -242,7 +246,8 @@ def _product_general(f: Form, g: Form, metric: Metric) -> Form:
             low = a & -a
             i, rest = low.bit_length(), a ^ low
             h = left(rest)
-            h = wedge(Form.blade(sig, low), h) + _contraction(i, h, metric)
+            wedged = {m | low: c * interior_sign(m, i) for m, c in h.mask_items() if not m & low}
+            h = Form._adopt(sig, wedged) + _contraction(i, h, metric)
             for s, c in _contraction(i, Form.blade(sig, rest), metric).mask_items():
                 h = h - left(s).scale(c)
             done[a] = h

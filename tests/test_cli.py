@@ -1,5 +1,7 @@
 """End-to-end command-line checks: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from grafclifford.classify import geometry_of
 from grafclifford import cli, exterior, matrixrep
@@ -330,6 +334,35 @@ def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
         assert err.startswith(f"grafclifford: error: {what} must be an integer or a rational string")
 
 
+def assert_refused(argv, capsys):
+    """The invocation exits 2 with nothing on stdout and one error line on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("grafclifford: error: spinor file ")
+    return captured.err
+
+
+def test_a_spinor_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe[1]")
+    assert "utf-8" in assert_refused(["classify", "--signature", "9,0", str(path)], capsys)
+
+
+def test_a_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text("[" + "1" * 5000 + "]")
+    assert "digits" in assert_refused(["classify", "--signature", "9,0", str(path)], capsys)
+
+
+def test_arrays_nested_past_the_recursion_limit_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert "recursion" in assert_refused(["classify", "--signature", "9,0", str(path)], capsys)
+
+
 def test_census_output_is_byte_identical(tmp_path):
     args = ["census", "--signature", "1,2", "--samples", "40", "--seed", "7"]
     out1 = tmp_path / "a.json"
@@ -468,6 +501,150 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and f"unrecognized arguments: {flag}" in err, err
+
+
+# -- the exit-code contract, fuzzed ----------------------------------------------------
+
+SPINOR = "<spinor file>"  # stands for the drawn spinor file's path in a drawn argv
+SIGNATURES = [f"{p},{n - p}" for n in range(5) for p in range(n, -1, -1)] + ["9,0"]
+BAD_SIGNATURES = ["3", "1,2,3", "a,b", "-1,2", "13,0", ""]
+COUNTS, BAD_COUNTS = ["0", "1", "2"], ["-1", "x", "1.5", "9" * 5000]
+FLAG_VALUES = {  # flag: (valid values, invalid values)
+    "--samples": (COUNTS, BAD_COUNTS),
+    "--trials": (COUNTS, BAD_COUNTS),
+    "--volume-sign": (["+", "-"], ["0", "plus"]),
+    "--format": (["json", "text"], ["xml"]),
+}
+GOOD_RATIONALS = ["1/2", "-3", "6/4", " 5 "]
+BAD_RATIONALS = ["1e5", "0.5", "1_0", "+4", "x/3", "1/0", "", "1/-2"]
+COVARIANT_NAMES = ["psi0", "psi1", "psi4", "phi0", "phi2", "chi"]
+HUGE = 10**40
+
+
+@st.composite
+def invocations(draw):
+    """An argv over the six subcommands: valid and invalid flag values, foreign flags, no --out."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    signature = draw(
+        st.sampled_from(SIGNATURES)
+        | st.sampled_from(["1,2", "9,0"])  # the classified pair, so classify and census run
+        | st.sampled_from([None, *BAD_SIGNATURES])
+    )
+    assume(command != "check-algebra" or signature is not None)  # the full sweep takes seconds
+    argv = [command] if signature is None else [command, "--signature", signature]
+    flags = sorted(SUBCOMMAND_FLAGS[command] | {"--format"})
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(flags)))))
+    spoiled = draw(st.sampled_from(flags)) if draw(st.integers(0, 2)) == 0 else None
+    for flag in flags:
+        value = draw(st.sampled_from([None, *FLAG_VALUES[flag][flag == spoiled]]))
+        if value is not None:
+            argv += [flag, value]
+    if command == "classify" and draw(st.integers(0, 9)):
+        argv.append(SPINOR)
+    return argv
+
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([HUGE, -HUGE, True, False, 0.5, 1.0, None]),
+    st.sampled_from(GOOD_RATIONALS + BAD_RATIONALS),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+clean_entries = st.integers(-3, 3) | st.sampled_from([HUGE, -HUGE, *GOOD_RATIONALS])
+spinor_arrays = st.sampled_from([3, 4, 16]).flatmap(
+    lambda n: st.lists(clean_entries, min_size=n, max_size=n)
+    | st.lists(entries, min_size=n, max_size=n)
+)
+blades = st.lists(st.integers(0, 10) | st.just(10**30), max_size=3)
+terms = st.fixed_dictionaries({"blade": blades, "coeff": clean_entries | entries})
+forms = st.lists(terms | entries, max_size=3)
+injected = st.fixed_dictionaries(
+    {"covariants": st.dictionaries(st.sampled_from(COVARIANT_NAMES), forms, max_size=3)},
+    optional={"scalar": clean_entries | entries, "scalr": entries},
+)
+
+
+@st.composite
+def spinor_files(draw):
+    """Mostly JSON spinor arrays and injected covariants, sometimes a bare value or raw bytes."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.binary(max_size=8))
+    payload = draw(spinor_arrays if kind < 6 else injected if kind < 9 else entries)
+    return json.dumps(payload).encode()
+
+
+CLASSIFY_9_0 = ["classify", "--signature", "9,0", SPINOR]
+
+
+def unit_term(*blade):
+    """The form term 1 e_blade."""
+    return {"blade": list(blade), "coeff": "1"}
+
+
+def injected_json(**covariants) -> bytes:
+    return json.dumps({"covariants": covariants}).encode()
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def must_refuse(content: bytes) -> bool:
+    """A spinor file holding a bool, a float or a malformed rational anywhere is invalid."""
+    try:
+        payload = json.loads(content)
+    except ValueError:
+        return True
+    return any(
+        isinstance(leaf, (bool, float)) or leaf in BAD_RATIONALS for leaf in _leaves(payload)
+    )
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=100,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=invocations(), content=spinor_files())
+@example(argv=CLASSIFY_9_0, content=b"\xff\xfe[1]")
+@example(argv=CLASSIFY_9_0, content=b"[" + b"1" * 5000 + b"]")
+@example(argv=CLASSIFY_9_0, content=b"[" * 100_000 + b"]" * 100_000)
+@example(argv=CLASSIFY_9_0, content=json.dumps(["1e5"] + [0] * 15).encode())
+@example(argv=CLASSIFY_9_0, content=injected_json(psi1=[unit_term(10**30)]))
+@example(argv=CLASSIFY_9_0, content=injected_json(psi0=[unit_term()]))  # the master fails: exit 1
+def test_every_invocation_keeps_the_exit_code_contract(tmp_path, argv, content):
+    """Exit 0, 1 or 2, never a traceback; 2 is one error line; 0 and 1 print one report."""
+    path = tmp_path / "spinor.json"
+    path.write_bytes(content)
+    argv = [str(path) if arg == SPINOR else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 2:
+        assert out == "" and len(err.splitlines()) == 1, (out, err)
+        return
+    assert err == ""
+    if str(path) in argv:
+        assert not must_refuse(content), argv
+    if "text" not in argv:
+        assert out.count("\n") == 1
+        assert json.loads(out)["passed"] is (status == 0)
 
 
 def run_cli_process(args, cap):

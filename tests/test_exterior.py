@@ -42,8 +42,10 @@ def test_rational_string_round_trip():
     for value in (0, 3, -7, Fraction(2, 3), Fraction(-11, 24)):
         assert rational_from_str(rational_to_str(value)) == value
     assert rational_from_str("6/4") == Fraction(3, 2)
-    with pytest.raises(FormParseError):
-        rational_from_str("not-a-number")
+    # one grammar, -?num(/den)?: Fraction's point, exponent, '_' and '+' are refused
+    for bad in ("not-a-number", "1e5", "0.5", "1_0", "+4"):
+        with pytest.raises(FormParseError, match="bad rational literal"):
+            rational_from_str(bad)
 
 
 def test_json_rationals_are_ints_or_rational_strings():
