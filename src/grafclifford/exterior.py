@@ -370,6 +370,11 @@ class Form:
             raise FormParseError("form JSON must be a list of terms")
         terms = []
         for entry in obj:
+            extra = sorted(set(entry) - {"blade", "coeff"}) if isinstance(entry, dict) else None
+            if extra:
+                raise FormParseError(
+                    f"unknown key {', '.join(map(repr, extra))}: a form term takes blade, coeff"
+                )
             try:
                 indices = tuple(entry["blade"])
                 coeff = entry["coeff"]

@@ -82,6 +82,7 @@ def invocations() -> list[list[str]]:
         ["classify", "--signature", "9,0", "spinor_short.json"],
         ["classify", "--signature", "9,0", "bad_scalar_9_0.json"],
         ["classify", "--signature", "9,0", "unknown_key_9_0.json"],
+        ["classify", "--signature", "9,0", "unknown_term_key_9_0.json"],
         ["classify", "--signature", "9,0", "out_of_range_9_0.json"],
         ["classify", "--signature", "1,2", "inject_9_0.json"],
         ["classify", "--signature", "9,0", "missing.json"],

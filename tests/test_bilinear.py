@@ -1,5 +1,6 @@
 """Admissible pairings: solving, sign metadata, transpose law, vanishing ranks."""
 
+import hashlib
 import random
 
 import pytest
@@ -115,6 +116,13 @@ def test_pairing_json_and_hash_round_trip(pr12):
     assert (clone.sigma, clone.tau, clone.isotropy) == (pr12.sigma, pr12.tau, pr12.isotropy)
     assert clone.content_hash() == pr12.content_hash()
     assert len(pr12.content_hash()) == 16
+
+
+def test_content_hash_is_the_hashlib_sha256_prefix_of_the_canonical_json():
+    for p, q in ((9, 0), (1, 2), (0, 4), (4, 6)):
+        for pairing in admissible_pairings(build_rep(Signature(p, q))):
+            want = hashlib.sha256(pairing.to_json().encode()).hexdigest()[:16]
+            assert pairing.content_hash() == want, (p, q)
 
 
 def test_pairing_verify_rejects_wrong_matrices(rep12, pr12):

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: reports, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -278,6 +279,22 @@ def test_classify_injection_refuses_unknown_top_level_keys(tmp_path, capsys):
         assert unknown in captured.err and "covariants, scalar" in captured.err
 
 
+def test_classify_injection_refuses_unknown_term_keys(tmp_path, capsys):
+    """A misspelled key inside a form term exits 2 instead of being dropped."""
+    path = tmp_path / "cov.json"
+    for term, unknown in (
+        ({"blade": [], "coeff": "1", "coef": "5"}, "'coef'"),
+        ({"blade": [], "coeff": "1", "Blade": [1], "note": ""}, "'Blade', 'note'"),
+        ({"blade": [], "coef": "1"}, "'coef'"),
+    ):
+        path.write_text(json.dumps({"covariants": {"psi0": [term]}}))
+        assert main(["classify", "--signature", "9,0", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert unknown in captured.err and "blade, coeff" in captured.err
+
+
 def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps([1, 0, 0, 0]))
@@ -518,6 +535,7 @@ FLAG_VALUES = {  # flag: (valid values, invalid values)
 GOOD_RATIONALS = ["1/2", "-3", "6/4", " 5 "]
 BAD_RATIONALS = ["1e5", "0.5", "1_0", "+4", "x/3", "1/0", "", "1/-2"]
 COVARIANT_NAMES = ["psi0", "psi1", "psi4", "phi0", "phi2", "chi"]
+UNKNOWN_KEYS = ["scalr", "coef", "Blade"]  # misspelled top-level and term keys
 HUGE = 10**40
 
 
@@ -557,7 +575,10 @@ spinor_arrays = st.sampled_from([3, 4, 16]).flatmap(
     | st.lists(entries, min_size=n, max_size=n)
 )
 blades = st.lists(st.integers(0, 10) | st.just(10**30), max_size=3)
-terms = st.fixed_dictionaries({"blade": blades, "coeff": clean_entries | entries})
+terms = st.fixed_dictionaries(
+    {"blade": blades, "coeff": clean_entries | entries},
+    optional={"coef": clean_entries, "Blade": blades},
+)
 forms = st.lists(terms | entries, max_size=3)
 injected = st.fixed_dictionaries(
     {"covariants": st.dictionaries(st.sampled_from(COVARIANT_NAMES), forms, max_size=3)},
@@ -588,7 +609,9 @@ def injected_json(**covariants) -> bytes:
 
 
 def _leaves(obj):
+    """Every scalar in a JSON value, object keys included."""
     if isinstance(obj, dict):
+        yield from obj
         obj = list(obj.values())
     if isinstance(obj, list):
         for item in obj:
@@ -598,13 +621,14 @@ def _leaves(obj):
 
 
 def must_refuse(content: bytes) -> bool:
-    """A spinor file holding a bool, a float or a malformed rational anywhere is invalid."""
+    """A spinor file holding a bool, a float, a malformed rational or an unknown key is invalid."""
     try:
         payload = json.loads(content)
     except ValueError:
         return True
     return any(
-        isinstance(leaf, (bool, float)) or leaf in BAD_RATIONALS for leaf in _leaves(payload)
+        isinstance(leaf, (bool, float)) or leaf in BAD_RATIONALS + UNKNOWN_KEYS
+        for leaf in _leaves(payload)
     )
 
 
@@ -622,6 +646,7 @@ def must_refuse(content: bytes) -> bool:
 @example(argv=CLASSIFY_9_0, content=json.dumps(["1e5"] + [0] * 15).encode())
 @example(argv=CLASSIFY_9_0, content=injected_json(psi1=[unit_term(10**30)]))
 @example(argv=CLASSIFY_9_0, content=injected_json(psi0=[unit_term()]))  # the master fails: exit 1
+@example(argv=CLASSIFY_9_0, content=injected_json(psi0=[{**unit_term(), "coef": "5"}]))
 def test_every_invocation_keeps_the_exit_code_contract(tmp_path, argv, content):
     """Exit 0, 1 or 2, never a traceback; 2 is one error line; 0 and 1 print one report."""
     path = tmp_path / "spinor.json"
@@ -673,3 +698,46 @@ def test_dimension_cap_refusals_in_a_fresh_process():
         assert len(done.stderr.splitlines()) == 1, done.stderr
         assert "GRAF_MAX_DIM" in done.stderr
         assert done.stdout == ""
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import grafclifford.cli as cli
+def openssl():
+    return sorted({"hashlib", "_hashlib"} & set(sys.modules))
+loaded = [openssl()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    loaded.append([argv[0], status, openssl()])
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module",
+)
+def test_no_cli_process_loads_hashlib_when_a_builtin_sha256_exists():
+    """The pairing hash takes CPython's built-in SHA-256, so OpenSSL stays unloaded."""
+    spinor = str(Path(__file__).resolve().parent / "golden" / "spinor_1_2.json")
+    runs = [
+        ["build-rep", "--signature", "1,2"],
+        ["verify-fierz", "--signature", "1,2", "--samples", "1"],
+        ["classify", "--signature", "1,2", spinor],
+        ["census", "--signature", "1,2", "--samples", "1"],
+        ["check-algebra", "--signature", "1,2", "--trials", "1"],
+        ["appendix-check", "--trials", "1"],
+    ]
+    assert {run[0] for run in runs} == set(SUBCOMMAND_FLAGS)
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    after_import, *after_runs = json.loads(done.stdout)
+    assert after_import == []
+    assert after_runs == [[run[0], 0, []] for run in runs]

@@ -32,7 +32,12 @@ the signature, the product's default, and ``classify``, ``fierz`` and
 a module-level constant) or a ``functools.cached_property``: no
 ``OrderedDict`` LRU, no unbounded ``lru_cache`` or ``cache``, and no
 ``lru_cache(...)(self.<attr>)``, whose cache of bound methods keeps
-every instance it has seen alive until a garbage-collection pass.
+every instance it has seen alive until a garbage-collection pass.  No
+library module imports ``hashlib`` or ``_hashlib``, at module or function
+level: importing either loads OpenSSL's libcrypto into every CLI process
+(3.7 MiB resident on CPython 3.11, x86-64 Linux), and CPython's built-in
+``_sha2``/``_sha256`` give the same digest.  The one allowed import is the last fallback, in an
+``except ImportError`` handler, for a build without the built-in module.
 """
 
 import ast
@@ -77,6 +82,8 @@ DERIVED_PARAMETER_EXCEPTIONS = {
 METRIC_PARAMETERS = {"metric", "met"}
 FRAME_MODULES = ("matrixrep", "bilinear", "fierz", "classify", "cli")
 METRIC_FREE_MODULES = ("bilinear", "fierz", "classify")
+# Modules whose import loads OpenSSL.
+OPENSSL_MODULES = {"hashlib", "_hashlib"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -290,6 +297,30 @@ def unbounded_memos(source: str) -> list[str]:
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
+def openssl_imports(source: str) -> list[str]:
+    """Imports of ``OPENSSL_MODULES`` at any depth, outside an ``except ImportError`` fallback."""
+    tree = ast.parse(source)
+    fallback = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and isinstance(node.type, ast.Name)
+        and node.type.id == "ImportError"
+        for sub in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if id(node) not in fallback:
+            found += [(node.lineno, n) for n in names if n.split(".")[0] in OPENSSL_MODULES]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -479,6 +510,43 @@ def test_the_memo_checker_sees_unbounded_and_per_instance_caches():
         "OrderedDict (line 26)",
         "lru_cache of a bound method (line 27)",
     ]
+
+
+def test_the_openssl_checker_sees_hashlib_imports_outside_a_fallback():
+    source = (
+        "import hashlib\n"
+        "import os, _hashlib as h\n"
+        "from hashlib import sha256\n"
+        "from .hashlib import x\n"
+        "def digest(b):\n"
+        "    import hashlib as hl\n"
+        "    return hl.sha256(b)\n"
+        "try:\n"
+        "    from _sha2 import sha256\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256\n"
+        "try:\n"
+        "    import hashlib\n"
+        "except ValueError:\n"
+        "    from hashlib import md5\n"
+    )
+    assert openssl_imports(source) == [
+        "hashlib (line 1)",
+        "_hashlib (line 2)",
+        "hashlib (line 3)",
+        "hashlib (line 6)",
+        "hashlib (line 13)",
+        "hashlib (line 15)",
+    ]
+
+
+def test_no_library_module_imports_hashlib():
+    found = {}
+    for path in SRC:
+        hits = openssl_imports(path.read_text())
+        if hits:
+            found[str(path.relative_to(ROOT))] = hits
+    assert found == {}
 
 
 def test_every_library_memo_is_a_bounded_cache_or_a_cached_property():
