@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 try:  # CPython's built-in SHA-256: _sha2 on 3.12+, _sha256 before
     from _sha2 import sha256
@@ -44,6 +45,11 @@ class Pairing:
     sigma: int
     tau: int
     isotropy: int | None = None
+
+    @cached_property
+    def gram_transpose(self) -> SignedPerm:
+        """A^T, which maps a spinor x to the row vector x^T A, so B(x, y) = (A^T x) . y."""
+        return self.gram.transpose()
 
     def verify(self, rep: Rep) -> None:
         a = self.gram

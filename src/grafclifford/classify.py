@@ -32,8 +32,11 @@ against literal evaluation on random forms.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import Callable
 
@@ -45,7 +48,7 @@ from .errors import (
     UnsupportedSignature,
 )
 from .exterior import Form, Signature, grade_project, rational_to_str
-from .fierz import IdentityResult, _bilinear_profile, _result, unit_profile
+from .fierz import IdentityResult, _bilinear_profile, _blade_weights, _result
 from .graf import (
     _graf_sign,
     contracted_wedge,
@@ -316,24 +319,77 @@ def prepare(rep: Rep, alpha) -> tuple:
     return tuple(alpha)
 
 
+# (rep, tau) lane tables kept: a census or a verify-fierz run reads one.
+_LANE_CAP = 8
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """The extractor's blades, one lane each, in the order it reads them.
+
+    ``masks`` holds the blade of every lane: the component masks grade
+    by grade (the geometry's component i from lane ``bounds[i]`` to
+    ``bounds[i + 1]``), then in the truncation regime
+    their volume images m ^ full in the same order, up to lane ``stop``,
+    then every other mask.  ``gather`` is their ``Rep.blade_gather``
+    table, each lane weighted by its blade weight tau^k s_m and an image
+    lane also by vs nu[m], the sign with which ``hodge`` times the volume
+    sign moves component m to m ^ full; so a genuine image lane equals
+    its component lane entry for entry.
+    """
+
+    gather: Callable[[list], tuple]
+    masks: tuple[int, ...]
+    bounds: tuple[int, ...]
+    stop: int
+
+
+@lru_cache(maxsize=_LANE_CAP)
+def _covariant_lanes(rep: Rep, tau: int) -> _Lanes:
+    """The lane table of a classified signature under a pairing of type sign tau."""
+    sig = rep.signature
+    weights = _blade_weights(rep, tau)
+    by_grade = [
+        [m for m in range(1 << sig.n) if m.bit_count() == k]
+        for _, k in geometry_of(sig).components
+    ]
+    masks = [m for grade in by_grade for m in grade]
+    lanes = [(m, weights[m]) for m in masks]
+    if in_truncation_regime(sig):
+        full = (1 << sig.n) - 1
+        moved = hodge(Form.from_mask_dict(sig, dict.fromkeys(masks, rep.volume_sign)))
+        lanes += [(m ^ full, weights[m ^ full] * moved.coeff(m ^ full)) for m in masks]
+    taken = {m for m, _ in lanes}
+    stop = len(lanes)
+    lanes += [(m, 1) for m in range(1 << sig.n) if m not in taken]
+    return _Lanes(
+        rep.blade_gather(lanes),
+        tuple(m for m, _ in lanes),
+        tuple(accumulate(map(len, by_grade), initial=0)),
+        stop,
+    )
+
+
 def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     """Covariant forms of a prepared spinor, in the geometry's component order.
 
     The forms are the grade parts of the identity unit's component of
     E(alpha, alpha) without its k_const / 2^n multiple: blade m of grade
-    k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``).
+    k carries tau^k s_m B(alpha, e_m alpha) (``fierz.unit_profile``),
+    read here as one gather over the lanes of ``_covariant_lanes``.
     Each precondition is checked and refused: the signature has a
     geometry (``geometry_of``); the pairing has the signs of the
     published table row; a real spinor's pairing is preserved by D,
     which where spinors are real (D^2 = +Id) is its orthogonal split
     (``Pairing.isotropy`` = +1), and the spinor is D-fixed;
-    every grade vanishes unless it is a component grade or, in the
-    truncation regime, the volume image n - k of one, and that image
-    equals the Hodge dual of grade k times the volume sign, so the
+    every lane past ``stop`` is zero, so every grade vanishes unless it
+    is a component grade or, in the truncation regime, the volume image
+    n - k of one; and each image lane equals its component lane, so the
+    image is the Hodge dual of grade k times the volume sign and the
     low-grade truncation loses nothing.
     """
     sig = rep.signature
-    geometry = geometry_of(sig)
+    geometry_of(sig)  # refuses an unclassified signature
     vec = tuple(spinor)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
@@ -349,18 +405,24 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
             )
         if rep.structure.D.apply(vec) != vec:
             raise NotASpinor("spinor is not fixed by the real structure; project it first")
-    by_grade: dict[int, dict] = {k: {} for k in range(sig.n + 1)}
-    for mask, val in unit_profile(rep, pairing, vec, vec).items():
-        by_grade[mask.bit_count()][mask] = val
-    grades = [k for _, k in geometry.components]
-    images = [sig.n - k for k in grades] if in_truncation_regime(sig) else []
-    if any(terms for k, terms in by_grade.items() if k not in grades and k not in images):
+    lanes = _covariant_lanes(rep, pairing.tau)
+    prof = _bilinear_profile(rep, pairing, vec, vec, lanes.gather)
+    if max(prof, default=0) >= lanes.stop:
         raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
-    parts = {k: Form._adopt(sig, terms) for k, terms in by_grade.items()}
-    for k, image in zip(grades, images):
-        if hodge(parts[k]).scale(rep.volume_sign) != parts[image]:
-            raise NotASpinor("upper-grade bilinears are not the volume images of the lower ones")
-    return tuple(parts[k] for k in grades)
+    # the nonzero lanes ascend: the component lanes, then the image lanes
+    keys, vals = list(prof), list(prof.values())
+    count = lanes.bounds[-1]
+    cut = bisect_left(keys, count)
+    if lanes.stop > count and (
+        vals[cut:] != vals[:cut] or keys[cut:] != [lane + count for lane in keys[:cut]]
+    ):
+        raise NotASpinor("upper-grade bilinears are not the volume images of the lower ones")
+    parts = []
+    for lo, hi in zip(lanes.bounds, lanes.bounds[1:]):
+        i, j = bisect_left(keys, lo, 0, cut), bisect_left(keys, hi, 0, cut)
+        terms = zip(map(lanes.masks.__getitem__, keys[i:j]), vals[i:j])
+        parts.append(Form._adopt(sig, dict(terms)))
+    return tuple(parts)
 
 
 def _master(covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
@@ -560,7 +622,7 @@ def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> Census
         vec = prepare(rep, raw)
         for slot, pairing in enumerate(pairings):
             if not compatible[slot]:
-                prof = _bilinear_profile(rep, pairing, vec, vec)
+                prof = _bilinear_profile(rep, pairing, vec, vec, rep.profile_gather)
                 ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
                 continue
             covs = covariants(rep, pairing, vec)

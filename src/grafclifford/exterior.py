@@ -24,13 +24,14 @@ operation per bit.
 A kernel also holds the volume column nu[m] = row_m[full], built by the
 same doubling without the rows; for the squares f * f of ``graf``, pair
 tables by grade set: for every output mask, the index pairs of the
-masks of those grades and their weights, read from the rows once; and
-the masks of each generator's left action on forms packed into one int,
-by field width.
+masks of those grades and their weights, read from the rows once, and
+for the truncated squares the same pairs folded onto the lower grades;
+and the masks of each generator's left action on forms packed into one
+int, by field width.
 
 Every memo has one of two stdlib forms.  A table shared across objects
 is a ``functools.lru_cache`` with a named bound: the kernels by metric
-(``_KERNEL_CAP``), the pair tables by kernel and grade set
+(``_KERNEL_CAP``), the pair tables by kernel, grade set and fold
 (``_SQUARE_TABLE_CAP``) and the packed masks by kernel and width
 (``_PACKED_MASK_CAP``); their ``cache_info()`` gives size, hits and
 misses.  A value derived from one object, such as the volume column, is
@@ -492,7 +493,7 @@ def interior_sign(mask: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class _SquareTable:
-    """The blade pairs of f * f for forms supported on one grade set G.
+    """The blade pairs of f * f, or of its truncation, for forms on one grade set G.
 
     ``index`` numbers M_G, the masks of grades in G.  Pair p multiplies
     entry ``left[p]`` of the weighted copies of the padded numerators
@@ -565,7 +566,7 @@ class _DiagKernel:
             col += [x * s for x in col]
         return col
 
-    def square_table(self, grades: frozenset[int], terms: int) -> _SquareTable | None:
+    def square_table(self, grades: frozenset[int], terms: int, fold: int) -> _SquareTable | None:
         """The pair table of a square with ``terms`` terms on ``grades``, or None.
 
         A table pays when M_G is small (2 to ``_SQUARE_TABLE_MASKS``
@@ -573,20 +574,27 @@ class _DiagKernel:
         least half of it; otherwise the square is formed as any other
         product.  A grade set whose pairs carry so many distinct weights
         that the weighted copies would outnumber the pairs also gets
-        None, remembered like a table.
+        None, remembered like a table.  ``fold`` is 0 for the square
+        itself and the projector sign +-1 for its truncation
+        (``_build_square_table``).
         """
         size = sum(comb(self.n, k) for k in grades)
         if not 2 <= size <= _SQUARE_TABLE_MASKS or 2 * terms < size:
             return None
-        return self._build_square_table(grades)
+        return self._build_square_table(grades, fold)
 
     @lru_cache(maxsize=_SQUARE_TABLE_CAP)
-    def _build_square_table(self, grades: frozenset[int]) -> _SquareTable | None:
+    def _build_square_table(self, grades: frozenset[int], fold: int) -> _SquareTable | None:
         # e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b), and e_a e_a =
         # row_a[a]; pairs whose weight is 0 (anticommuting ones) are dropped.
+        # With fold = +-1 a key above floor(n/2) goes under key ^ full with
+        # its weight times fold nu[key], as ``graf.truncated_product`` folds.
         masks = [m for m in range(1 << self.n) if m.bit_count() in grades]
         size = len(masks)
         rows = [self.row(m) for m in masks]
+        nu = self.volume_column if fold else None
+        full = (1 << self.n) - 1
+        half = self.n // 2
         by_key: dict[int, tuple[list, list, list]] = {}
         for i, (a, row_a) in enumerate(zip(masks, rows)):
             col_a = [row[a] for row in rows]
@@ -594,9 +602,13 @@ class _DiagKernel:
                 b = masks[j]
                 w = row_a[a] if i == j else row_a[b] + col_a[j]
                 if w:
-                    pairs = by_key.get(a ^ b)
+                    key = a ^ b
+                    if fold and key.bit_count() > half:
+                        w *= fold * nu[key]
+                        key ^= full
+                    pairs = by_key.get(key)
                     if pairs is None:
-                        pairs = by_key[a ^ b] = ([], [], [])
+                        pairs = by_key[key] = ([], [], [])
                     pairs[0].append(i)
                     pairs[1].append(j)
                     pairs[2].append(w)

@@ -64,6 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import add, sub
+from typing import Callable
 
 from .bilinear import Pairing, b_eval
 from .errors import DimensionMismatch, StructureError
@@ -172,31 +173,36 @@ def fundamental_identity_holds(
     return mat_mul(e11, e22) == mat_scale(e12, factor)
 
 
-def _bilinear_profile(rep: Rep, pairing: Pairing, alpha: Vector, w: Vector) -> dict[int, object]:
-    """Coefficients B(alpha, blade(w)) for every canonical blade mask.
+def _bilinear_profile(
+    rep: Rep, pairing: Pairing, alpha: Vector, w: Vector, gather: Callable[[list], tuple]
+) -> dict[int, object]:
+    """Coefficients weight * B(alpha, blade(w)) for each lane of ``gather``, by lane.
 
-    With z = G^T alpha and the blade a signed permutation (row i holds
-    sign[i] at column col[i]), the coefficient is
-    sum_i sign[i] z[i] w[col[i]].  alpha, z and w are cleared to integer
-    numerators first (Majorana-projected spinors have half-integer
-    entries), so the products z[i] w[j] are formed once per call on ints,
-    and the representation's profile table gathers each blade's signed
+    ``gather`` comes from ``Rep.blade_gather``: lane j is a blade, a
+    signed permutation whose row i holds sign[i] at column col[i], with
+    a weight of +-1, and its coefficient is
+    weight * sum_i sign[i] z[i] w[col[i]] with z = G^T alpha.  With
+    ``rep.profile_gather`` the lanes are the masks in order.  alpha, z
+    and w are cleared to integer numerators first (Majorana-projected
+    spinors have half-integer entries), so the products z[i] w[j] are
+    formed once per call on ints, and the gather puts each lane's signed
     products into one run of d values; a running sum differenced at the
     run boundaries gives every coefficient.  Each nonzero coefficient is
-    divided once at the end; an integral one comes back as an int.
+    divided once at the end; an integral one comes back as an int.  The
+    lanes come out in ascending order.
     """
     d = rep.d
     if len(alpha) != d or len(w) != d:
         raise DimensionMismatch("spinor length does not match the representation")
     an, aden = common_denominator(list(enumerate(alpha)))
-    zt = pairing.gram.transpose().apply([c for _, c in an])
+    zt = pairing.gram_transpose.apply([c for _, c in an])
     zt, zden = common_denominator(list(enumerate(zt)))
     wn, wden = common_denominator(list(enumerate(w)))
     wn = [c for _, c in wn]
     zw = [z * c for _, z in zt for c in wn]
     zw += [-v for v in zw]
-    ends = list(islice(accumulate(rep.profile_gather(zw), initial=0), 0, None, d))
-    out = {mask: v for mask, v in enumerate(map(sub, ends[1:], ends)) if v}
+    ends = list(islice(accumulate(gather(zw), initial=0), 0, None, d))
+    out = {lane: v for lane, v in enumerate(map(sub, ends[1:], ends)) if v}
     return divide_numerators(out, aden * zden * wden)
 
 
@@ -227,7 +233,7 @@ def unit_profile(
     give the identity unit's.
     """
     weights = _blade_weights(rep, pairing.tau * twist)
-    prof = _bilinear_profile(rep, pairing, alpha, beta)
+    prof = _bilinear_profile(rep, pairing, alpha, beta, rep.profile_gather)
     return {m: eps * weights[m] * v for m, v in prof.items()}
 
 

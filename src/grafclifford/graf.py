@@ -73,7 +73,10 @@ Under an orthonormal metric the volume product is a signed relabelling,
 e_m vol = nu[m] e_(m ^ full), read from the kernel's volume column; so
 ``hodge`` builds no product, and the truncated product folds each term
 of f * g above floor(n/2) onto its lower-grade image instead of forming
-f * g + s (f * g) vol and projecting.
+f * g + s (f * g) vol and projecting.  A truncated square whose grade set
+has a pair table reads a copy of that table with the fold applied to
+each pair (``fold`` = s), so the master identities' squares are one pass
+of gathers with no product and no fold loop.
 """
 
 from __future__ import annotations
@@ -193,16 +196,18 @@ def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
     return acc
 
 
-def _product_terms_square(ta, kern: _DiagKernel) -> dict[int, Rational] | None:
+def _product_terms_square(ta, kern: _DiagKernel, fold: int) -> dict[int, Rational] | None:
     """f * f from the kernel's pair table for the form's grade set, or None without one.
 
     e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under an
     orthonormal metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the
     bracket is 0 for an anticommuting pair and 2 row_a[b] for a commuting
     one.  The pairs are read from the table over the zero-padded
-    numerators, as gathers, products and a running sum in C.
+    numerators, as gathers, products and a running sum in C.  With
+    fold = +-1 the table folds the upper grades as ``truncated_product``
+    does, and the result is the truncated square under that sign.
     """
-    table = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta))
+    table = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta), fold)
     if table is None:
         return None
     ta, den = common_denominator(ta)
@@ -271,7 +276,7 @@ def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
         return _product_general(f, g, metric)
     kern = _kernel_for(metric)
     ta = list(f.mask_items())
-    terms = _product_terms_square(ta, kern) if f is g else None
+    terms = _product_terms_square(ta, kern, 0) if f is g else None
     if terms is None:
         terms = _product_terms_diag(ta, list(g.mask_items()), kern)
     return Form._adopt(f.signature, terms)
@@ -385,7 +390,9 @@ def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = N
     square, so P_s commutes with the product and one product call
     suffices: 2 P_L(P_s(f*g)) = P_L(fg + sign fg v).  A term above
     floor(n/2) folds onto m ^ full with factor sign nu[m]; one at or
-    below it has its volume image above and keeps its place.
+    below it has its volume image above and keeps its place.  A square
+    (g is f) that the kernel's pair table admits reads the table folded
+    under ``sign``, with no product formed first.
     """
     f._check_same(g)
     if sign not in (1, -1):
@@ -398,7 +405,12 @@ def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = N
             "the truncated product needs odd n with volume square +1 and an orthonormal "
             f"metric, not ({sig.p},{sig.q}) under {frame} metric"
         )
-    nu = _kernel_for(metric).volume_column
+    kern = _kernel_for(metric)
+    if f is g:
+        terms = _product_terms_square(list(f.mask_items()), kern, sign)
+        if terms is not None:
+            return Form._adopt(sig, terms)
+    nu = kern.volume_column
     full = (1 << sig.n) - 1
     half = sig.n // 2
     acc: dict[int, Rational] = {}

@@ -167,7 +167,7 @@ def test_criterion_08_real_spinor_covariants_on_1_2(rep12, pr12):
     seen = set()
     for _ in range(100):
         vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
-        prof = _bilinear_profile(rep12, pr12, vec, vec)
+        prof = _bilinear_profile(rep12, pr12, vec, vec, rep12.profile_gather)
         assert all(mask.bit_count() % 2 == 0 for mask in prof)
         b = b_eval(pr12, vec, vec)
         assert b == 0
@@ -193,7 +193,7 @@ def test_criterion_09_pinor_covariants_and_flagged_rows_on_9_0(rep90, pr90):
     geo = geometry_of(sig)
     for _ in range(100):
         vec = oracles.rand_vector(rng, rep90.d, box=3)
-        prof = _bilinear_profile(rep90, pr90, vec, vec)
+        prof = _bilinear_profile(rep90, pr90, vec, vec, rep90.profile_gather)
         assert all(mask.bit_count() not in (2, 3, 6, 7) for mask in prof)
         cov = covariants(rep90, pr90, vec)
         psi0, psi1, psi4 = cov

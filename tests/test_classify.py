@@ -29,8 +29,8 @@ from grafclifford.errors import (
     UnsupportedSignature,
 )
 from grafclifford.exterior import Form, Metric, Signature, grade_project
-from grafclifford.fierz import covariant
-from grafclifford.graf import volume_form
+from grafclifford.fierz import covariant, unit_profile
+from grafclifford.graf import hodge, in_truncation_regime, volume_form
 from grafclifford.linalg import SignedPerm
 from grafclifford.matrixrep import build_rep
 
@@ -128,27 +128,57 @@ def test_covariants_12_rejects_bad_inputs(rep12, pr12, pairings12, rep04, pr04):
 def test_the_extractor_refuses_profiles_off_the_grade_pattern(
     monkeypatch, rep12, pr12, rep90, pr90
 ):
-    genuine = classify_module.unit_profile
+    """Each refusal, injected at the lane sums the extractor reads."""
+    genuine = classify_module._bilinear_profile
     vec12 = majorana_project(rep12, (3, -1, 2, 5))
     vec90 = oracles.rand_vector(random.Random(47), rep90.d)
-    assert any(m.bit_count() == 5 for m in genuine(rep90, pr90, vec90, vec90))
+    masks12 = classify_module._covariant_lanes(rep12, pr12.tau).masks
+    lanes90 = classify_module._covariant_lanes(rep90, pr90.tau)
+    masks90 = lanes90.masks
+    prof = genuine(rep90, pr90, vec90, vec90, lanes90.gather)
+    assert any(masks90[lane].bit_count() == 5 for lane in prof)
     edits = (
         # a grade that is neither a component nor a volume image
-        (rep12, pr12, vec12, lambda prof: {**prof, 0b001: 1}, "rank outside"),
-        (rep90, pr90, vec90, lambda prof: {**prof, 0b11: 1}, "rank outside"),
+        (rep12, pr12, vec12, lambda prof: {**prof, masks12.index(0b001): 1}, "rank outside"),
+        (rep90, pr90, vec90, lambda prof: {**prof, masks90.index(0b11): 1}, "rank outside"),
         # a volume image that is not the Hodge dual of its component
         (
             rep90, pr90, vec90,
-            lambda prof: {m: v for m, v in prof.items() if m.bit_count() != 5},
+            lambda prof: {lane: v for lane, v in prof.items() if masks90[lane].bit_count() != 5},
             "volume images",
         ),
     )
     for rep, pairing, vec, edit, message in edits:
         monkeypatch.setattr(
-            classify_module, "unit_profile", lambda *args, edit=edit: edit(genuine(*args))
+            classify_module, "_bilinear_profile", lambda *args, edit=edit: edit(genuine(*args))
         )
         with pytest.raises(NotASpinor, match=message):
             covariants(rep, pairing, vec)
+
+
+def _grade_split_of_unit_profile(rep, pairing, vec):
+    """The extractor without lanes: unit_profile split by grade, images checked by hodge."""
+    sig = rep.signature
+    by_grade = {k: {} for k in range(sig.n + 1)}
+    for mask, val in unit_profile(rep, pairing, vec, vec).items():
+        by_grade[mask.bit_count()][mask] = val
+    grades = [k for _, k in geometry_of(sig).components]
+    images = [sig.n - k for k in grades] if in_truncation_regime(sig) else []
+    assert not any(terms for k, terms in by_grade.items() if k not in grades + images)
+    parts = {k: Form.from_mask_dict(sig, terms) for k, terms in by_grade.items()}
+    for k, image in zip(grades, images):
+        assert hodge(parts[k]).scale(rep.volume_sign) == parts[image]
+    return tuple(parts[k] for k in grades)
+
+
+def test_the_lane_extractor_equals_the_grade_split_of_unit_profile(rep12, pr12):
+    rng = random.Random(49)
+    cases = [(build_rep(SIG90, vs), None) for vs in (1, -1)] + [(rep12, pr12)]
+    for rep, pairing in cases:
+        pairing = pairing or admissible_pairings(rep)[0]
+        for _ in range(50):
+            vec = prepare(rep, oracles.rand_vector(rng, rep.d))
+            assert covariants(rep, pairing, vec) == _grade_split_of_unit_profile(rep, pairing, vec)
 
 
 def test_reduced_rows_and_classes_12(rep12, pr12):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from grafclifford.classify import geometry_of
+import grafclifford.classify as classify_module
 from grafclifford import cli, exterior, matrixrep
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
@@ -175,6 +176,26 @@ def test_a_census_builds_one_kernel_and_one_square_table(capsys):
     assert status == 0 and report["passed"]
     assert kernels.cache_info().misses == 1
     assert tables.cache_info().misses == 1
+
+
+def test_build_rep_and_check_algebra_build_no_lane_or_folded_table(capsys):
+    # the census's per-sample tables are built lazily, by the census paths alone
+    lanes = classify_module._covariant_lanes
+    tables = exterior._DiagKernel._build_square_table
+    lanes.cache_clear()
+    tables.cache_clear()
+    for argv in (["build-rep", "--signature", "4,6"], ["check-algebra", "--signature", "9,0"]):
+        status, _ = run_json(capsys, argv)
+        assert status == 0
+    assert lanes.cache_info().misses == 0
+    assert tables.cache_info().misses == 0
+    # and the census paths evict no square table
+    for command in ("census", "verify-fierz"):
+        tables.cache_clear()
+        status, _ = run_json(capsys, [command, "--signature", "9,0", "--samples", "3"])
+        assert status == 0
+        info = tables.cache_info()
+        assert info.misses == info.currsize
 
 
 def test_classify_pinor_basis_spinor(tmp_path, capsys):

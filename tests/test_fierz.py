@@ -130,22 +130,21 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     for rep, pairing in cases:
         assert all(type(v) is int for row in oracles.to_dense(pairing.gram) for v in row)
         zero = (0,) * rep.d
-        assert _bilinear_profile(rep, pairing, zero, zero) == {}
+        assert _bilinear_profile(rep, pairing, zero, zero, rep.profile_gather) == {}
         for a, b in ((zero[:-1], zero), (zero, zero + (0,))):
             with pytest.raises(DimensionMismatch):
-                _bilinear_profile(rep, pairing, a, b)
+                _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
         assert oracles.bilinear_profile(rep, pairing, zero, zero) == {}
         for _ in range(3):
             alpha = oracles.rand_vector(rng, rep.d)
             w = oracles.rand_vector(rng, rep.d)
             for a, b in ((alpha, alpha), (alpha, w)):
-                prof = _bilinear_profile(rep, pairing, a, b)
+                prof = _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
                 assert prof == oracles.bilinear_profile(rep, pairing, a, b)
                 assert all(type(v) is int for v in prof.values())
             thirds = tuple(Fraction(c, 3) for c in w)
-            assert _bilinear_profile(rep, pairing, alpha, thirds) == oracles.bilinear_profile(
-                rep, pairing, alpha, thirds
-            )
+            prof = _bilinear_profile(rep, pairing, alpha, thirds, rep.profile_gather)
+            assert prof == oracles.bilinear_profile(rep, pairing, alpha, thirds)
     # real (1,2) spinors are Majorana projections, with half-integer entries
     for pairing in pairings12:
         for _ in range(4):
@@ -153,17 +152,15 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
             b = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
             assert any(type(c) is Fraction for c in a + b)
             for x, y in ((a, a), (a, b)):
-                assert _bilinear_profile(rep12, pairing, x, y) == oracles.bilinear_profile(
-                    rep12, pairing, x, y
-                )
+                prof = _bilinear_profile(rep12, pairing, x, y, rep12.profile_gather)
+                assert prof == oracles.bilinear_profile(rep12, pairing, x, y)
     # the smallest representations; on (0,0) the table holds a single index
     for sig in (Signature(0, 0), Signature(1, 0)):
         rep = build_rep(sig)
         for pairing in admissible_pairings(rep):
             for a, b in (((3,) * rep.d, (-2,) * rep.d), ((Fraction(1, 2),) * rep.d, (5,) * rep.d)):
-                assert _bilinear_profile(rep, pairing, a, b) == oracles.bilinear_profile(
-                    rep, pairing, a, b
-                )
+                prof = _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
+                assert prof == oracles.bilinear_profile(rep, pairing, a, b)
 
 
 def test_covariant_matches_ordered_tuple_expansion(rep12, pairings12):

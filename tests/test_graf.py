@@ -135,8 +135,8 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
         if met.is_orthonormal:
             kern = exterior._kernel_for(met)
             for f in (full, zeroed):
-                assert kern.square_table(pinor, f.num_terms()) is not None
-            assert kern.square_table(pinor, sparse.num_terms()) is None
+                assert kern.square_table(pinor, f.num_terms(), 0) is not None
+            assert kern.square_table(pinor, sparse.num_terms(), 0) is None
         # the sequential oracle on the table path and under halves; the pair
         # loop is checked above
         _check_squares([zeroed] if met is halves else [full, zeroed], met, oracle=met is not distinct)
@@ -145,7 +145,7 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
     wide = _grade_set_form(rng, SIG90, {3, 4, 5})
     assert wide.num_terms() > exterior._SQUARE_TABLE_MASKS
     assert exterior._kernel_for(Metric.standard(SIG90)).square_table(
-        frozenset({3, 4, 5}), wide.num_terms()
+        frozenset({3, 4, 5}), wide.num_terms(), 0
     ) is None
     _check_squares([wide], Metric.standard(SIG90), oracle=False)
 
@@ -312,7 +312,7 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
         never += [(dense, sparse, met), (sparse, dense, met)]
         squares.append((dense, met))
     kern = exterior._kernel_for(squares[0][1])
-    assert kern.square_table(frozenset(range(low + 1)), 1 << low) is not None
+    assert kern.square_table(frozenset(range(low + 1)), 1 << low, 0) is not None
     below = Signature(low - 1, 0)
     never.append((_dense_form(rng, below, draw), _dense_form(rng, below, draw), Metric.standard(below)))
     for diag in ((2, -3, 5), (2, -3, 5, 1, -1, 1), (1, -1, Fraction(1, 2), 1, 1, 1)):
@@ -765,6 +765,52 @@ def test_truncated_product_fast_path_matches_literal_definition():
                     product = truncated_product(f, g, s, met)
                     assert product == literal
                     assert _normalized(product)
+
+
+def _literal_truncated_square(f: Form, s: int, met: Metric) -> Form:
+    """2 P_L(P_s f * P_s f), every product by the sequential oracle."""
+    sig = f.signature
+    vol = volume_form(sig)
+    pf = (f + oracles.graf_product_oracle(f, vol, met).scale(s)).scale(Fraction(1, 2))
+    square = oracles.graf_product_oracle(pf, pf, met)
+    return Form.from_mask_dict(
+        sig, {m: 2 * c for m, c in square.mask_items() if m.bit_count() <= sig.n // 2}
+    )
+
+
+def test_the_folded_square_table_is_the_literal_truncated_square():
+    """truncated_product(f, f, s) reads the folded pair table where it admits f.
+
+    On every truncation-regime signature with n <= 9, under both signs,
+    it equals the literal 2 P_L(P_s f P_s f) and the unfolded path that f
+    times an equal copy takes, for forms the table admits and sparse
+    forms it refuses.
+    """
+    rng = random.Random(25)
+    regime = [sig for sig in ALL_SIGNATURES if in_truncation_regime(sig)]
+    assert len(regime) == 15
+    assert {(1, 0), (1, 8)} <= {(sig.p, sig.q) for sig in regime}
+    admitted = refused = 0
+    for sig in regime:
+        met = Metric.standard(sig)
+        kern = exterior._kernel_for(met)
+        grade_sets = [{0, 1}, {1, sig.n}, {0, 1, sig.n - 1}]
+        if sig == SIG90:
+            grade_sets.append({0, 1, 4})
+        for grades in map(frozenset, grade_sets):
+            rational = rng.random() < 0.5
+            for keep in (1.0, 0.2):
+                f = _grade_set_form(rng, sig, grades, keep=keep, rational=rational)
+                copy = Form.from_mask_dict(sig, f.mask_dict())
+                for s in (1, -1):
+                    table = kern.square_table(frozenset(f.grades()), f.num_terms(), s)
+                    admitted += table is not None
+                    refused += table is None
+                    square = truncated_product(f, f, s)
+                    assert square == _literal_truncated_square(f, s, met)
+                    assert square == truncated_product(f, copy, s)
+                    assert _normalized(square)
+    assert admitted and refused
 
 
 def test_truncated_product_refuses_a_bad_projector_sign():
