@@ -61,8 +61,6 @@ from .bilinear import (
     standard_pairing,
     table_sigma,
     table_tau,
-    transpose_check,
-    vanishing_ranks,
 )
 from .fierz import (
     Covariant,
@@ -143,8 +141,6 @@ __all__ = [
     "b_eval",
     "table_sigma",
     "table_tau",
-    "transpose_check",
-    "vanishing_ranks",
     # Fierz machinery
     "UnitTable",
     "unit_table",

@@ -244,33 +244,3 @@ def standard_pairing(rep: Rep, structure: MainSubalgebra | None = None) -> Pairi
     """The preferred admissible pairing of the representation (``structure`` as above)."""
     return preferred_pairing(admissible_pairings(rep, structure))
 
-
-# -- transpose law over blades ---------------------------------------------------------
-
-
-def blade_transpose_sign(tau: int, k: int) -> int:
-    """Sign in the blade transpose law: tau^k times the reversal sign."""
-    s = 1 if k % 4 in (0, 1) else -1
-    return s if tau == 1 or k % 2 == 0 else -s
-
-
-def transpose_check(pairing: Pairing, rep: Rep) -> bool:
-    """Exhaustive blade transpose law over all 2^n basis blades."""
-    a, tau = pairing.gram, pairing.tau
-    return all(
-        _twisted_adjoint(a, rep.blade_sp(mask), blade_transpose_sign(tau, mask.bit_count()))
-        for mask in range(1 << rep.signature.n)
-    )
-
-
-def vanishing_ranks(pairing: Pairing, n: int) -> set[int]:
-    """Grades k with B(alpha, blade_k(alpha)) = 0 identically.
-
-    The scalar B(a, M a) equals its own transpose, so it vanishes
-    whenever sigma times the blade transpose sign is -1.
-    """
-    return {
-        k
-        for k in range(n + 1)
-        if pairing.sigma * blade_transpose_sign(pairing.tau, k) == -1
-    }

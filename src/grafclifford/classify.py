@@ -48,7 +48,14 @@ from .errors import (
     UnsupportedSignature,
 )
 from .exterior import Form, Signature, grade_project, rational_to_str
-from .fierz import IdentityResult, _bilinear_profile, _blade_weights, _result
+from .fierz import (
+    IdentityResult,
+    _bilinear_profile,
+    _blade_gather,
+    _blade_weights,
+    _profile_gather,
+    _result,
+)
 from .graf import (
     _graf_sign,
     contracted_wedge,
@@ -331,7 +338,7 @@ class _Lanes:
     by grade (the geometry's component i from lane ``bounds[i]`` to
     ``bounds[i + 1]``), then in the truncation regime
     their volume images m ^ full in the same order, up to lane ``stop``,
-    then every other mask.  ``gather`` is their ``Rep.blade_gather``
+    then every other mask.  ``gather`` is their ``fierz._blade_gather``
     table, each lane weighted by its blade weight tau^k s_m and an image
     lane also by vs nu[m], the sign with which ``hodge`` times the volume
     sign moves component m to m ^ full; so a genuine image lane equals
@@ -363,7 +370,7 @@ def _covariant_lanes(rep: Rep, tau: int) -> _Lanes:
     stop = len(lanes)
     lanes += [(m, 1) for m in range(1 << sig.n) if m not in taken]
     return _Lanes(
-        rep.blade_gather(lanes),
+        _blade_gather(rep, lanes),
         tuple(m for m, _ in lanes),
         tuple(accumulate(map(len, by_grade), initial=0)),
         stop,
@@ -622,7 +629,7 @@ def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> Census
         vec = prepare(rep, raw)
         for slot, pairing in enumerate(pairings):
             if not compatible[slot]:
-                prof = _bilinear_profile(rep, pairing, vec, vec, rep.profile_gather)
+                prof = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
                 ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
                 continue
             covs = covariants(rep, pairing, vec)

@@ -5,38 +5,9 @@ ascending 1-based frame indices) with rational coefficients.  All
 arithmetic is exact: coefficients are Python ints or Fractions, never
 floats.  Blades are carried as index bitmasks and signs come from
 permutation parity.  This layer holds forms, metrics, the interior
-contraction and the blade-pair kernel; the one product that pairs
-blades, and the wedge and contracted wedge as its grade slices, are in
-``graf``.
-
-Under an orthonormal metric (a diagonal of +1 and -1 entries) every
-blade-pair factor comes from one table, that metric's kernel
-(``_kernel_for``).  The kernel serves orthonormal frames only; ``graf``
-multiplies under any other metric without it.  Row ``row_a`` holds, for
-every right blade b, the parity sign of sorting the concatenation a b
-times the diagonal entries g^yy of the shared indices y in a & b: the
-factor +1 or -1 in the Clifford product e_a e_b = row_a[b] e_(a^b)
-(``graf``).  A row is built by doubling: the reorder sign and the metric
-sign are multiplicative over the bits of the right blade, so adding
-index y copies the first 2^y entries or their negatives, as one list
-operation per bit.
-
-A kernel also holds the volume column nu[m] = row_m[full], built by the
-same doubling without the rows; for the squares f * f of ``graf``, pair
-tables by grade set: for every output mask, the index pairs of the
-masks of those grades and their weights, read from the rows once, and
-for the truncated squares the same pairs folded onto the lower grades;
-and the masks of each generator's left action on forms packed into one
-int, by field width.
-
-Every memo has one of two stdlib forms.  A table shared across objects
-is a ``functools.lru_cache`` with a named bound: the kernels by metric
-(``_KERNEL_CAP``), the pair tables by kernel, grade set and fold
-(``_SQUARE_TABLE_CAP``) and the packed masks by kernel and width
-(``_PACKED_MASK_CAP``); their ``cache_info()`` gives size, hits and
-misses.  A value derived from one object, such as the volume column, is
-a ``functools.cached_property``.  The rows live in a per-kernel dict
-keyed by mask, so at most 2^n of them.
+contraction and the grade operations; the one product that pairs
+blades, its blade-pair kernel, and the wedge and contracted wedge as
+its grade slices, are in ``graf``.
 """
 
 from __future__ import annotations
@@ -46,17 +17,10 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb
-from operator import itemgetter
+from functools import lru_cache
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
-from .linalg import (
-    Rational,
-    _norm,
-    congruence_diagonal,
-    divide_numerators,
-)
+from .linalg import Rational, _norm, congruence_diagonal
 
 DEFAULT_MAX_DIM = 12
 
@@ -252,9 +216,6 @@ class Form:
     def mask_items(self) -> Iterator[tuple[int, Rational]]:
         return iter(self._terms.items())
 
-    def mask_dict(self) -> dict[int, Rational]:
-        return dict(self._terms)
-
     def coeff(self, key) -> Rational:
         return self._terms.get(_mask_of(key), 0)
 
@@ -266,9 +227,6 @@ class Form:
 
     def grades(self) -> set[int]:
         return {mask.bit_count() for mask in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -444,10 +402,6 @@ class Metric:
         return Metric(signature)
 
     @property
-    def is_diagonal(self) -> bool:
-        return self._diag is not None
-
-    @property
     def diagonal(self) -> tuple[Rational, ...] | None:
         return self._diag
 
@@ -486,195 +440,6 @@ def interior_sign(mask: int, index: int) -> int:
     """Sign for removing `index` from an ascending blade: (-1)^(position-1)."""
     below = mask & ((1 << (index - 1)) - 1)
     return -1 if below.bit_count() & 1 else 1
-
-
-# -- blade-pair kernel ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SquareTable:
-    """The blade pairs of f * f, or of its truncation, for forms on one grade set G.
-
-    ``index`` numbers M_G, the masks of grades in G.  Pair p multiplies
-    entry ``left[p]`` of the weighted copies of the padded numerators
-    (copy k is ``weights[k]`` times them) by entry ``right[p]``.  The
-    pairs are grouped by output key, in the order of ``keys``; ``marks``
-    flags the running sum before the first pair and after each group.
-    """
-
-    index: dict[int, int]
-    weights: tuple[Rational, ...]
-    left: itemgetter
-    right: itemgetter
-    keys: tuple[int, ...]
-    marks: tuple[bool, ...]
-
-
-# A square table over M_G holds up to |M_G|(|M_G| + 1)/2 pairs (8.4 million
-# for every grade at n = 12), so larger grade sets keep the pair loop.
-_SQUARE_TABLE_MASKS = 256
-# Bounds of the LRU caches: a kernel's rows hold up to 4^n factors, and
-# packed-product masks are 2n ints of 2^n fields per width.  The table
-# and mask caps are shared by all kernels.
-_KERNEL_CAP = 8
-_SQUARE_TABLE_CAP = 4
-_PACKED_MASK_CAP = 4
-
-
-class _DiagKernel:
-    """Per-metric table of blade-pair product factors, built lazily by row.
-
-    Only for an orthonormal diagonal, so every factor is +1 or -1; any
-    other diagonal is refused.
-    """
-
-    def __init__(self, n: int, diag: tuple[int, ...]):
-        if any(g not in (1, -1) for g in diag):
-            raise ValueError("the blade-pair kernel serves orthonormal metrics only")
-        self.n = n
-        self.diag = diag
-        self._rows: dict[int, list] = {}
-
-    def row(self, ma: int):
-        cached = self._rows.get(ma)
-        if cached is not None:
-            return cached
-        # Doubling over the bits of mb: adding index y to mb multiplies by
-        # the parity of a-indices above y, and by g^yy when y is shared, so
-        # entries 2^y .. 2^(y+1)-1 are the first 2^y times that sign.
-        row = [1]
-        for y in range(self.n):
-            s = -1 if (ma >> (y + 1)).bit_count() & 1 else 1
-            if ma >> y & 1:
-                s *= self.diag[y]
-            row += row if s == 1 else [-x for x in row]
-        self._rows[ma] = row
-        return row
-
-    @cached_property
-    def volume_column(self) -> list:
-        """nu[m] = row_m[full]: e_m e_full = nu[m] e_(m ^ full).
-
-        Sorting m before the full blade moves each index of m past the
-        indices below it, so nu[m] is (-1)^(sum of the 0-based positions
-        in m) times the diagonal entries of m.  Built by doubling over the
-        bits of m, without the rows of the masks themselves.
-        """
-        col = [1]
-        for y in range(self.n):
-            s = -self.diag[y] if y & 1 else self.diag[y]
-            col += [x * s for x in col]
-        return col
-
-    def square_table(self, grades: frozenset[int], terms: int, fold: int) -> _SquareTable | None:
-        """The pair table of a square with ``terms`` terms on ``grades``, or None.
-
-        A table pays when M_G is small (2 to ``_SQUARE_TABLE_MASKS``
-        masks; two keep the gathers tuple-valued) and the square fills at
-        least half of it; otherwise the square is formed as any other
-        product.  A grade set whose pairs carry so many distinct weights
-        that the weighted copies would outnumber the pairs also gets
-        None, remembered like a table.  ``fold`` is 0 for the square
-        itself and the projector sign +-1 for its truncation
-        (``_build_square_table``).
-        """
-        size = sum(comb(self.n, k) for k in grades)
-        if not 2 <= size <= _SQUARE_TABLE_MASKS or 2 * terms < size:
-            return None
-        return self._build_square_table(grades, fold)
-
-    @lru_cache(maxsize=_SQUARE_TABLE_CAP)
-    def _build_square_table(self, grades: frozenset[int], fold: int) -> _SquareTable | None:
-        # e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b), and e_a e_a =
-        # row_a[a]; pairs whose weight is 0 (anticommuting ones) are dropped.
-        # With fold = +-1 a key above floor(n/2) goes under key ^ full with
-        # its weight times fold nu[key], as ``graf.truncated_product`` folds.
-        masks = [m for m in range(1 << self.n) if m.bit_count() in grades]
-        size = len(masks)
-        rows = [self.row(m) for m in masks]
-        nu = self.volume_column if fold else None
-        full = (1 << self.n) - 1
-        half = self.n // 2
-        by_key: dict[int, tuple[list, list, list]] = {}
-        for i, (a, row_a) in enumerate(zip(masks, rows)):
-            col_a = [row[a] for row in rows]
-            for j in range(i, size):
-                b = masks[j]
-                w = row_a[a] if i == j else row_a[b] + col_a[j]
-                if w:
-                    key = a ^ b
-                    if fold and key.bit_count() > half:
-                        w *= fold * nu[key]
-                        key ^= full
-                    pairs = by_key.get(key)
-                    if pairs is None:
-                        pairs = by_key[key] = ([], [], [])
-                    pairs[0].append(i)
-                    pairs[1].append(j)
-                    pairs[2].append(w)
-        weights = sorted({w for _, _, ws in by_key.values() for w in ws})
-        count = sum(len(ws) for _, _, ws in by_key.values())
-        if len(weights) * size > count:
-            return None
-        offset = {w: k * size for k, w in enumerate(weights)}
-        # one int object per index value, shared by every pair that uses it
-        flat = list(range(len(weights) * size))
-        left: list[int] = []
-        right: list[int] = []
-        marks = [True]
-        for lefts, rights, ws in by_key.values():
-            left += [flat[offset[w] + i] for i, w in zip(lefts, ws)]
-            right += rights
-            marks += [False] * (len(ws) - 1) + [True]
-        return _SquareTable(
-            {m: i for i, m in enumerate(masks)},
-            tuple(weights),
-            itemgetter(*left),
-            itemgetter(*right),
-            tuple(by_key),
-            tuple(marks),
-        )
-
-    @lru_cache(maxsize=_PACKED_MASK_CAP)
-    def packed_masks(self, width: int) -> tuple[tuple[int, int], ...]:
-        """Per generator y, the masks of its left action on packed fields.
-
-        A packed form holds the coefficient of blade b in bits
-        b*width .. (b+1)*width - 1.  Entry y is (flip, low): ``flip``
-        covers the fields b with e_y e_b = -e_(b ^ 2^y), and ``low`` the
-        fields b without index y.  Kept for the most recently used widths
-        only.
-        """
-        # Doubling over the bits j of b: fields 2^j .. 2^(j+1) - 1 are the
-        # first 2^j with index j added, which flips the sign of e_y e_b when
-        # j < y (one more index below y), multiplies it by g^yy when j = y,
-        # and leaves it when j > y.
-        out = []
-        for y in range(self.n):
-            flip = 0
-            low = (1 << (width << y)) - 1
-            for j in range(self.n):
-                span = width << j
-                if j < y or (j == y and self.diag[y] == -1):
-                    flip |= (((1 << span) - 1) ^ flip) << span
-                else:
-                    flip |= flip << span
-                if j > y:
-                    low |= low << span
-            out.append((flip, low))
-        return tuple(out)
-
-    def finish(self, acc: dict, den: int) -> dict[int, Rational]:
-        """The nonzero accumulated integer numerators over den, normalized."""
-        return divide_numerators({m: c for m, c in acc.items() if c}, den)
-
-
-_kernel = lru_cache(maxsize=_KERNEL_CAP)(_DiagKernel)
-
-
-def _kernel_for(metric: Metric) -> _DiagKernel:
-    """The kernel of an orthonormal metric."""
-    return _kernel(metric.signature.n, metric.diagonal)
 
 
 # -- exterior operations -------------------------------------------------------

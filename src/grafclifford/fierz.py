@@ -59,11 +59,12 @@ kept in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable
 
 from .bilinear import Pairing, b_eval
@@ -173,16 +174,47 @@ def fundamental_identity_holds(
     return mat_mul(e11, e22) == mat_scale(e12, factor)
 
 
+def _blade_gather(rep: Rep, lanes: Iterable[tuple[int, int]]) -> Callable[[list], tuple]:
+    """Signed blades as flat indices into z (x) w, -(z (x) w), one run per lane.
+
+    Lane (mask, weight) by lane, row i of ``rep.blade_sp(mask)`` (sign s
+    at column c) is index i*d + c of the outer product z (x) w of two
+    length-d vectors, plus d*d when s * weight is -1, to land in the
+    negated copy that follows it.  So the gather of the concatenation
+    holds one run of d values per lane, and each run sums to
+    weight * sum_i s_i z_i w_(c_i).
+    """
+    d = rep.d
+    # one int object per index value, shared by every lane that uses it
+    flat = list(range(2 * d * d))
+    indices = []
+    for mask, weight in lanes:
+        sp = rep.blade_sp(mask)
+        indices += [
+            flat[i * d + c if s == weight else d * d + i * d + c]
+            for i, (c, s) in enumerate(zip(sp.col, sp.sign))
+        ]
+    gather = itemgetter(*indices)
+    # on (0,0) there is one index, and itemgetter then returns the item itself
+    return gather if len(indices) > 1 else lambda v: (gather(v),)
+
+
+@lru_cache(maxsize=8)
+def _profile_gather(rep: Rep) -> Callable[[list], tuple]:
+    """Every blade in mask order with weight +1 (``_blade_gather``): 2^n runs of d values."""
+    return _blade_gather(rep, ((mask, 1) for mask in range(1 << rep.signature.n)))
+
+
 def _bilinear_profile(
     rep: Rep, pairing: Pairing, alpha: Vector, w: Vector, gather: Callable[[list], tuple]
 ) -> dict[int, object]:
     """Coefficients weight * B(alpha, blade(w)) for each lane of ``gather``, by lane.
 
-    ``gather`` comes from ``Rep.blade_gather``: lane j is a blade, a
+    ``gather`` comes from ``_blade_gather``: lane j is a blade, a
     signed permutation whose row i holds sign[i] at column col[i], with
     a weight of +-1, and its coefficient is
     weight * sum_i sign[i] z[i] w[col[i]] with z = G^T alpha.  With
-    ``rep.profile_gather`` the lanes are the masks in order.  alpha, z
+    ``_profile_gather(rep)`` the lanes are the masks in order.  alpha, z
     and w are cleared to integer numerators first (Majorana-projected
     spinors have half-integer entries), so the products z[i] w[j] are
     formed once per call on ints, and the gather puts each lane's signed
@@ -233,7 +265,7 @@ def unit_profile(
     give the identity unit's.
     """
     weights = _blade_weights(rep, pairing.tau * twist)
-    prof = _bilinear_profile(rep, pairing, alpha, beta, rep.profile_gather)
+    prof = _bilinear_profile(rep, pairing, alpha, beta, _profile_gather(rep))
     return {m: eps * weights[m] * v for m, v in prof.items()}
 
 

@@ -28,11 +28,8 @@ the volume element where one exists.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable
 
 from .errors import StructureError
 from .exterior import Metric, Signature
@@ -231,12 +228,9 @@ class Rep:
     frame; reports render them with ``SignedPerm.report_rows``.  ``blade_sp``
     caches one signed permutation per canonical blade on the instance,
     so the cache holds at most 2^n entries of d column indices and d
-    signs; the covariant profile table (``profile_gather``) visits every
-    blade and fills it.  ``blade_gather`` builds that table, and any
-    other, from a list of signed blades.  The commutant basis (``commutant``), the
-    structure maps (``structure``) and the profile table are
-    ``functools.cached_property`` values, derived once per instance on
-    first use.
+    signs.  The commutant basis (``commutant``) and the structure maps
+    (``structure``) are ``functools.cached_property`` values, derived
+    once per instance on first use.
     """
 
     def __init__(self, signature: Signature, volume_sign: int, perms: tuple[SignedPerm, ...]):
@@ -281,35 +275,6 @@ class Rep:
             out = self.perms[low.bit_length() - 1].compose(self.blade_sp(mask ^ low))
         self._cache_sp[mask] = out
         return out
-
-    def blade_gather(self, lanes: Iterable[tuple[int, int]]) -> Callable[[list], tuple]:
-        """Signed blades as flat indices into z (x) w, -(z (x) w), one run per lane.
-
-        Lane (mask, weight) by lane, row i of ``blade_sp(mask)`` (sign s at
-        column c) is index i*d + c of the outer product z (x) w of two
-        length-d vectors, plus d*d when s * weight is -1, to land in the
-        negated copy that follows it.  So the gather of the concatenation
-        holds one run of d values per lane, and each run sums to
-        weight * sum_i s_i z_i w_(c_i).
-        """
-        d = self.d
-        # one int object per index value, shared by every lane that uses it
-        flat = list(range(2 * d * d))
-        indices = []
-        for mask, weight in lanes:
-            sp = self.blade_sp(mask)
-            indices += [
-                flat[i * d + c if s == weight else d * d + i * d + c]
-                for i, (c, s) in enumerate(zip(sp.col, sp.sign))
-            ]
-        gather = itemgetter(*indices)
-        # on (0,0) there is one index, and itemgetter then returns the item itself
-        return gather if len(indices) > 1 else lambda v: (gather(v),)
-
-    @cached_property
-    def profile_gather(self) -> Callable[[list], tuple]:
-        """Every blade in mask order with weight +1 (``blade_gather``): 2^n runs of d values."""
-        return self.blade_gather((mask, 1) for mask in range(1 << self.signature.n))
 
     def volume_sp(self) -> SignedPerm:
         return self.blade_sp((1 << self.signature.n) - 1)

@@ -169,7 +169,7 @@ def graf_product_reversed_check(f: Form, g: Form, metric: Metric) -> bool:
     g * f admits an expansion over contractions of (f, g) with a global
     (-1)^(mr) and per-term sign (-1)^(k(m-k+1) + floor(k/2)).
     """
-    if not (f.is_homogeneous() and g.is_homogeneous()):
+    if len(f.grades()) > 1 or len(g.grades()) > 1:
         raise ValueError("reversed-order check requires homogeneous inputs")
     if f.is_zero() or g.is_zero():
         return True
@@ -605,6 +605,34 @@ def pairing_from_json(text: str) -> Pairing:
         raise ValueError("pairing gram is not a signed permutation")
     iso = obj.get("isotropy")
     return Pairing(gram, int(obj["sigma"]), int(obj["tau"]), None if iso is None else int(iso))
+
+
+# -- transpose law over blades ---------------------------------------------------------------
+
+
+def blade_transpose_sign(tau: int, k: int) -> int:
+    """Sign in the blade transpose law: tau^k times the reversal sign."""
+    s = 1 if k % 4 in (0, 1) else -1
+    return s if tau == 1 or k % 2 == 0 else -s
+
+
+def transpose_check(pairing: Pairing, rep: Rep) -> bool:
+    """A M = s_k M^T A for the signed permutation M of each of the 2^n blades, s_k as above."""
+    a, tau = pairing.gram, pairing.tau
+    for mask in range(1 << rep.signature.n):
+        m = rep.blade_sp(mask)
+        if a.compose(m) != m.transpose().compose(a).times(blade_transpose_sign(tau, mask.bit_count())):
+            return False
+    return True
+
+
+def vanishing_ranks(pairing: Pairing, n: int) -> set[int]:
+    """Grades k with B(alpha, blade_k(alpha)) = 0 identically.
+
+    The scalar B(a, M a) equals its own transpose, so it vanishes
+    whenever sigma times the blade transpose sign is -1.
+    """
+    return {k for k in range(n + 1) if pairing.sigma * blade_transpose_sign(pairing.tau, k) == -1}
 
 
 # -- ordered-tuple covariant expansion -----------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from grafclifford.classify import geometry_of
 import grafclifford.classify as classify_module
-from grafclifford import cli, exterior, matrixrep
+from grafclifford import cli, fierz, graf, matrixrep
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
 from grafclifford.graf import volume_square_sign
@@ -168,8 +168,8 @@ def test_structure_maps_are_solved_once_per_representation(capsys, monkeypatch):
 
 def test_a_census_builds_one_kernel_and_one_square_table(capsys):
     # every sample squares on the one (9,0) kernel and its one pinor pair table
-    kernels = exterior._kernel
-    tables = exterior._DiagKernel._build_square_table
+    kernels = graf._kernel
+    tables = graf._DiagKernel._build_square_table
     kernels.cache_clear()
     tables.cache_clear()
     status, report = run_json(capsys, ["census", "--signature", "9,0", "--samples", "5"])
@@ -181,14 +181,15 @@ def test_a_census_builds_one_kernel_and_one_square_table(capsys):
 def test_build_rep_and_check_algebra_build_no_lane_or_folded_table(capsys):
     # the census's per-sample tables are built lazily, by the census paths alone
     lanes = classify_module._covariant_lanes
-    tables = exterior._DiagKernel._build_square_table
-    lanes.cache_clear()
-    tables.cache_clear()
+    tables = graf._DiagKernel._build_square_table
+    gathers = fierz._profile_gather
+    for cache in (lanes, tables, gathers):
+        cache.cache_clear()
     for argv in (["build-rep", "--signature", "4,6"], ["check-algebra", "--signature", "9,0"]):
         status, _ = run_json(capsys, argv)
         assert status == 0
-    assert lanes.cache_info().misses == 0
-    assert tables.cache_info().misses == 0
+    for cache in (lanes, tables, gathers):
+        assert cache.cache_info().misses == 0
     # and the census paths evict no square table
     for command in ("census", "verify-fierz"):
         tables.cache_clear()

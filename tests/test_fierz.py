@@ -14,6 +14,7 @@ from grafclifford.fierz import (
     FierzVerdict,
     IdentityResult,
     _bilinear_profile,
+    _profile_gather,
     check_fierz,
     covariant,
     endo_E,
@@ -130,20 +131,20 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     for rep, pairing in cases:
         assert all(type(v) is int for row in oracles.to_dense(pairing.gram) for v in row)
         zero = (0,) * rep.d
-        assert _bilinear_profile(rep, pairing, zero, zero, rep.profile_gather) == {}
+        assert _bilinear_profile(rep, pairing, zero, zero, _profile_gather(rep)) == {}
         for a, b in ((zero[:-1], zero), (zero, zero + (0,))):
             with pytest.raises(DimensionMismatch):
-                _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
+                _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
         assert oracles.bilinear_profile(rep, pairing, zero, zero) == {}
         for _ in range(3):
             alpha = oracles.rand_vector(rng, rep.d)
             w = oracles.rand_vector(rng, rep.d)
             for a, b in ((alpha, alpha), (alpha, w)):
-                prof = _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
+                prof = _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
                 assert prof == oracles.bilinear_profile(rep, pairing, a, b)
                 assert all(type(v) is int for v in prof.values())
             thirds = tuple(Fraction(c, 3) for c in w)
-            prof = _bilinear_profile(rep, pairing, alpha, thirds, rep.profile_gather)
+            prof = _bilinear_profile(rep, pairing, alpha, thirds, _profile_gather(rep))
             assert prof == oracles.bilinear_profile(rep, pairing, alpha, thirds)
     # real (1,2) spinors are Majorana projections, with half-integer entries
     for pairing in pairings12:
@@ -152,14 +153,14 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
             b = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
             assert any(type(c) is Fraction for c in a + b)
             for x, y in ((a, a), (a, b)):
-                prof = _bilinear_profile(rep12, pairing, x, y, rep12.profile_gather)
+                prof = _bilinear_profile(rep12, pairing, x, y, _profile_gather(rep12))
                 assert prof == oracles.bilinear_profile(rep12, pairing, x, y)
     # the smallest representations; on (0,0) the table holds a single index
     for sig in (Signature(0, 0), Signature(1, 0)):
         rep = build_rep(sig)
         for pairing in admissible_pairings(rep):
             for a, b in (((3,) * rep.d, (-2,) * rep.d), ((Fraction(1, 2),) * rep.d, (5,) * rep.d)):
-                prof = _bilinear_profile(rep, pairing, a, b, rep.profile_gather)
+                prof = _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
                 assert prof == oracles.bilinear_profile(rep, pairing, a, b)
 
 

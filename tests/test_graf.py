@@ -133,7 +133,7 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
         zeroed = _grade_set_form(rng, SIG90, pinor, keep=0.6, rational=True)
         sparse = _grade_set_form(rng, SIG90, pinor, keep=0.2)
         if met.is_orthonormal:
-            kern = exterior._kernel_for(met)
+            kern = graf._kernel_for(met)
             for f in (full, zeroed):
                 assert kern.square_table(pinor, f.num_terms(), 0) is not None
             assert kern.square_table(pinor, sparse.num_terms(), 0) is None
@@ -143,8 +143,8 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
         _check_squares([sparse], met, oracle=False)
     # 336 masks on grades {3, 4, 5}: past the ceiling even when full
     wide = _grade_set_form(rng, SIG90, {3, 4, 5})
-    assert wide.num_terms() > exterior._SQUARE_TABLE_MASKS
-    assert exterior._kernel_for(Metric.standard(SIG90)).square_table(
+    assert wide.num_terms() > graf._SQUARE_TABLE_MASKS
+    assert graf._kernel_for(Metric.standard(SIG90)).square_table(
         frozenset({3, 4, 5}), wide.num_terms(), 0
     ) is None
     _check_squares([wide], Metric.standard(SIG90), oracle=False)
@@ -153,7 +153,7 @@ def test_square_kernel_matches_a_distinct_copy_and_the_oracle():
 def _check_squares(squares, met, oracle=True):
     sig = met.signature
     for f in squares:
-        copy = Form.from_mask_dict(sig, f.mask_dict())
+        copy = Form.from_mask_dict(sig, dict(f.mask_items()))
         assert copy is not f
         square = graf_product(f, f, met)
         assert square == graf_product(f, copy, met)
@@ -175,7 +175,7 @@ def test_square_tables_are_bounded_per_kernel():
     sig = Signature(5, 0)
     met = Metric.standard(sig)
     rng = random.Random(24)
-    tables = exterior._DiagKernel._build_square_table
+    tables = graf._DiagKernel._build_square_table
     tables.cache_clear()
 
     def square(grades):
@@ -188,11 +188,11 @@ def test_square_tables_are_bounded_per_kernel():
 
     kept = frozenset({0, 1})
     grade_sets = [frozenset(s) for s in ({1}, {2}, {0, 2}, {1, 2}, {2, 3}, {3}, {1, 3}, {0, 4})]
-    assert len(grade_sets) > exterior._SQUARE_TABLE_CAP
+    assert len(grade_sets) > graf._SQUARE_TABLE_CAP
     for grades in grade_sets:
         square(grades)
         square(kept)
-        assert tables.cache_info().currsize <= exterior._SQUARE_TABLE_CAP
+        assert tables.cache_info().currsize <= graf._SQUARE_TABLE_CAP
     # the grade set squared on every round is never the least recent, so it stays
     assert square(kept) == 1
     assert square(grade_sets[0]) == 0
@@ -217,7 +217,7 @@ COEFFICIENT_DRAWS = {
 
 def _packed(f, g, met):
     """f * g through the packed kernel, called directly whatever the input."""
-    kern = exterior._kernel_for(met)
+    kern = graf._kernel_for(met)
     ta, da = common_denominator(list(f.mask_items()))
     tb, db = common_denominator(list(g.mask_items()))
     terms = kern.finish(graf._product_terms_packed(ta, tb, kern), da * db)
@@ -271,7 +271,7 @@ def test_packed_field_width_holds_a_bound_that_is_a_power_of_two(monkeypatch):
     """
     sig = Signature(2, 2)
     met = Metric.standard(sig)
-    kern = exterior._kernel_for(met)
+    kern = graf._kernel_for(met)
     for k in range(5, 30):
         big, small = 1 << (k - 4) // 2, 1 << (k - 4) - (k - 4) // 2
         for sign in (1, -1):
@@ -311,7 +311,7 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
         sparse = Form.from_mask_dict(sig, {m: draw(rng) for m in masks})
         never += [(dense, sparse, met), (sparse, dense, met)]
         squares.append((dense, met))
-    kern = exterior._kernel_for(squares[0][1])
+    kern = graf._kernel_for(squares[0][1])
     assert kern.square_table(frozenset(range(low + 1)), 1 << low, 0) is not None
     below = Signature(low - 1, 0)
     never.append((_dense_form(rng, below, draw), _dense_form(rng, below, draw), Metric.standard(below)))
@@ -326,7 +326,7 @@ def test_only_dense_products_under_unit_diagonals_run_packed(monkeypatch):
             assert prod == oracles.graf_product_oracle(f, g, met)
     assert seen == []
     for f, met in squares:
-        copy = Form.from_mask_dict(met.signature, f.mask_dict())
+        copy = Form.from_mask_dict(met.signature, dict(f.mask_items()))
         assert graf_product(f, f, met) == _loop(f, copy, met, monkeypatch)
     assert seen == [(9, 1 << 9, 1 << 9)]
     # three quarters exactly, under the standard and a mixed-sign metric, at the threshold
@@ -343,7 +343,7 @@ def test_packed_masks_match_the_blade_action():
     """Field b of flip is set iff e_y e_b = -e_(b^y); of low iff y is not in b."""
     for diag in ((1, 1, 1, 1), (1, -1, -1, 1, -1)):
         sig = Signature(diag.count(1), diag.count(-1))
-        kern = exterior._kernel_for(Metric.standard(sig))
+        kern = graf._kernel_for(Metric.standard(sig))
         for width in (8, 24):
             field = (1 << width) - 1
             for y, (flip, low) in enumerate(kern.packed_masks(width)):
@@ -359,7 +359,7 @@ def test_packed_masks_are_bounded_per_kernel():
     sig = Signature(4, 2)
     met = Metric.standard(sig)
     rng = random.Random(33)
-    masks = exterior._DiagKernel.packed_masks
+    masks = graf._DiagKernel.packed_masks
     masks.cache_clear()
     unit = _dense_form(rng, sig, lambda rng: rng.choice((-1, 1)))
     ones = Form.from_mask_dict(sig, {m: 1 for m in range(1 << sig.n)})
@@ -378,11 +378,11 @@ def test_packed_masks_are_bounded_per_kernel():
 
     kept = 16
     widths = [24, 32, 40, 48, 56, 64]
-    assert len(widths) > exterior._PACKED_MASK_CAP
+    assert len(widths) > graf._PACKED_MASK_CAP
     for width in widths:
         product(width)
         product(kept)
-        assert masks.cache_info().currsize <= exterior._PACKED_MASK_CAP
+        assert masks.cache_info().currsize <= graf._PACKED_MASK_CAP
     # the width used on every round is never the least recent, so it stays
     assert product(kept) == 1
     assert product(widths[0]) == 0
@@ -431,7 +431,7 @@ def test_only_orthonormal_metrics_reach_the_kernel(monkeypatch):
                     )
         assert asked == []
     with pytest.raises(ValueError):
-        exterior._DiagKernel(3, (2, -3, 5))
+        graf._DiagKernel(3, (2, -3, 5))
     unit = _diagonal_metric((-1, 1, 1))
     f = oracles.rand_form(rng, unit.signature)
     assert graf_product(f, f, unit) == oracles.graf_product_oracle(f, f, unit)
@@ -461,7 +461,7 @@ def test_contracted_wedge_is_a_graded_slice_of_the_product():
 
 def test_kernel_keeps_integer_inputs_on_ints():
     rng = random.Random(21)
-    kern = exterior._kernel_for(Metric.standard(SIG90))
+    kern = graf._kernel_for(Metric.standard(SIG90))
     f = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
     g = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
     pairs, den = common_denominator(f)
@@ -501,9 +501,9 @@ def test_product_with_non_unit_diagonal_metric():
     assert graf_product(e1, e1, rational_met) == Form.scalar(sig, Fraction(1, 2))
     # integral results under a rational metric are stored as ints
     two = graf_product(e1.scale(2), e1, rational_met)
-    assert two.mask_dict() == {0: 1} and _normalized(two)
+    assert dict(two.mask_items()) == {0: 1} and _normalized(two)
     dual = hodge(Form.blade(sig, (2, 3), 14), rational_met)
-    assert dual.mask_dict() == {1: 30} and _normalized(dual)
+    assert dict(dual.mask_items()) == {1: 30} and _normalized(dual)
 
 
 def _normalized(f: Form) -> bool:
@@ -531,7 +531,7 @@ def test_kernel_row_matches_the_pair_sign_definition():
             tuple(-1 if i % 2 else 1 for i in range(n)),
         ]
         for diag in diagonals:
-            kern = exterior._DiagKernel(n, diag)
+            kern = graf._DiagKernel(n, diag)
             for ma in range(1 << n):
                 row = kern.row(ma)
                 assert len(row) == 1 << n
@@ -551,21 +551,21 @@ def test_kernel_cache_is_bounded():
         for diag in itertools.product((1, -1), repeat=4)
         if diag != base.diagonal
     ]
-    assert len(others) > exterior._KERNEL_CAP
-    kernels = exterior._kernel
+    assert len(others) > graf._KERNEL_CAP
+    kernels = graf._kernel
     kernels.cache_clear()
-    kept = exterior._kernel_for(base)
+    kept = graf._kernel_for(base)
     for met in others:
         for m in (met, base):
             f = oracles.rand_form(rng, m.signature, rational=True)
             g = oracles.rand_form(rng, m.signature)
             assert graf_product(f, g, m) == oracles.graf_product_oracle(f, g, m)
-        assert kernels.cache_info().currsize <= exterior._KERNEL_CAP
+        assert kernels.cache_info().currsize <= graf._KERNEL_CAP
     # the metric used on every round is never the least recent, so it stays
     hits, misses = _lookups(kernels)
-    assert exterior._kernel_for(base) is kept
+    assert graf._kernel_for(base) is kept
     assert _lookups(kernels) == (hits + 1, misses)
-    exterior._kernel_for(others[0])
+    graf._kernel_for(others[0])
     assert _lookups(kernels) == (hits + 1, misses + 1)
 
 
@@ -574,7 +574,7 @@ def test_product_with_general_metric_is_associative_and_clifford():
     rng = random.Random(13)
     for met in oracles.non_diagonal_metrics():
         sig = met.signature
-        assert not met.is_diagonal
+        assert not met.diagonal is not None
         for i in range(1, sig.n + 1):
             for j in range(1, sig.n + 1):
                 ei, ej = Form.blade(sig, (i,)), Form.blade(sig, (j,))
@@ -680,7 +680,7 @@ def test_hodge_is_right_volume_product():
             for _ in range(5):
                 f = oracles.rand_form(rng, sig, terms=8, rational=rational)
                 star = hodge(f, met)
-                if met.is_diagonal:
+                if met.diagonal is not None:
                     assert star == graf_product(f, v, met)
                     assert star == oracles.graf_product_oracle(f, v, met)
                 else:
@@ -692,7 +692,7 @@ def test_hodge_is_right_volume_product():
     assert hodge(Form.unit(SIG12)) == volume_form(SIG12)
     # integral coefficients under a rational diagonal are stored as ints
     dual = hodge(Form.blade(sig21, (1, 3), 14), rational_met)
-    assert dual.mask_dict() == {2: 5} and type(dual.coeff(2)) is int
+    assert dict(dual.mask_items()) == {2: 5} and type(dual.coeff(2)) is int
 
 
 # -- projectors and truncation ------------------------------------------------------------------
@@ -793,7 +793,7 @@ def test_the_folded_square_table_is_the_literal_truncated_square():
     admitted = refused = 0
     for sig in regime:
         met = Metric.standard(sig)
-        kern = exterior._kernel_for(met)
+        kern = graf._kernel_for(met)
         grade_sets = [{0, 1}, {1, sig.n}, {0, 1, sig.n - 1}]
         if sig == SIG90:
             grade_sets.append({0, 1, 4})
@@ -801,7 +801,7 @@ def test_the_folded_square_table_is_the_literal_truncated_square():
             rational = rng.random() < 0.5
             for keep in (1.0, 0.2):
                 f = _grade_set_form(rng, sig, grades, keep=keep, rational=rational)
-                copy = Form.from_mask_dict(sig, f.mask_dict())
+                copy = Form.from_mask_dict(sig, dict(f.mask_items()))
                 for s in (1, -1):
                     table = kern.square_table(frozenset(f.grades()), f.num_terms(), s)
                     admitted += table is not None

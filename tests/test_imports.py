@@ -38,6 +38,10 @@ level: importing either loads OpenSSL's libcrypto into every CLI process
 (3.7 MiB resident on CPython 3.11, x86-64 Linux), and CPython's built-in
 ``_sha2``/``_sha256`` give the same digest.  The one allowed import is the last fallback, in an
 ``except ImportError`` handler, for a build without the built-in module.
+Each packed layout has one owner: no library module but ``graf`` names
+the blade-pair kernel (``KERNEL_NAMES``), and ``exterior`` and
+``matrixrep`` import no ``itemgetter``, so the signed gathers over
+z (x) w are laid out in ``fierz`` alone.
 """
 
 import ast
@@ -84,6 +88,10 @@ FRAME_MODULES = ("matrixrep", "bilinear", "fierz", "classify", "cli")
 METRIC_FREE_MODULES = ("bilinear", "fierz", "classify")
 # Modules whose import loads OpenSSL.
 OPENSSL_MODULES = {"hashlib", "_hashlib"}
+# The blade-pair kernel and its one owner; the modules that lay out no gather.
+KERNEL_NAMES = {"_DiagKernel", "_kernel", "_kernel_for"}
+KERNEL_OWNER = "graf"
+GATHER_FREE_MODULES = ("exterior", "matrixrep")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -321,6 +329,34 @@ def openssl_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
+def named(source: str, names: set[str]) -> list[str]:
+    """Every binding or read of ``names``: a name, an attribute, an import or a definition."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def layout_owner_violations(sources: dict[str, str]) -> list[str]:
+    """Kernel names outside ``KERNEL_OWNER``, and ``itemgetter`` in ``GATHER_FREE_MODULES``."""
+    found = []
+    for module, source in sources.items():
+        banned = set() if module == KERNEL_OWNER else set(KERNEL_NAMES)
+        if module in GATHER_FREE_MODULES:
+            banned.add("itemgetter")
+        found += [f"{module}: {hit}" for hit in named(source, banned)]
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -538,6 +574,36 @@ def test_the_openssl_checker_sees_hashlib_imports_outside_a_fallback():
         "hashlib (line 13)",
         "hashlib (line 15)",
     ]
+
+
+def test_the_layout_checker_sees_kernels_and_gathers_outside_their_owner():
+    sources = {
+        "graf": (
+            "from operator import itemgetter\n"
+            "class _DiagKernel:\n    pass\n"
+            "_kernel = lru_cache(maxsize=8)(_DiagKernel)\n"
+            "def _kernel_for(metric):\n    return _kernel(metric)\n"
+        ),
+        "exterior": "import operator\ndef _kernel_for(metric):\n    return operator.itemgetter(0)\n",
+        "matrixrep": "from operator import itemgetter as take\nkernel = {}\n",
+        "classify": (
+            "from .graf import _kernel_for as kernel_of\n"
+            "from . import graf\n"
+            "kern = graf._DiagKernel(3, diag)\n"
+            "from operator import itemgetter\n"
+        ),
+    }
+    assert layout_owner_violations(sources) == [
+        "exterior: _kernel_for (line 2)",
+        "exterior: itemgetter (line 3)",
+        "matrixrep: itemgetter (line 1)",
+        "classify: _kernel_for (line 1)",
+        "classify: _DiagKernel (line 3)",
+    ]
+
+
+def test_each_packed_layout_has_one_owner():
+    assert layout_owner_violations({path.stem: path.read_text() for path in SRC}) == []
 
 
 def test_no_library_module_imports_hashlib():
