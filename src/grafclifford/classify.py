@@ -11,7 +11,9 @@ component of E(alpha, alpha), read without its k_const / 2^n multiple
 by the one extractor ``covariants``, which checks the record's
 preconditions as it goes.  One master identity S o S = c B S on their
 sum S gates the class: o is the truncated product in the truncation
-regime and the Clifford product otherwise.
+regime and the Clifford product otherwise.  Its literal square is
+compared with c B S by equality, so a passing identity carries a zero
+residual that is never formed.
 
 Two geometries are on the table.  On signature (1,2) the almost-complex
 case applies: real spinors are the fixed points of the anticomplex
@@ -38,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial
+from operator import add
 from typing import Callable
 
 from .bilinear import Pairing, table_sigma, table_tau
@@ -92,16 +95,22 @@ __all__ = [
 
 
 def majorana_project(rep: Rep, alpha) -> tuple:
-    """Plus-projection onto real spinors: half of (alpha + D(alpha))."""
+    """Plus-projection onto real spinors: half of (alpha + D(alpha)).
+
+    An integer entry sum is halved on ints (``t >> 1`` when even,
+    ``Fraction(t, 2)`` when odd); any other sum takes ``Fraction``
+    arithmetic, so every entry is the same normalized value either way.
+    """
     dmap = rep.structure.D
     if dmap is None:
         raise StructureError("projection needs the anticomplex structure map")
     vec = tuple(alpha)
     if len(vec) != rep.abs.rep_dim:
         raise DimensionMismatch("spinor length does not match the representation")
-    half = Fraction(1, 2)
-    dv = dmap.apply(vec)
-    return tuple(_norm((a + d) * half) for a, d in zip(vec, dv))
+    return tuple(
+        ((Fraction(t, 2) if t & 1 else t >> 1) if type(t) is int else _norm(t * Fraction(1, 2)))
+        for t in map(add, vec, dmap.apply(vec))
+    )
 
 
 # -- reduced verdicts ---------------------------------------------------------------------
@@ -143,20 +152,25 @@ class ReducedVerdict:
 # -- (1,2): the two contracted-wedge rows -----------------------------------------------
 
 
-def _self_wedges(f: Form, m: int) -> Callable[[int], Form]:
+def _self_wedges(f: Form, m: int, square: Form | None = None) -> Callable[[int], Form]:
     """k -> f ^_k f for f homogeneous of grade m, each a grade slice of one square.
 
     cw_k(f, f) = k! (-1)^(k(m-k) + floor(k/2)) <f * f>_(2m-2k)
-    (``graf.contracted_wedge``), so one product serves every k.
+    (``graf.contracted_wedge``), so one product serves every k: f * f,
+    or ``square`` when the caller has already formed it.
     """
-    square = graf_product(f, f)
+    if square is None:
+        square = graf_product(f, f)
     return lambda k: grade_project(square, 2 * m - 2 * k).scale(factorial(k) * _graf_sign(k, m))
 
 
-def _rows_12(cov, b):
-    """phi2 ^_2 phi2 = -2 <S>_0 and phi2 ^_1 phi2 = -<S>_2, with S = phi2 * phi2."""
+def _rows_12(cov, b, square=None):
+    """phi2 ^_2 phi2 = -2 <S>_0 and phi2 ^_1 phi2 = -<S>_2, with S = phi2 * phi2.
+
+    ``square`` is phi2 * phi2 when the caller has already formed it.
+    """
     phi0, phi2 = cov
-    phi2_phi2 = _self_wedges(phi2, 2)
+    phi2_phi2 = _self_wedges(phi2, 2, square)
     rows = (
         _result("rank2-double-contraction", phi2_phi2(2) + phi0.scale(2 * b)),
         _result("rank2-single-contraction", phi2_phi2(1)),
@@ -167,7 +181,7 @@ def _rows_12(cov, b):
 # -- (9,0): the five published rows ----------------------------------------------------
 
 
-def _rows_90(cov, b):
+def _rows_90(cov, b, square=None):
     """The five published reduced rows and the volume-image clearance.
 
     Rows are named by the grade they constrain.  The clearance entry
@@ -187,6 +201,7 @@ def _rows_90(cov, b):
     for k = 0..4, each a grade part of the square of its factor
     (``_self_wedges``); with S = psi4 * psi4, psi4 ^ psi4 = <S>_8,
     cw_1 = -<S>_6, cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0.
+    ``square`` is psi4 * psi4 when the caller has already formed it.
     """
     psi0, p1, p4 = cov
     clearance = _result(
@@ -194,7 +209,7 @@ def _rows_90(cov, b):
         lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)))),
     )
     p1_p1 = _self_wedges(p1, 1)
-    p4_p4 = _self_wedges(p4, 4)
+    p4_p4 = _self_wedges(p4, 4, square)
     rows = (
         _result(
             "grade0-row",
@@ -240,8 +255,9 @@ class Geometry:
     components: tuple[tuple[str, int], ...]
     # (identity name, c) of the master identity S o S = c B S
     master: tuple[str, int]
-    # (covariants, b) -> (reduced rows, volume-image clearance or None)
-    rows: Callable[[tuple[Form, ...], object], tuple]
+    # (covariants, b, the last component's Clifford square or None) ->
+    # (reduced rows, volume-image clearance or None)
+    rows: Callable[[tuple[Form, ...], object, Form | None], tuple]
     # whether a failing reduced row refuses the spinor; otherwise failing
     # rows are flagged reports and only the master identity refuses
     gate_on_rows: bool
@@ -414,10 +430,10 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
             raise NotASpinor("spinor is not fixed by the real structure; project it first")
     lanes = _covariant_lanes(rep, pairing.tau)
     prof = _bilinear_profile(rep, pairing, vec, vec, lanes.gather)
-    if max(prof, default=0) >= lanes.stop:
-        raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
     # the nonzero lanes ascend: the component lanes, then the image lanes
     keys, vals = list(prof), list(prof.values())
+    if keys and keys[-1] >= lanes.stop:
+        raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
     count = lanes.bounds[-1]
     cut = bisect_left(keys, count)
     if lanes.stop > count and (
@@ -432,21 +448,54 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     return tuple(parts)
 
 
-def _master(covs: tuple[Form, ...], b, volume_sign: int) -> IdentityResult:
+def _component_sum(covs: tuple[Form, ...]) -> Form:
+    """S, the sum of the covariants: the union of their terms.
+
+    The components sit on distinct grades, so their masks are disjoint
+    and the union is the sum.  A hand-injected set whose masks overlap
+    takes ``Form`` addition.  When at most one component is nonzero, S is
+    that component (or the last one) itself.
+    """
+    for f in covs[1:]:
+        covs[0]._check_same(f)
+    parts = [f for f in covs if not f.is_zero()]
+    if len(parts) <= 1:
+        return parts[0] if parts else covs[-1]
+    terms: dict = {}
+    for f in parts:
+        terms.update(f.mask_items())
+    if len(terms) < sum(f.num_terms() for f in parts):
+        return sum(covs[1:], covs[0])
+    return Form._adopt(covs[0].signature, terms)
+
+
+def _master(
+    covs: tuple[Form, ...], b, volume_sign: int, square: Form | None = None
+) -> IdentityResult:
     """The master identity S o S = c B S in cleared form, S the sum of the covariants.
 
     o is the truncated product under the projector of ``volume_sign``
     (the ideal the covariants live in) in the truncation regime, and the
     Clifford product otherwise.  S is one object, so the product takes
-    the square path.
+    the square path; ``square`` is S o S when the caller has already
+    formed it.  The literal square is compared with c B S by equality,
+    and the residual S o S - c B S is formed only when they differ: a
+    passing identity carries the zero form, never formed by subtraction.
     """
-    s = sum(covs[1:], covs[0])
-    if in_truncation_regime(s.signature):
-        square = truncated_product(s, s, volume_sign)
-    else:
-        square = graf_product(s, s)
-    name, c = geometry_of(s.signature).master
-    return _result(name, square - s.scale(c * b))
+    s = _component_sum(covs)
+    sig = s.signature
+    if square is None:
+        if in_truncation_regime(sig):
+            square = truncated_product(s, s, volume_sign)
+        else:
+            square = graf_product(s, s)
+    name, c = geometry_of(sig).master
+    cb = c * b
+    # exact: an integral Fraction v * cb compares equal to the int it normalizes to
+    target = {m: v * cb for m, v in s.mask_items()} if cb else {}
+    if dict(square.mask_items()) == target:
+        return IdentityResult(name, True, Form.zero(sig))
+    return _result(name, square - s.scale(cb))
 
 
 def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
@@ -456,9 +505,19 @@ def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
 
 
 def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> ReducedVerdict:
-    """Exact verdict on the master identity and the reduced rows, with flags."""
-    master = _master(covs, b, volume_sign)
-    rows, clearance = geometry_of(covs[0].signature).rows(covs, b)
+    """Exact verdict on the master identity and the reduced rows, with flags.
+
+    Outside the truncation regime, when every component but the last is
+    zero (phi0 = 0 on (1,2), as on every real spinor), S is the last
+    component and S o S its Clifford square, which the rows read too;
+    that square is formed once and serves both.
+    """
+    geometry = geometry_of(covs[0].signature)
+    square = None
+    if not in_truncation_regime(covs[0].signature) and all(f.is_zero() for f in covs[:-1]):
+        square = graf_product(covs[-1], covs[-1])
+    master = _master(covs, b, volume_sign, square)
+    rows, clearance = geometry.rows(covs, b, square)
     return ReducedVerdict(master, rows, _flags(master, rows), clearance)
 
 
@@ -473,7 +532,10 @@ def classify(
     ``b`` defaults to the scalar component, which is B(alpha, alpha) for
     covariants computed from a spinor; a hand-injected set may supply its
     own.  The gate reads ``verdict`` when the caller already holds it and
-    otherwise evaluates only what it needs, under ``volume_sign``.
+    otherwise evaluates only what it needs, under ``volume_sign``: the
+    master identity alone on (9,0), whose passing result carries a zero
+    residual that is never formed, and on (1,2) the master and the rows,
+    which share one square of phi2 when phi0 = 0, as on every real spinor.
     """
     geometry = geometry_of(covs[0].signature)
     b = covs[0].scalar_part() if b is None else b

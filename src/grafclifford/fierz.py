@@ -63,7 +63,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import compress
 from operator import add, itemgetter, sub
 from typing import Callable
 
@@ -216,26 +216,30 @@ def _bilinear_profile(
     weight * sum_i sign[i] z[i] w[col[i]] with z = G^T alpha.  With
     ``_profile_gather(rep)`` the lanes are the masks in order.  alpha, z
     and w are cleared to integer numerators first (Majorana-projected
-    spinors have half-integer entries), so the products z[i] w[j] are
-    formed once per call on ints, and the gather puts each lane's signed
-    products into one run of d values; a running sum differenced at the
-    run boundaries gives every coefficient.  Each nonzero coefficient is
-    divided once at the end; an integral one comes back as an int.  The
-    lanes come out in ascending order.
+    spinors have half-integer entries; w passed as alpha itself is
+    cleared once), so the products z[i] w[j] are formed once per call on
+    ints, and the gather puts each lane's signed products into one run
+    of d values, which ``sum`` adds on its small-int fast path.  Each
+    nonzero coefficient is divided once at the end; an integral one
+    comes back as an int.  The lanes come out in ascending order.
     """
     d = rep.d
     if len(alpha) != d or len(w) != d:
         raise DimensionMismatch("spinor length does not match the representation")
     an, aden = common_denominator(list(enumerate(alpha)))
-    zt = pairing.gram_transpose.apply([c for _, c in an])
+    an = [c for _, c in an]
+    zt = pairing.gram_transpose.apply(an)
     zt, zden = common_denominator(list(enumerate(zt)))
-    wn, wden = common_denominator(list(enumerate(w)))
-    wn = [c for _, c in wn]
+    if w is alpha:
+        wn, wden = an, aden
+    else:
+        wn, wden = common_denominator(list(enumerate(w)))
+        wn = [c for _, c in wn]
     zw = [z * c for _, z in zt for c in wn]
     zw += [-v for v in zw]
-    ends = list(islice(accumulate(gather(zw), initial=0), 0, None, d))
-    out = {lane: v for lane, v in enumerate(map(sub, ends[1:], ends)) if v}
-    return divide_numerators(out, aden * zden * wden)
+    # zip over d copies of one iterator yields the gather's runs of d values
+    sums = list(map(sum, zip(*[iter(gather(zw))] * d)))
+    return divide_numerators(dict(compress(enumerate(sums), sums)), aden * zden * wden)
 
 
 @lru_cache(maxsize=8)

@@ -12,6 +12,7 @@ always exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -185,6 +186,75 @@ def graf_product_reversed_check(f: Form, g: Form, metric: Metric) -> bool:
     if (m * r) & 1:
         rhs = -rhs
     return graf_product(g, f, metric) == rhs
+
+
+# -- the classification's master identity ---------------------------------------------------
+
+# c of the master identity S o S = c B S on each classified signature: 2 on
+# (1,2), and 16 on (9,0), where the low-grade slice carries half the covariant.
+MASTER_CONSTANTS = {(1, 2): 2, (9, 0): 16}
+
+
+@functools.lru_cache(maxsize=4)
+def _blade_products(diag: tuple) -> dict:
+    """The sequential blade products under one diagonal, memoized by mask pair.
+
+    A product is kept as (mask, coefficient), the coefficient an int when
+    integral; the squares below meet the same mask pairs sample after sample.
+    """
+    return {}
+
+
+def _sequential_square(f: Form, diag: tuple, top: int | None = None) -> Form:
+    """f * f by ``clifford_blade_product``, blade pair by blade pair.
+
+    With ``top``, only the grades up to ``top`` are formed: a blade pair
+    (a, b) lands on the blade a ^ b, so every other pair is skipped.
+    """
+    memo = _blade_products(diag)
+    terms = list(f.mask_items())
+    top = len(diag) if top is None else top
+    acc = {}
+    for ma, ca in terms:
+        for mb, cb in terms:
+            if (ma ^ mb).bit_count() > top:
+                continue
+            hit = memo.get((ma, mb))
+            if hit is None:
+                ta, tb = (tuple(i + 1 for i in range(len(diag)) if m >> i & 1) for m in (ma, mb))
+                tup, c = clifford_blade_product(ta, tb, diag)
+                mask = sum(1 << (i - 1) for i in tup)
+                hit = memo[ma, mb] = (mask, c.numerator if c.denominator == 1 else c)
+            mask, c = hit
+            if c:
+                acc[mask] = acc.get(mask, 0) + ca * cb * c
+    return Form.from_mask_dict(f.signature, acc)
+
+
+def master_residual(covs, b, volume_sign: int) -> Form:
+    """S o S - c B S, with S the ``Form`` sum of the covariants, from the sequential product.
+
+    o is the Clifford product, and in the truncation regime (odd n with
+    volume square +1) the truncated product 2 P_L(P_s S P_s S) written
+    out: P_s = (1 + s vol) / 2 for the volume sign s, and P_L keeps the
+    grades up to floor(n/2).  The square is formed on 2 P_s S, whose
+    coefficients are those of S and of its volume image, so
+    2 P_L(P_s S P_s S) = P_L((2 P_s S)^2) / 2, with only the grades P_L
+    keeps formed.
+    """
+    sig = covs[0].signature
+    metric = Metric.standard(sig)
+    diag = metric.diagonal
+    s = Form.zero(sig)
+    for f in covs:
+        s = s + f
+    vol = Form.blade(sig, (1 << sig.n) - 1)
+    if sig.n % 2 == 1 and _sequential_square(vol, diag) == Form.unit(sig):
+        doubled = s + graf_product_oracle(s, vol, metric).scale(volume_sign)
+        square = _sequential_square(doubled, diag, sig.n // 2).scale(Fraction(1, 2))
+    else:
+        square = _sequential_square(s, diag)
+    return square - s.scale(MASTER_CONSTANTS[(sig.p, sig.q)] * b)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,14 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grafclifford.classify as classify_module
 import oracles
 from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
+    ReducedVerdict,
     _appendix_rows,
     appendix_check,
     census,
@@ -29,9 +32,9 @@ from grafclifford.errors import (
     UnsupportedSignature,
 )
 from grafclifford.exterior import Form, Metric, Signature, grade_project
-from grafclifford.fierz import _profile_gather, covariant, unit_profile
+from grafclifford.fierz import IdentityResult, _profile_gather, covariant, unit_profile
 from grafclifford.graf import hodge, in_truncation_regime, volume_form
-from grafclifford.linalg import SignedPerm
+from grafclifford.linalg import SignedPerm, _norm
 from grafclifford.matrixrep import build_rep
 
 SIG12 = Signature(1, 2)
@@ -69,6 +72,26 @@ def test_majorana_projection_properties(rep12, rep90):
         majorana_project(rep12, (1, 0))
     with pytest.raises(StructureError):
         majorana_project(rep90, (1,) + (0,) * 15)
+
+
+# integer entries (sums of both parities) and Fraction entries
+_ENTRY = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRY, min_size=4, max_size=4))
+def test_majorana_projection_halves_exactly(rep12, entries):
+    """Halving on ints gives the value and the type of Fraction halving: an int where integral."""
+    vec = tuple(entries)
+    dv = rep12.structure.D.apply(vec)
+    expected = tuple(_norm((a + d) * Fraction(1, 2)) for a, d in zip(vec, dv))
+    got = majorana_project(rep12, vec)
+    assert got == expected
+    assert [type(x) for x in got] == [type(x) for x in expected]
+    assert all((type(x) is int) == (Fraction(x).denominator == 1) for x in got)
 
 
 def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
@@ -345,6 +368,99 @@ def test_reduced_system_90_on_the_zero_spinor(rep90, pr90):
     assert verdict.passed
     assert verdict.flagged == ()
     assert classify(cov) == 7
+
+
+# -- the master identity against the sequential-product oracle -----------------------------
+
+
+def _master_matches_the_oracle(covs, b, volume_sign):
+    """``_master`` carries the oracle's residual, and passes exactly when it is zero."""
+    result = classify_module._master(covs, b, volume_sign)
+    residual = oracles.master_residual(covs, b, volume_sign)
+    assert result.identity == geometry_of(covs[0].signature).master[0]
+    assert (result.passed, result.residual) == (residual.is_zero(), residual)
+    return result
+
+
+def test_the_master_identity_equals_the_sequential_oracle(rep12, pr12):
+    """Genuine covariants pass with the zero residual the oracle finds.
+
+    Fifty pinors on (9,0) under each volume sign (the truncated square)
+    and fifty Majorana-projected spinors on (1,2) (the Clifford square).
+    """
+    rng = random.Random(52)
+    for volume_sign in (1, -1):
+        rep = build_rep(SIG90, volume_sign)
+        pairing = admissible_pairings(rep)[0]
+        for _ in range(50):
+            covs = covariants(rep, pairing, prepare(rep, oracles.rand_vector(rng, rep.d)))
+            assert _master_matches_the_oracle(covs, covs[0].scalar_part(), volume_sign).passed
+    for _ in range(50):
+        vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+        covs = covariants(rep12, pr12, vec)
+        assert _master_matches_the_oracle(covs, covs[0].scalar_part(), rep12.volume_sign).passed
+
+
+def _oracle_verdict(covs, b, volume_sign):
+    """``reduced_verdict`` rebuilt from the oracles: the master residual and the published rows."""
+    sig = covs[0].signature
+    met = Metric.standard(sig)
+
+    def result(name, residual):
+        return IdentityResult(name, residual.is_zero(), residual)
+
+    master = result(geometry_of(sig).master[0], oracles.master_residual(covs, b, volume_sign))
+    if sig == SIG12:
+        phi0, phi2 = covs
+        published = {
+            "rank2-double-contraction": oracles.contracted_wedge_oracle(phi2, phi2, 2, met)
+            + phi0.scale(2 * b),
+            "rank2-single-contraction": oracles.contracted_wedge_oracle(phi2, phi2, 1, met),
+        }
+        clearance = None
+    else:
+        published = _published_rows_90(*covs, b)
+        image = _oracle_star((covs[0] + covs[1] + covs[2]).scale(Fraction(1, 32)))
+        low = {m: c for m, c in image.mask_items() if m.bit_count() <= 4}
+        clearance = result("volume-image-clearance", Form.from_mask_dict(sig, low))
+    rows = tuple(result(name, residual) for name, residual in published.items())
+    flagged = tuple(r.identity for r in rows if not r.passed) if master.passed else ()
+    return ReducedVerdict(master, rows, flagged, clearance)
+
+
+def test_failing_master_identities_equal_the_sequential_oracle(rep12, pr12, rep90, pr90):
+    """Off-solution sets fail with the oracle's residual, and their verdicts match it whole.
+
+    One perturbed coefficient on each geometry, an injected (1,2) set
+    with phi0 != 0 (S and phi2 then differ, so two products run), and
+    the covariants the CLI's master-violation injection reads.  A set
+    whose components share a mask (S then takes Form addition) has
+    components off their grades, where the published rows do not apply,
+    so only its master is compared.
+    """
+    rng = random.Random(53)
+    one90, zero90 = Form.scalar(SIG90, 1), Form.zero(SIG90)
+    psi0, psi1, psi4 = covariants(rep90, pr90, oracles.rand_vector(rng, rep90.d))
+    vec12 = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
+    phi0, phi2 = covariants(rep12, pr12, vec12)
+    assert not phi2.is_zero()
+    bump4 = Form.from_mask_dict(SIG90, {0b1111: 1})
+    bump2 = Form.from_mask_dict(SIG12, {0b011: 1})
+    cases = (
+        ((psi0, psi1, psi4 + bump4), psi0.scalar_part(), 1),
+        ((psi0, psi1, psi4 + bump4), psi0.scalar_part(), -1),
+        ((phi0, phi2 + bump2), 0, rep12.volume_sign),
+        ((Form.scalar(SIG12, 3), phi2), 3, rep12.volume_sign),
+        ((Form.scalar(SIG12, Fraction(1, 2)), phi2), Fraction(-5, 4), rep12.volume_sign),
+        ((one90, zero90, zero90), 1, 1),
+    )
+    for covs, b, volume_sign in cases:
+        result = _master_matches_the_oracle(covs, b, volume_sign)
+        assert not result.passed
+        verdict = reduced_verdict(covs, b, volume_sign)
+        assert verdict.to_json_obj() == _oracle_verdict(covs, b, volume_sign).to_json_obj()
+    shared = (one90, Form.scalar(SIG90, -1) + psi1, psi4)
+    assert not _master_matches_the_oracle(shared, psi0.scalar_part(), 1).passed
 
 
 def test_classify_90_hand_injected_covariants():

@@ -178,11 +178,58 @@ def test_a_census_builds_one_kernel_and_one_square_table(capsys):
     assert tables.cache_info().misses == 1
 
 
-def test_build_rep_and_check_algebra_build_no_lane_or_folded_table(capsys):
-    # the census's per-sample tables are built lazily, by the census paths alone
+def _spy(monkeypatch, fn):
+    """Record the calls of a library function, rebound in every module namespace that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "grafclifford" or name.startswith("grafclifford."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_a_real_census_squares_once_per_sample(capsys, monkeypatch, tmp_path):
+    # phi0 = 0 on every real spinor, so S = phi2 and one square serves the
+    # master identity and the rows
+    products = _spy(monkeypatch, graf.graf_product)
+    status, report = run_json(capsys, ["census", "--signature", "1,2", "--samples", "40"])
+    assert status == 0 and report["passed"]
+    assert len(products) == 40
+    # with phi0 != 0 the master squares S and the rows square phi2; this
+    # injection solves both (class 4)
+    path = tmp_path / "cov.json"
+    payload = {
+        "covariants": {
+            "phi0": [{"blade": [], "coeff": "1"}],
+            "phi2": [{"blade": [1, 2], "coeff": "1"}],
+        },
+        "scalar": "1",
+    }
+    path.write_text(json.dumps(payload))
+    products.clear()
+    status, report = run_json(capsys, ["classify", "--signature", "1,2", str(path)])
+    assert status == 0 and report["class_index"] == 4
+    assert len(products) == 2
+    assert [len(args[0].grades()) for args in products] == [2, 1]
+
+
+def test_build_rep_and_check_algebra_build_no_lane_or_folded_table(capsys, monkeypatch):
+    # the census's per-sample tables are built lazily, by the census paths
+    # alone, and its per-sample code runs there alone, so neither can move
+    # what these two invocations cost
     lanes = classify_module._covariant_lanes
     tables = graf._DiagKernel._build_square_table
     gathers = fierz._profile_gather
+    spies = [
+        _spy(monkeypatch, fn)
+        for fn in (classify_module._master, classify_module.majorana_project, fierz._bilinear_profile)
+    ]
     for cache in (lanes, tables, gathers):
         cache.cache_clear()
     for argv in (["build-rep", "--signature", "4,6"], ["check-algebra", "--signature", "9,0"]):
@@ -190,6 +237,11 @@ def test_build_rep_and_check_algebra_build_no_lane_or_folded_table(capsys):
         assert status == 0
     for cache in (lanes, tables, gathers):
         assert cache.cache_info().misses == 0
+    assert [len(calls) for calls in spies] == [0, 0, 0]
+    # each spy is live: a real census sample calls all three
+    status, _ = run_json(capsys, ["census", "--signature", "1,2", "--samples", "1"])
+    assert status == 0
+    assert all(spies)
     # and the census paths evict no square table
     for command in ("census", "verify-fierz"):
         tables.cache_clear()
