@@ -181,7 +181,7 @@ def _rows_12(cov, b, square=None):
 # -- (9,0): the five published rows ----------------------------------------------------
 
 
-def _rows_90(cov, b, square=None):
+def _rows_90(cov, b, _square=None):
     """The five published reduced rows and the volume-image clearance.
 
     Rows are named by the grade they constrain.  The clearance entry
@@ -201,7 +201,6 @@ def _rows_90(cov, b, square=None):
     for k = 0..4, each a grade part of the square of its factor
     (``_self_wedges``); with S = psi4 * psi4, psi4 ^ psi4 = <S>_8,
     cw_1 = -<S>_6, cw_2 = -2 <S>_4, cw_3 = 6 <S>_2 and cw_4 = 24 <S>_0.
-    ``square`` is psi4 * psi4 when the caller has already formed it.
     """
     psi0, p1, p4 = cov
     clearance = _result(
@@ -209,7 +208,7 @@ def _rows_90(cov, b, square=None):
         lower_projection(hodge((psi0 + p1 + p4).scale(Fraction(1, 32)))),
     )
     p1_p1 = _self_wedges(p1, 1)
-    p4_p4 = _self_wedges(p4, 4, square)
+    p4_p4 = _self_wedges(p4, 4)
     rows = (
         _result(
             "grade0-row",
@@ -448,27 +447,6 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     return tuple(parts)
 
 
-def _component_sum(covs: tuple[Form, ...]) -> Form:
-    """S, the sum of the covariants: the union of their terms.
-
-    The components sit on distinct grades, so their masks are disjoint
-    and the union is the sum.  A hand-injected set whose masks overlap
-    takes ``Form`` addition.  When at most one component is nonzero, S is
-    that component (or the last one) itself.
-    """
-    for f in covs[1:]:
-        covs[0]._check_same(f)
-    parts = [f for f in covs if not f.is_zero()]
-    if len(parts) <= 1:
-        return parts[0] if parts else covs[-1]
-    terms: dict = {}
-    for f in parts:
-        terms.update(f.mask_items())
-    if len(terms) < sum(f.num_terms() for f in parts):
-        return sum(covs[1:], covs[0])
-    return Form._adopt(covs[0].signature, terms)
-
-
 def _master(
     covs: tuple[Form, ...], b, volume_sign: int, square: Form | None = None
 ) -> IdentityResult:
@@ -482,7 +460,7 @@ def _master(
     and the residual S o S - c B S is formed only when they differ: a
     passing identity carries the zero form, never formed by subtraction.
     """
-    s = _component_sum(covs)
+    s = sum(covs[1:], covs[0])
     sig = s.signature
     if square is None:
         if in_truncation_regime(sig):

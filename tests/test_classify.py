@@ -434,9 +434,8 @@ def test_failing_master_identities_equal_the_sequential_oracle(rep12, pr12, rep9
     One perturbed coefficient on each geometry, an injected (1,2) set
     with phi0 != 0 (S and phi2 then differ, so two products run), and
     the covariants the CLI's master-violation injection reads.  A set
-    whose components share a mask (S then takes Form addition) has
-    components off their grades, where the published rows do not apply,
-    so only its master is compared.
+    whose components share a mask has components off their grades, where
+    the published rows do not apply, so only its master is compared.
     """
     rng = random.Random(53)
     one90, zero90 = Form.scalar(SIG90, 1), Form.zero(SIG90)
