@@ -75,9 +75,6 @@ from .fierz import (
     unit_table,
 )
 from .classify import (
-    AppendixVerdict,
-    CensusReport,
-    ClassReport,
     Geometry,
     ReducedVerdict,
     appendix_check,
@@ -155,9 +152,6 @@ __all__ = [
     # classification
     "Geometry",
     "ReducedVerdict",
-    "ClassReport",
-    "CensusReport",
-    "AppendixVerdict",
     "geometry_of",
     "majorana_project",
     "prepare",

@@ -27,7 +27,7 @@ that master identity, and a row that fails while the master holds is
 flagged as a suspected transcription issue instead of being repaired.
 
 The census samples integer spinors from a seeded generator, classifies
-each sample under every admissible pairing, and serializes a
+each sample under every admissible pairing, and returns a
 deterministic JSON report.  The identity battery on (9,0) checks the
 closed-form expansion of every pairwise product of covariant grades
 against literal evaluation on random forms.
@@ -76,9 +76,6 @@ __all__ = [
     "Geometry",
     "GEOMETRIES",
     "ReducedVerdict",
-    "ClassReport",
-    "CensusReport",
-    "AppendixVerdict",
     "geometry_of",
     "majorana_project",
     "prepare",
@@ -529,167 +526,95 @@ def classify(
 # -- classification reports -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    """Single-spinor classification result with full provenance."""
-
-    signature: Signature
-    class_index: int
-    class_pattern: str
-    covariants: tuple[tuple[str, Form], ...]
-    verdict: ReducedVerdict
-    volume_sign: int
-    pairing_hash: str | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "signature": [self.signature.p, self.signature.q],
-            "class_index": self.class_index,
-            "class_pattern": self.class_pattern,
-            "covariants": {name: f.to_json_obj() for name, f in self.covariants},
-            "verdict": self.verdict.to_json_obj(),
-            "volume_sign": self.volume_sign,
-            "pairing_hash": self.pairing_hash,
-        }
-
-
 def class_report(
     covs: tuple[Form, ...],
     b=None,
     volume_sign: int = 1,
     pairing_hash: str | None = None,
-) -> ClassReport:
-    """Classify one covariant set and assemble the full report for it."""
-    geometry = geometry_of(covs[0].signature)
+) -> dict:
+    """Classify one covariant set and return its report, the JSON object the CLI prints."""
+    sig = covs[0].signature
+    geometry = geometry_of(sig)
     b = covs[0].scalar_part() if b is None else b
     verdict = reduced_verdict(covs, b, volume_sign)
     index = classify(covs, b, verdict)
-    return ClassReport(
-        covs[0].signature,
-        index,
-        geometry.class_name(index),
-        tuple((name, f) for (name, _), f in zip(geometry.components, covs)),
-        verdict,
-        volume_sign,
-        pairing_hash,
-    )
+    return {
+        "signature": [sig.p, sig.q],
+        "class_index": index,
+        "class_pattern": geometry.class_name(index),
+        "covariants": {name: f.to_json_obj() for (name, _), f in zip(geometry.components, covs)},
+        "verdict": verdict.to_json_obj(),
+        "volume_sign": volume_sign,
+        "pairing_hash": pairing_hash,
+    }
 
 
 # -- census ------------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CensusSection:
-    """Census counts under one admissible pairing.
-
-    A pairing that is anti-isometric under the real structure supports no
-    scalar/rank-2 covariants on real spinors; its section reports the
-    bilinear ranks that actually survived instead of class counts.
-    """
-
-    pairing_hash: str
-    sigma: int
-    tau: int
-    isotropy: int | None
-    compatible: bool
-    counts: tuple[tuple[int, int], ...]
-    representatives: tuple[tuple[int, tuple], ...]
-    surviving_ranks: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    """Deterministic classification census over seeded random spinors."""
-
-    signature: Signature
-    samples: int
-    seed: int
-    box: int
-    volume_sign: int
-    sections: tuple[CensusSection, ...]
-
-    def to_json_obj(self) -> dict:
-        geo = geometry_of(self.signature)
-        sections = []
-        for sec in self.sections:
-            reps = dict(sec.representatives)
-            classes = {}
-            for index, count in sec.counts:
-                entry = {"count": count, "pattern": geo.class_name(index)}
-                if index in reps:
-                    entry["representative"] = [rational_to_str(x) for x in reps[index]]
-                classes[str(index)] = entry
-            obj = {
-                "pairing": {
-                    "hash": sec.pairing_hash,
-                    "sigma": sec.sigma,
-                    "tau": sec.tau,
-                    "isotropy": sec.isotropy,
-                },
-                "real_structure_compatible": sec.compatible,
-                "classes": classes,
-            }
-            if not sec.compatible:
-                obj["surviving_ranks"] = list(sec.surviving_ranks)
-            sections.append(obj)
-        return {
-            "signature": [self.signature.p, self.signature.q],
-            "samples": self.samples,
-            "seed": self.seed,
-            "box": self.box,
-            "volume_sign": self.volume_sign,
-            "sections": sections,
-        }
 
 
 # Census spinor entries are drawn from the integer box [-CENSUS_BOX, CENSUS_BOX].
 CENSUS_BOX = 5
 
 
-def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> CensusReport:
+def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> dict:
     """Sample, classify, and count spinors; deterministic under the seed.
 
     Spinor entries are drawn uniformly from the integer box
     [-CENSUS_BOX, CENSUS_BOX] and prepared for the geometry (projected
     onto real spinors where spinors are real); each sample is classified
-    under every admissible pairing separately.
+    under every admissible pairing separately.  The result is the JSON
+    object the CLI prints: one section per pairing, whose ``classes``
+    map ``str(index)`` to the count, the zero pattern and the first
+    sample of the class.  A pairing that is anti-isometric under the
+    real structure supports no scalar/rank-2 covariants on real
+    spinors; its section lists the bilinear ranks that survived
+    (``surviving_ranks``) instead of class counts.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
-    geometry_of(rep.signature)  # refuses an unclassified signature
+    geometry = geometry_of(rep.signature)
     rng = random.Random(seed)
     dim = rep.abs.rep_dim
     real = _real(rep)
-    compatible = [not real or pairing.isotropy == 1 for pairing in pairings]
-    counts: list[dict[int, int]] = [{} for _ in pairings]
-    found: list[dict[int, tuple]] = [{} for _ in pairings]
+    sections = [
+        {
+            "pairing": {
+                "hash": pairing.content_hash(),
+                "sigma": pairing.sigma,
+                "tau": pairing.tau,
+                "isotropy": pairing.isotropy,
+            },
+            "real_structure_compatible": not real or pairing.isotropy == 1,
+            "classes": {},
+        }
+        for pairing in pairings
+    ]
     ranks: list[set[int]] = [set() for _ in pairings]
     for _ in range(samples):
         raw = tuple(rng.randint(-CENSUS_BOX, CENSUS_BOX) for _ in range(dim))
         vec = prepare(rep, raw)
-        for slot, pairing in enumerate(pairings):
-            if not compatible[slot]:
+        for pairing, section, seen in zip(pairings, sections, ranks):
+            if not section["real_structure_compatible"]:
                 prof = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
-                ranks[slot] |= {m.bit_count() for m, c in prof.items() if c}
+                seen |= {m.bit_count() for m, c in prof.items() if c}
                 continue
-            covs = covariants(rep, pairing, vec)
-            index = classify(covs, volume_sign=rep.volume_sign)
-            counts[slot][index] = counts[slot].get(index, 0) + 1
-            found[slot].setdefault(index, vec)
-    sections = tuple(
-        CensusSection(
-            pairing.content_hash(),
-            pairing.sigma,
-            pairing.tau,
-            pairing.isotropy,
-            compatible[slot],
-            tuple(sorted(counts[slot].items())),
-            tuple(sorted(found[slot].items())),
-            tuple(sorted(ranks[slot])),
-        )
-        for slot, pairing in enumerate(pairings)
-    )
-    return CensusReport(rep.signature, samples, seed, CENSUS_BOX, rep.volume_sign, sections)
+            index = classify(covariants(rep, pairing, vec), volume_sign=rep.volume_sign)
+            entry = section["classes"].setdefault(str(index), {"count": 0})
+            if not entry["count"]:
+                entry["pattern"] = geometry.class_name(index)
+                entry["representative"] = [rational_to_str(x) for x in vec]
+            entry["count"] += 1
+    for section, seen in zip(sections, ranks):
+        if not section["real_structure_compatible"]:
+            section["surviving_ranks"] = sorted(seen)
+    return {
+        "signature": [rep.signature.p, rep.signature.q],
+        "samples": samples,
+        "seed": seed,
+        "box": CENSUS_BOX,
+        "volume_sign": rep.volume_sign,
+        "sections": sections,
+    }
 
 
 # -- closed-form product identity battery on (9,0) --------------------------------------
@@ -699,29 +624,6 @@ APPENDIX_SIGNATURE = (9, 0)
 # APPENDIX_TERMS blades in each 4-form.
 APPENDIX_BOX = 4
 APPENDIX_TERMS = 6
-
-
-@dataclass(frozen=True)
-class AppendixVerdict:
-    """Aggregated verdict of the closed-form product identity battery."""
-
-    signature: Signature
-    trials: int
-    seed: int
-    rows: tuple[IdentityResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "signature": [self.signature.p, self.signature.q],
-            "trials": self.trials,
-            "seed": self.seed,
-            "passed": self.passed,
-            "rows": [r.to_json_obj() for r in self.rows],
-        }
 
 
 def _random_homogeneous(rng: random.Random, sig: Signature, k: int, box: int, terms: int) -> Form:
@@ -776,13 +678,15 @@ def _appendix_rows(psi0: Form, psi1: Form, psi4: Form):
     )
 
 
-def appendix_check(sig: Signature, trials: int, seed: int) -> AppendixVerdict:
+def appendix_check(sig: Signature, trials: int, seed: int) -> dict:
     """Closed-form expansions of pairwise covariant-grade products, exactly.
 
     Samples independent scalar, 1-form, and 4-form inputs (the scalar
     stands in for the pairing value where the closed form uses it) and
     checks each product row against literal evaluation, including the
-    claimed grade memberships of the results.
+    claimed grade memberships of the results.  Returns the battery
+    object the CLI prints: one row per identity, each with its first
+    failing residual, and ``passed`` when no row failed.
     """
     if (sig.p, sig.q) != APPENDIX_SIGNATURE:
         raise UnsupportedSignature("the identity battery is stated on signature (9,0)")
@@ -810,8 +714,12 @@ def appendix_check(sig: Signature, trials: int, seed: int) -> AppendixVerdict:
                     (grade_project(literal, k) for k in sorted(stray)),
                     Form.zero(sig),
                 )
-    rows = tuple(
-        IdentityResult(ident, ident not in failures, failures.get(ident, Form.zero(sig)))
-        for ident in order
-    )
-    return AppendixVerdict(sig, trials, seed, rows)
+    zero = Form.zero(sig)
+    rows = [_result(ident, failures.get(ident, zero)).to_json_obj() for ident in order]
+    return {
+        "signature": [sig.p, sig.q],
+        "trials": trials,
+        "seed": seed,
+        "passed": not failures,
+        "rows": rows,
+    }

@@ -415,7 +415,7 @@ def _classify_injected(sig: Signature, payload: dict, args: argparse.Namespace) 
     covs = tuple(load_form(name, grade) for name, grade in geo.components)
     scalar = payload.get("scalar")
     scalar = covs[0].scalar_part() if scalar is None else rational_from_json(scalar, "scalar")
-    result = class_report(covs, scalar, args.volume_sign).to_json_obj()
+    result = class_report(covs, scalar, args.volume_sign)
     report = {
         "provenance": _provenance(sig, args.volume_sign, None, args.seed),
         "mode": "covariant-injection",
@@ -446,11 +446,10 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
             f"spinor has {len(vec)} entries; the representation needs {rep.abs.rep_dim}"
         )
     covs = covariants(rep, pairing, prepare(rep, vec))
-    result = class_report(covs, None, rep.volume_sign, pairing.content_hash())
     report = {
         "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
         "mode": "spinor",
-        "report": result.to_json_obj(),
+        "report": class_report(covs, None, rep.volume_sign, pairing.content_hash()),
         "passed": True,
     }
     return 0, report
@@ -463,10 +462,9 @@ def cmd_census(args: argparse.Namespace) -> tuple[int, dict]:
     sig = args.signature
     geometry_of(sig)  # refuses an unclassified signature before the build
     rep, pairings, pairing = _build_all(sig, args.volume_sign)
-    result = census(rep, pairings, args.samples, args.seed)
     return 0, {
         "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
-        "census": result.to_json_obj(),
+        "census": census(rep, pairings, args.samples, args.seed),
         "passed": True,
     }
 
@@ -478,13 +476,13 @@ def cmd_appendix_check(args: argparse.Namespace) -> tuple[int, dict]:
     if args.volume_sign != 1:
         raise UnsupportedSignature("the identity battery is stated under volume sign +")
     sig = args.signature if args.signature is not None else Signature(*APPENDIX_SIGNATURE)
-    verdict = appendix_check(sig, args.trials, args.seed)
+    battery = appendix_check(sig, args.trials, args.seed)
     report = {
         "provenance": _provenance(sig, args.volume_sign, None, args.seed),
-        "battery": verdict.to_json_obj(),
-        "passed": verdict.passed,
+        "battery": battery,
+        "passed": battery["passed"],
     }
-    return (0 if verdict.passed else 1), report
+    return (0 if battery["passed"] else 1), report
 
 
 # -- entry point -------------------------------------------------------------------------

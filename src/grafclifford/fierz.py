@@ -6,8 +6,10 @@ canonical blades and u over the commutant units U = (1,) + units: no
 unit in the normal case, (D,) in the almost-complex case and
 (H1, H2, H3) in the quaternionic case (the units of ``Rep.structure``).
 The coefficients, collected as one exterior form per unit, are the
-covariants.  The composition law E11 E22 = B(alpha2, beta1) E12 then
-forces quadratic identities among them, checked here with exact
+covariants.  The composition law E11 E22 = B(alpha2, beta1) E12 holds
+for every gram A, since E(alpha, beta) = alpha (A beta)^T gives
+E11 E22 = alpha1 ((A beta1)^T alpha2) (A beta2)^T = B(alpha2, beta1) E12.
+It then forces quadratic identities among them, checked here with exact
 arithmetic and no tolerances.  One engine serves every case; three
 constants per unit drive it, each read off the signed permutations and
 checked (StructureError otherwise):

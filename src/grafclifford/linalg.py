@@ -60,10 +60,10 @@ def common_denominator(pairs: list) -> tuple[list, int]:
 
 
 def divide_numerators(acc: dict, den: int) -> dict:
-    """Divide accumulated numerators by their common denominator, once per entry."""
+    """Divide accumulated numerators by their common denominator; exact quotients stay ints."""
     if den == 1:
         return acc
-    return {key: _norm(Fraction(v, den)) for key, v in acc.items()}
+    return {key: Fraction(v, den) if v % den else v // den for key, v in acc.items()}
 
 
 def as_matrix(rows) -> Matrix:
@@ -131,7 +131,8 @@ class SignedPerm:
         return rows
 
     def apply(self, v: Sequence[Rational]) -> Vector:
-        return tuple(s * v[c] for s, c in zip(self.sign, self.col))
+        """The image of v: entries relabelled by ``col`` and negated where ``sign`` is -1."""
+        return tuple(v[c] if s == 1 else -v[c] for s, c in zip(self.sign, self.col))
 
     def compose(self, other: "SignedPerm") -> "SignedPerm":
         """Matrix product self @ other."""

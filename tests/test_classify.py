@@ -493,22 +493,24 @@ def spinor_report(rep, pairing, alpha):
 
 def test_class_report_fields(rep12, pr12, rep90, pr90, rep04, pr04):
     report = spinor_report(rep12, pr12, (3, -1, 2, 5))
-    assert report.signature == SIG12
-    assert report.class_index in {1, 3}
-    assert report.class_pattern == GEO12.class_name(report.class_index)
-    assert [name for name, _ in report.covariants] == ["phi0", "phi2"]
-    assert report.pairing_hash == pr12.content_hash()
-    obj = report.to_json_obj()
-    assert obj["signature"] == [1, 2]
-    assert set(obj["covariants"]) == {"phi0", "phi2"}
+    assert report["signature"] == [1, 2]
+    assert report["class_index"] in {1, 3}
+    assert report["class_pattern"] == GEO12.class_name(report["class_index"])
+    assert list(report["covariants"]) == ["phi0", "phi2"]
+    assert report["pairing_hash"] == pr12.content_hash()
 
     basis = (1,) + (0,) * 15
     report90 = spinor_report(rep90, pr90, basis)
-    assert report90.class_pattern.startswith("psi0 != 0")
-    assert [name for name, _ in report90.covariants] == ["psi0", "psi1", "psi4"]
+    assert report90["class_pattern"].startswith("psi0 != 0")
+    assert list(report90["covariants"]) == ["psi0", "psi1", "psi4"]
 
     with pytest.raises(UnsupportedSignature):
         spinor_report(rep04, pr04, (1, 0, 0, 0))
+
+
+def _counts(section) -> dict[int, int]:
+    """A census section's class counts by class index."""
+    return {int(index): entry["count"] for index, entry in section["classes"].items()}
 
 
 def test_census_is_deterministic_and_structured(rep12, pairings12):
@@ -516,21 +518,20 @@ def test_census_is_deterministic_and_structured(rep12, pairings12):
     second = census(rep12, pairings12, 25, 7)
     # serialized as the CLI prints a report
     dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    assert dump(first.to_json_obj()) == dump(second.to_json_obj())
-    by_iso = {sec.isotropy: sec for sec in first.sections}
+    assert dump(first) == dump(second)
+    by_iso = {sec["pairing"]["isotropy"]: sec for sec in first["sections"]}
     assert set(by_iso) == {1, -1}
-    assert by_iso[1].compatible
-    assert dict(by_iso[1].counts) == {3: 25}
-    assert [index for index, _ in by_iso[1].representatives] == [3]
-    assert not by_iso[-1].compatible
-    assert by_iso[-1].surviving_ranks == (1,)
-    obj = first.to_json_obj()
-    assert sorted(obj) == ["box", "samples", "sections", "seed", "signature", "volume_sign"]
+    assert by_iso[1]["real_structure_compatible"]
+    assert _counts(by_iso[1]) == {3: 25}
+    assert [int(i) for i, entry in by_iso[1]["classes"].items() if "representative" in entry] == [3]
+    assert not by_iso[-1]["real_structure_compatible"]
+    assert by_iso[-1]["surviving_ranks"] == [1]
+    assert sorted(first) == ["box", "samples", "sections", "seed", "signature", "volume_sign"]
     incompatible = next(
-        s for s in obj["sections"] if not s["real_structure_compatible"]
+        s for s in first["sections"] if not s["real_structure_compatible"]
     )
     assert incompatible["surviving_ranks"] == [1]
-    compatible = next(s for s in obj["sections"] if s["real_structure_compatible"])
+    compatible = next(s for s in first["sections"] if s["real_structure_compatible"])
     assert compatible["classes"]["3"]["count"] == 25
     assert compatible["classes"]["3"]["pattern"] == GEO12.class_name(3)
     assert "representative" in compatible["classes"]["3"]
@@ -539,11 +540,11 @@ def test_census_is_deterministic_and_structured(rep12, pairings12):
 def test_census_on_the_pinor_signature(rep90):
     pairings90 = admissible_pairings(rep90)
     report = census(rep90, pairings90, 6, 3)
-    (section,) = report.sections
-    assert section.compatible
-    assert dict(section.counts) == {8: 6}
+    (section,) = report["sections"]
+    assert section["real_structure_compatible"]
+    assert _counts(section) == {8: 6}
     empty = census(rep90, pairings90, 0, 3)
-    assert empty.sections[0].counts == ()
+    assert empty["sections"][0]["classes"] == {}
 
 
 def test_census_blade_cache_is_bounded_by_the_blade_count():
@@ -570,17 +571,16 @@ def test_census_input_validation(rep12, pairings12):
 
 
 def test_product_identity_battery():
-    verdict = appendix_check(SIG90, 3, 11)
-    assert verdict.passed
-    assert [row.identity for row in verdict.rows] == APPENDIX_ROW_IDS
-    assert all(row.passed for row in verdict.rows)
-    obj = verdict.to_json_obj()
-    assert obj["trials"] == 3
-    assert obj["passed"] is True
+    battery = appendix_check(SIG90, 3, 11)
+    assert battery["passed"]
+    assert [row["identity"] for row in battery["rows"]] == APPENDIX_ROW_IDS
+    assert all(row["passed"] for row in battery["rows"])
+    assert battery["trials"] == 3
+    assert battery["passed"] is True
 
     vacuous = appendix_check(SIG90, 0, 11)
-    assert vacuous.passed
-    assert vacuous.rows == ()
+    assert vacuous["passed"]
+    assert vacuous["rows"] == []
 
     with pytest.raises(UnsupportedSignature):
         appendix_check(SIG12, 1, 0)

@@ -13,11 +13,20 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from grafclifford.classify import geometry_of
+from grafclifford.bilinear import admissible_pairings, preferred_pairing
+from grafclifford.classify import (
+    appendix_check,
+    census,
+    class_report,
+    covariants,
+    geometry_of,
+    prepare,
+)
 import grafclifford.classify as classify_module
 from grafclifford import cli, fierz, graf, matrixrep
 from grafclifford.cli import main
 from grafclifford.exterior import Signature
+from grafclifford.matrixrep import build_rep
 from grafclifford.graf import volume_square_sign
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -516,6 +525,23 @@ def test_unwritable_out_path_is_an_invalid_invocation(capsys, tmp_path):
         assert "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.err.startswith("grafclifford: error: cannot write ")
+
+
+def test_library_reports_are_the_objects_the_cli_prints(tmp_path, capsys):
+    spinor = tmp_path / "spinor.json"
+    for sig, vec in ((Signature(1, 2), [3, -1, 2, 5]), (Signature(9, 0), [1, -2] + [0, 3] * 7)):
+        flag = f"{sig.p},{sig.q}"
+        rep = build_rep(sig)
+        pairings = admissible_pairings(rep)
+        pairing = preferred_pairing(pairings)
+        _, report = run_json(capsys, ["census", "--signature", flag, "--samples", "12", "--seed", "4"])
+        assert report["census"] == census(rep, pairings, 12, 4)
+        spinor.write_text(json.dumps(vec))
+        _, report = run_json(capsys, ["classify", "--signature", flag, str(spinor)])
+        covs = covariants(rep, pairing, prepare(rep, vec))
+        assert report["report"] == class_report(covs, None, rep.volume_sign, pairing.content_hash())
+    _, report = run_json(capsys, ["appendix-check", "--trials", "2", "--seed", "9"])
+    assert report["battery"] == appendix_check(Signature(9, 0), 2, 9)
 
 
 def test_appendix_check_cli(capsys):

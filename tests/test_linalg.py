@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grafclifford.exterior import Metric, Signature, rational_to_str
 from grafclifford.linalg import (
@@ -11,6 +13,7 @@ from grafclifford.linalg import (
     _norm,
     as_matrix,
     congruence_diagonal,
+    divide_numerators,
     mat_mul,
     mat_scale,
 )
@@ -99,6 +102,28 @@ def test_signed_perm_round_trip_and_composition():
     assert from_dense(as_matrix([[1, 1], [0, 1]])) is None
     assert SignedPerm.identity(3).scalar_value() == 1
     assert SignedPerm.identity(3).neg().scalar_value() == -1
+
+
+@given(st.data())
+def test_signed_perm_apply_relabels_and_negates(data):
+    n = data.draw(st.integers(1, 6))
+    cols = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    entries = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6))
+    vec = data.draw(st.lists(entries, min_size=n, max_size=n))
+    image = SignedPerm(tuple(cols), tuple(signs)).apply(vec)
+    for got, c, s in zip(image, cols, signs):
+        want = s * vec[c]
+        assert got == want and type(got) is type(want)
+
+
+@given(st.dictionaries(st.integers(0, 15), st.integers(-200, 200)), st.integers(1, 12))
+def test_divide_numerators_matches_fraction_division(acc, den):
+    quotients = divide_numerators(acc, den)
+    assert list(quotients) == list(acc)
+    for key, v in acc.items():
+        want = _norm(Fraction(v, den))
+        assert quotients[key] == want and type(quotients[key]) is type(want)
 
 
 def rand_signed_perm(rng, n):
