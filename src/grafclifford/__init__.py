@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedSignature,
 )
 from .exterior import (
-    Blade,
     Form,
     Metric,
     Signature,
@@ -63,8 +62,6 @@ from .bilinear import (
     table_tau,
 )
 from .fierz import (
-    Covariant,
-    FierzVerdict,
     IdentityResult,
     UnitTable,
     check_fierz,
@@ -101,7 +98,6 @@ __all__ = [
     # exterior algebra
     "Signature",
     "Metric",
-    "Blade",
     "Form",
     "wedge",
     "interior",
@@ -141,13 +137,11 @@ __all__ = [
     # Fierz machinery
     "UnitTable",
     "unit_table",
-    "Covariant",
     "covariant",
     "endo_E",
     "fundamental_identity_holds",
     "reconstruct_check",
     "check_fierz",
-    "FierzVerdict",
     "IdentityResult",
     # classification
     "Geometry",

@@ -102,7 +102,7 @@ def majorana_project(rep: Rep, alpha) -> tuple:
     if dmap is None:
         raise StructureError("projection needs the anticomplex structure map")
     vec = tuple(alpha)
-    if len(vec) != rep.abs.rep_dim:
+    if len(vec) != rep.d:
         raise DimensionMismatch("spinor length does not match the representation")
     return tuple(
         ((Fraction(t, 2) if t & 1 else t >> 1) if type(t) is int else _norm(t * Fraction(1, 2)))
@@ -410,7 +410,7 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     sig = rep.signature
     geometry_of(sig)  # refuses an unclassified signature
     vec = tuple(spinor)
-    if len(vec) != rep.abs.rep_dim:
+    if len(vec) != rep.d:
         raise DimensionMismatch("spinor length does not match the representation")
     signs = (table_sigma(sig), table_tau(sig))
     if (pairing.sigma, pairing.tau) != signs:
@@ -574,7 +574,7 @@ def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> dict:
         raise ValueError("sample count must be non-negative")
     geometry = geometry_of(rep.signature)
     rng = random.Random(seed)
-    dim = rep.abs.rep_dim
+    dim = rep.d
     real = _real(rep)
     sections = [
         {

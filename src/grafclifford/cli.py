@@ -306,7 +306,7 @@ def cmd_verify_fierz(args: argparse.Namespace) -> tuple[int, dict]:
     rep, _, pairing = _build_all(sig, args.volume_sign)
     rng = random.Random(args.seed)
     samples = args.samples
-    dim = rep.abs.rep_dim
+    dim = rep.d
 
     fundamental_fails = reconstruction_fails = fierz_fails = 0
     first_fierz_failure = None
@@ -320,11 +320,11 @@ def cmd_verify_fierz(args: argparse.Namespace) -> tuple[int, dict]:
             if not reconstruct_check(rep, pairing, cov, alpha, beta):
                 reconstruction_fails += 1
         cov12 = covariant(rep, pairing, a1, b2)
-        verdict = check_fierz(cov11, cov22, cov12, b_eval(pairing, a2, b1))
-        if not verdict.passed:
+        verdict = check_fierz(rep, pairing, cov11, cov22, cov12, b_eval(pairing, a2, b1))
+        if not verdict["passed"]:
             fierz_fails += 1
             if first_fierz_failure is None:
-                first_fierz_failure = verdict.to_json_obj()
+                first_fierz_failure = verdict
 
     report: dict = {
         "provenance": _provenance(sig, rep.volume_sign, pairing.content_hash(), args.seed),
@@ -441,9 +441,9 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     vec = tuple(rational_from_json(item, "spinor entry") for item in payload)
     geometry_of(sig)  # refuses an unclassified signature before the build
     rep, _, pairing = _build_all(sig, args.volume_sign)
-    if len(vec) != rep.abs.rep_dim:
+    if len(vec) != rep.d:
         raise DimensionMismatch(
-            f"spinor has {len(vec)} entries; the representation needs {rep.abs.rep_dim}"
+            f"spinor has {len(vec)} entries; the representation needs {rep.d}"
         )
     covs = covariants(rep, pairing, prepare(rep, vec))
     report = {

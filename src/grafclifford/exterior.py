@@ -98,51 +98,30 @@ class Signature:
         return (self.p - self.q) % 8
 
 
-@dataclass(frozen=True)
-class Blade:
-    """Canonical basis blade: strictly ascending 1-based indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(self.indices)
-        object.__setattr__(self, "indices", idx)
-        if any(i < 1 for i in idx):
-            raise ValueError(f"blade indices are 1-based, got {idx}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"blade indices must be strictly ascending, got {idx}")
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Blade":
-        out = []
-        i = 1
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return cls(tuple(out))
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << (i - 1)
-        return m
+def _blade_indices(indices) -> tuple[int, ...]:
+    """The indices of a canonical blade, checked 1-based and strictly ascending."""
+    idx = tuple(indices)
+    if any(i < 1 for i in idx):
+        raise ValueError(f"blade indices are 1-based, got {idx}")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"blade indices must be strictly ascending, got {idx}")
+    return idx
 
 
 def _mask_of(key) -> int:
-    if isinstance(key, Blade):
-        return key.mask
+    """A blade key, an int mask or a sequence of canonical blade indices, as its mask."""
     if isinstance(key, int):
         if key < 0:
             raise ValueError(f"blade mask must be nonnegative, got {key}")
         return key
-    return Blade(tuple(key)).mask
+    mask = 0
+    for i in _blade_indices(key):
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def _indices_of_mask(mask: int) -> tuple[int, ...]:
-    return Blade.from_mask(mask).indices
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Form:
@@ -158,9 +137,7 @@ class Form:
         for key, coeff in items:
             mask = _mask_of(key)
             if mask & ~full:
-                raise ValueError(
-                    f"blade {Blade.from_mask(mask).indices} exceeds dimension {signature.n}"
-                )
+                raise ValueError(f"blade {_indices_of_mask(mask)} exceeds dimension {signature.n}")
             c = data.get(mask, 0) + _norm(coeff)
             if c:
                 data[mask] = _norm(c)
@@ -208,10 +185,6 @@ class Form:
         return out
 
     # -- inspection -----------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[Blade, Rational]]:
-        for mask in sorted(self._terms):
-            yield Blade.from_mask(mask), self._terms[mask]
 
     def mask_items(self) -> Iterator[tuple[int, Rational]]:
         return iter(self._terms.items())
@@ -314,7 +287,7 @@ class Form:
             coeff = rational_from_str(m.group("c"))
             idx_text = m.group("idx").strip()
             indices = tuple(int(t) for t in idx_text.split(",")) if idx_text else ()
-            terms.append((Blade(indices).mask, coeff))
+            terms.append((_mask_of(indices), coeff))
         return cls(signature, terms)
 
     def to_json_obj(self) -> list[dict]:
@@ -342,12 +315,12 @@ class Form:
             if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
                 raise FormParseError(f"blade indices must be integers, got {entry['blade']!r}")
             try:
-                blade = Blade(indices)
+                indices = _blade_indices(indices)
             except ValueError as exc:
                 raise FormParseError(f"bad form term {entry!r}") from exc
             if indices and indices[-1] > signature.n:  # before a mask that wide is built
-                raise FormParseError(f"blade {blade.indices} exceeds dimension {signature.n}")
-            terms.append((blade.mask, rational_from_json(coeff, "coefficient")))
+                raise FormParseError(f"blade {indices} exceeds dimension {signature.n}")
+            terms.append((_mask_of(indices), rational_from_json(coeff, "coefficient")))
         return cls(signature, terms)
 
 

@@ -142,20 +142,6 @@ def unit_table(rep: Rep, pairing: Pairing) -> UnitTable:
     return UnitTable(rep.abs.case, units, tuple(twists), tuple(weights), tuple(products))
 
 
-@dataclass(frozen=True)
-class Covariant:
-    """Form components of the spinor-pair endomorphism, one per commutant unit.
-
-    normal: a single form; almost_complex: component 0 and the component
-    carrying the D insertion; quaternionic: components 0..3 carrying the
-    H_i insertions.  ``table`` holds the units and constants they were
-    built with.
-    """
-
-    components: tuple[Form, ...]
-    table: UnitTable
-
-
 def endo_E(pairing: Pairing, alpha: Vector, beta: Vector) -> Matrix:
     """Rank-one endomorphism sending gamma to B(gamma, beta) alpha."""
     d = pairing.gram.dim
@@ -275,10 +261,14 @@ def unit_profile(
     return {m: eps * weights[m] * v for m, v in prof.items()}
 
 
-def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> Covariant:
-    """Covariant form components for a spinor pair, one per commutant unit.
+def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> tuple[Form, ...]:
+    """Form components of the spinor-pair endomorphism, one per commutant unit.
 
-    Blade m of component u is pref eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
+    They come in the order of ``unit_table(rep, pairing).units``.  normal:
+    a single form; almost_complex: component 0 and the component carrying
+    the D insertion; quaternionic: components 0..3 carrying the H_i
+    insertions.  Blade m of component u is
+    pref eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
     """
     table = unit_table(rep, pairing)
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
@@ -286,11 +276,11 @@ def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> Covari
     for u, c, eps in zip(table.units, table.twists, table.weights):
         prof = unit_profile(rep, pairing, alpha, u.apply(beta), eps, c)
         comps.append(Form.from_mask_dict(rep.signature, {m: pref * v for m, v in prof.items()}))
-    return Covariant(tuple(comps), table)
+    return tuple(comps)
 
 
 def reconstruct_check(
-    rep: Rep, pairing: Pairing, cov: Covariant, alpha: Vector, beta: Vector
+    rep: Rep, pairing: Pairing, cov: tuple[Form, ...], alpha: Vector, beta: Vector
 ) -> bool:
     """sum_u u lambda(f_u) = E(alpha, beta), on integer numerators over one denominator.
 
@@ -299,16 +289,16 @@ def reconstruct_check(
     row u.col[i] of M.  No covariant weight is read.
     """
     units = rep.structure.units
-    if len(cov.components) != 1 + len(units):
+    if len(cov) != 1 + len(units):
         raise StructureError("covariant components do not match the commutant units")
     d = rep.d
     if len(alpha) != d or len(beta) != d:
         raise DimensionMismatch("spinor length does not match the pairing")
-    if any(f.signature != rep.signature for f in cov.components):
+    if any(f.signature != rep.signature for f in cov):
         raise DimensionMismatch("form signature does not match the representation")
-    terms = [((u, m), c) for u, f in enumerate(cov.components) for m, c in f.mask_items()]
+    terms = [((u, m), c) for u, f in enumerate(cov) for m, c in f.mask_items()]
     terms, den = common_denominator(terms)
-    images = [[[0] * d for _ in range(d)] for _ in cov.components]
+    images = [[[0] * d for _ in range(d)] for _ in cov]
     for (u, mask), c in terms:
         sp = rep.blade_sp(mask)
         for row, col, s in zip(images[u], sp.col, sp.sign):
@@ -346,42 +336,27 @@ class IdentityResult:
         }
 
 
-@dataclass(frozen=True)
-class FierzVerdict:
-    case: str
-    results: tuple[IdentityResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case,
-            "passed": self.passed,
-            "results": [r.to_json_obj() for r in self.results],
-        }
-
-
 def _result(identity: str, residual: Form) -> IdentityResult:
     return IdentityResult(identity, residual.is_zero(), residual)
 
 
-def check_fierz(cov11: Covariant, cov22: Covariant, cov12: Covariant, factor) -> FierzVerdict:
+def check_fierz(rep: Rep, pairing: Pairing, cov11, cov22, cov12, factor) -> dict:
     """Exact verdict on E11 E22 = factor E12, one identity per commutant unit.
 
-    cov11, cov22 and cov12 are the covariants of (alpha1, beta1),
-    (alpha2, beta2) and (alpha1, beta2), and factor is B(alpha2, beta1).
+    cov11, cov22 and cov12 are the covariants (``covariant``) of
+    (alpha1, beta1), (alpha2, beta2) and (alpha1, beta2), and factor is
+    B(alpha2, beta1).  The verdict is the JSON object
+    {"case", "passed", "results"} with one result per identity.
     """
-    table = cov11.table
-    if cov22.table != table or cov12.table != table:
-        raise StructureError("the covariants come from different structures or pairings")
-    a, b = cov11.components, cov22.components
-    residuals = [c.scale(-factor) for c in cov12.components]
+    table = unit_table(rep, pairing)
+    if any(len(cov) != len(table.units) for cov in (cov11, cov22, cov12)):
+        raise StructureError("covariant components do not match the commutant units")
+    residuals = [c.scale(-factor) for c in cov12]
     for u, row in enumerate(table.products):
         for v, (s, w) in enumerate(row):
-            au = a[u] if table.twists[v] == 1 else grade_involution(a[u])
-            term = graf_product(au, b[v])
+            au = cov11[u] if table.twists[v] == 1 else grade_involution(cov11[u])
+            term = graf_product(au, cov22[v])
             residuals[w] = residuals[w] + term if s == 1 else residuals[w] - term
     names = IDENTITY_NAMES[table.case]
-    return FierzVerdict(table.case, tuple(map(_result, names, residuals)))
+    results = [_result(name, r).to_json_obj() for name, r in zip(names, residuals)]
+    return {"case": table.case, "passed": all(r["passed"] for r in results), "results": results}

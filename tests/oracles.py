@@ -781,7 +781,7 @@ def fierz_on_spinors(rep: Rep, pairing, alpha1, beta1, alpha2, beta2):
     """``check_fierz`` on the covariants of (alpha1, beta1), (alpha2, beta2) and (alpha1, beta2)."""
     pairs = ((alpha1, beta1), (alpha2, beta2), (alpha1, beta2))
     covs = [covariant(rep, pairing, a, b) for a, b in pairs]
-    return check_fierz(*covs, b_eval(pairing, alpha2, beta1))
+    return check_fierz(rep, pairing, *covs, b_eval(pairing, alpha2, beta1))
 
 
 # -- seeded random inputs ------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_the_extractor_splits_the_identity_unit_of_the_fierz_covariant():
             for pairing in pairings:
                 for _ in range(3):
                     vec = prepare(rep, oracles.rand_vector(rng, rep.d))
-                    whole = covariant(rep, pairing, vec, vec).components[0]
+                    whole = covariant(rep, pairing, vec, vec)[0]
                     whole = whole.scale(Fraction(1 << sig.n, rep.abs.k_const))
                     expected = tuple(grade_project(whole, k) for _, k in geo.components)
                     assert covariants(rep, pairing, vec) == expected

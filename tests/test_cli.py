@@ -378,6 +378,22 @@ def test_classify_injection_refuses_unknown_term_keys(tmp_path, capsys):
         assert unknown in captured.err and "blade, coeff" in captured.err
 
 
+def test_classify_injection_checks_blade_indices_before_the_dimension(tmp_path, capsys):
+    """Unordered or 0-based blades are bad terms, even past the dimension; then the dimension."""
+    path = tmp_path / "cov.json"
+    for blade, message in (
+        ([3, 1], "bad form term {'blade': [3, 1], 'coeff': '1'}"),
+        ([0, 2], "bad form term {'blade': [0, 2], 'coeff': '1'}"),
+        ([12, 10], "bad form term {'blade': [12, 10], 'coeff': '1'}"),
+        ([2, 10], "blade (2, 10) exceeds dimension 9"),
+    ):
+        path.write_text(json.dumps({"covariants": {"psi4": [{"blade": blade, "coeff": "1"}]}}))
+        assert main(["classify", "--signature", "9,0", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"grafclifford: error: {message}\n"
+
+
 def test_classify_invalid_inputs_exit_two(tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps([1, 0, 0, 0]))

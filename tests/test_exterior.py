@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from grafclifford.errors import DimensionMismatch, FormParseError
 from grafclifford.exterior import (
-    Blade,
     Form,
     Metric,
     Signature,
@@ -20,6 +19,8 @@ from grafclifford.exterior import (
     rational_from_json,
     rational_from_str,
     rational_to_str,
+    _indices_of_mask,
+    _mask_of,
     reversal,
 )
 from grafclifford.graf import contracted_wedge, wedge
@@ -57,12 +58,19 @@ def test_json_rationals_are_ints_or_rational_strings():
 
 
 def test_blade_requires_strictly_ascending_indices():
-    assert Blade((1, 3, 4)).mask == 0b1101
-    assert Blade.from_mask(0b1101).indices == (1, 3, 4)
-    with pytest.raises(ValueError):
-        Blade((3, 1))
-    with pytest.raises(ValueError):
-        Blade((2, 2))
+    assert _mask_of((1, 3, 4)) == 0b1101
+    assert _indices_of_mask(0b1101) == (1, 3, 4)
+    assert _indices_of_mask(0) == ()
+    for mask in range(1 << 6):
+        assert _mask_of(_indices_of_mask(mask)) == mask
+    with pytest.raises(ValueError, match="strictly ascending, got \\(3, 1\\)"):
+        _mask_of((3, 1))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        Form.blade(SIG22, (2, 2))
+    with pytest.raises(ValueError, match="1-based, got \\(0, 2\\)"):
+        _mask_of([0, 2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _mask_of(-1)
 
 
 def test_form_text_and_json_round_trip():

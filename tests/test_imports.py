@@ -41,7 +41,9 @@ level: importing either loads OpenSSL's libcrypto into every CLI process
 Each packed layout has one owner: no library module but ``graf`` names
 the blade-pair kernel (``KERNEL_NAMES``), and ``exterior`` and
 ``matrixrep`` import no ``itemgetter``, so the signed gathers over
-z (x) w are laid out in ``fierz`` alone.
+z (x) w are laid out in ``fierz`` alone.  The package ``__all__`` lists
+exactly the names ``__init__.py`` imports, plus ``__version__``, each
+once: a definition deleted from a submodule leaves no stale export.
 """
 
 import ast
@@ -222,6 +224,20 @@ def exports_shadowing_submodules(init_source: str, stems: set[str]) -> list[str]
         else:
             continue
         found += [f"{name} (line {node.lineno})" for name in names if name in stems]
+    return found
+
+
+def export_mismatches(init_source: str) -> list[str]:
+    """Differences between ``__all__`` and the names ``__init__.py`` imports, plus ``__version__``."""
+    imported, listed = {"__version__"}, []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            listed = ast.literal_eval(node.value)
+    found = [f"{name} imported, not in __all__" for name in sorted(imported - set(listed))]
+    found += [f"{name} in __all__, not imported" for name in sorted(set(listed) - imported)]
+    found += [f"{name} listed twice" for name in sorted({n for n in listed if listed.count(n) > 1})]
     return found
 
 
@@ -440,6 +456,21 @@ def test_the_export_checker_sees_names_that_shadow_a_submodule():
     ]
 
 
+def test_the_export_checker_sees_stale_missing_and_repeated_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from .errors import GrafError\n"
+        "from .exterior import Form, Metric as M\n"
+        "__version__ = '0'\n"
+        "__all__ = ['__version__', 'GrafError', 'Form', 'Blade', 'Form']\n"
+    )
+    assert export_mismatches(source) == [
+        "M imported, not in __all__",
+        "Blade in __all__, not imported",
+        "Form listed twice",
+    ]
+
+
 def test_the_library_read_checker_sees_imports_and_attributes():
     source = (
         "from grafclifford.graf import wedge, graf_product\n"
@@ -652,6 +683,11 @@ def test_no_package_export_shadows_a_submodule():
     init = ROOT / "src" / "grafclifford" / "__init__.py"
     stems = {path.stem for path in SRC} - {"__init__"}
     assert exports_shadowing_submodules(init.read_text(), stems) == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    init = ROOT / "src" / "grafclifford" / "__init__.py"
+    assert export_mismatches(init.read_text()) == []
 
 
 def test_a_dotted_submodule_import_binds_the_module():
