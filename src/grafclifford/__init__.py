@@ -62,7 +62,6 @@ from .bilinear import (
     table_tau,
 )
 from .fierz import (
-    IdentityResult,
     UnitTable,
     check_fierz,
     covariant,
@@ -73,7 +72,6 @@ from .fierz import (
 )
 from .classify import (
     Geometry,
-    ReducedVerdict,
     appendix_check,
     census,
     class_report,
@@ -142,10 +140,8 @@ __all__ = [
     "fundamental_identity_holds",
     "reconstruct_check",
     "check_fierz",
-    "IdentityResult",
     # classification
     "Geometry",
-    "ReducedVerdict",
     "geometry_of",
     "majorana_project",
     "prepare",

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .exterior import Form, Signature, grade_project, rational_to_str
 from .fierz import (
-    IdentityResult,
     _bilinear_profile,
     _blade_gather,
     _blade_weights,
@@ -75,7 +74,6 @@ from .matrixrep import Rep
 __all__ = [
     "Geometry",
     "GEOMETRIES",
-    "ReducedVerdict",
     "geometry_of",
     "majorana_project",
     "prepare",
@@ -110,42 +108,6 @@ def majorana_project(rep: Rep, alpha) -> tuple:
     )
 
 
-# -- reduced verdicts ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedVerdict:
-    """A master identity next to the published reduced rows, with flags.
-
-    ``flagged`` lists rows that fail while the master identity holds —
-    the signal for a suspected transcription issue in the published
-    reduced system, reported rather than repaired.
-    """
-
-    master: IdentityResult
-    rows: tuple[IdentityResult, ...]
-    flagged: tuple[str, ...]
-    clearance: IdentityResult | None = None
-
-    @property
-    def passed(self) -> bool:
-        ok = self.master.passed and all(r.passed for r in self.rows)
-        if self.clearance is not None:
-            ok = ok and self.clearance.passed
-        return ok
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "master": self.master.to_json_obj(),
-            "rows": [r.to_json_obj() for r in self.rows],
-            "flagged": list(self.flagged),
-            "passed": self.passed,
-        }
-        if self.clearance is not None:
-            obj["clearance"] = self.clearance.to_json_obj()
-        return obj
-
-
 # -- (1,2): the two contracted-wedge rows -----------------------------------------------
 
 
@@ -168,10 +130,10 @@ def _rows_12(cov, b, square=None):
     """
     phi0, phi2 = cov
     phi2_phi2 = _self_wedges(phi2, 2, square)
-    rows = (
+    rows = [
         _result("rank2-double-contraction", phi2_phi2(2) + phi0.scale(2 * b)),
         _result("rank2-single-contraction", phi2_phi2(1)),
-    )
+    ]
     return rows, None
 
 
@@ -206,7 +168,7 @@ def _rows_90(cov, b, _square=None):
     )
     p1_p1 = _self_wedges(p1, 1)
     p4_p4 = _self_wedges(p4, 4)
-    rows = (
+    rows = [
         _result(
             "grade0-row",
             p1_p1(1)
@@ -223,7 +185,7 @@ def _rows_90(cov, b, _square=None):
             "grade4-row",
             hodge(wedge(p1, p4)).scale(4) - p4_p4(2) - p4.scale(60 * b),
         ),
-    )
+    ]
     return rows, clearance
 
 
@@ -342,30 +304,20 @@ def prepare(rep: Rep, alpha) -> tuple:
 _LANE_CAP = 8
 
 
-@dataclass(frozen=True)
-class _Lanes:
-    """The extractor's blades, one lane each, in the order it reads them.
-
-    ``masks`` holds the blade of every lane: the component masks grade
-    by grade (the geometry's component i from lane ``bounds[i]`` to
-    ``bounds[i + 1]``), then in the truncation regime
-    their volume images m ^ full in the same order, up to lane ``stop``,
-    then every other mask.  ``gather`` is their ``fierz._blade_gather``
-    table, each lane weighted by its blade weight tau^k s_m and an image
-    lane also by vs nu[m], the sign with which ``hodge`` times the volume
-    sign moves component m to m ^ full; so a genuine image lane equals
-    its component lane entry for entry.
-    """
-
-    gather: Callable[[list], tuple]
-    masks: tuple[int, ...]
-    bounds: tuple[int, ...]
-    stop: int
-
-
 @lru_cache(maxsize=_LANE_CAP)
-def _covariant_lanes(rep: Rep, tau: int) -> _Lanes:
-    """The lane table of a classified signature under a pairing of type sign tau."""
+def _covariant_lanes(rep: Rep, tau: int) -> tuple:
+    """The lane table (gather, masks, bounds, stop) of a classified signature under tau.
+
+    ``masks`` holds the blade of every lane, in the order the extractor
+    reads them: the component masks grade by grade (the geometry's
+    component i from lane ``bounds[i]`` to ``bounds[i + 1]``), then in
+    the truncation regime their volume images m ^ full in the same
+    order, up to lane ``stop``, then every other mask.  ``gather`` is
+    their ``fierz._blade_gather`` table, each lane weighted by its blade
+    weight tau^k s_m and an image lane also by vs nu[m], the sign with
+    which ``hodge`` times the volume sign moves component m to m ^ full;
+    so a genuine image lane equals its component lane entry for entry.
+    """
     sig = rep.signature
     weights = _blade_weights(rep, tau)
     by_grade = [
@@ -381,7 +333,7 @@ def _covariant_lanes(rep: Rep, tau: int) -> _Lanes:
     taken = {m for m, _ in lanes}
     stop = len(lanes)
     lanes += [(m, 1) for m in range(1 << sig.n) if m not in taken]
-    return _Lanes(
+    return (
         _blade_gather(rep, lanes),
         tuple(m for m, _ in lanes),
         tuple(accumulate(map(len, by_grade), initial=0)),
@@ -424,29 +376,29 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
             )
         if rep.structure.D.apply(vec) != vec:
             raise NotASpinor("spinor is not fixed by the real structure; project it first")
-    lanes = _covariant_lanes(rep, pairing.tau)
-    prof = _bilinear_profile(rep, pairing, vec, vec, lanes.gather)
+    gather, masks, bounds, stop = _covariant_lanes(rep, pairing.tau)
+    prof = _bilinear_profile(rep, pairing, vec, vec, gather)
     # the nonzero lanes ascend: the component lanes, then the image lanes
     keys, vals = list(prof), list(prof.values())
-    if keys and keys[-1] >= lanes.stop:
+    if keys and keys[-1] >= stop:
         raise NotASpinor("a bilinear of a rank outside the covariant grades is nonzero")
-    count = lanes.bounds[-1]
+    count = bounds[-1]
     cut = bisect_left(keys, count)
-    if lanes.stop > count and (
+    if stop > count and (
         vals[cut:] != vals[:cut] or keys[cut:] != [lane + count for lane in keys[:cut]]
     ):
         raise NotASpinor("upper-grade bilinears are not the volume images of the lower ones")
     parts = []
-    for lo, hi in zip(lanes.bounds, lanes.bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         i, j = bisect_left(keys, lo, 0, cut), bisect_left(keys, hi, 0, cut)
-        terms = zip(map(lanes.masks.__getitem__, keys[i:j]), vals[i:j])
+        terms = zip(map(masks.__getitem__, keys[i:j]), vals[i:j])
         parts.append(Form._adopt(sig, dict(terms)))
     return tuple(parts)
 
 
 def _master(
     covs: tuple[Form, ...], b, volume_sign: int, square: Form | None = None
-) -> IdentityResult:
+) -> dict:
     """The master identity S o S = c B S in cleared form, S the sum of the covariants.
 
     o is the truncated product under the projector of ``volume_sign``
@@ -469,18 +421,18 @@ def _master(
     # exact: an integral Fraction v * cb compares equal to the int it normalizes to
     target = {m: v * cb for m, v in s.mask_items()} if cb else {}
     if dict(square.mask_items()) == target:
-        return IdentityResult(name, True, Form.zero(sig))
+        return _result(name, Form.zero(sig))
     return _result(name, square - s.scale(cb))
 
 
-def _flags(master: IdentityResult, rows) -> tuple[str, ...]:
-    if not master.passed:
-        return ()
-    return tuple(r.identity for r in rows if not r.passed)
-
-
-def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> ReducedVerdict:
+def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> dict:
     """Exact verdict on the master identity and the reduced rows, with flags.
+
+    It is the JSON object the reports print, {"master", "rows", "flagged",
+    "passed"} plus "clearance" where the geometry has one.  ``flagged``
+    names the rows that fail while the master holds, a suspected
+    transcription issue in the published system, reported rather than
+    repaired; ``passed`` needs the master, every row and the clearance.
 
     Outside the truncation regime, when every component but the last is
     zero (phi0 = 0 on (1,2), as on every real spinor), S is the last
@@ -493,13 +445,18 @@ def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> ReducedV
         square = graf_product(covs[-1], covs[-1])
     master = _master(covs, b, volume_sign, square)
     rows, clearance = geometry.rows(covs, b, square)
-    return ReducedVerdict(master, rows, _flags(master, rows), clearance)
+    flagged = [r["identity"] for r in rows if not r["passed"]] if master["passed"] else []
+    verdict = {"master": master, "rows": rows, "flagged": flagged}
+    if clearance is not None:
+        verdict["clearance"] = clearance
+    verdict["passed"] = all(r["passed"] for r in (master, *rows, clearance) if r is not None)
+    return verdict
 
 
 def classify(
     covs: tuple[Form, ...],
     b=None,
-    verdict: ReducedVerdict | None = None,
+    verdict: dict | None = None,
     volume_sign: int = 1,
 ) -> int:
     """Class index from the zero pattern of the covariants; refuses non-solutions.
@@ -517,8 +474,8 @@ def classify(
     if geometry.gate_on_rows:
         gate = verdict if verdict is not None else reduced_verdict(covs, b, volume_sign)
     else:
-        gate = verdict.master if verdict is not None else _master(covs, b, volume_sign)
-    if not gate.passed:
+        gate = verdict["master"] if verdict is not None else _master(covs, b, volume_sign)
+    if not gate["passed"]:
         raise NotASpinor(geometry.refusal)
     return geometry.patterns.index(tuple(not f.is_zero() for f in covs)) + 1
 
@@ -543,7 +500,7 @@ def class_report(
         "class_index": index,
         "class_pattern": geometry.class_name(index),
         "covariants": {name: f.to_json_obj() for (name, _), f in zip(geometry.components, covs)},
-        "verdict": verdict.to_json_obj(),
+        "verdict": verdict,
         "volume_sign": volume_sign,
         "pairing_hash": pairing_hash,
     }
@@ -715,7 +672,7 @@ def appendix_check(sig: Signature, trials: int, seed: int) -> dict:
                     Form.zero(sig),
                 )
     zero = Form.zero(sig)
-    rows = [_result(ident, failures.get(ident, zero)).to_json_obj() for ident in order]
+    rows = [_result(ident, failures.get(ident, zero)) for ident in order]
     return {
         "signature": [sig.p, sig.q],
         "trials": trials,

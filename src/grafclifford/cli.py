@@ -266,7 +266,7 @@ def _build_all(sig: Signature, volume_sign: int):
 def _structure_obj(rep: Rep) -> dict:
     structure = rep.structure
     return {
-        "case": structure.case,
+        "case": rep.abs.case,
         "has_complex_structure": structure.J is not None,
         "has_real_structure": structure.D is not None,
         "has_quaternion_triple": structure.H is not None,
@@ -348,13 +348,12 @@ def cmd_verify_fierz(args: argparse.Namespace) -> tuple[int, dict]:
             alpha = prepare(rep, _random_vec(rng2, dim))
             covs = covariants(rep, pairing, alpha)
             verdict = reduced_verdict(covs, b_eval(pairing, alpha, alpha), rep.volume_sign)
-            if not verdict.master.passed:
+            if not verdict["master"]["passed"]:
                 master_fails += 1
-            for name in verdict.flagged:
+            for name in verdict["flagged"]:
                 flagged_rows[name] = flagged_rows.get(name, 0) + 1
                 if flagged_example is None:
-                    row = next(r for r in verdict.rows if r.identity == name)
-                    flagged_example = row.to_json_obj()
+                    flagged_example = next(r for r in verdict["rows"] if r["identity"] == name)
         report["reduced"] = {
             "master_failures": master_fails,
             "flagged_row_counts": flagged_rows,

@@ -120,6 +120,17 @@ def _mask_of(key) -> int:
     return mask
 
 
+def _term_mask(signature: Signature, indices: tuple, term) -> int:
+    """A parsed term's blade mask; bad indices raise ``FormParseError`` before any mask is built."""
+    try:
+        indices = _blade_indices(indices)
+    except ValueError as exc:
+        raise FormParseError(f"bad form term {term!r}") from exc
+    if indices and indices[-1] > signature.n:
+        raise FormParseError(f"blade {indices} exceeds dimension {signature.n}")
+    return _mask_of(indices)
+
+
 def _indices_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -286,8 +297,11 @@ class Form:
                 raise FormParseError(f"bad form term {chunk!r}")
             coeff = rational_from_str(m.group("c"))
             idx_text = m.group("idx").strip()
-            indices = tuple(int(t) for t in idx_text.split(",")) if idx_text else ()
-            terms.append((_mask_of(indices), coeff))
+            try:  # an empty or blank-separated index, or one past the int digit limit
+                indices = tuple(int(t) for t in idx_text.split(",")) if idx_text else ()
+            except ValueError as exc:
+                raise FormParseError(f"bad form term {chunk!r}") from exc
+            terms.append((_term_mask(signature, indices, chunk), coeff))
         return cls(signature, terms)
 
     def to_json_obj(self) -> list[dict]:
@@ -314,13 +328,8 @@ class Form:
                 raise FormParseError(f"bad form term {entry!r}") from exc
             if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
                 raise FormParseError(f"blade indices must be integers, got {entry['blade']!r}")
-            try:
-                indices = _blade_indices(indices)
-            except ValueError as exc:
-                raise FormParseError(f"bad form term {entry!r}") from exc
-            if indices and indices[-1] > signature.n:  # before a mask that wide is built
-                raise FormParseError(f"blade {indices} exceeds dimension {signature.n}")
-            terms.append((_mask_of(indices), rational_from_json(coeff, "coefficient")))
+            mask = _term_mask(signature, indices, entry)
+            terms.append((mask, rational_from_json(coeff, "coefficient")))
         return cls(signature, terms)
 
 

@@ -107,7 +107,6 @@ class UnitTable:
     products[u][v] = (s, w) with U[u] U[v] = s U[w].
     """
 
-    case: str
     units: tuple[SignedPerm, ...]
     twists: tuple[int, ...]
     weights: tuple[int, ...]
@@ -139,7 +138,7 @@ def unit_table(rep: Rep, pairing: Pairing) -> UnitTable:
                 raise StructureError("the commutant units are not closed under products")
             row.append(hit)
         products.append(tuple(row))
-    return UnitTable(rep.abs.case, units, tuple(twists), tuple(weights), tuple(products))
+    return UnitTable(units, tuple(twists), tuple(weights), tuple(products))
 
 
 def endo_E(pairing: Pairing, alpha: Vector, beta: Vector) -> Matrix:
@@ -314,30 +313,15 @@ def reconstruct_check(
 # -- identity checking ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    identity: str
-    passed: bool
-    residual: Form
-
-    def residual_by_grade(self) -> dict[int, Form]:
-        return {
-            k: grade_project(self.residual, k)
-            for k in sorted(self.residual.grades())
-        }
-
-    def to_json_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "passed": self.passed,
-            "residual_by_grade": {
-                str(k): f.to_json_obj() for k, f in self.residual_by_grade().items()
-            },
-        }
-
-
-def _result(identity: str, residual: Form) -> IdentityResult:
-    return IdentityResult(identity, residual.is_zero(), residual)
+def _result(identity: str, residual: Form) -> dict:
+    """An identity's verdict, the JSON object the reports print: its residual grade by grade."""
+    return {
+        "identity": identity,
+        "passed": residual.is_zero(),
+        "residual_by_grade": {
+            str(k): grade_project(residual, k).to_json_obj() for k in sorted(residual.grades())
+        },
+    }
 
 
 def check_fierz(rep: Rep, pairing: Pairing, cov11, cov22, cov12, factor) -> dict:
@@ -357,6 +341,6 @@ def check_fierz(rep: Rep, pairing: Pairing, cov11, cov22, cov12, factor) -> dict
             au = cov11[u] if table.twists[v] == 1 else grade_involution(cov11[u])
             term = graf_product(au, cov22[v])
             residuals[w] = residuals[w] + term if s == 1 else residuals[w] - term
-    names = IDENTITY_NAMES[table.case]
-    results = [_result(name, r).to_json_obj() for name, r in zip(names, residuals)]
-    return {"case": table.case, "passed": all(r["passed"] for r in results), "results": results}
+    case = rep.abs.case
+    results = [_result(name, r) for name, r in zip(IDENTITY_NAMES[case], residuals)]
+    return {"case": case, "passed": all(r["passed"] for r in results), "results": results}

@@ -407,7 +407,7 @@ def _verify_commutant_dim(rep: Rep) -> None:
 
 @dataclass(frozen=True)
 class MainSubalgebra:
-    """Commutant structure of a representation: the case decides the fields.
+    """Commutant structure of a representation: the case (``Rep.abs``) decides the fields.
 
     normal: commutant is scalars; J, D, H are all None.
     almost_complex: J realizes the action of the volume element
@@ -418,7 +418,6 @@ class MainSubalgebra:
     signed permutation; reports render one with ``report_rows``.
     """
 
-    case: str
     J: SignedPerm | None = None
     D: SignedPerm | None = None
     H: tuple[SignedPerm, SignedPerm, SignedPerm] | None = None
@@ -459,13 +458,13 @@ def build_structure(rep: Rep) -> MainSubalgebra:
     """
     case = rep.abs.case
     if case == CASE_NORMAL:
-        return MainSubalgebra(CASE_NORMAL)
+        return MainSubalgebra()
     if case == CASE_ALMOST_COMPLEX:
         vol = rep.volume_sp()
         if vol.compose(vol).scalar_value() != -1:
             raise StructureError("volume square is not -Id in the almost-complex case")
-        return MainSubalgebra(CASE_ALMOST_COMPLEX, J=vol, D=_solve_d(rep, vol))
-    return MainSubalgebra(CASE_QUATERNIONIC, H=_quaternion_units(rep.commutant))
+        return MainSubalgebra(J=vol, D=_solve_d(rep, vol))
+    return MainSubalgebra(H=_quaternion_units(rep.commutant))
 
 
 def _solve_d(rep: Rep, vol: SignedPerm) -> SignedPerm:

@@ -257,6 +257,21 @@ def master_residual(covs, b, volume_sign: int) -> Form:
     return square - s.scale(MASTER_CONSTANTS[(sig.p, sig.q)] * b)
 
 
+def identity_result(identity: str, residual: Form) -> dict:
+    """An identity verdict as the reports print it, grades split by mask popcount."""
+    by_grade: dict[int, dict] = {}
+    for mask, c in residual.mask_items():
+        by_grade.setdefault(mask.bit_count(), {})[mask] = c
+    return {
+        "identity": identity,
+        "passed": residual.is_zero(),
+        "residual_by_grade": {
+            str(k): Form.from_mask_dict(residual.signature, by_grade[k]).to_json_obj()
+            for k in sorted(by_grade)
+        },
+    }
+
+
 @dataclass(frozen=True)
 class VolumeForm:
     """Unit-square top form together with its product square (+1 or -1)."""
@@ -762,9 +777,9 @@ def ordered_tuple_covariant(rep: Rep, pairing, alpha, beta) -> tuple[Form, ...]:
     """
     pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
     structure = rep.structure
-    if structure.case == CASE_NORMAL:
+    if rep.abs.case == CASE_NORMAL:
         return (_tuple_component(rep, pairing, alpha, beta, pref, pairing.tau),)
-    if structure.case == CASE_ALMOST_COMPLEX:
+    if rep.abs.case == CASE_ALMOST_COMPLEX:
         dmat, gram = to_dense(structure.D), to_dense(pairing.gram)
         dad = mat_mul(mat_mul(transpose(dmat), gram), dmat)
         eps = next(x * g for xrow, grow in zip(dad, gram) for x, g in zip(xrow, grow) if g)

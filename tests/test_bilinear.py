@@ -152,7 +152,7 @@ def test_structure_maps_and_pairings_equal_the_dense_derivations():
         for volume_sign in volume_signs:
             rep = build_rep(Signature(p, q), volume_sign)
             st = rep.structure
-            assert (st.case, st.d_square_sign) == (case, dsq), (p, q, volume_sign)
+            assert (rep.abs.case, st.d_square_sign) == (case, dsq), (p, q, volume_sign)
             h = None if st.H is None else tuple(oracles.to_dense(x) for x in st.H)
             assert (_dense(st.J), _dense(st.D), h) == oracles.structure_oracle(rep)
             pairings = admissible_pairings(rep)

@@ -13,7 +13,6 @@ import grafclifford.classify as classify_module
 import oracles
 from grafclifford.bilinear import Pairing, admissible_pairings
 from grafclifford.classify import (
-    ReducedVerdict,
     _appendix_rows,
     appendix_check,
     census,
@@ -32,7 +31,7 @@ from grafclifford.errors import (
     UnsupportedSignature,
 )
 from grafclifford.exterior import Form, Metric, Signature, grade_project
-from grafclifford.fierz import IdentityResult, _profile_gather, covariant, unit_profile
+from grafclifford.fierz import _profile_gather, covariant, unit_profile
 from grafclifford.graf import hodge, in_truncation_regime, volume_form
 from grafclifford.linalg import SignedPerm, _norm
 from grafclifford.matrixrep import build_rep
@@ -155,10 +154,9 @@ def test_the_extractor_refuses_profiles_off_the_grade_pattern(
     genuine = classify_module._bilinear_profile
     vec12 = majorana_project(rep12, (3, -1, 2, 5))
     vec90 = oracles.rand_vector(random.Random(47), rep90.d)
-    masks12 = classify_module._covariant_lanes(rep12, pr12.tau).masks
-    lanes90 = classify_module._covariant_lanes(rep90, pr90.tau)
-    masks90 = lanes90.masks
-    prof = genuine(rep90, pr90, vec90, vec90, lanes90.gather)
+    masks12 = classify_module._covariant_lanes(rep12, pr12.tau)[1]
+    gather90, masks90, _, _ = classify_module._covariant_lanes(rep90, pr90.tau)
+    prof = genuine(rep90, pr90, vec90, vec90, gather90)
     assert any(masks90[lane].bit_count() == 5 for lane in prof)
     edits = (
         # a grade that is neither a component nor a volume image
@@ -211,13 +209,14 @@ def test_reduced_rows_and_classes_12(rep12, pr12):
         vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
         cov = covariants(rep12, pr12, vec)
         verdict = reduced_verdict(cov, cov[0].scalar_part())
-        assert verdict.master.identity == "two-component-square"
-        assert [r.identity for r in verdict.rows] == [
+        assert verdict["master"]["identity"] == "two-component-square"
+        assert [r["identity"] for r in verdict["rows"]] == [
             "rank2-double-contraction",
             "rank2-single-contraction",
         ]
-        assert verdict.passed
-        assert verdict.flagged == ()
+        assert verdict["passed"]
+        assert verdict["flagged"] == []
+        assert "clearance" not in verdict
         index = classify(cov)
         assert index in {1, 3}
         assert GEO12.class_name(index)
@@ -247,10 +246,11 @@ def test_reduced_rows_12_equal_the_published_contracted_wedges():
             assert not double.is_zero()
             rows, clearance = GEO12.rows((phi0, phi2), b)
             assert clearance is None
-            assert {r.identity: r.residual for r in rows} == {
+            published = {
                 "rank2-double-contraction": double + phi0.scale(2 * b),
                 "rank2-single-contraction": oracles.contracted_wedge_oracle(phi2, phi2, 1, met),
             }
+            assert rows == [oracles.identity_result(name, r) for name, r in published.items()]
 
 
 def test_classify_12_rejects_non_solutions():
@@ -288,18 +288,17 @@ def test_reduced_system_90_on_random_spinors(rep90, pr90):
         b = psi0.scalar_part()
         assert b == sum(a * a for a in vec)
         verdict = reduced_verdict(cov, b)
-        assert verdict.master.identity == "truncated-master"
-        assert verdict.master.passed
-        assert verdict.clearance is not None
-        assert verdict.clearance.identity == "volume-image-clearance"
-        assert verdict.clearance.passed
-        by_id = {r.identity: r for r in verdict.rows}
-        assert by_id["grade2-row"].passed
-        assert by_id["grade3-row"].passed
-        assert by_id["grade0-row"].residual == psi0.scale(-16 * b)
-        assert by_id["grade1-row"].residual == psi1.scale(-16 * b)
-        assert by_id["grade4-row"].residual == psi4.scale(-32 * b)
-        expected_flags = tuple(
+        assert verdict["master"]["identity"] == "truncated-master"
+        assert verdict["master"]["passed"]
+        assert verdict["clearance"]["identity"] == "volume-image-clearance"
+        assert verdict["clearance"]["passed"]
+        by_id = {r["identity"]: r for r in verdict["rows"]}
+        assert by_id["grade2-row"]["passed"]
+        assert by_id["grade3-row"]["passed"]
+        assert by_id["grade0-row"] == oracles.identity_result("grade0-row", psi0.scale(-16 * b))
+        assert by_id["grade1-row"] == oracles.identity_result("grade1-row", psi1.scale(-16 * b))
+        assert by_id["grade4-row"] == oracles.identity_result("grade4-row", psi4.scale(-32 * b))
+        expected_flags = [
             name
             for name, comp in (
                 ("grade0-row", psi0),
@@ -307,8 +306,8 @@ def test_reduced_system_90_on_random_spinors(rep90, pr90):
                 ("grade4-row", psi4),
             )
             if not comp.is_zero()
-        )
-        assert verdict.flagged == expected_flags
+        ]
+        assert verdict["flagged"] == expected_flags
         index = classify(cov)
         assert GEO90.class_name(index)
         if b:
@@ -359,14 +358,15 @@ def test_reduced_rows_90_equal_the_published_contracted_wedges():
         )
         b = Fraction(rng.randint(-5, 5), 3)
         rows, _ = GEO90.rows((psi0, p1, p4), b)
-        assert {r.identity: r.residual for r in rows} == _published_rows_90(psi0, p1, p4, b)
+        published = _published_rows_90(psi0, p1, p4, b)
+        assert rows == [oracles.identity_result(name, r) for name, r in published.items()]
 
 
 def test_reduced_system_90_on_the_zero_spinor(rep90, pr90):
     cov = covariants(rep90, pr90, (0,) * rep90.d)
     verdict = reduced_verdict(cov, 0)
-    assert verdict.passed
-    assert verdict.flagged == ()
+    assert verdict["passed"]
+    assert verdict["flagged"] == []
     assert classify(cov) == 7
 
 
@@ -377,8 +377,7 @@ def _master_matches_the_oracle(covs, b, volume_sign):
     """``_master`` carries the oracle's residual, and passes exactly when it is zero."""
     result = classify_module._master(covs, b, volume_sign)
     residual = oracles.master_residual(covs, b, volume_sign)
-    assert result.identity == geometry_of(covs[0].signature).master[0]
-    assert (result.passed, result.residual) == (residual.is_zero(), residual)
+    assert result == oracles.identity_result(geometry_of(covs[0].signature).master[0], residual)
     return result
 
 
@@ -394,21 +393,18 @@ def test_the_master_identity_equals_the_sequential_oracle(rep12, pr12):
         pairing = admissible_pairings(rep)[0]
         for _ in range(50):
             covs = covariants(rep, pairing, prepare(rep, oracles.rand_vector(rng, rep.d)))
-            assert _master_matches_the_oracle(covs, covs[0].scalar_part(), volume_sign).passed
+            assert _master_matches_the_oracle(covs, covs[0].scalar_part(), volume_sign)["passed"]
     for _ in range(50):
         vec = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
         covs = covariants(rep12, pr12, vec)
-        assert _master_matches_the_oracle(covs, covs[0].scalar_part(), rep12.volume_sign).passed
+        assert _master_matches_the_oracle(covs, covs[0].scalar_part(), rep12.volume_sign)["passed"]
 
 
 def _oracle_verdict(covs, b, volume_sign):
     """``reduced_verdict`` rebuilt from the oracles: the master residual and the published rows."""
     sig = covs[0].signature
     met = Metric.standard(sig)
-
-    def result(name, residual):
-        return IdentityResult(name, residual.is_zero(), residual)
-
+    result = oracles.identity_result
     master = result(geometry_of(sig).master[0], oracles.master_residual(covs, b, volume_sign))
     if sig == SIG12:
         phi0, phi2 = covs
@@ -423,9 +419,15 @@ def _oracle_verdict(covs, b, volume_sign):
         image = _oracle_star((covs[0] + covs[1] + covs[2]).scale(Fraction(1, 32)))
         low = {m: c for m, c in image.mask_items() if m.bit_count() <= 4}
         clearance = result("volume-image-clearance", Form.from_mask_dict(sig, low))
-    rows = tuple(result(name, residual) for name, residual in published.items())
-    flagged = tuple(r.identity for r in rows if not r.passed) if master.passed else ()
-    return ReducedVerdict(master, rows, flagged, clearance)
+    rows = [result(name, residual) for name, residual in published.items()]
+    flagged = [r["identity"] for r in rows if not r["passed"]] if master["passed"] else []
+    verdict = {"master": master, "rows": rows, "flagged": flagged}
+    checks = [master, *rows]
+    if clearance is not None:
+        verdict["clearance"] = clearance
+        checks.append(clearance)
+    verdict["passed"] = all(r["passed"] for r in checks)
+    return verdict
 
 
 def test_failing_master_identities_equal_the_sequential_oracle(rep12, pr12, rep90, pr90):
@@ -455,11 +457,10 @@ def test_failing_master_identities_equal_the_sequential_oracle(rep12, pr12, rep9
     )
     for covs, b, volume_sign in cases:
         result = _master_matches_the_oracle(covs, b, volume_sign)
-        assert not result.passed
-        verdict = reduced_verdict(covs, b, volume_sign)
-        assert verdict.to_json_obj() == _oracle_verdict(covs, b, volume_sign).to_json_obj()
+        assert not result["passed"]
+        assert reduced_verdict(covs, b, volume_sign) == _oracle_verdict(covs, b, volume_sign)
     shared = (one90, Form.scalar(SIG90, -1) + psi1, psi4)
-    assert not _master_matches_the_oracle(shared, psi0.scalar_part(), 1).passed
+    assert not _master_matches_the_oracle(shared, psi0.scalar_part(), 1)["passed"]
 
 
 def test_classify_90_hand_injected_covariants():
@@ -469,14 +470,14 @@ def test_classify_90_hand_injected_covariants():
 
     inj3 = (one, e1, zero)
     verdict = reduced_verdict(inj3, Fraction(1, 8))
-    assert verdict.master.passed
-    assert verdict.flagged == ("grade0-row", "grade1-row")
+    assert verdict["master"]["passed"]
+    assert verdict["flagged"] == ["grade0-row", "grade1-row"]
     assert classify(inj3, Fraction(1, 8)) == 3
 
     inj6 = (one, zero, zero)
     verdict6 = reduced_verdict(inj6, Fraction(1, 16))
-    assert verdict6.master.passed
-    assert verdict6.flagged == ("grade0-row",)
+    assert verdict6["master"]["passed"]
+    assert verdict6["flagged"] == ["grade0-row"]
     assert classify(inj6, Fraction(1, 16)) == 6
 
     with pytest.raises(NotASpinor):

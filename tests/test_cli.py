@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from grafclifford.bilinear import admissible_pairings, preferred_pairing
+from grafclifford.bilinear import admissible_pairings, b_eval, preferred_pairing
 from grafclifford.classify import (
     appendix_check,
     census,
@@ -21,6 +22,7 @@ from grafclifford.classify import (
     covariants,
     geometry_of,
     prepare,
+    reduced_verdict,
 )
 import grafclifford.classify as classify_module
 from grafclifford import cli, fierz, graf, matrixrep
@@ -556,8 +558,18 @@ def test_library_reports_are_the_objects_the_cli_prints(tmp_path, capsys):
         _, report = run_json(capsys, ["classify", "--signature", flag, str(spinor)])
         covs = covariants(rep, pairing, prepare(rep, vec))
         assert report["report"] == class_report(covs, None, rep.volume_sign, pairing.content_hash())
+        verdict = reduced_verdict(covs, covs[0].scalar_part(), rep.volume_sign)
+        assert report["report"]["verdict"] == verdict
     _, report = run_json(capsys, ["appendix-check", "--trials", "2", "--seed", "9"])
     assert report["battery"] == appendix_check(Signature(9, 0), 2, 9)
+    # verify-fierz draws its reduced-row spinors from seed + 1; one sample flags a row
+    _, report = run_json(capsys, ["verify-fierz", "--signature", "9,0", "--samples", "1"])
+    alpha = prepare(rep, cli._random_vec(random.Random(1), rep.d))
+    verdict = reduced_verdict(
+        covariants(rep, pairing, alpha), b_eval(pairing, alpha, alpha), rep.volume_sign
+    )
+    first = next(r for r in verdict["rows"] if r["identity"] == verdict["flagged"][0])
+    assert report["reduced"]["first_flagged_row"] == first
 
 
 def test_appendix_check_cli(capsys):

@@ -81,6 +81,25 @@ def test_form_text_and_json_round_trip():
         Form.from_text(SIG22, "5**e{1}")
 
 
+def test_text_and_json_refuse_a_bad_blade_as_a_parse_error():
+    """Both parsers share one blade check, and neither raises a bare ValueError."""
+    sig30 = Signature(3, 0)
+    cases = (
+        (sig30, "5*e{3,1}", [3, 1], "bad form term"),
+        (sig30, "5*e{0,1}", [0, 1], "bad form term"),
+        (sig30, "5*e{1,1}", [1, 1], "bad form term"),
+        (SIG12, "1*e{4}", [4], "blade \\(4,\\) exceeds dimension 3"),
+    )
+    for sig, text, blade, message in cases:
+        with pytest.raises(FormParseError, match=message):
+            Form.from_text(sig, text)
+        with pytest.raises(FormParseError, match=message):
+            Form.from_json_obj(sig, [{"blade": blade, "coeff": "5"}])
+    for text in ("5*e{1,,2}", "5*e{,}", "5*e{1 2}", "5*e{" + "9" * 5000 + "}"):
+        with pytest.raises(FormParseError, match="bad form term"):
+            Form.from_text(sig30, text)
+
+
 def test_public_constructors_still_validate():
     """Only kernel output skips validation; every input path keeps its checks."""
     with pytest.raises(ValueError, match="exceeds dimension"):

@@ -11,9 +11,9 @@ from grafclifford.bilinear import Pairing, admissible_pairings, b_eval
 from grafclifford.errors import DimensionMismatch, StructureError, UnsupportedSignature
 from grafclifford.exterior import Form, Signature, grade_involution, grade_project
 from grafclifford.fierz import (
-    IdentityResult,
     _bilinear_profile,
     _profile_gather,
+    _result,
     check_fierz,
     covariant,
     endo_E,
@@ -329,17 +329,22 @@ def test_almost_complex_identities_by_hand(rep12, pr12):
 def test_identity_result_reporting_shapes(rep12):
     sig = rep12.signature
     residual = Form.from_mask_dict(sig, {0: 2, 0b011: -1})
-    bad = IdentityResult("demo", residual.is_zero(), residual)
-    assert not bad.passed
-    by_grade = bad.residual_by_grade()
-    assert set(by_grade) == {0, 2}
-    assert by_grade[0].scalar_part() == 2
-    obj = bad.to_json_obj()
-    assert obj["identity"] == "demo"
-    assert obj["passed"] is False
-    assert obj["residual_by_grade"] == {
+    bad = _result("demo", residual)
+    assert set(bad) == {"identity", "passed", "residual_by_grade"}
+    assert not bad["passed"]
+    by_grade = bad["residual_by_grade"]
+    assert set(by_grade) == {"0", "2"}
+    assert Form.from_json_obj(sig, by_grade["0"]).scalar_part() == 2
+    assert bad["identity"] == "demo"
+    assert bad["passed"] is False
+    assert by_grade == {
         "0": [{"blade": [], "coeff": "2"}],
         "2": [{"blade": [1, 2], "coeff": "-1"}],
+    }
+    assert _result("demo", Form.zero(sig)) == {
+        "identity": "demo",
+        "passed": True,
+        "residual_by_grade": {},
     }
 
 

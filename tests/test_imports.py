@@ -6,7 +6,9 @@ read somewhere in the module; re-exports from the package
 ``__init__.py`` are exempt, as is ``from __future__ import ...``.  A
 module-level function or class of the library must be referenced by
 the library outside its own body; an export from ``__init__.py``
-counts, and the script entry point ``cli.main`` is exempt.  Library code
+counts, and the script entry point ``cli.main`` is exempt.  So must
+each method of such a class, except dunder methods and the
+``METHOD_EXCEPTIONS`` that code outside the library calls.  Library code
 that only the tests call belongs in ``tests/oracles.py``.  No
 ``isinstance`` call of the library takes a name imported from ``typing``:
 the ``typing`` aliases check through a slower path than the
@@ -55,6 +57,12 @@ SRC = sorted((ROOT / "src" / "grafclifford").glob("*.py"))
 CHECKED = SRC + sorted((ROOT / "tests").glob("*.py"))
 # (module, name) pairs called from outside the library: [project.scripts]
 ENTRY_POINTS = {("cli", "main")}
+# (class, method) pairs the library never calls, with the reason each stays.
+METHOD_EXCEPTIONS = {
+    ("_Parser", "error"): "argparse calls it on a bad invocation",
+    ("Form", "num_terms"): "the benchmark's span tracer reads it",
+    ("Form", "from_text"): "documented API: the README example parses with it",
+}
 # Layer of each library module: a module imports only from lower layers.
 LAYERS = {
     "errors": 0,
@@ -124,20 +132,36 @@ def _names_read(node: ast.AST) -> set[str]:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes that no other top-level statement reads."""
-    defs = []
-    reads: list[tuple[ast.AST, set[str]]] = []
+    """Module-level functions and classes, and their methods, that nothing else reads.
+
+    A definition counts as read when another top-level statement reads
+    its name; a method also when another member of its class does.
+    Dunder methods, which Python calls, are exempt.
+    """
+    top: list[tuple[str, ast.AST, set[str]]] = []
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            reads.append((node, _names_read(node)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((module, node))
-    return [
-        f"{module}.{node.name}"
-        for module, node in defs
-        if (module, node.name) not in ENTRY_POINTS
-        and not any(node.name in names for other, names in reads if other is not node)
-    ]
+        top += [(module, node, _names_read(node)) for node in ast.parse(source).body]
+    found = []
+    for module, node, _ in top:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        others = [names for _, other, names in top if other is not node]
+        if (module, node.name) not in ENTRY_POINTS and not any(node.name in n for n in others):
+            found.append(f"{module}.{node.name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        members = [(member, _names_read(member)) for member in node.body]
+        for method, _ in members:
+            if (
+                not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or method.name.startswith("__") and method.name.endswith("__")
+                or (node.name, method.name) in METHOD_EXCEPTIONS
+            ):
+                continue
+            siblings = [names for member, names in members if member is not method]
+            if not any(method.name in n for n in others + siblings):
+                found.append(f"{module}.{node.name}.{method.name}")
+    return found
 
 
 def typing_isinstance_calls(source: str) -> list[str]:
@@ -388,10 +412,30 @@ def test_the_dead_code_checker_sees_unreferenced_definitions():
             "class Unused:\n    pass\n"
             "def method_caller(x):\n    return x.used_as_attribute()\n"
             "def used_as_attribute():\n    pass\n"
+            "class Record:\n"
+            "    def __init__(self):\n        self.helped()\n"
+            "    def helped(self):\n        pass\n"
+            "    def dead(self):\n        return self.dead()\n"
+            "    def read(self):\n        pass\n"
+            "    @property\n    def stale(self):\n        return 1\n"
+            "def reader(r):\n    return Record().read()\n"
         ),
-        "cli": "def main():\n    pass\n",
+        "cli": (
+            "from .a import reader\n"
+            "def main():\n    pass\n"
+            "class _Parser:\n    def error(self, message):\n        pass\n"
+            "    def unused(self):\n        pass\n"
+            "_Parser()\n"
+        ),
     }
-    assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused", "a.method_caller"]
+    assert unreferenced_definitions(sources) == [
+        "a.recursive",
+        "a.Unused",
+        "a.method_caller",
+        "a.Record.dead",
+        "a.Record.stale",
+        "cli._Parser.unused",
+    ]
 
 
 def test_the_layering_checker_sees_upward_and_sideways_imports():
