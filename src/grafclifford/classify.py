@@ -377,7 +377,7 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
         if rep.structure.D.apply(vec) != vec:
             raise NotASpinor("spinor is not fixed by the real structure; project it first")
     gather, masks, bounds, stop = _covariant_lanes(rep, pairing.tau)
-    prof = _bilinear_profile(rep, pairing, vec, vec, gather)
+    prof, den = _bilinear_profile(rep, pairing, vec, vec, gather)
     # the nonzero lanes ascend: the component lanes, then the image lanes
     keys, vals = list(prof), list(prof.values())
     if keys and keys[-1] >= stop:
@@ -392,7 +392,7 @@ def covariants(rep: Rep, pairing: Pairing, spinor) -> tuple[Form, ...]:
     for lo, hi in zip(bounds, bounds[1:]):
         i, j = bisect_left(keys, lo, 0, cut), bisect_left(keys, hi, 0, cut)
         terms = zip(map(masks.__getitem__, keys[i:j]), vals[i:j])
-        parts.append(Form._adopt(sig, dict(terms)))
+        parts.append(Form._adopt(sig, dict(terms), den))
     return tuple(parts)
 
 
@@ -405,9 +405,10 @@ def _master(
     (the ideal the covariants live in) in the truncation regime, and the
     Clifford product otherwise.  S is one object, so the product takes
     the square path; ``square`` is S o S when the caller has already
-    formed it.  The literal square is compared with c B S by equality,
-    and the residual S o S - c B S is formed only when they differ: a
-    passing identity carries the zero form, never formed by subtraction.
+    formed it.  The literal square is compared with c B S by equality of
+    their reduced numerator-denominator pairs, and the residual
+    S o S - c B S is formed only when they differ: a passing identity
+    carries the zero form, never formed by subtraction.
     """
     s = sum(covs[1:], covs[0])
     sig = s.signature
@@ -417,12 +418,10 @@ def _master(
         else:
             square = graf_product(s, s)
     name, c = geometry_of(sig).master
-    cb = c * b
-    # exact: an integral Fraction v * cb compares equal to the int it normalizes to
-    target = {m: v * cb for m, v in s.mask_items()} if cb else {}
-    if dict(square.mask_items()) == target:
+    target = s.scale(c * b)
+    if square == target:
         return _result(name, Form.zero(sig))
-    return _result(name, square - s.scale(cb))
+    return _result(name, square - target)
 
 
 def reduced_verdict(covs: tuple[Form, ...], b, volume_sign: int = 1) -> dict:
@@ -552,8 +551,8 @@ def census(rep: Rep, pairings: list[Pairing], samples: int, seed: int) -> dict:
         vec = prepare(rep, raw)
         for pairing, section, seen in zip(pairings, sections, ranks):
             if not section["real_structure_compatible"]:
-                prof = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
-                seen |= {m.bit_count() for m, c in prof.items() if c}
+                prof, _ = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
+                seen |= {m.bit_count() for m in prof}
                 continue
             index = classify(covariants(rep, pairing, vec), volume_sign=rep.volume_sign)
             entry = section["classes"].setdefault(str(index), {"count": 0})

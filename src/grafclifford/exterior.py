@@ -2,12 +2,14 @@
 
 Forms are finite sums of canonical blades ``e{i1,...,ik}`` (strictly
 ascending 1-based frame indices) with rational coefficients.  All
-arithmetic is exact: coefficients are Python ints or Fractions, never
-floats.  Blades are carried as index bitmasks and signs come from
-permutation parity.  This layer holds forms, metrics, the interior
-contraction and the grade operations; the one product that pairs
-blades, its blade-pair kernel, and the wedge and contracted wedge as
-its grade slices, are in ``graf``.
+arithmetic is exact, with no floats: a form keeps int numerators over
+one reduced denominator, so sums, scalings and the grade operations run
+on ints, and the coefficients it hands out are ints or Fractions.
+Blades are carried as index bitmasks and signs come from permutation
+parity.  This layer holds forms, metrics, the interior contraction and
+the grade operations; the one product that pairs blades, its
+blade-pair kernel, and the wedge and contracted wedge as its grade
+slices, are in ``graf``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, FormParseError, UnsupportedSignature
 from .linalg import Rational, _norm, congruence_diagonal
@@ -136,9 +139,19 @@ def _indices_of_mask(mask: int) -> tuple[int, ...]:
 
 
 class Form:
-    """Immutable exterior form: sparse map from blades to rational coefficients."""
+    """Immutable exterior form: sparse map from blades to rational coefficients.
 
-    __slots__ = ("signature", "_terms", "_hash")
+    A form holds int numerators by blade mask, with no zero stored, over
+    one positive denominator, reduced so that the gcd of the denominator
+    and the numerators is 1; an integral form has denominator 1.  Equal
+    forms therefore hold equal pairs.  Kernels read the pair through
+    ``numerators`` and hand theirs back through ``_adopt``; every value a
+    caller reads (``coeff``, ``mask_items``, the text and the JSON) is the
+    normalized rational, an int when integral and a reduced Fraction
+    otherwise.
+    """
+
+    __slots__ = ("signature", "_num", "_den", "_hash")
 
     def __init__(self, signature: Signature, terms: Mapping | Iterable = ()):
         self.signature = signature
@@ -154,7 +167,15 @@ class Form:
                 data[mask] = _norm(c)
             elif mask in data:
                 del data[mask]
-        self._terms = data
+        # over the lcm of the reduced denominators the numerators share no factor with it
+        den = 1
+        for c in data.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        if den > 1:
+            data = {m: c.numerator * (den // c.denominator) for m, c in data.items()}
+        self._num = data
+        self._den = den
         self._hash = None
 
     # -- construction helpers -------------------------------------------------
@@ -181,39 +202,61 @@ class Form:
         return cls(signature, terms)
 
     @classmethod
-    def _adopt(cls, signature: Signature, terms: dict[int, Rational]) -> "Form":
-        """Take ownership of ``terms`` without checking it.
+    def _adopt(cls, signature: Signature, num: dict[int, int], den: int = 1) -> "Form":
+        """Take ownership of the numerators ``num`` over ``den`` without checking them.
 
-        Only for dicts derived from already-validated forms: every mask in
-        range, every coefficient nonzero and normalized by ``_norm``.
+        Only for numerators derived from already-validated forms: every
+        mask in range, every numerator a nonzero int, den a positive int.
+        Derived pairs are reduced here and nowhere else: a den above 1 is
+        divided, with every numerator, by their gcd; den 1 costs nothing.
         Input paths (``Form(...)``, ``from_mask_dict``, ``from_text``,
         ``from_json_obj``) keep every check.
         """
+        if den > 1:
+            g = gcd(den, *num.values())
+            if g > 1:
+                num = {m: v // g for m, v in num.items()}
+                den //= g
         out = cls.__new__(cls)
         out.signature = signature
-        out._terms = terms
+        out._num = num
+        out._den = den
         out._hash = None
         return out
 
     # -- inspection -----------------------------------------------------------
 
+    def numerators(self) -> tuple[dict[int, int], int]:
+        """The int numerators by mask and their one denominator.
+
+        The dict is the form's own: read it, never change it.
+        """
+        return self._num, self._den
+
+    def _value(self, v: int) -> Rational:
+        """The coefficient of numerator v: an int when integral, else a reduced Fraction."""
+        den = self._den
+        return v // den if v % den == 0 else Fraction(v, den)
+
     def mask_items(self) -> Iterator[tuple[int, Rational]]:
-        return iter(self._terms.items())
+        if self._den == 1:
+            return iter(self._num.items())
+        return ((m, self._value(v)) for m, v in self._num.items())
 
     def coeff(self, key) -> Rational:
-        return self._terms.get(_mask_of(key), 0)
+        return self._value(self._num.get(_mask_of(key), 0))
 
     def scalar_part(self) -> Rational:
-        return self._terms.get(0, 0)
+        return self._value(self._num.get(0, 0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self._terms}
+        return {mask.bit_count() for mask in self._num}
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- linear structure -----------------------------------------------------
 
@@ -227,14 +270,17 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         self._check_same(other)
-        data = dict(self._terms)
-        for mask, c in other._terms.items():
-            v = data.get(mask, 0) + c
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, den // db
+        data = dict(self._num) if sa == 1 else {m: v * sa for m, v in self._num.items()}
+        for mask, v in other._num.items():
+            v = data.get(mask, 0) + v * sb
             if v:
-                data[mask] = _norm(v)
-            elif mask in data:
+                data[mask] = v
+            else:
                 del data[mask]
-        return Form._adopt(self.signature, data)
+        return Form._adopt(self.signature, data, den)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -242,13 +288,15 @@ class Form:
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form._adopt(self.signature, {m: -c for m, c in self._terms.items()})
+        return Form._adopt(self.signature, {m: -v for m, v in self._num.items()}, self._den)
 
     def scale(self, c: Rational) -> "Form":
         c = _norm(c)
         if not c:
             return Form.zero(self.signature)
-        return Form._adopt(self.signature, {m: _norm(v * c) for m, v in self._terms.items()})
+        p = c.numerator
+        num = self._num if p == 1 else {m: v * p for m, v in self._num.items()}
+        return Form._adopt(self.signature, num, self._den * c.denominator)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -261,12 +309,13 @@ class Form:
         return (
             isinstance(other, Form)
             and self.signature == other.signature
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.signature, frozenset(self._terms.items())))
+            self._hash = hash((self.signature, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -276,12 +325,12 @@ class Form:
 
     def to_text(self) -> str:
         """Render as 'c*e{i,j} + ...' with rational c; the zero form is '0'."""
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for mask in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
+        for mask in sorted(self._num, key=lambda m: (m.bit_count(), m)):
             idx = ",".join(str(i) for i in _indices_of_mask(mask))
-            parts.append(f"{rational_to_str(self._terms[mask])}*e{{{idx}}}")
+            parts.append(f"{rational_to_str(self._value(self._num[mask]))}*e{{{idx}}}")
         return " + ".join(parts)
 
     @classmethod
@@ -305,9 +354,10 @@ class Form:
         return cls(signature, terms)
 
     def to_json_obj(self) -> list[dict]:
+        num = self._num
         return [
-            {"blade": list(_indices_of_mask(mask)), "coeff": rational_to_str(self._terms[mask])}
-            for mask in sorted(self._terms, key=lambda m: (m.bit_count(), m))
+            {"blade": list(_indices_of_mask(m)), "coeff": rational_to_str(self._value(num[m]))}
+            for m in sorted(num, key=lambda m: (m.bit_count(), m))
         ]
 
     @classmethod
@@ -433,28 +483,28 @@ def interior(i: int, f: Form) -> Form:
     if not 1 <= i <= n:
         raise ValueError(f"frame index {i} out of range 1..{n}")
     bit = 1 << (i - 1)
-    acc: dict[int, Rational] = {}
-    for mask, c in f.mask_items():
-        if mask & bit:
-            acc[mask ^ bit] = c * interior_sign(mask, i)
-    return Form.from_mask_dict(f.signature, acc)
+    num, den = f.numerators()
+    acc = {mask ^ bit: c * interior_sign(mask, i) for mask, c in num.items() if mask & bit}
+    return Form._adopt(f.signature, acc, den)
 
 
 def grade_project(f: Form, k: int) -> Form:
-    return Form._adopt(f.signature, {m: c for m, c in f.mask_items() if m.bit_count() == k})
+    num, den = f.numerators()
+    return Form._adopt(f.signature, {m: c for m, c in num.items() if m.bit_count() == k}, den)
 
 
 def grade_involution(f: Form) -> Form:
     """Multiply each grade-k component by (-1)^k."""
-    return Form._adopt(
-        f.signature, {m: (-c if m.bit_count() & 1 else c) for m, c in f.mask_items()}
-    )
+    num, den = f.numerators()
+    out = {m: (-c if m.bit_count() & 1 else c) for m, c in num.items()}
+    return Form._adopt(f.signature, out, den)
 
 
 def reversal(f: Form) -> Form:
     """Multiply each grade-k component by (-1)^(k(k-1)/2)."""
+    num, den = f.numerators()
     out = {}
-    for m, c in f.mask_items():
+    for m, c in num.items():
         k = m.bit_count()
         out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return Form.from_mask_dict(f.signature, out)
+    return Form._adopt(f.signature, out, den)

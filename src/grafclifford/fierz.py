@@ -35,9 +35,10 @@ u lambda(e_m) = c_u^k lambda(e_m) u this is
 
 The multiple is k_const / 2^n, which is 1/d, halved in the double
 algebras where e_m and e_m vol act alike.  ``unit_profile`` gives the
-coefficients before that multiple, with the signs (tau c_u)^k s_m read
-from one table per representation and tau c_u; the classification reads
-the identity unit's.  ``reconstruct_check`` verifies
+coefficients before that multiple, as integer numerators over one
+denominator, with the signs (tau c_u)^k s_m read from one table per
+representation and tau c_u; the classification reads the identity
+unit's.  ``reconstruct_check`` verifies
 sum_u u lambda(f_u) = E exactly, on integer numerators over one common
 denominator, reading only the blades' signed permutations and so
 independently of the weights above.
@@ -63,9 +64,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import lcm
 from operator import add, itemgetter, sub
 from typing import Callable
 
@@ -78,8 +79,6 @@ from .linalg import (
     SignedPerm,
     Vector,
     as_matrix,
-    common_denominator,
-    divide_numerators,
     mat_mul,
     mat_scale,
 )
@@ -192,41 +191,42 @@ def _profile_gather(rep: Rep) -> Callable[[list], tuple]:
     return _blade_gather(rep, ((mask, 1) for mask in range(1 << rep.signature.n)))
 
 
+def _cleared(vec: Vector) -> tuple[list[int], int]:
+    """Integer numerators of a rational vector over the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
 def _bilinear_profile(
     rep: Rep, pairing: Pairing, alpha: Vector, w: Vector, gather: Callable[[list], tuple]
-) -> dict[int, object]:
-    """Coefficients weight * B(alpha, blade(w)) for each lane of ``gather``, by lane.
+) -> tuple[dict[int, int], int]:
+    """Numerators of weight * B(alpha, blade(w)) by lane of ``gather``, and their denominator.
 
     ``gather`` comes from ``_blade_gather``: lane j is a blade, a
     signed permutation whose row i holds sign[i] at column col[i], with
     a weight of +-1, and its coefficient is
     weight * sum_i sign[i] z[i] w[col[i]] with z = G^T alpha.  With
-    ``_profile_gather(rep)`` the lanes are the masks in order.  alpha, z
+    ``_profile_gather(rep)`` the lanes are the masks in order.  alpha
     and w are cleared to integer numerators first (Majorana-projected
     spinors have half-integer entries; w passed as alpha itself is
-    cleared once), so the products z[i] w[j] are formed once per call on
-    ints, and the gather puts each lane's signed products into one run
-    of d values, which ``sum`` adds on its small-int fast path.  Each
-    nonzero coefficient is divided once at the end; an integral one
-    comes back as an int.  The lanes come out in ascending order.
+    cleared once), so z is too, and the products z[i] w[j] are formed
+    once per call on ints; the gather puts each lane's signed products
+    into one run of d values, which ``sum`` adds on its small-int fast
+    path.  The result is the nonzero lane sums by lane, in ascending
+    order, and the product of the two denominators; no sum is divided,
+    and the pair is not reduced (``Form._adopt`` reduces it).
     """
     d = rep.d
     if len(alpha) != d or len(w) != d:
         raise DimensionMismatch("spinor length does not match the representation")
-    an, aden = common_denominator(list(enumerate(alpha)))
-    an = [c for _, c in an]
+    an, aden = _cleared(alpha)
     zt = pairing.gram_transpose.apply(an)
-    zt, zden = common_denominator(list(enumerate(zt)))
-    if w is alpha:
-        wn, wden = an, aden
-    else:
-        wn, wden = common_denominator(list(enumerate(w)))
-        wn = [c for _, c in wn]
-    zw = [z * c for _, z in zt for c in wn]
+    wn, wden = (an, aden) if w is alpha else _cleared(w)
+    zw = [z * c for z in zt for c in wn]
     zw += [-v for v in zw]
     # zip over d copies of one iterator yields the gather's runs of d values
     sums = list(map(sum, zip(*[iter(gather(zw))] * d)))
-    return divide_numerators(dict(compress(enumerate(sums), sums)), aden * zden * wden)
+    return dict(compress(enumerate(sums), sums)), aden * wden
 
 
 @lru_cache(maxsize=8)
@@ -248,16 +248,17 @@ def _blade_weights(rep: Rep, tc: int) -> tuple[int, ...]:
 
 def unit_profile(
     rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector, eps: int = 1, twist: int = 1
-) -> dict[int, object]:
+) -> tuple[dict[int, int], int]:
     """Unscaled blade coefficients eps (tau c)^k s_m B(alpha, e_m beta), by mask.
 
     With beta replaced by u beta, eps = eps_u and twist = c_u this is the
     component of unit u before the k_const / 2^n multiple; the defaults
-    give the identity unit's.
+    give the identity unit's.  Like ``_bilinear_profile`` it returns the
+    numerators by mask and their one denominator.
     """
     weights = _blade_weights(rep, pairing.tau * twist)
-    prof = _bilinear_profile(rep, pairing, alpha, beta, _profile_gather(rep))
-    return {m: eps * weights[m] * v for m, v in prof.items()}
+    prof, den = _bilinear_profile(rep, pairing, alpha, beta, _profile_gather(rep))
+    return {m: eps * weights[m] * v for m, v in prof.items()}, den
 
 
 def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> tuple[Form, ...]:
@@ -267,14 +268,15 @@ def covariant(rep: Rep, pairing: Pairing, alpha: Vector, beta: Vector) -> tuple[
     a single form; almost_complex: component 0 and the component carrying
     the D insertion; quaternionic: components 0..3 carrying the H_i
     insertions.  Blade m of component u is
-    pref eps_u (tau c_u)^k s_m B(alpha, e_m u beta).
+    k_const eps_u (tau c_u)^k s_m B(alpha, e_m u beta) / 2^n: the profile's
+    numerators times k_const, over its denominator times 2^n.
     """
     table = unit_table(rep, pairing)
-    pref = Fraction(rep.abs.k_const, 1 << rep.signature.n)
+    k, n = rep.abs.k_const, rep.signature.n
     comps = []
     for u, c, eps in zip(table.units, table.twists, table.weights):
-        prof = unit_profile(rep, pairing, alpha, u.apply(beta), eps, c)
-        comps.append(Form.from_mask_dict(rep.signature, {m: pref * v for m, v in prof.items()}))
+        prof, den = unit_profile(rep, pairing, alpha, u.apply(beta), eps, c)
+        comps.append(Form._adopt(rep.signature, {m: k * v for m, v in prof.items()}, den << n))
     return tuple(comps)
 
 
@@ -283,9 +285,10 @@ def reconstruct_check(
 ) -> bool:
     """sum_u u lambda(f_u) = E(alpha, beta), on integer numerators over one denominator.
 
-    Each term c lambda(e_m) is added into d rows of d ints per component
-    from the blade's signed permutation; row i of u M is u.sign[i] times
-    row u.col[i] of M.  No covariant weight is read.
+    The components' numerators are brought to the lcm of their
+    denominators.  Each term c lambda(e_m) is added into d rows of d ints
+    per component from the blade's signed permutation; row i of u M is
+    u.sign[i] times row u.col[i] of M.  No covariant weight is read.
     """
     units = rep.structure.units
     if len(cov) != 1 + len(units):
@@ -295,13 +298,16 @@ def reconstruct_check(
         raise DimensionMismatch("spinor length does not match the pairing")
     if any(f.signature != rep.signature for f in cov):
         raise DimensionMismatch("form signature does not match the representation")
-    terms = [((u, m), c) for u, f in enumerate(cov) for m, c in f.mask_items()]
-    terms, den = common_denominator(terms)
+    pairs = [f.numerators() for f in cov]
+    den = lcm(*(fden for _, fden in pairs))
     images = [[[0] * d for _ in range(d)] for _ in cov]
-    for (u, mask), c in terms:
-        sp = rep.blade_sp(mask)
-        for row, col, s in zip(images[u], sp.col, sp.sign):
-            row[col] += c * s
+    for image, (num, fden) in zip(images, pairs):
+        lift = den // fden
+        for mask, c in num.items():
+            c *= lift
+            sp = rep.blade_sp(mask)
+            for row, col, s in zip(image, sp.col, sp.sign):
+                row[col] += c * s
     total = images[0]
     for unit, image in zip(units, images[1:]):
         for i, (col, s) in enumerate(zip(unit.col, unit.sign)):

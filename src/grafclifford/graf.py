@@ -37,12 +37,13 @@ a and r = a - {i}, e_a = e_i e_r - c_i e_r, so e_a h = e_i (e_r h) -
 (c_i e_r) h, over the products e_s h of smaller blades, each formed
 once.
 
-Rational inputs (covariants carry k_const / 2^n) are cleared to integer
-numerators over one common denominator per factor before the blade-pair
-loop, which then runs on ints; each output coefficient is divided once
-at the end and normalized, so an integral one is still an int.  The
-result is the same exact rational as term-by-term Fraction arithmetic,
-so every rendered report is unchanged.
+A form holds int numerators over one denominator (``Form.numerators``),
+and covariants carry k_const / 2^n there, so every kernel below runs on
+the numerators alone: f * g has the numerators of the blade-pair sums
+over the product of the two denominators, and ``Form._adopt`` reduces
+that pair once.  No coefficient is divided or normalized on the way, and
+the values the product hands out are the exact rationals of term-by-term
+Fraction arithmetic.
 
 A square f * f (the same Form object passed twice, as the master
 identities do) that fills at least half of the masks M_G of its grade
@@ -55,8 +56,7 @@ over the table's pairs, formed by C-level gathers, products and a
 running sum.  The (9,0) pinor squares, on G = {0, 1, 4} (136 masks,
 4,996 nonzero pairs), take the table; any other square is formed as
 f * g.  Kernel output is adopted by ``Form`` without re-validation: its
-masks are XORs of in-range masks and ``divide_numerators`` has already
-normalized its coefficients.
+masks are XORs of in-range masks and its zero numerators are dropped.
 
 A product of two dense forms (each on at least 3/4 of the 2^n blades,
 n >= ``_PACKED_MIN_N``) runs packed (``_product_terms_packed``).  The
@@ -98,7 +98,6 @@ rows live in a per-kernel dict keyed by mask, so at most 2^n of them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from math import comb, factorial
@@ -106,7 +105,6 @@ from operator import itemgetter, mul, sub
 
 from .errors import DimensionMismatch, UnsupportedSignature
 from .exterior import Form, Metric, Signature, grade_project, interior, interior_sign
-from .linalg import Rational, _norm, common_denominator, divide_numerators
 
 # A pair table over M_G holds up to |M_G|(|M_G| + 1)/2 pairs (8.4 million
 # for every grade at n = 12), so larger grade sets keep the pair loop.
@@ -232,7 +230,7 @@ class _DiagKernel:
         keys = tuple(by_key)
 
         def square(ta) -> dict[int, int]:
-            """Integer numerators of the square of integer terms ta, by output key.
+            """Nonzero integer numerators of the square of integer terms ta, by output key.
 
             Pair p multiplies entry left[p] of the weighted copies of the
             padded numerators (copy k is weights[k] times them) by entry
@@ -247,7 +245,8 @@ class _DiagKernel:
                 weighted += x if w == 1 else [w * c for c in x]
             run = accumulate(map(mul, gather_left(weighted), gather_right(x)), initial=0)
             ends = list(compress(run, marks))
-            return dict(zip(keys, map(sub, ends[1:], ends)))
+            sums = list(map(sub, ends[1:], ends))
+            return dict(compress(zip(keys, sums), sums))
 
         return square
 
@@ -280,10 +279,6 @@ class _DiagKernel:
             out.append((flip, low))
         return tuple(out)
 
-    def finish(self, acc: dict, den: int) -> dict[int, Rational]:
-        """The nonzero accumulated integer numerators over den, normalized."""
-        return divide_numerators({m: c for m, c in acc.items() if c}, den)
-
 
 _kernel = lru_cache(maxsize=_KERNEL_CAP)(_DiagKernel)
 
@@ -312,24 +307,23 @@ def _resolve_metric(f: Form, metric: Metric | None) -> Metric:
 _PACKED_MIN_N = 6
 
 
-def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, Rational]:
-    ta, da = common_denominator(ta)
-    tb, db = common_denominator(tb)
+def _product_terms_diag(ta, tb, kern: _DiagKernel) -> dict[int, int]:
+    """Nonzero integer numerators of f * g from the (mask, numerator) pairs of f and g."""
     n = kern.n
     if n >= _PACKED_MIN_N and 4 * min(len(ta), len(tb)) >= 3 << n:
-        return kern.finish(_product_terms_packed(ta, tb, kern), da * db)
-    acc: dict[int, Rational] = {}
+        return _product_terms_packed(ta, tb, kern)
+    acc: dict[int, int] = {}
     row_of = kern.row
     for ma, ca in ta:
         row = row_of(ma)
         for mb, cb in tb:
             key = ma ^ mb
             acc[key] = acc.get(key, 0) + ca * cb * row[mb]
-    return kern.finish(acc, da * db)
+    return {m: c for m, c in acc.items() if c}
 
 
 def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
-    """Integer numerators of f * g, one generator at a time on packed ints.
+    """Nonzero integer numerators of f * g, one generator at a time on packed ints.
 
     For integer (key, coefficient) pairs.  The right factor is held as
     two ints, its positive and its negative parts, blade b in field b of
@@ -384,8 +378,8 @@ def _product_terms_packed(ta, tb, kern: _DiagKernel) -> dict[int, int]:
     return acc
 
 
-def _product_terms_square(ta, kern: _DiagKernel, fold: int) -> dict[int, Rational] | None:
-    """f * f from the kernel's pair table for the form's grade set, or None without one.
+def _product_terms_square(ta, kern: _DiagKernel, fold: int) -> dict[int, int] | None:
+    """Numerators of f * f from the pair table for the grade set of ta, or None without one.
 
     e_a e_b + e_b e_a = (row_a[b] + row_b[a]) e_(a^b).  Under an
     orthonormal metric e_a e_b = (-1)^(|a||b| - |a & b|) e_b e_a, so the
@@ -398,8 +392,7 @@ def _product_terms_square(ta, kern: _DiagKernel, fold: int) -> dict[int, Rationa
     square = kern.square_table(frozenset(ma.bit_count() for ma, _ in ta), len(ta), fold)
     if square is None:
         return None
-    ta, den = common_denominator(ta)
-    return kern.finish(square(ta), den * den)
+    return square(ta)
 
 
 # -- general product ---------------------------------------------------------------
@@ -430,8 +423,9 @@ def _product_general(f: Form, g: Form, metric: Metric) -> Form:
             low = a & -a
             i, rest = low.bit_length(), a ^ low
             h = left(rest)
-            wedged = {m | low: c * interior_sign(m, i) for m, c in h.mask_items() if not m & low}
-            h = Form._adopt(sig, wedged) + _contraction(i, h, metric)
+            num, den = h.numerators()
+            wedged = {m | low: c * interior_sign(m, i) for m, c in num.items() if not m & low}
+            h = Form._adopt(sig, wedged, den) + _contraction(i, h, metric)
             for s, c in _contraction(i, Form.blade(sig, rest), metric).mask_items():
                 h = h - left(s).scale(c)
             done[a] = h
@@ -454,11 +448,13 @@ def graf_product(f: Form, g: Form, metric: Metric | None = None) -> Form:
     if not metric.is_orthonormal:
         return _product_general(f, g, metric)
     kern = _kernel_for(metric)
-    ta = list(f.mask_items())
+    na, da = f.numerators()
+    nb, db = g.numerators()
+    ta = list(na.items())
     terms = _product_terms_square(ta, kern, 0) if f is g else None
     if terms is None:
-        terms = _product_terms_diag(ta, list(g.mask_items()), kern)
-    return Form._adopt(f.signature, terms)
+        terms = _product_terms_diag(ta, list(nb.items()), kern)
+    return Form._adopt(f.signature, terms, da * db)
 
 
 # -- wedge and contracted wedge: grade slices of the product --------------------------
@@ -531,18 +527,18 @@ def hodge(f: Form, metric: Metric | None = None) -> Form:
     if metric.is_orthonormal:
         nu = _kernel_for(metric).volume_column
         full = (1 << f.signature.n) - 1
-        return Form._adopt(f.signature, {m ^ full: _norm(c * nu[m]) for m, c in f.mask_items()})
+        num, den = f.numerators()
+        return Form._adopt(f.signature, {m ^ full: c * nu[m] for m, c in num.items()}, den)
     return graf_product(f, volume_form(f.signature), metric)
 
 
 def projector_pm(f: Form, sign: int, metric: Metric | None = None) -> Form:
-    """Half of (identity plus-or-minus the volume product)."""
+    """Half of (identity plus-or-minus the volume product): the sum over twice its denominator."""
     if sign not in (1, -1):
         raise ValueError("projector sign must be +1 or -1")
-    half = Fraction(1, 2)
-    if sign == 1:
-        return (f + hodge(f, metric)).scale(half)
-    return (f - hodge(f, metric)).scale(half)
+    whole = f + hodge(f, metric) if sign == 1 else f - hodge(f, metric)
+    num, den = whole.numerators()
+    return Form._adopt(f.signature, num, 2 * den)
 
 
 # -- truncation --------------------------------------------------------------------
@@ -551,7 +547,8 @@ def projector_pm(f: Form, sign: int, metric: Metric | None = None) -> Form:
 def lower_projection(f: Form) -> Form:
     """The part of f in grades at most floor(n/2)."""
     half = f.signature.n // 2
-    return Form._adopt(f.signature, {m: c for m, c in f.mask_items() if m.bit_count() <= half})
+    num, den = f.numerators()
+    return Form._adopt(f.signature, {m: c for m, c in num.items() if m.bit_count() <= half}, den)
 
 
 def in_truncation_regime(signature: Signature) -> bool:
@@ -585,11 +582,13 @@ def truncated_product(f: Form, g: Form, sign: int = 1, metric: Metric | None = N
         )
     kern = _kernel_for(metric)
     if f is g:
-        terms = _product_terms_square(list(f.mask_items()), kern, sign)
+        num, den = f.numerators()
+        terms = _product_terms_square(list(num.items()), kern, sign)
         if terms is not None:
-            return Form._adopt(sig, terms)
-    acc: dict[int, Rational] = {}
-    for m, c in graf_product(f, g, metric).mask_items():
+            return Form._adopt(sig, terms, den * den)
+    num, den = graf_product(f, g, metric).numerators()
+    acc: dict[int, int] = {}
+    for m, c in num.items():
         m, c = kern.folded(m, c, sign)
         acc[m] = acc.get(m, 0) + c
-    return Form._adopt(sig, {m: _norm(c) for m, c in acc.items() if c})
+    return Form._adopt(sig, {m: c for m, c in acc.items() if c}, den)

@@ -9,12 +9,14 @@ solved in ``matrixrep.solve_signed_perms``.  Dense matrices remain only
 for the rank-one endomorphisms of the fundamental identity
 (``fierz.endo_E``); the images of forms are never built densely, and
 reports render a signed permutation's rows as strings straight from it
-(``SignedPerm.report_rows``).
+(``SignedPerm.report_rows``).  ``Rational`` and ``_norm`` serve the
+matrices here and the checked input paths of forms; a form keeps its
+own int numerators over one denominator (``exterior.Form``), so no
+coefficient clearing lives in this module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -41,29 +43,6 @@ def _norm(c: Rational) -> Rational:
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
-
-
-def common_denominator(pairs: list) -> tuple[list, int]:
-    """Integer numerators over one common denominator for (key, coefficient) pairs.
-
-    Returns (pairs', den): den is the lcm of the coefficient denominators and
-    each coefficient c becomes the int c * den.  An all-int list comes back
-    unchanged with den 1, so integer-only callers pay one scan.
-    """
-    den = 1
-    for _, c in pairs:
-        if type(c) is not int:
-            den = math.lcm(den, c.denominator)
-    if den == 1:
-        return pairs, 1
-    return [(key, c.numerator * (den // c.denominator)) for key, c in pairs], den
-
-
-def divide_numerators(acc: dict, den: int) -> dict:
-    """Divide accumulated numerators by their common denominator; exact quotients stay ints."""
-    if den == 1:
-        return acc
-    return {key: Fraction(v, den) if v % den else v // den for key, v in acc.items()}
 
 
 def as_matrix(rows) -> Matrix:

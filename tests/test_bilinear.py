@@ -98,7 +98,7 @@ def test_vanishing_ranks_match_observed_profiles(rep12, pr12, rep90, pr90):
     for rep, pairing, dead in ((rep12, pr12, {0, 3}), (rep90, pr90, {2, 3, 6, 7})):
         for _ in range(5):
             vec = oracles.rand_vector(rng, rep.abs.rep_dim)
-            prof = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
+            prof, _ = _bilinear_profile(rep, pairing, vec, vec, _profile_gather(rep))
             seen = {mask.bit_count() for mask, val in prof.items() if val}
             assert not (seen & dead)
 

@@ -156,7 +156,7 @@ def test_the_extractor_refuses_profiles_off_the_grade_pattern(
     vec90 = oracles.rand_vector(random.Random(47), rep90.d)
     masks12 = classify_module._covariant_lanes(rep12, pr12.tau)[1]
     gather90, masks90, _, _ = classify_module._covariant_lanes(rep90, pr90.tau)
-    prof = genuine(rep90, pr90, vec90, vec90, gather90)
+    prof, _ = genuine(rep90, pr90, vec90, vec90, gather90)
     assert any(masks90[lane].bit_count() == 5 for lane in prof)
     edits = (
         # a grade that is neither a component nor a volume image
@@ -170,9 +170,12 @@ def test_the_extractor_refuses_profiles_off_the_grade_pattern(
         ),
     )
     for rep, pairing, vec, edit, message in edits:
-        monkeypatch.setattr(
-            classify_module, "_bilinear_profile", lambda *args, edit=edit: edit(genuine(*args))
-        )
+
+        def edited(*args, edit=edit):
+            prof, den = genuine(*args)
+            return edit(prof), den
+
+        monkeypatch.setattr(classify_module, "_bilinear_profile", edited)
         with pytest.raises(NotASpinor, match=message):
             covariants(rep, pairing, vec)
 
@@ -181,8 +184,9 @@ def _grade_split_of_unit_profile(rep, pairing, vec):
     """The extractor without lanes: unit_profile split by grade, images checked by hodge."""
     sig = rep.signature
     by_grade = {k: {} for k in range(sig.n + 1)}
-    for mask, val in unit_profile(rep, pairing, vec, vec).items():
-        by_grade[mask.bit_count()][mask] = val
+    num, den = unit_profile(rep, pairing, vec, vec)
+    for mask, val in num.items():
+        by_grade[mask.bit_count()][mask] = Fraction(val, den)
     grades = [k for _, k in geometry_of(sig).components]
     images = [sig.n - k for k in grades] if in_truncation_regime(sig) else []
     assert not any(terms for k, terms in by_grade.items() if k not in grades + images)

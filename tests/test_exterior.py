@@ -1,5 +1,6 @@
 """Exterior algebra layer: blades, forms, wedge, contraction, metrics."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from grafclifford.exterior import (
     reversal,
 )
 from grafclifford.graf import contracted_wedge, wedge
+from grafclifford.linalg import _norm
 
 SIG22 = Signature(2, 2)
 SIG12 = Signature(1, 2)
@@ -34,6 +36,27 @@ def forms(sig=SIG22, box=4, max_terms=5):
     return st.dictionaries(
         st.integers(0, size - 1), st.integers(-box, box), max_size=max_terms
     ).map(lambda d: Form.from_mask_dict(sig, d))
+
+
+# Rational scalars with denominators up to 12: 2, 4 and 8 among them, as
+# the covariants' 2^n, and the 3, 5, 6, 7 ... that no power of 2 clears.
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+def rational_forms(sig=SIG22, max_terms=5):
+    size = 1 << sig.n
+    return st.dictionaries(st.integers(0, size - 1), RATIONALS, max_size=max_terms).map(
+        lambda d: Form.from_mask_dict(sig, d)
+    )
+
+
+def _coeffs(f: Form) -> dict:
+    """The coefficients a caller reads, as Fractions by mask: the per-coefficient oracle's input."""
+    return {m: Fraction(c) for m, c in f.mask_items()}
+
+
+def _nonzero(values: dict) -> dict:
+    return {m: c for m, c in values.items() if c}
 
 
 # -- scalars and parsing -------------------------------------------------------------------
@@ -140,6 +163,68 @@ def test_addition_laws(f, g, h):
     assert f + Form.zero(SIG22) == f
 
 
+@given(rational_forms(), rational_forms(), rational_forms(), RATIONALS, RATIONALS)
+@settings(max_examples=120, deadline=None)
+def test_rational_linear_laws_match_fraction_arithmetic(f, g, h, c, d):
+    """Sums, negation and scaling on numerators equal per-coefficient Fraction arithmetic."""
+    a, b = _coeffs(f), _coeffs(g)
+    results = {
+        "sum": (f + g, {m: a.get(m, 0) + b.get(m, 0) for m in a.keys() | b.keys()}),
+        "difference": (f - g, {m: a.get(m, 0) - b.get(m, 0) for m in a.keys() | b.keys()}),
+        "negation": (-f, {m: -v for m, v in a.items()}),
+        "scaling": (f.scale(c), {m: v * c for m, v in a.items()}),
+        "product operator": (d * f, {m: d * v for m, v in a.items()}),
+    }
+    for name, (got, want) in results.items():
+        assert _coeffs(got) == _nonzero(want), name
+        assert _adoptable(got), name
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f + Form.zero(SIG22) == f and (f - f).is_zero()
+    assert (-f) + f == Form.zero(SIG22)
+    assert (f + g).scale(c) == f.scale(c) + g.scale(c)
+    assert f.scale(c + d) == f.scale(c) + f.scale(d)
+    assert f.scale(c).scale(d) == f.scale(c * d)
+    assert hash(f + g) == hash(g + f)
+
+
+def test_the_numerator_pair_is_canonical():
+    """Equal values give equal (numerators, denominator) pairs and equal hashes."""
+    e1 = Form.blade(SIG12, (1,))
+    half = Form.blade(SIG12, (1,), Fraction(1, 2))
+    assert half.numerators() == ({1: 1}, 2)
+    whole = half + half
+    assert whole == e1 and hash(whole) == hash(e1)
+    assert whole.numerators() == ({1: 1}, 1) and type(whole.coeff((1,))) is int
+    mixed = half + Form.blade(SIG12, (1, 2))
+    assert mixed.numerators() == ({1: 1, 0b11: 2}, 2)
+    assert grade_project(mixed, 2).numerators() == ({0b11: 1}, 1)
+    assert grade_project(mixed, 2) == Form.blade(SIG12, (1, 2))
+    for zero in (half.scale(0), mixed.scale(Fraction(0, 3)), mixed - mixed):
+        assert zero == Form.zero(SIG12) and zero.numerators() == ({}, 1)
+    assert Form(SIG12, {1: Fraction(2, 4)}) == Form(SIG12, {1: Fraction(1, 2)}) == half
+    # a form over 6 read back through every accessor as reduced values
+    sixths = Form(SIG12, {(): Fraction(1, 2), (1,): Fraction(2, 3), (2,): 5})
+    assert sixths.numerators() == ({0: 3, 1: 4, 2: 30}, 6)
+    assert dict(sixths.mask_items()) == {0: Fraction(1, 2), 1: Fraction(2, 3), 2: 5}
+    assert type(sixths.coeff((2,))) is int and sixths.coeff((3,)) == 0
+    assert sixths.scalar_part() == Fraction(1, 2)
+    assert sixths.to_text() == "1/2*e{} + 2/3*e{1} + 5*e{2}"
+    assert [t["coeff"] for t in sixths.to_json_obj()] == ["1/2", "2/3", "5"]
+
+
+@given(st.dictionaries(st.integers(0, 15), st.integers(-200, 200).filter(bool)), st.integers(1, 12))
+def test_adopt_reduces_to_the_canonical_pair(num, den):
+    """``_adopt`` divides the pair by gcd(den, *num) and nothing else: the values are v / den."""
+    f = Form._adopt(SIG22, dict(num), den)
+    got, got_den = f.numerators()
+    assert list(got) == list(num) and _adoptable(f)
+    for mask, v in num.items():
+        assert got[mask] * den == v * got_den
+        want = _norm(Fraction(v, den))
+        assert f.coeff(mask) == want and type(f.coeff(mask)) is type(want)
+
+
 # -- wedge -----------------------------------------------------------------------------------
 
 
@@ -213,17 +298,26 @@ def test_interior_matches_position_sign_oracle():
 # -- grade operators --------------------------------------------------------------------------
 
 
-@given(forms())
-@settings(max_examples=40, deadline=None)
+@given(st.one_of(forms(), rational_forms()))
+@settings(max_examples=80, deadline=None)
 def test_grade_operators(f):
     total = Form.zero(SIG22)
+    a = _coeffs(f)
     for k in range(5):
         part = grade_project(f, k)
         assert part.grades() <= {k} or part.is_zero()
+        assert _coeffs(part) == {m: v for m, v in a.items() if m.bit_count() == k}
+        assert _adoptable(part)
         total = total + part
     assert total == f
     assert grade_involution(grade_involution(f)) == f
     assert reversal(reversal(f)) == f
+    assert _coeffs(grade_involution(f)) == {m: (-1) ** m.bit_count() * v for m, v in a.items()}
+    signs = {m: (-1) ** (m.bit_count() * (m.bit_count() - 1) // 2) for m in a}
+    assert _coeffs(reversal(f)) == {m: signs[m] * v for m, v in a.items()}
+    for i in range(1, 5):
+        assert interior(i, f) == oracles.interior_oracle(i, f)
+        assert _adoptable(interior(i, f))
 
 
 def test_reversal_sign_per_grade():
@@ -269,11 +363,14 @@ def test_contracted_wedge_matches_recursion_oracle_standard_metric():
 
 
 def _adoptable(f: Form) -> bool:
-    """What ``Form._adopt`` takes on trust: masks in range, no zero, integral as int."""
+    """The invariant of ``Form._adopt``: masks in range, nonzero int numerators, a reduced den."""
     full = (1 << f.signature.n) - 1
-    return all(
-        not mask & ~full and c != 0 and (type(c) is int or c.denominator != 1)
-        for mask, c in f.mask_items()
+    num, den = f.numerators()
+    return (
+        type(den) is int
+        and den >= 1
+        and math.gcd(den, *num.values()) == 1
+        and all(not mask & ~full and type(v) is int and v for mask, v in num.items())
     )
 
 

@@ -121,6 +121,56 @@ def test_components_reassemble_the_endomorphism(
         reconstruct_check(rep12, pairing, foreign, a, b)
 
 
+def test_the_fierz_path_constructs_no_fraction(monkeypatch, rep90, pr90, rep04, pr04, rep12, pr12):
+    """covariant, reconstruct_check and check_fierz on integer spinors run on numerators alone.
+
+    Every Fraction construction is counted: ``Fraction.__new__``, and
+    ``Fraction._from_coprime_ints`` where the running Python has it
+    (3.12 on), which builds the results of Fraction arithmetic without
+    ``__new__``.
+    """
+    rng = random.Random(39)
+    samples = [
+        (rep, pairing, [oracles.rand_vector(rng, rep.d) for _ in range(4)])
+        for rep, pairing, count in ((rep90, pr90, 2), (rep04, pr04, 4), (rep12, pr12, 8))
+        for _ in range(count)
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    passed = []
+    for rep, pairing, (a1, b1, a2, b2) in samples:
+        cov11 = covariant(rep, pairing, a1, b1)
+        cov22 = covariant(rep, pairing, a2, b2)
+        cov12 = covariant(rep, pairing, a1, b2)
+        passed.append(reconstruct_check(rep, pairing, cov11, a1, b1))
+        verdict = check_fierz(rep, pairing, cov11, cov22, cov12, b_eval(pairing, a2, b1))
+        passed.append(verdict["passed"])
+    monkeypatch.undo()
+    assert built == []
+    assert all(passed)
+
+
+def _profile_values(rep, pairing, a, b):
+    """The profile's coefficients: each nonzero int numerator over the one denominator."""
+    num, den = _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
+    assert den >= 1 and all(type(v) is int and v for v in num.values())
+    return {lane: Fraction(v, den) for lane, v in num.items()}
+
+
 def test_bilinear_profile_matches_the_dense_blade_oracle(
     rep12, pairings12, rep90, pr90, rep04, pr04
 ):
@@ -129,7 +179,7 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
     for rep, pairing in cases:
         assert all(type(v) is int for row in oracles.to_dense(pairing.gram) for v in row)
         zero = (0,) * rep.d
-        assert _bilinear_profile(rep, pairing, zero, zero, _profile_gather(rep)) == {}
+        assert _bilinear_profile(rep, pairing, zero, zero, _profile_gather(rep)) == ({}, 1)
         for a, b in ((zero[:-1], zero), (zero, zero + (0,))):
             with pytest.raises(DimensionMismatch):
                 _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
@@ -138,11 +188,11 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
             alpha = oracles.rand_vector(rng, rep.d)
             w = oracles.rand_vector(rng, rep.d)
             for a, b in ((alpha, alpha), (alpha, w)):
-                prof = _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
+                assert _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))[1] == 1
+                prof = _profile_values(rep, pairing, a, b)
                 assert prof == oracles.bilinear_profile(rep, pairing, a, b)
-                assert all(type(v) is int for v in prof.values())
             thirds = tuple(Fraction(c, 3) for c in w)
-            prof = _bilinear_profile(rep, pairing, alpha, thirds, _profile_gather(rep))
+            prof = _profile_values(rep, pairing, alpha, thirds)
             assert prof == oracles.bilinear_profile(rep, pairing, alpha, thirds)
     # real (1,2) spinors are Majorana projections, with half-integer entries
     for pairing in pairings12:
@@ -151,14 +201,14 @@ def test_bilinear_profile_matches_the_dense_blade_oracle(
             b = majorana_project(rep12, oracles.rand_vector(rng, rep12.d))
             assert any(type(c) is Fraction for c in a + b)
             for x, y in ((a, a), (a, b)):
-                prof = _bilinear_profile(rep12, pairing, x, y, _profile_gather(rep12))
+                prof = _profile_values(rep12, pairing, x, y)
                 assert prof == oracles.bilinear_profile(rep12, pairing, x, y)
     # the smallest representations; on (0,0) the table holds a single index
     for sig in (Signature(0, 0), Signature(1, 0)):
         rep = build_rep(sig)
         for pairing in admissible_pairings(rep):
             for a, b in (((3,) * rep.d, (-2,) * rep.d), ((Fraction(1, 2),) * rep.d, (5,) * rep.d)):
-                prof = _bilinear_profile(rep, pairing, a, b, _profile_gather(rep))
+                prof = _profile_values(rep, pairing, a, b)
                 assert prof == oracles.bilinear_profile(rep, pairing, a, b)
 
 

@@ -31,7 +31,6 @@ from grafclifford.graf import (
     volume_form,
     volume_square_sign,
 )
-from grafclifford.linalg import common_denominator
 
 SIG12 = Signature(1, 2)
 SIG90 = Signature(9, 0)
@@ -44,6 +43,17 @@ def forms(sig, box=3, max_terms=4):
     return st.dictionaries(
         st.integers(0, size - 1), st.integers(-box, box), max_size=max_terms
     ).map(lambda d: Form.from_mask_dict(sig, d))
+
+
+# Denominators up to 12: the powers of 2 the covariants carry, and others.
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def rational_forms(sig, max_terms=5):
+    size = 1 << sig.n
+    return st.dictionaries(st.integers(0, size - 1), RATIONALS, max_size=max_terms).map(
+        lambda d: Form.from_mask_dict(sig, d)
+    )
 
 
 # -- product basics --------------------------------------------------------------------------
@@ -74,6 +84,56 @@ def test_unit_is_identity_and_scalars_are_central():
 def test_product_associative_and_distributive(f, g, h):
     assert graf_product(graf_product(f, g), h) == graf_product(f, graf_product(g, h))
     assert graf_product(f + g, h) == graf_product(f, h) + graf_product(g, h)
+
+
+@given(rational_forms(SIG12), rational_forms(SIG12), rational_forms(SIG12))
+@settings(max_examples=60, deadline=None)
+def test_rational_product_laws_and_the_oracle(f, g, h):
+    """Products of rational forms run on numerators; they equal the Fraction oracle."""
+    met = Metric.standard(SIG12)
+    fg = graf_product(f, g)
+    assert fg == oracles.graf_product_oracle(f, g, met)
+    assert graf_product(f, f) == oracles.graf_product_oracle(f, f, met)
+    assert graf_product(fg, h) == graf_product(f, graf_product(g, h))
+    assert graf_product(f + g, h) == graf_product(f, h) + graf_product(g, h)
+    assert graf_product(h, f - g) == graf_product(h, f) - graf_product(h, g)
+    for c in (Fraction(1, 2), Fraction(-5, 12)):
+        assert graf_product(f.scale(c), g) == fg.scale(c) == graf_product(f, g.scale(c))
+    assert _normalized(fg) and _normalized(graf_product(f, f))
+
+
+SIG21 = Signature(2, 1)
+
+
+@given(rational_forms(SIG21), rational_forms(SIG21), st.sampled_from((1, -1)))
+@settings(max_examples=60, deadline=None)
+def test_rational_volume_operators_match_fraction_arithmetic(f, g, s):
+    """hodge, projector_pm and the truncated product on rational forms of (2,1).
+
+    The references are the sequential oracle's product with the volume
+    form and per-coefficient Fraction arithmetic for the halving.
+    """
+    met = Metric.standard(SIG21)
+    vol = volume_form(SIG21)
+    assert hodge(f) == oracles.graf_product_oracle(f, vol, met)
+
+    def projected(x: Form) -> Form:
+        image = dict(oracles.graf_product_oracle(x, vol, met).mask_items())
+        values = dict(x.mask_items())
+        masks = values.keys() | image.keys()
+        half = Fraction(1, 2)
+        return Form.from_mask_dict(
+            SIG21, {m: (values.get(m, 0) + s * image.get(m, 0)) * half for m in masks}
+        )
+
+    pf, pg = projected(f), projected(g)
+    assert projector_pm(f, s) == pf and _normalized(projector_pm(f, s))
+    for left, right, p_left, p_right in ((f, g, pf, pg), (f, f, pf, pf)):
+        literal = oracles.graf_product_oracle(p_left, p_right, met)
+        low = {m: 2 * c for m, c in literal.mask_items() if m.bit_count() <= 1}
+        product = truncated_product(left, right, s)
+        assert product == Form.from_mask_dict(SIG21, low)
+        assert _normalized(product)
 
 
 def _all_int(f: Form) -> bool:
@@ -218,10 +278,10 @@ COEFFICIENT_DRAWS = {
 def _packed(f, g, met):
     """f * g through the packed kernel, called directly whatever the input."""
     kern = graf._kernel_for(met)
-    ta, da = common_denominator(list(f.mask_items()))
-    tb, db = common_denominator(list(g.mask_items()))
-    terms = kern.finish(graf._product_terms_packed(ta, tb, kern), da * db)
-    return Form._adopt(f.signature, terms)
+    na, da = f.numerators()
+    nb, db = g.numerators()
+    terms = graf._product_terms_packed(list(na.items()), list(nb.items()), kern)
+    return Form._adopt(f.signature, terms, da * db)
 
 
 def _loop(f, g, met, monkeypatch):
@@ -462,11 +522,11 @@ def test_contracted_wedge_is_a_graded_slice_of_the_product():
 def test_kernel_keeps_integer_inputs_on_ints():
     rng = random.Random(21)
     kern = graf._kernel_for(Metric.standard(SIG90))
-    f = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
-    g = list(oracles.rand_form(rng, SIG90, terms=40).mask_items())
-    pairs, den = common_denominator(f)
-    assert pairs is f and den == 1
-    assert all(type(c) is int for c in graf._product_terms_diag(f, g, kern).values())
+    f, da = oracles.rand_form(rng, SIG90, terms=40).numerators()
+    g, db = oracles.rand_form(rng, SIG90, terms=40).numerators()
+    assert da == db == 1
+    terms = graf._product_terms_diag(list(f.items()), list(g.items()), kern)
+    assert terms and all(type(c) is int and c for c in terms.values())
     # an integral rational result is still stored as an int
     half = Form.scalar(SIG90, Fraction(1, 2))
     assert _all_int(graf_product(half, Form.scalar(SIG90, 4)))

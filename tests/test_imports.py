@@ -43,9 +43,14 @@ level: importing either loads OpenSSL's libcrypto into every CLI process
 Each packed layout has one owner: no library module but ``graf`` names
 the blade-pair kernel (``KERNEL_NAMES``), and ``exterior`` and
 ``matrixrep`` import no ``itemgetter``, so the signed gathers over
-z (x) w are laid out in ``fierz`` alone.  The package ``__all__`` lists
-exactly the names ``__init__.py`` imports, plus ``__version__``, each
-once: a definition deleted from a submodule leaves no stale export.
+z (x) w are laid out in ``fierz`` alone.  No module of the library or
+its tests but ``exterior`` names the slots of a form's numerators and
+denominator (``FORM_SLOTS``): every other module reads the pair through
+``Form.numerators`` and hands one back through ``Form._adopt``, so the
+reduction that keeps the pair canonical lives in one place.  The
+package ``__all__`` lists exactly the names ``__init__.py`` imports,
+plus ``__version__``, each once: a definition deleted from a submodule
+leaves no stale export.
 """
 
 import ast
@@ -102,6 +107,9 @@ OPENSSL_MODULES = {"hashlib", "_hashlib"}
 KERNEL_NAMES = {"_DiagKernel", "_kernel", "_kernel_for"}
 KERNEL_OWNER = "graf"
 GATHER_FREE_MODULES = ("exterior", "matrixrep")
+# The slots of a form's numerator-denominator pair and their one owner.
+FORM_SLOTS = {"_num", "_den"}
+FORM_OWNER = "exterior"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -397,6 +405,15 @@ def layout_owner_violations(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def form_slot_violations(sources: dict[str, str]) -> list[str]:
+    """Reads or bindings of ``FORM_SLOTS`` outside ``FORM_OWNER``."""
+    found = []
+    for module, source in sources.items():
+        if module != FORM_OWNER:
+            found += [f"{module}: {hit}" for hit in named(source, FORM_SLOTS)]
+    return found
+
+
 def test_the_checker_sees_unused_and_used_names():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(c, system.argv)\n"
     assert unused_imports(source) == ["os (line 1)", "d (line 3)"]
@@ -675,6 +692,31 @@ def test_the_layout_checker_sees_kernels_and_gathers_outside_their_owner():
         "classify: _kernel_for (line 1)",
         "classify: _DiagKernel (line 3)",
     ]
+
+
+def test_the_form_slot_checker_sees_the_pair_outside_its_owner():
+    sources = {
+        "exterior": (
+            "class Form:\n    __slots__ = ('_num', '_den')\n"
+            "    def numerators(self):\n        return self._num, self._den\n"
+        ),
+        "graf": (
+            "def product(f, g):\n    num, den = f.numerators()\n"
+            "    return f._num, g._den\n"
+        ),
+        "test_fierz": "import grafclifford.exterior as ext\n_den = 2\nlambda f: ext.Form._num\n",
+        "classify": "def f(num_, den):\n    return {'_num': num_}, den\n",
+    }
+    assert form_slot_violations(sources) == [
+        "graf: _den (line 3)",
+        "graf: _num (line 3)",
+        "test_fierz: _den (line 2)",
+        "test_fierz: _num (line 3)",
+    ]
+
+
+def test_only_exterior_names_the_form_slots():
+    assert form_slot_violations({path.stem: path.read_text() for path in CHECKED}) == []
 
 
 def test_each_packed_layout_has_one_owner():

@@ -13,7 +13,6 @@ from grafclifford.linalg import (
     _norm,
     as_matrix,
     congruence_diagonal,
-    divide_numerators,
     mat_mul,
     mat_scale,
 )
@@ -115,15 +114,6 @@ def test_signed_perm_apply_relabels_and_negates(data):
     for got, c, s in zip(image, cols, signs):
         want = s * vec[c]
         assert got == want and type(got) is type(want)
-
-
-@given(st.dictionaries(st.integers(0, 15), st.integers(-200, 200)), st.integers(1, 12))
-def test_divide_numerators_matches_fraction_division(acc, den):
-    quotients = divide_numerators(acc, den)
-    assert list(quotients) == list(acc)
-    for key, v in acc.items():
-        want = _norm(Fraction(v, den))
-        assert quotients[key] == want and type(quotients[key]) is type(want)
 
 
 def rand_signed_perm(rng, n):
